@@ -41,7 +41,7 @@ use bypassd_fleet::{workers_from_env, ChannelId, Event, Executor, Lane, LaneHand
 use bypassd_hw::types::Lba;
 use bypassd_hw::PhysMem;
 use bypassd_sim::rng::{Fnv64, Rng};
-use bypassd_sim::{ActorCtx, Nanos, Simulation};
+use bypassd_sim::{ActorCtx, Nanos, SimStats, Simulation};
 use bypassd_ssd::device::BlockAddr;
 use bypassd_ssd::{Command, DmaBuffer, NvmeDevice, QueueId};
 
@@ -495,10 +495,10 @@ impl MonoRouter {
         let _ = &self.gateway_mem; // keeps the DMA frames' memory alive
         let served = Arc::clone(&self.counters[dst as usize]);
         let done = Arc::clone(&self.counters[src as usize]);
-        self.sim.spawn_at(
+        self.sim.spawn_task_at(
             now.saturating_add(RTT),
             &format!("remote-{op}"),
-            move |ctx| {
+            move |ctx| async move {
                 let comp = dev.execute_full(
                     qid,
                     Command::read(
@@ -525,12 +525,12 @@ fn record_remote_done(c: &mut LaneCounters, sent: u64, done_at: u64, ok: bool) {
     c.remote_lat_max = c.remote_lat_max.max(lat);
 }
 
-/// The body every driver actor runs, identical in fleet and monolithic
+/// The body every driver task runs, identical in fleet and monolithic
 /// mode: open per-process handles on the tenant's shared file, then
 /// `rounds` passes over the processes, each a `pread_batch` plus
 /// occasional private-slice writes and remote doorbell rings.
 #[allow(clippy::too_many_arguments)]
-fn driver_loop(
+async fn driver_loop(
     ctx: &mut ActorCtx,
     cfg: &FleetConfig,
     lane: u32,
@@ -544,7 +544,8 @@ fn driver_loop(
         let uid = 1000 + (lane + idx_on_lane * cfg.lanes) % cfg.tenants;
         let mut t = proc_.thread_with(cfg.queue_depth, cfg.dma_len);
         let fd = t
-            .open(ctx, &tenant_path(uid - 1000), true)
+            .open_fut(ctx, &tenant_path(uid - 1000), true)
+            .await
             .expect("open tenant file");
         // Private write slice: processes of one tenant on one machine
         // partition the file so write content is order-independent.
@@ -566,13 +567,16 @@ fn driver_loop(
                     buf: b.as_mut_slice(),
                 })
                 .collect();
-            t.pread_batch(ctx, *fd, &mut reqs)
+            t.pread_batch_fut(ctx, *fd, &mut reqs)
+                .await
                 .expect("fleet pread_batch");
             drop(reqs);
             if *slice_blocks > 0 && rng.gen_range(1000) < u64::from(cfg.write_per_mille) {
                 let off = *wbase + rng.gen_range(*slice_blocks) * BLOCK;
                 wbuf.fill((round as u8) ^ (*idx_on_lane as u8) ^ 0xA5);
-                t.pwrite(ctx, *fd, &wbuf, off).expect("fleet pwrite");
+                t.pwrite_fut(ctx, *fd, &wbuf, off)
+                    .await
+                    .expect("fleet pwrite");
                 counters.lock().writes += 1;
             }
             if cfg.lanes > 1 && rng.gen_range(1000) < u64::from(cfg.remote_per_mille) {
@@ -581,11 +585,11 @@ fn driver_loop(
                 counters.lock().remote_issued += 1;
                 remote.issue(ctx.now(), lane, dst, block);
             }
-            ctx.delay(Nanos(200 + rng.gen_range(800)));
+            ctx.sleep(Nanos(200 + rng.gen_range(800))).await;
         }
     }
     for (t, fd, ..) in &mut threads {
-        t.close(ctx, *fd).expect("close tenant file");
+        t.close_fut(ctx, *fd).await.expect("close tenant file");
     }
     let mut c = counters.lock();
     c.driver_end_max = c.driver_end_max.max(ctx.now().0);
@@ -632,6 +636,14 @@ impl FleetBuilder {
     /// threads (see [`workers_from_env`]). Virtual-time results are
     /// independent of `workers`.
     pub fn run(&self, workers: usize) -> FleetReport {
+        self.run_with_stats(workers).0
+    }
+
+    /// [`run`](Self::run), also returning the engine self-counters
+    /// summed over every lane's simulation. The counters are host-side
+    /// diagnostics, not part of the outcome: event and poll counts
+    /// depend on how lane horizons slice the timeline.
+    pub fn run_with_stats(&self, workers: usize) -> (FleetReport, SimStats) {
         let cfg = &self.cfg;
         let machines = build_machines(cfg);
         let n = cfg.lanes as usize;
@@ -677,6 +689,7 @@ impl FleetBuilder {
         // (pressure summaries received, revocations issued, payload fold)
         let control_counters = Arc::new(Mutex::new((0u64, 0u64, FNV_OFFSET)));
         let mut models: Vec<Box<dyn bypassd_fleet::LaneModel<FleetMsg>>> = Vec::new();
+        let mut sims = Vec::new();
         for (i, machine) in machines.iter().enumerate() {
             let lane = i as u32;
             let system = machine.system.clone();
@@ -768,10 +781,13 @@ impl FleetBuilder {
                 let counters = Arc::clone(&machine.counters);
                 let cfg2 = cfg.clone();
                 let rng = Rng::new(driver_seed(cfg, lane, d as u32));
-                lane_model.sim().spawn(&format!("l{lane}d{d}"), move |ctx| {
-                    driver_loop(ctx, &cfg2, lane, &procs, &sink, &counters, rng);
-                });
+                lane_model
+                    .sim()
+                    .spawn_task(&format!("l{lane}d{d}"), move |mut ctx| async move {
+                        driver_loop(&mut ctx, &cfg2, lane, &procs, &sink, &counters, rng).await;
+                    });
             }
+            sims.push(lane_model.sim().clone());
             models.push(Box::new(lane_model));
         }
 
@@ -823,13 +839,18 @@ impl FleetBuilder {
         let stats = exec.run(workers);
         drop(exec);
         let (pressure_received, revokes_issued, pressure_hash) = *control_counters.lock();
-        finish_report(
+        let report = finish_report(
             &machines,
             pressure_received,
             revokes_issued,
             pressure_hash,
             stats.delivered,
-        )
+        );
+        let mut engine = SimStats::default();
+        for sim in &sims {
+            engine += sim.stats();
+        }
+        (report, engine)
     }
 
     /// [`run`](Self::run) with the worker count taken from
@@ -847,6 +868,12 @@ impl FleetBuilder {
     /// because a single timeline interleaves equal-instant device
     /// updates in global order rather than per-lane order.
     pub fn run_monolithic(&self) -> FleetReport {
+        self.run_monolithic_with_stats().0
+    }
+
+    /// [`run_monolithic`](Self::run_monolithic), also returning the
+    /// shared simulation's engine self-counters.
+    pub fn run_monolithic_with_stats(&self) -> (FleetReport, SimStats) {
         let cfg = &self.cfg;
         let machines = build_machines(cfg);
         let sim = Simulation::new();
@@ -875,8 +902,8 @@ impl FleetBuilder {
                 let counters = Arc::clone(&machine.counters);
                 let cfg2 = cfg.clone();
                 let rng = Rng::new(driver_seed(cfg, lane, d as u32));
-                sim.spawn(&format!("l{lane}d{d}"), move |ctx| {
-                    driver_loop(ctx, &cfg2, lane, &procs, &sink, &counters, rng);
+                sim.spawn_task(&format!("l{lane}d{d}"), move |mut ctx| async move {
+                    driver_loop(&mut ctx, &cfg2, lane, &procs, &sink, &counters, rng).await;
                 });
             }
         }
@@ -889,14 +916,14 @@ impl FleetBuilder {
             let cfg2 = cfg.clone();
             let systems: Vec<System> = machines.iter().map(|m| m.system.clone()).collect();
             let counters: Vec<_> = machines.iter().map(|m| Arc::clone(&m.counters)).collect();
-            sim.spawn("control-revoke", move |ctx| {
+            sim.spawn_task("control-revoke", move |mut ctx| async move {
                 for idx in 0..cfg2.revokes {
                     let fire = cfg2
                         .revoke_start
                         .saturating_add(Nanos(cfg2.revoke_gap.0 * u64::from(idx)));
-                    ctx.wait_until(fire);
+                    ctx.sleep_until(fire).await;
                     cc.lock().1 += 1;
-                    ctx.wait_until(fire.saturating_add(RTT));
+                    ctx.sleep_until(fire.saturating_add(RTT)).await;
                     let lane = (idx % cfg2.lanes) as usize;
                     let tenant = idx % cfg2.tenants;
                     let pids = systems[lane]
@@ -915,12 +942,14 @@ impl FleetBuilder {
                 let cfg2 = cfg.clone();
                 let system = machine.system.clone();
                 let counters = Arc::clone(&machine.counters);
-                sim.spawn(&format!("pressure-{i}"), move |ctx| {
+                sim.spawn_task(&format!("pressure-{i}"), move |mut ctx| async move {
                     for epoch in 0..cfg2.pressure_epochs {
-                        ctx.wait_until(Nanos(cfg2.pressure_epoch.0 * u64::from(epoch + 1)));
+                        ctx.sleep_until(Nanos(cfg2.pressure_epoch.0 * u64::from(epoch + 1)))
+                            .await;
                         let stats = system.device().stats();
                         counters.lock().pressure_sent += 1;
-                        ctx.wait_until(ctx.now().saturating_add(RTT));
+                        let t = ctx.now().saturating_add(RTT);
+                        ctx.sleep_until(t).await;
                         let mut c = cc.lock();
                         c.0 += 1;
                         for v in [
@@ -937,13 +966,14 @@ impl FleetBuilder {
         }
         sim.run();
         let (pressure_received, revokes_issued, pressure_hash) = *control_counters.lock();
-        finish_report(
+        let report = finish_report(
             &machines,
             pressure_received,
             revokes_issued,
             pressure_hash,
             0,
-        )
+        );
+        (report, sim.stats())
     }
 }
 

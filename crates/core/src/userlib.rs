@@ -13,6 +13,14 @@
 //! non-blocking writes) lives in short per-fd mutexes inside the entry,
 //! so threads operating on different files never serialise on a
 //! process-wide lock and no `FileState` is cloned per operation.
+//!
+//! Every timed operation has one body, an `async fn` named `<op>_fut`
+//! that task actors await; `<op>` is its blocking shell for thread
+//! actors ([`block_on`] of the body). No lock guard is held across an
+//! `.await`: a parked task holding one would stall every other actor
+//! of its simulation, and the compiler enforces it because task
+//! futures must be `Send`. Cold paths (kernel fallback, re-fmap) are
+//! boxed so the direct `pread` future stays small.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -23,7 +31,7 @@ use parking_lot::{Mutex, RwLock};
 use bypassd_hw::types::{Vba, SECTOR_SIZE};
 use bypassd_os::process::{Fd, Pid};
 use bypassd_os::{Errno, OpenFlags, SysResult};
-use bypassd_sim::engine::ActorCtx;
+use bypassd_sim::engine::{block_on, ActorCtx};
 use bypassd_sim::time::Nanos;
 use bypassd_ssd::device::{BlockAddr, Command};
 use bypassd_ssd::dma::DmaBuffer;
@@ -502,6 +510,17 @@ impl UserThread {
         writable: bool,
         create: bool,
     ) -> SysResult<Fd> {
+        block_on(self.open_with_fut(ctx, path, writable, create))
+    }
+
+    /// The async body of [`UserThread::open_with`].
+    pub async fn open_with_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        path: &str,
+        writable: bool,
+        create: bool,
+    ) -> SysResult<Fd> {
         let mut flags = if writable {
             OpenFlags::rdwr_direct()
         } else {
@@ -512,9 +531,13 @@ impl UserThread {
             flags = flags.creat();
         }
         let kernel = Arc::clone(self.kernel());
-        let fd = kernel.sys_open(ctx, self.proc.pid, path, flags, 0o644)?;
-        let vba = kernel.sys_fmap(ctx, self.proc.pid, fd, writable)?;
-        let size = kernel.sys_fstat(ctx, self.proc.pid, fd)?.size;
+        let fd = kernel
+            .sys_open_fut(ctx, self.proc.pid, path, flags, 0o644)
+            .await?;
+        let vba = kernel
+            .sys_fmap_fut(ctx, self.proc.pid, fd, writable)
+            .await?;
+        let size = kernel.sys_fstat_fut(ctx, self.proc.pid, fd).await?.size;
         let fallback = vba.is_null();
         if fallback {
             kernel.mark_kernel_fallback(self.proc.pid, fd)?;
@@ -545,7 +568,17 @@ impl UserThread {
     /// # Errors
     /// As [`UserThread::open_with`].
     pub fn open(&mut self, ctx: &mut ActorCtx, path: &str, writable: bool) -> SysResult<Fd> {
-        self.open_with(ctx, path, writable, false)
+        block_on(self.open_fut(ctx, path, writable))
+    }
+
+    /// The async body of [`UserThread::open`].
+    pub async fn open_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        path: &str,
+        writable: bool,
+    ) -> SysResult<Fd> {
+        self.open_with_fut(ctx, path, writable, false).await
     }
 
     /// Closes a file: flushes a dirty local size, then forwards to the
@@ -554,7 +587,12 @@ impl UserThread {
     /// # Errors
     /// `BadF`.
     pub fn close(&mut self, ctx: &mut ActorCtx, fd: Fd) -> SysResult<()> {
-        self.flush_writes(ctx, fd)?;
+        block_on(self.close_fut(ctx, fd))
+    }
+
+    /// The async body of [`UserThread::close`].
+    pub async fn close_fut(&mut self, ctx: &mut ActorCtx, fd: Fd) -> SysResult<()> {
+        self.flush_writes_fut(ctx, fd).await?;
         let entry = self.proc.files.write().remove(&fd).ok_or(Errno::BadF)?;
         // ordering: Relaxed — invalidates cached handles; the map removal above is
         // published by the engine's conductor handoff, not by this flag.
@@ -565,9 +603,11 @@ impl UserThread {
         };
         let kernel = Arc::clone(self.kernel());
         if let Some(size) = size_dirty {
-            kernel.sys_set_size(ctx, self.proc.pid, fd, size)?;
+            kernel
+                .sys_set_size_fut(ctx, self.proc.pid, fd, size)
+                .await?;
         }
-        kernel.sys_close(ctx, self.proc.pid, fd)
+        kernel.sys_close_fut(ctx, self.proc.pid, fd).await
     }
 
     /// Current size as tracked by UserLib.
@@ -593,7 +633,7 @@ impl UserThread {
     /// (the file's base VBA already offset to the target sector), reading
     /// into / writing from the thread DMA buffer at offset 0.
     #[allow(clippy::too_many_arguments)]
-    fn direct_io(
+    async fn direct_io_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -604,7 +644,7 @@ impl UserThread {
         scratch: &mut OpScratch,
     ) -> SysResult<DirectIo> {
         debug_assert!(span.is_multiple_of(SECTOR_SIZE) && span > 0);
-        ctx.delay(self.cost().userlib_overhead);
+        ctx.sleep(self.cost().userlib_overhead).await;
         scratch.userlib += self.cost().userlib_overhead;
         let addr = BlockAddr::Vba(vba);
         let sectors = (span / SECTOR_SIZE) as u32;
@@ -623,12 +663,12 @@ impl UserThread {
                 .device()
                 .execute_full(self.qid, cmd, submit);
             self.note_pressure(comp.pressure);
-            ctx.wait_until(comp.ready_at);
+            ctx.sleep_until(comp.ready_at).await;
             scratch.device_span += comp.ready_at.saturating_sub(submit);
             match comp.status {
                 NvmeStatus::Success => return Ok(DirectIo::Done),
                 NvmeStatus::TranslationFault(_) => {
-                    return self.refmap_after_fault(ctx, fd, entry, scratch)
+                    return Box::pin(self.refmap_after_fault_fut(ctx, fd, entry, scratch)).await
                 }
                 NvmeStatus::MediaError => {
                     // Transient media errors are retried in place (the
@@ -639,7 +679,7 @@ impl UserThread {
                         return Err(Errno::Io);
                     }
                     if policy.retry_backoff > Nanos::ZERO {
-                        ctx.delay(policy.retry_backoff);
+                        ctx.sleep(policy.retry_backoff).await;
                     }
                 }
                 _ => return Err(Errno::Inval),
@@ -651,7 +691,7 @@ impl UserThread {
     /// file (§3.6) and either refreshes the entry's VBA (`Fault` — the
     /// caller retries) or switches the fd to the kernel interface
     /// (`Revoked`).
-    fn refmap_after_fault(
+    async fn refmap_after_fault_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -663,7 +703,9 @@ impl UserThread {
         let kernel = Arc::clone(self.kernel());
         let writable = entry.state.lock().writable;
         let fmap_start = ctx.now();
-        let vba = kernel.sys_fmap(ctx, self.proc.pid, fd, writable)?;
+        let vba = kernel
+            .sys_fmap_fut(ctx, self.proc.pid, fd, writable)
+            .await?;
         scratch.kernel += ctx.now().saturating_sub(fmap_start);
         let revoked = {
             let mut st = entry.state.lock();
@@ -713,7 +755,7 @@ impl UserThread {
     }
 
     /// Kernel-path pread, timed into the scratch's kernel stage.
-    fn kernel_pread(
+    async fn kernel_pread_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -726,13 +768,15 @@ impl UserThread {
         scratch.fall_back();
         let kernel = Arc::clone(self.kernel());
         let start = ctx.now();
-        let result = kernel.sys_pread(ctx, self.proc.pid, fd, buf, offset);
+        let result = kernel
+            .sys_pread_fut(ctx, self.proc.pid, fd, buf, offset)
+            .await;
         scratch.kernel += ctx.now().saturating_sub(start);
         result
     }
 
     /// Kernel-path pwrite, timed into the scratch's kernel stage.
-    fn kernel_pwrite(
+    async fn kernel_pwrite_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -745,7 +789,9 @@ impl UserThread {
         scratch.fall_back();
         let kernel = Arc::clone(self.kernel());
         let start = ctx.now();
-        let result = kernel.sys_pwrite(ctx, self.proc.pid, fd, data, offset);
+        let result = kernel
+            .sys_pwrite_fut(ctx, self.proc.pid, fd, data, offset)
+            .await;
         scratch.kernel += ctx.now().saturating_sub(start);
         result
     }
@@ -762,14 +808,27 @@ impl UserThread {
         buf: &mut [u8],
         offset: u64,
     ) -> SysResult<usize> {
+        block_on(self.pread_fut(ctx, fd, buf, offset))
+    }
+
+    /// The async body of [`UserThread::pread`].
+    pub async fn pread_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        buf: &mut [u8],
+        offset: u64,
+    ) -> SysResult<usize> {
         let op_start = ctx.now();
         let mut scratch = OpScratch::new();
-        let result = self.pread_inner(ctx, fd, buf, offset, &mut scratch);
+        let result = self
+            .pread_inner_fut(ctx, fd, buf, offset, &mut scratch)
+            .await;
         self.record_op(ctx, false, &result, op_start, &scratch);
         result
     }
 
-    fn pread_inner(
+    async fn pread_inner_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -780,7 +839,7 @@ impl UserThread {
         let entry = self.entry_cached(fd)?;
         let mut st = *entry.state.lock();
         if st.fallback {
-            return self.kernel_pread(ctx, fd, buf, offset, scratch);
+            return Box::pin(self.kernel_pread_fut(ctx, fd, buf, offset, scratch)).await;
         }
         if offset >= st.size {
             // Another process may have grown the file (its new FTEs are
@@ -788,7 +847,7 @@ impl UserThread {
             // size, however, is kernel metadata: refresh it.
             let kernel = Arc::clone(self.kernel());
             let stat_start = ctx.now();
-            let stat = kernel.sys_fstat(ctx, self.proc.pid, fd);
+            let stat = Box::pin(kernel.sys_fstat_fut(ctx, self.proc.pid, fd)).await;
             scratch.kernel += ctx.now().saturating_sub(stat_start);
             let size = stat?.size;
             {
@@ -814,10 +873,13 @@ impl UserThread {
             let mut ok = true;
             while pos < end {
                 let span = (end - pos).min(self.dma.len() as u64);
-                match self.direct_io(ctx, fd, &entry, vba.offset(pos), span, false, scratch)? {
+                match self
+                    .direct_io_fut(ctx, fd, &entry, vba.offset(pos), span, false, scratch)
+                    .await?
+                {
                     DirectIo::Done => {
                         let copy = self.cost().user_copy(span.min(len));
-                        ctx.delay(copy);
+                        ctx.sleep(copy).await;
                         scratch.user_copy += copy;
                         let lo = offset.max(pos);
                         let hi = (offset + len).min(pos + span);
@@ -828,7 +890,8 @@ impl UserThread {
                         pos += span;
                     }
                     DirectIo::Revoked => {
-                        return self.kernel_pread(ctx, fd, buf, offset, scratch);
+                        return Box::pin(self.kernel_pread_fut(ctx, fd, buf, offset, scratch))
+                            .await;
                     }
                     DirectIo::Fault => {
                         ok = false;
@@ -854,18 +917,21 @@ impl UserThread {
             if attempts >= policy.max_attempts {
                 // Persistent fault (e.g. a hole): let the kernel path
                 // handle this one op.
-                return self.kernel_pread(ctx, fd, buf, offset, scratch);
+                return Box::pin(self.kernel_pread_fut(ctx, fd, buf, offset, scratch)).await;
             }
             // The fault handler re-fmapped the file; a sibling thread's
             // close() unmaps the whole per-process mapping, so the fresh
             // map may live at a new VBA — retrying the stale one would
             // fault forever.
-            match entry.state.lock().vba {
+            let refreshed = entry.state.lock().vba;
+            match refreshed {
                 Some(v) => vba = v,
-                None => return self.kernel_pread(ctx, fd, buf, offset, scratch),
+                None => {
+                    return Box::pin(self.kernel_pread_fut(ctx, fd, buf, offset, scratch)).await
+                }
             }
             if policy.retry_backoff > Nanos::ZERO {
-                ctx.delay(policy.retry_backoff);
+                ctx.sleep(policy.retry_backoff).await;
             }
         }
     }
@@ -893,6 +959,16 @@ impl UserThread {
         fd: Fd,
         reqs: &mut [ReadReq<'_>],
     ) -> SysResult<usize> {
+        block_on(self.pread_batch_fut(ctx, fd, reqs))
+    }
+
+    /// The async body of [`UserThread::pread_batch`].
+    pub async fn pread_batch_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        reqs: &mut [ReadReq<'_>],
+    ) -> SysResult<usize> {
         if reqs.is_empty() {
             return Ok(0);
         }
@@ -912,7 +988,7 @@ impl UserThread {
         if !direct_ok {
             let mut total = 0;
             for r in reqs.iter_mut() {
-                total += self.pread(ctx, fd, r.buf, r.offset)?;
+                total += self.pread_fut(ctx, fd, r.buf, r.offset).await?;
             }
             return Ok(total);
         }
@@ -923,7 +999,7 @@ impl UserThread {
         while base < reqs.len() {
             let n = window.min(reqs.len() - base);
             let chunk = &mut reqs[base..base + n];
-            total += self.flight(ctx, fd, &entry, vba, slot, chunk)?;
+            total += self.flight_fut(ctx, fd, &entry, vba, slot, chunk).await?;
             base += n;
         }
         Ok(total)
@@ -932,7 +1008,7 @@ impl UserThread {
     /// One batched flight of up to `effective_depth` direct reads:
     /// submit all, ring once, wait once, reap once.
     #[allow(clippy::too_many_arguments)]
-    fn flight(
+    async fn flight_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -943,7 +1019,7 @@ impl UserThread {
     ) -> SysResult<usize> {
         let op_start = ctx.now();
         // One userlib + doorbell charge for the whole flight.
-        ctx.delay(self.cost().userlib_overhead);
+        ctx.sleep(self.cost().userlib_overhead).await;
         let submit_now = ctx.now();
         self.batch.cids.clear();
         self.batch.req_idx.clear();
@@ -972,7 +1048,7 @@ impl UserThread {
                     latest = latest.max(t);
                 }
             }
-            ctx.wait_until(latest);
+            ctx.sleep_until(latest).await;
             for k in 0..self.batch.cids.len() {
                 let cid = self.batch.cids[k];
                 if let Some(c) = self.proc.system.device().reap_at(self.qid, cid, ctx.now()) {
@@ -981,7 +1057,7 @@ impl UserThread {
             }
             let mut total = 0;
             for r in chunk.iter_mut() {
-                total += self.pread(ctx, fd, r.buf, r.offset)?;
+                total += self.pread_fut(ctx, fd, r.buf, r.offset).await?;
             }
             return Ok(total);
         }
@@ -1002,7 +1078,7 @@ impl UserThread {
             self.batch.ready.push(t);
             latest = latest.max(t);
         }
-        ctx.wait_until(latest);
+        ctx.sleep_until(latest).await;
         self.batch.comps.clear();
         self.proc.system.device().reap_ready_into(
             self.qid,
@@ -1043,7 +1119,9 @@ impl UserThread {
             } else {
                 // Translation fault (revocation or growth race): retry
                 // this request on the sequential path, which re-fmaps.
-                retry_bytes += self.pread(ctx, fd, chunk[i].buf, chunk[i].offset)?;
+                retry_bytes += self
+                    .pread_fut(ctx, fd, chunk[i].buf, chunk[i].offset)
+                    .await?;
             }
         }
         if self.batch.comps.len() < chunk.len() {
@@ -1055,11 +1133,11 @@ impl UserThread {
                 if self.batch.comps.iter().any(|c| c.cid == cid) {
                     continue;
                 }
-                retry_bytes += self.pread(ctx, fd, req.buf, req.offset)?;
+                retry_bytes += self.pread_fut(ctx, fd, req.buf, req.offset).await?;
             }
         }
         if copy_total > Nanos::ZERO {
-            ctx.delay(copy_total);
+            ctx.sleep(copy_total).await;
         }
         // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
         self.proc.direct_ops.fetch_add(ok_ops, Ordering::Relaxed);
@@ -1137,15 +1215,30 @@ impl UserThread {
         start: u64,
         buf: &mut [u8],
     ) -> SysResult<usize> {
+        block_on(self.pread_chain_fut(ctx, fd, prog, regs, start, buf))
+    }
+
+    /// The async body of [`UserThread::pread_chain`].
+    pub async fn pread_chain_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        prog: bypassd_offload::ProgHandle,
+        regs: [u64; bypassd_offload::NUM_REGS],
+        start: u64,
+        buf: &mut [u8],
+    ) -> SysResult<usize> {
         let op_start = ctx.now();
         let mut scratch = OpScratch::new();
-        let result = self.pread_chain_inner(ctx, fd, prog, regs, start, buf, &mut scratch);
+        let result = self
+            .pread_chain_inner_fut(ctx, fd, prog, regs, start, buf, &mut scratch)
+            .await;
         self.record_op(ctx, false, &result, op_start, &scratch);
         result
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn pread_chain_inner(
+    async fn pread_chain_inner_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1165,13 +1258,15 @@ impl UserThread {
             return Err(Errno::Inval);
         }
         if st.fallback || st.vba.is_none() {
-            return self.chain_host_fallback(ctx, fd, prog, regs, start, buf, scratch);
+            return self
+                .chain_host_fallback_fut(ctx, fd, prog, regs, start, buf, scratch)
+                .await;
         }
         let mut vba = st.vba.expect("checked above");
         let policy = self.proc.io_policy();
         let mut attempts = 0;
         loop {
-            ctx.delay(self.cost().userlib_overhead);
+            ctx.sleep(self.cost().userlib_overhead).await;
             scratch.userlib += self.cost().userlib_overhead;
             let spec = bypassd_offload::ChainSpec {
                 prog,
@@ -1186,12 +1281,12 @@ impl UserThread {
                 .device()
                 .execute_full(self.qid, cmd, submit);
             self.note_pressure(comp.pressure);
-            ctx.wait_until(comp.ready_at);
+            ctx.sleep_until(comp.ready_at).await;
             scratch.device_span += comp.ready_at.saturating_sub(submit);
             match comp.status {
                 NvmeStatus::Success => {
                     let copy = self.cost().user_copy(BLOCK);
-                    ctx.delay(copy);
+                    ctx.sleep(copy).await;
                     scratch.user_copy += copy;
                     self.dma.read(0, &mut buf[..BLOCK as usize]);
                     // ordering: Relaxed — monotonic stats counter; read only for
@@ -1200,27 +1295,37 @@ impl UserThread {
                     return Ok(BLOCK as usize);
                 }
                 NvmeStatus::TranslationFault(_) => {
-                    match self.refmap_after_fault(ctx, fd, &entry, scratch)? {
+                    match self
+                        .refmap_after_fault_fut(ctx, fd, &entry, scratch)
+                        .await?
+                    {
                         DirectIo::Revoked => {
                             return self
-                                .chain_host_fallback(ctx, fd, prog, regs, start, buf, scratch);
+                                .chain_host_fallback_fut(ctx, fd, prog, regs, start, buf, scratch)
+                                .await;
                         }
                         _ => {
                             attempts += 1;
                             if attempts >= policy.max_attempts {
                                 return self
-                                    .chain_host_fallback(ctx, fd, prog, regs, start, buf, scratch);
+                                    .chain_host_fallback_fut(
+                                        ctx, fd, prog, regs, start, buf, scratch,
+                                    )
+                                    .await;
                             }
-                            match entry.state.lock().vba {
+                            let refreshed = entry.state.lock().vba;
+                            match refreshed {
                                 Some(v) => vba = v,
                                 None => {
-                                    return self.chain_host_fallback(
-                                        ctx, fd, prog, regs, start, buf, scratch,
-                                    );
+                                    return self
+                                        .chain_host_fallback_fut(
+                                            ctx, fd, prog, regs, start, buf, scratch,
+                                        )
+                                        .await;
                                 }
                             }
                             if policy.retry_backoff > Nanos::ZERO {
-                                ctx.delay(policy.retry_backoff);
+                                ctx.sleep(policy.retry_backoff).await;
                             }
                         }
                     }
@@ -1232,7 +1337,7 @@ impl UserThread {
                         return Err(Errno::Io);
                     }
                     if policy.retry_backoff > Nanos::ZERO {
-                        ctx.delay(policy.retry_backoff);
+                        ctx.sleep(policy.retry_backoff).await;
                     }
                 }
                 // Program `Fail`, engine trap, or invalid submission.
@@ -1246,7 +1351,7 @@ impl UserThread {
     /// each next offset locally. Semantically identical to the device
     /// engine (same IR, same registers), just paid at kernel-path cost.
     #[allow(clippy::too_many_arguments)]
-    fn chain_host_fallback(
+    async fn chain_host_fallback_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1261,13 +1366,15 @@ impl UserThread {
         let mut st = bypassd_offload::ChainState::new(regs);
         let mut cur = start;
         for _ in 0..bypassd_offload::MAX_HOPS {
-            let n = self.kernel_pread(ctx, fd, &mut buf[..BLOCK], cur, scratch)?;
+            let n = self
+                .kernel_pread_fut(ctx, fd, &mut buf[..BLOCK], cur, scratch)
+                .await?;
             if n < BLOCK {
                 return Err(Errno::Inval);
             }
             let run = bypassd_offload::run_hop(&program, &mut st, &buf[..BLOCK]);
             let interp = Nanos(run.steps * bypassd_offload::STEP_NS);
-            ctx.delay(interp);
+            ctx.sleep(interp).await;
             scratch.userlib += interp;
             match run.outcome {
                 bypassd_offload::Outcome::Resubmit { offset } => cur = offset,
@@ -1301,6 +1408,17 @@ impl UserThread {
         prog: bypassd_offload::ProgHandle,
         reqs: &mut [ChainReq<'_>],
     ) -> SysResult<usize> {
+        block_on(self.pread_chain_batch_fut(ctx, fd, prog, reqs))
+    }
+
+    /// The async body of [`UserThread::pread_chain_batch`].
+    pub async fn pread_chain_batch_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        prog: bypassd_offload::ProgHandle,
+        reqs: &mut [ChainReq<'_>],
+    ) -> SysResult<usize> {
         const BLOCK: u64 = bypassd_offload::BLOCK as u64;
         if reqs.is_empty() {
             return Ok(0);
@@ -1319,7 +1437,9 @@ impl UserThread {
         if !direct_ok {
             let mut total = 0;
             for r in reqs.iter_mut() {
-                total += self.pread_chain(ctx, fd, prog, r.regs, r.start, r.buf)?;
+                total += self
+                    .pread_chain_fut(ctx, fd, prog, r.regs, r.start, r.buf)
+                    .await?;
             }
             return Ok(total);
         }
@@ -1330,7 +1450,9 @@ impl UserThread {
         while base < reqs.len() {
             let n = window.min(reqs.len() - base);
             let chunk = &mut reqs[base..base + n];
-            total += self.chain_flight(ctx, fd, prog, vba, slot, chunk)?;
+            total += self
+                .chain_flight_fut(ctx, fd, prog, vba, slot, chunk)
+                .await?;
             base += n;
         }
         Ok(total)
@@ -1338,7 +1460,7 @@ impl UserThread {
 
     /// One batched flight of concurrent chains: submit all, ring once,
     /// wait once, reap once (mirrors [`UserThread::flight`]).
-    fn chain_flight(
+    async fn chain_flight_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1349,7 +1471,7 @@ impl UserThread {
     ) -> SysResult<usize> {
         const BLOCK: usize = bypassd_offload::BLOCK;
         let op_start = ctx.now();
-        ctx.delay(self.cost().userlib_overhead);
+        ctx.sleep(self.cost().userlib_overhead).await;
         let submit_now = ctx.now();
         self.batch.cids.clear();
         self.batch.req_idx.clear();
@@ -1379,7 +1501,7 @@ impl UserThread {
                     latest = latest.max(t);
                 }
             }
-            ctx.wait_until(latest);
+            ctx.sleep_until(latest).await;
             for k in 0..self.batch.cids.len() {
                 let cid = self.batch.cids[k];
                 if let Some(c) = self.proc.system.device().reap_at(self.qid, cid, ctx.now()) {
@@ -1388,7 +1510,9 @@ impl UserThread {
             }
             let mut total = 0;
             for r in chunk.iter_mut() {
-                total += self.pread_chain(ctx, fd, prog, r.regs, r.start, r.buf)?;
+                total += self
+                    .pread_chain_fut(ctx, fd, prog, r.regs, r.start, r.buf)
+                    .await?;
             }
             return Ok(total);
         }
@@ -1406,7 +1530,7 @@ impl UserThread {
             self.batch.ready.push(t);
             latest = latest.max(t);
         }
-        ctx.wait_until(latest);
+        ctx.sleep_until(latest).await;
         self.batch.comps.clear();
         self.proc.system.device().reap_ready_into(
             self.qid,
@@ -1447,8 +1571,9 @@ impl UserThread {
                 // Translation fault mid-chain (or a chain fault): the
                 // sequential path re-fmaps and retries, or surfaces the
                 // program's failure.
-                retry_bytes +=
-                    self.pread_chain(ctx, fd, prog, chunk[i].regs, chunk[i].start, chunk[i].buf)?;
+                retry_bytes += self
+                    .pread_chain_fut(ctx, fd, prog, chunk[i].regs, chunk[i].start, chunk[i].buf)
+                    .await?;
             }
         }
         if self.batch.comps.len() < chunk.len() {
@@ -1460,11 +1585,13 @@ impl UserThread {
                 if self.batch.comps.iter().any(|c| c.cid == cid) {
                     continue;
                 }
-                retry_bytes += self.pread_chain(ctx, fd, prog, req.regs, req.start, req.buf)?;
+                retry_bytes += self
+                    .pread_chain_fut(ctx, fd, prog, req.regs, req.start, req.buf)
+                    .await?;
             }
         }
         if copy_total > Nanos::ZERO {
-            ctx.delay(copy_total);
+            ctx.sleep(copy_total).await;
         }
         // ordering: Relaxed — monotonic stats counter; read only for
         // reporting, publishes no other memory.
@@ -1486,14 +1613,27 @@ impl UserThread {
         data: &[u8],
         offset: u64,
     ) -> SysResult<usize> {
+        block_on(self.pwrite_fut(ctx, fd, data, offset))
+    }
+
+    /// The async body of [`UserThread::pwrite`].
+    pub async fn pwrite_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        data: &[u8],
+        offset: u64,
+    ) -> SysResult<usize> {
         let op_start = ctx.now();
         let mut scratch = OpScratch::new();
-        let result = self.pwrite_inner(ctx, fd, data, offset, &mut scratch);
+        let result = self
+            .pwrite_inner_fut(ctx, fd, data, offset, &mut scratch)
+            .await;
         self.record_op(ctx, true, &result, op_start, &scratch);
         result
     }
 
-    fn pwrite_inner(
+    async fn pwrite_inner_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1507,21 +1647,26 @@ impl UserThread {
             return Err(Errno::Perm);
         }
         if st.fallback {
-            return self.kernel_pwrite(ctx, fd, data, offset, scratch);
+            return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await;
         }
         let len = data.len() as u64;
         let end = offset + len;
         if end > st.size {
-            return self.append_path(ctx, fd, &entry, data, offset, st, scratch);
+            return self
+                .append_path_fut(ctx, fd, &entry, data, offset, st, scratch)
+                .await;
         }
         if !offset.is_multiple_of(SECTOR_SIZE) || !len.is_multiple_of(SECTOR_SIZE) {
-            return self.partial_write(ctx, fd, &entry, data, offset, scratch);
+            return self
+                .partial_write_fut(ctx, fd, &entry, data, offset, scratch)
+                .await;
         }
-        self.overwrite(ctx, fd, &entry, data, offset, scratch)
+        self.overwrite_fut(ctx, fd, &entry, data, offset, scratch)
+            .await
     }
 
     /// Aligned overwrite of existing blocks.
-    fn overwrite(
+    async fn overwrite_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1541,22 +1686,26 @@ impl UserThread {
             while pos < data.len() as u64 {
                 let span = (data.len() as u64 - pos).min(self.dma.len() as u64);
                 let copy = self.cost().user_copy(span);
-                ctx.delay(copy);
+                ctx.sleep(copy).await;
                 scratch.user_copy += copy;
                 self.dma
                     .write(0, &data[pos as usize..(pos + span) as usize]);
-                match self.direct_io(
-                    ctx,
-                    fd,
-                    entry,
-                    vba.offset(offset + pos),
-                    span,
-                    true,
-                    scratch,
-                )? {
+                match self
+                    .direct_io_fut(
+                        ctx,
+                        fd,
+                        entry,
+                        vba.offset(offset + pos),
+                        span,
+                        true,
+                        scratch,
+                    )
+                    .await?
+                {
                     DirectIo::Done => pos += span,
                     DirectIo::Revoked => {
-                        return self.kernel_pwrite(ctx, fd, data, offset, scratch);
+                        return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch))
+                            .await;
                     }
                     DirectIo::Fault => {
                         ok = false;
@@ -1571,16 +1720,19 @@ impl UserThread {
             }
             attempts += 1;
             if attempts >= policy.max_attempts {
-                return self.kernel_pwrite(ctx, fd, data, offset, scratch);
+                return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await;
             }
             // Pick up the VBA the fault handler re-fmapped (see
             // pread_inner): the old mapping may be gone entirely.
-            match entry.state.lock().vba {
+            let refreshed = entry.state.lock().vba;
+            match refreshed {
                 Some(v) => vba = v,
-                None => return self.kernel_pwrite(ctx, fd, data, offset, scratch),
+                None => {
+                    return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await
+                }
             }
             if policy.retry_backoff > Nanos::ZERO {
-                ctx.delay(policy.retry_backoff);
+                ctx.sleep(policy.retry_backoff).await;
             }
         }
     }
@@ -1588,7 +1740,7 @@ impl UserThread {
     /// Append handling: kernel route, or direct overwrite of
     /// preallocated blocks when optimized append is on.
     #[allow(clippy::too_many_arguments)]
-    fn append_path(
+    async fn append_path_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1610,17 +1762,22 @@ impl UserThread {
             if end > st.prealloc_end {
                 let grow = (end - st.prealloc_end).max(st.append_chunk);
                 let t0 = ctx.now();
-                let r = kernel.sys_fallocate_keep(ctx, self.proc.pid, fd, st.prealloc_end, grow);
+                let r = kernel
+                    .sys_fallocate_keep_fut(ctx, self.proc.pid, fd, st.prealloc_end, grow)
+                    .await;
                 scratch.kernel += ctx.now().saturating_sub(t0);
                 r?;
                 entry.state.lock().prealloc_end = st.prealloc_end + grow;
             }
             let vba = st.vba.ok_or(Errno::Inval)?;
             let copy = self.cost().user_copy(len);
-            ctx.delay(copy);
+            ctx.sleep(copy).await;
             scratch.user_copy += copy;
             self.dma.write(0, data);
-            match self.direct_io(ctx, fd, entry, vba.offset(offset), len, true, scratch)? {
+            match self
+                .direct_io_fut(ctx, fd, entry, vba.offset(offset), len, true, scratch)
+                .await?
+            {
                 DirectIo::Done => {
                     {
                         let mut s = entry.state.lock();
@@ -1640,14 +1797,16 @@ impl UserThread {
         let kernel_start = ctx.now();
         let n = if offset == st.size {
             // Tail append: the kernel path handles any alignment.
-            let r = kernel.sys_append(ctx, self.proc.pid, fd, data);
+            let r = kernel.sys_append_fut(ctx, self.proc.pid, fd, data).await;
             scratch.kernel += ctx.now().saturating_sub(kernel_start);
             r?
         } else if offset > st.size {
             // Write past a gap: materialise the hole with fallocate
             // (zeroed blocks + size extension), then retry as an
             // in-place write (aligned or serialised RMW).
-            let r = kernel.sys_fallocate(ctx, self.proc.pid, fd, st.size, end - st.size);
+            let r = kernel
+                .sys_fallocate_fut(ctx, self.proc.pid, fd, st.size, end - st.size)
+                .await;
             scratch.kernel += ctx.now().saturating_sub(kernel_start);
             r?;
             {
@@ -1657,21 +1816,25 @@ impl UserThread {
             }
             // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
             self.proc.fallback_ops.fetch_add(1, Ordering::Relaxed);
-            return self.pwrite_inner(ctx, fd, data, offset, scratch);
+            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
         } else if aligned_tail
             || offset.is_multiple_of(SECTOR_SIZE) && len.is_multiple_of(SECTOR_SIZE)
         {
-            let r = kernel.sys_pwrite(ctx, self.proc.pid, fd, data, offset);
+            let r = kernel
+                .sys_pwrite_fut(ctx, self.proc.pid, fd, data, offset)
+                .await;
             scratch.kernel += ctx.now().saturating_sub(kernel_start);
             r?
         } else {
             // Unaligned write straddling EOF: split into the in-place
             // head (RMW path) and an appended tail (kernel path).
             let head = (st.size - offset) as usize;
-            self.pwrite_inner(ctx, fd, &data[..head], offset, scratch)?;
+            Box::pin(self.pwrite_inner_fut(ctx, fd, &data[..head], offset, scratch)).await?;
             let kernel = Arc::clone(self.kernel());
             let t0 = ctx.now();
-            let r = kernel.sys_append(ctx, self.proc.pid, fd, &data[head..]);
+            let r = kernel
+                .sys_append_fut(ctx, self.proc.pid, fd, &data[head..])
+                .await;
             scratch.kernel += ctx.now().saturating_sub(t0);
             head + r?
         };
@@ -1686,7 +1849,7 @@ impl UserThread {
     }
 
     /// Serialised read-modify-write for sub-sector writes (§4.5.1).
-    fn partial_write(
+    async fn partial_write_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1700,22 +1863,28 @@ impl UserThread {
         let end = (offset + len).div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
         // Wait until no in-flight partial write overlaps our sectors.
         loop {
-            let mut partials = entry.partials.lock();
-            let conflict = partials.iter().any(|(s, e)| *s < end && start < *e);
-            if !conflict {
-                partials.push((start, end));
+            let registered = {
+                let mut partials = entry.partials.lock();
+                let conflict = partials.iter().any(|(s, e)| *s < end && start < *e);
+                if !conflict {
+                    partials.push((start, end));
+                }
+                !conflict
+            };
+            if registered {
                 break;
             }
-            drop(partials);
-            ctx.delay(Nanos(200));
+            ctx.sleep(Nanos(200)).await;
         }
-        let result = self.partial_write_inner(ctx, fd, entry, data, offset, scratch);
+        let result = self
+            .partial_write_inner_fut(ctx, fd, entry, data, offset, scratch)
+            .await;
         // Always deregister.
         entry.partials.lock().retain(|r| *r != (start, end));
         result
     }
 
-    fn partial_write_inner(
+    async fn partial_write_inner_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1730,25 +1899,31 @@ impl UserThread {
         let start = offset - offset % SECTOR_SIZE;
         let span = (offset + data.len() as u64).div_ceil(SECTOR_SIZE) * SECTOR_SIZE - start;
         // Read old sectors.
-        match self.direct_io(ctx, fd, entry, vba.offset(start), span, false, scratch)? {
+        match self
+            .direct_io_fut(ctx, fd, entry, vba.offset(start), span, false, scratch)
+            .await?
+        {
             DirectIo::Done => {}
             _ => {
-                return self.kernel_pwrite(ctx, fd, data, offset, scratch);
+                return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await;
             }
         }
         // Modify.
         let copy = self.cost().user_copy(data.len() as u64);
-        ctx.delay(copy);
+        ctx.sleep(copy).await;
         scratch.user_copy += copy;
         self.dma.write((offset - start) as usize, data);
         // Write back.
-        match self.direct_io(ctx, fd, entry, vba.offset(start), span, true, scratch)? {
+        match self
+            .direct_io_fut(ctx, fd, entry, vba.offset(start), span, true, scratch)
+            .await?
+        {
             DirectIo::Done => {
                 // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
                 self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
                 Ok(data.len())
             }
-            _ => self.kernel_pwrite(ctx, fd, data, offset, scratch),
+            _ => Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await,
         }
     }
 
@@ -1772,14 +1947,27 @@ impl UserThread {
         data: &[u8],
         offset: u64,
     ) -> SysResult<usize> {
+        block_on(self.pwrite_async_fut(ctx, fd, data, offset))
+    }
+
+    /// The async body of [`UserThread::pwrite_async`].
+    pub async fn pwrite_async_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        data: &[u8],
+        offset: u64,
+    ) -> SysResult<usize> {
         let op_start = ctx.now();
         let mut scratch = OpScratch::new();
-        let result = self.pwrite_async_inner(ctx, fd, data, offset, &mut scratch);
+        let result = self
+            .pwrite_async_inner_fut(ctx, fd, data, offset, &mut scratch)
+            .await;
         self.record_op(ctx, true, &result, op_start, &scratch);
         result
     }
 
-    fn pwrite_async_inner(
+    async fn pwrite_async_inner_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
@@ -1797,7 +1985,7 @@ impl UserThread {
             offset.is_multiple_of(SECTOR_SIZE) && len.is_multiple_of(SECTOR_SIZE) && len > 0;
         let in_place = offset + len <= st.size;
         if st.fallback || !aligned || !in_place || st.vba.is_none() || len > 256 * 1024 {
-            return self.pwrite_inner(ctx, fd, data, offset, scratch);
+            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
         }
         let vba = st.vba.unwrap();
         // Serialise against overlapping pending writes (same-file
@@ -1812,7 +2000,7 @@ impl UserThread {
             if !conflict {
                 break;
             }
-            self.flush_writes(ctx, fd)?;
+            self.flush_writes_fut(ctx, fd).await?;
         }
         // Backpressure: once the device has signalled congestion, the
         // submission window shrinks below the hardware depth and we drain
@@ -1820,10 +2008,10 @@ impl UserThread {
         while self.effective_depth < self.queue_depth
             && self.pending_write_count(fd) >= self.effective_depth
         {
-            self.flush_writes(ctx, fd)?;
+            self.flush_writes_fut(ctx, fd).await?;
         }
         let copy = self.cost().user_copy(len);
-        ctx.delay(self.cost().userlib_overhead + copy);
+        ctx.sleep(self.cost().userlib_overhead + copy).await;
         scratch.userlib += self.cost().userlib_overhead;
         scratch.user_copy += copy;
         // Async writes stage through a reusable per-thread DMA buffer so
@@ -1856,7 +2044,7 @@ impl UserThread {
             Ok(c) => c,
             Err(_) => {
                 // Queue full: drain and retry once, then give up to sync.
-                self.flush_writes(ctx, fd)?;
+                self.flush_writes_fut(ctx, fd).await?;
                 let retry = {
                     let dma = self
                         .async_staging
@@ -1872,7 +2060,10 @@ impl UserThread {
                 };
                 match retry {
                     Ok(c) => c,
-                    Err(_) => return self.pwrite_inner(ctx, fd, data, offset, scratch),
+                    Err(_) => {
+                        return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch))
+                            .await
+                    }
                 }
             }
         };
@@ -1882,7 +2073,7 @@ impl UserThread {
             None => {
                 // Swallowed CQ entry: re-issue synchronously (idempotent,
                 // same target blocks), as a host timeout would.
-                return self.pwrite_inner(ctx, fd, data, offset, scratch);
+                return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
             }
         };
         let comp = match dev.reap_at(self.qid, cid, ready) {
@@ -1891,8 +2082,8 @@ impl UserThread {
                 // Lost CQ entry (injected completion drop): the host-side
                 // timeout re-issues on the synchronous path, which is
                 // idempotent — the write targets the same blocks.
-                ctx.wait_until(ready);
-                return self.pwrite_inner(ctx, fd, data, offset, scratch);
+                ctx.sleep_until(ready).await;
+                return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
             }
         };
         self.note_pressure(comp.pressure);
@@ -1900,7 +2091,7 @@ impl UserThread {
         if !comp.status.is_ok() {
             // Translation fault (revocation mid-flight): fall back.
             scratch.faults += 1;
-            return self.pwrite_inner(ctx, fd, data, offset, scratch);
+            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
         }
         {
             let mut pending = entry.pending.lock();
@@ -1927,6 +2118,11 @@ impl UserThread {
     /// # Errors
     /// `BadF`.
     pub fn flush_writes(&mut self, ctx: &mut ActorCtx, fd: Fd) -> SysResult<()> {
+        block_on(self.flush_writes_fut(ctx, fd))
+    }
+
+    /// The async body of [`UserThread::flush_writes`].
+    pub async fn flush_writes_fut(&mut self, ctx: &mut ActorCtx, fd: Fd) -> SysResult<()> {
         let entry = self.entry_cached(fd)?;
         let latest = {
             let pending = entry.pending.lock();
@@ -1939,7 +2135,7 @@ impl UserThread {
             })
         };
         if let Some(t) = latest {
-            ctx.wait_until(t);
+            ctx.sleep_until(t).await;
             Self::prune_pending(&entry, ctx.now());
         }
         Ok(())
@@ -1994,9 +2190,19 @@ impl UserThread {
     /// # Errors
     /// As [`UserThread::pread`].
     pub fn read(&mut self, ctx: &mut ActorCtx, fd: Fd, buf: &mut [u8]) -> SysResult<usize> {
+        block_on(self.read_fut(ctx, fd, buf))
+    }
+
+    /// The async body of [`UserThread::read`].
+    pub async fn read_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        buf: &mut [u8],
+    ) -> SysResult<usize> {
         let entry = self.entry_cached(fd)?;
         let off = entry.state.lock().offset;
-        let n = self.pread(ctx, fd, buf, off)?;
+        let n = self.pread_fut(ctx, fd, buf, off).await?;
         entry.state.lock().offset += n as u64;
         Ok(n)
     }
@@ -2006,9 +2212,14 @@ impl UserThread {
     /// # Errors
     /// As [`UserThread::pwrite`].
     pub fn write(&mut self, ctx: &mut ActorCtx, fd: Fd, data: &[u8]) -> SysResult<usize> {
+        block_on(self.write_fut(ctx, fd, data))
+    }
+
+    /// The async body of [`UserThread::write`].
+    pub async fn write_fut(&mut self, ctx: &mut ActorCtx, fd: Fd, data: &[u8]) -> SysResult<usize> {
         let entry = self.entry_cached(fd)?;
         let off = entry.state.lock().offset;
-        let n = self.pwrite(ctx, fd, data, off)?;
+        let n = self.pwrite_fut(ctx, fd, data, off).await?;
         entry.state.lock().offset += n as u64;
         Ok(n)
     }
@@ -2020,8 +2231,13 @@ impl UserThread {
     /// # Errors
     /// `BadF`.
     pub fn fsync(&mut self, ctx: &mut ActorCtx, fd: Fd) -> SysResult<()> {
+        block_on(self.fsync_fut(ctx, fd))
+    }
+
+    /// The async body of [`UserThread::fsync`].
+    pub async fn fsync_fut(&mut self, ctx: &mut ActorCtx, fd: Fd) -> SysResult<()> {
         // Drain the non-blocking write pipeline before the device flush.
-        self.flush_writes(ctx, fd)?;
+        self.flush_writes_fut(ctx, fd).await?;
         let entry = self.proc.entry(fd)?;
         let kernel = Arc::clone(self.kernel());
         let dirty_size = {
@@ -2029,10 +2245,12 @@ impl UserThread {
             st.size_dirty.then_some(st.size)
         };
         if let Some(size) = dirty_size {
-            kernel.sys_set_size(ctx, self.proc.pid, fd, size)?;
+            kernel
+                .sys_set_size_fut(ctx, self.proc.pid, fd, size)
+                .await?;
             entry.state.lock().size_dirty = false;
         }
-        kernel.sys_fsync(ctx, self.proc.pid, fd)
+        kernel.sys_fsync_fut(ctx, self.proc.pid, fd).await
     }
 
     /// `fallocate()` passthrough (updates the local size).
@@ -2046,8 +2264,21 @@ impl UserThread {
         offset: u64,
         len: u64,
     ) -> SysResult<()> {
+        block_on(self.fallocate_fut(ctx, fd, offset, len))
+    }
+
+    /// The async body of [`UserThread::fallocate`].
+    pub async fn fallocate_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        offset: u64,
+        len: u64,
+    ) -> SysResult<()> {
         let kernel = Arc::clone(self.kernel());
-        kernel.sys_fallocate(ctx, self.proc.pid, fd, offset, len)?;
+        kernel
+            .sys_fallocate_fut(ctx, self.proc.pid, fd, offset, len)
+            .await?;
         if let Ok(entry) = self.proc.entry(fd) {
             let mut st = entry.state.lock();
             st.size = st.size.max(offset + len);

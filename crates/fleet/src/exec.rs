@@ -105,6 +105,12 @@ struct Sched {
     lane: Vec<LaneSched>,
     ready: VecDeque<usize>,
     active: usize,
+    /// Worker threads in this run.
+    workers: usize,
+    /// Workers blocked on the condvar.
+    idle: usize,
+    /// Of those, ones already notified but not yet resumed.
+    waking: usize,
     done: bool,
     stats: ExecStats,
 }
@@ -196,6 +202,9 @@ impl<M: Send + 'static> Executor<M> {
                 lane,
                 ready: VecDeque::new(),
                 active: 0,
+                workers: 1,
+                idle: 0,
+                waking: 0,
                 done: false,
                 stats: ExecStats::default(),
             }),
@@ -216,6 +225,7 @@ impl<M: Send + 'static> Executor<M> {
         {
             // Seed the ready queue with every lane that has work.
             let mut s = self.sched.lock();
+            s.workers = workers;
             for l in 0..self.slots.len() {
                 self.maybe_enqueue(&mut s, l);
             }
@@ -298,7 +308,10 @@ impl<M: Send + 'static> Executor<M> {
                         );
                     }
                 } else {
+                    s.idle += 1;
                     self.cv.wait(&mut s);
+                    s.idle -= 1;
+                    s.waking = s.waking.saturating_sub(1);
                 }
                 continue;
             };
@@ -420,7 +433,15 @@ impl<M: Send + 'static> Executor<M> {
         if horizon > s.lane[l].committed || due_msg {
             s.lane[l].queued = true;
             s.ready.push_back(l);
-            self.cv.notify_one();
+            // Every awake (or already woken) worker pops the queue
+            // before it sleeps, so wake a sleeper only for work beyond
+            // what those will take. A wake is an OS handoff that costs
+            // more than a typical lane step.
+            let sleeping = s.idle - s.waking;
+            if sleeping > 0 && s.ready.len() > s.workers - sleeping {
+                s.waking += 1;
+                self.cv.notify_one();
+            }
             true
         } else {
             false

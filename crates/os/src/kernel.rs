@@ -4,6 +4,10 @@
 //! Every syscall takes the calling actor's [`ActorCtx`] and advances
 //! virtual time according to [`CostModel`]; the data it moves is real
 //! (device sectors, page cache blocks, caller buffers).
+//!
+//! Each timed syscall has one body, an `async fn` (`sys_pread_fut`, …)
+//! that task actors await. The plain method (`sys_pread`) is its
+//! blocking shell for thread actors: [`block_on`] of the body.
 
 use std::sync::atomic::AtomicU32;
 use std::sync::{Arc, OnceLock};
@@ -17,7 +21,7 @@ use bypassd_hw::mem::PhysMem;
 use bypassd_hw::page_table::AddressSpace;
 use bypassd_hw::types::{Lba, Pasid, Vba, SECTOR_SIZE};
 use bypassd_qos::{Tenant, TenantShare};
-use bypassd_sim::engine::ActorCtx;
+use bypassd_sim::engine::{block_on, ActorCtx};
 use bypassd_sim::time::Nanos;
 use bypassd_ssd::device::{BlockAddr, Command, NvmeDevice};
 use bypassd_ssd::dma::DmaBuffer;
@@ -334,7 +338,20 @@ impl Kernel {
         flags: OpenFlags,
         mode: u16,
     ) -> SysResult<Fd> {
-        ctx.delay(self.cost.user_to_kernel + self.cost.metadata_op);
+        block_on(self.sys_open_fut(ctx, pid, path, flags, mode))
+    }
+
+    /// The async body of [`Kernel::sys_open`].
+    pub async fn sys_open_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        path: &str,
+        flags: OpenFlags,
+        mode: u16,
+    ) -> SysResult<Fd> {
+        ctx.sleep(self.cost.user_to_kernel + self.cost.metadata_op)
+            .await;
         let path = self.ns_path(pid, path);
         let path = path.as_str();
         let (uid, gid) = self.with_proc(pid, |p| (p.uid, p.gid));
@@ -342,17 +359,17 @@ impl Kernel {
             Ok(i) => i,
             Err(Ext4Error::NotFound) if flags.create => self.fs.create(path, mode, uid, gid)?,
             Err(e) => {
-                ctx.delay(self.cost.kernel_to_user);
+                ctx.sleep(self.cost.kernel_to_user).await;
                 return Err(e.into());
             }
         };
         let st = self.fs.stat(ino)?;
         if st.mode & bypassd_ext4::layout::mode::DIR != 0 {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::IsDir);
         }
         if !self.fs.access(ino, uid, gid, flags.write)? {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::Perm);
         }
         if flags.truncate && flags.write {
@@ -376,7 +393,7 @@ impl Kernel {
                 did_write: false,
             })
         });
-        ctx.delay(self.cost.kernel_to_user);
+        ctx.sleep(self.cost.kernel_to_user).await;
         Ok(fd)
     }
 
@@ -386,7 +403,13 @@ impl Kernel {
     /// # Errors
     /// `BadF`.
     pub fn sys_close(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd) -> SysResult<()> {
-        ctx.delay(self.cost.user_to_kernel + self.cost.metadata_op / 2);
+        block_on(self.sys_close_fut(ctx, pid, fd))
+    }
+
+    /// The async body of [`Kernel::sys_close`].
+    pub async fn sys_close_fut(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd) -> SysResult<()> {
+        ctx.sleep(self.cost.user_to_kernel + self.cost.metadata_op / 2)
+            .await;
         let of = self
             .with_proc(pid, |p| p.remove_fd(fd))
             .ok_or(Errno::BadF)?;
@@ -402,9 +425,9 @@ impl Kernel {
         // Write back anything buffered.
         let dirty = self.cache.lock().invalidate(of.ino);
         if !dirty.is_empty() {
-            self.writeback(ctx, of.ino, dirty)?;
+            self.writeback_fut(ctx, of.ino, dirty).await?;
         }
-        ctx.delay(self.cost.kernel_to_user);
+        ctx.sleep(self.cost.kernel_to_user).await;
         Ok(())
     }
 
@@ -423,10 +446,22 @@ impl Kernel {
         fd: Fd,
         want_write: bool,
     ) -> SysResult<Vba> {
-        ctx.delay(self.cost.user_to_kernel + self.cost.metadata_op / 2);
+        block_on(self.sys_fmap_fut(ctx, pid, fd, want_write))
+    }
+
+    /// The async body of [`Kernel::sys_fmap`].
+    pub async fn sys_fmap_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        want_write: bool,
+    ) -> SysResult<Vba> {
+        ctx.sleep(self.cost.user_to_kernel + self.cost.metadata_op / 2)
+            .await;
         let of = self.fd_info(pid, fd)?;
         if want_write && !of.write {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::Perm);
         }
         let target = self.with_proc(pid, |p| MapTarget {
@@ -435,7 +470,7 @@ impl Kernel {
             asid: Arc::clone(&p.asid),
         });
         let outcome = self.fs.fmap(of.ino, &target, want_write)?;
-        ctx.delay(outcome.cost);
+        ctx.sleep(outcome.cost).await;
         if !outcome.vba.is_null() {
             self.with_proc(pid, |p| {
                 if let Some(f) = p.fd_mut(fd) {
@@ -443,14 +478,24 @@ impl Kernel {
                 }
             });
         }
-        ctx.delay(self.cost.kernel_to_user);
+        ctx.sleep(self.cost.kernel_to_user).await;
         Ok(outcome.vba)
     }
 
     /// Driver ioctl: creates a user submission/completion queue pair
     /// bound to the process PASID and mapped into userspace (§3.3).
     pub fn sys_create_user_queue(&self, ctx: &mut ActorCtx, pid: Pid, depth: usize) -> QueueId {
-        ctx.delay(self.cost.syscall() + Nanos(2_000));
+        block_on(self.sys_create_user_queue_fut(ctx, pid, depth))
+    }
+
+    /// The async body of [`Kernel::sys_create_user_queue`].
+    pub async fn sys_create_user_queue_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        depth: usize,
+    ) -> QueueId {
+        ctx.sleep(self.cost.syscall() + Nanos(2_000)).await;
         self.bind_user_queue(pid, depth)
     }
 
@@ -520,6 +565,16 @@ impl Kernel {
         segs: &[(Option<Lba>, u64)],
         buf: &mut [u8],
     ) -> SysResult<()> {
+        block_on(self.device_read_fut(ctx, segs, buf))
+    }
+
+    /// The async body of [`Kernel::device_read`].
+    pub(crate) async fn device_read_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        segs: &[(Option<Lba>, u64)],
+        buf: &mut [u8],
+    ) -> SysResult<()> {
         let mut offset = 0usize;
         let mut pending: Vec<(Nanos, &mut [u8], DmaBuffer)> = Vec::new();
         let mut rest = buf;
@@ -540,7 +595,7 @@ impl Kernel {
                     if matches!(st, NvmeStatus::MediaError) {
                         // The kernel retries a transient media error once
                         // before failing the request with EIO.
-                        ctx.wait_until(ready);
+                        ctx.sleep_until(ready).await;
                         (st, ready) = self.dev.execute(
                             self.kq,
                             Command::read(BlockAddr::Lba(*lba), (*len / SECTOR_SIZE) as u32, &dma),
@@ -550,7 +605,7 @@ impl Kernel {
                     match st {
                         s if s.is_ok() => pending.push((ready, chunk, dma)),
                         NvmeStatus::MediaError => {
-                            ctx.wait_until(ready);
+                            ctx.sleep_until(ready).await;
                             return Err(Errno::Io);
                         }
                         _ => return Err(Errno::Inval),
@@ -565,7 +620,7 @@ impl Kernel {
             .iter()
             .map(|(t, _, _)| *t)
             .fold(ctx.now(), Nanos::max);
-        ctx.wait_until(latest);
+        ctx.sleep_until(latest).await;
         for (_, chunk, dma) in pending {
             dma.read(0, chunk);
         }
@@ -574,7 +629,7 @@ impl Kernel {
 
     /// Issues device writes for resolved segments from `data`. Waits for
     /// all completions.
-    pub(crate) fn device_write(
+    pub(crate) async fn device_write_fut(
         &self,
         ctx: &mut ActorCtx,
         segs: &[(Option<Lba>, u64)],
@@ -598,7 +653,7 @@ impl Kernel {
             );
             if matches!(st, NvmeStatus::MediaError) {
                 // One kernel-side retry, then EIO (mirrors device_read).
-                ctx.wait_until(ready);
+                ctx.sleep_until(ready).await;
                 (st, ready) = self.dev.execute(
                     self.kq,
                     Command::write(BlockAddr::Lba(lba), (*len / SECTOR_SIZE) as u32, &dma),
@@ -608,23 +663,28 @@ impl Kernel {
             match st {
                 s if s.is_ok() => {}
                 NvmeStatus::MediaError => {
-                    ctx.wait_until(ready);
+                    ctx.sleep_until(ready).await;
                     return Err(Errno::Io);
                 }
                 _ => return Err(Errno::Inval),
             }
             latest = latest.max(ready);
         }
-        ctx.wait_until(latest);
+        ctx.sleep_until(latest).await;
         Ok(())
     }
 
-    fn writeback(&self, ctx: &mut ActorCtx, ino: Ino, dirty: Vec<(u64, Vec<u8>)>) -> SysResult<()> {
+    async fn writeback_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        ino: Ino,
+        dirty: Vec<(u64, Vec<u8>)>,
+    ) -> SysResult<()> {
         for (block, data) in dirty {
             let (segs, extra) = self.fs.resolve(ino, block * BLOCK_SIZE, BLOCK_SIZE)?;
-            ctx.delay(extra);
+            ctx.sleep(extra).await;
             if segs.iter().all(|(l, _)| l.is_some()) {
-                self.device_write(ctx, &segs, &data)?;
+                self.device_write_fut(ctx, &segs, &data).await?;
             }
         }
         Ok(())
@@ -644,13 +704,11 @@ impl Kernel {
         buf: &mut [u8],
         offset: u64,
     ) -> SysResult<usize> {
-        let start = ctx.now();
-        let result = self.pread_body(ctx, pid, fd, buf, offset);
-        self.record_syscall(ctx, pid, false, &result, start);
-        result
+        block_on(self.sys_pread_fut(ctx, pid, fd, buf, offset))
     }
 
-    fn pread_body(
+    /// The async body of [`Kernel::sys_pread`].
+    pub async fn sys_pread_fut(
         &self,
         ctx: &mut ActorCtx,
         pid: Pid,
@@ -658,25 +716,41 @@ impl Kernel {
         buf: &mut [u8],
         offset: u64,
     ) -> SysResult<usize> {
-        ctx.delay(self.cost.user_to_kernel);
+        let start = ctx.now();
+        let result = self.pread_body_fut(ctx, pid, fd, buf, offset).await;
+        self.record_syscall(ctx, pid, false, &result, start);
+        result
+    }
+
+    async fn pread_body_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        buf: &mut [u8],
+        offset: u64,
+    ) -> SysResult<usize> {
+        ctx.sleep(self.cost.user_to_kernel).await;
         let of = self.fd_info(pid, fd)?;
         if !of.read {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::Perm);
         }
         let size = self.fs.size_of(of.ino)?;
         if offset >= size {
-            ctx.delay(self.cost.vfs(1) / 4 + self.cost.kernel_to_user);
+            ctx.sleep(self.cost.vfs(1) / 4 + self.cost.kernel_to_user)
+                .await;
             return Ok(0);
         }
         let len = (buf.len() as u64).min(size - offset);
-        ctx.delay(self.cost.vfs(len));
+        ctx.sleep(self.cost.vfs(len)).await;
         let (segs, extra) = self.fs.resolve(of.ino, offset, len)?;
-        ctx.delay(extra);
+        ctx.sleep(extra).await;
         if of.direct {
-            ctx.delay(self.cost.block_path());
+            ctx.sleep(self.cost.block_path()).await;
             if offset.is_multiple_of(SECTOR_SIZE) && len.is_multiple_of(SECTOR_SIZE) {
-                self.device_read(ctx, &segs, &mut buf[..len as usize])?;
+                self.device_read_fut(ctx, &segs, &mut buf[..len as usize])
+                    .await?;
             } else {
                 // Unaligned direct I/O: bounce through an aligned span
                 // (Linux degrades such requests similarly rather than
@@ -684,22 +758,23 @@ impl Kernel {
                 let start = offset - offset % SECTOR_SIZE;
                 let span_end = (offset + len).div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
                 let (asegs, extra2) = self.fs.resolve(of.ino, start, span_end - start)?;
-                ctx.delay(extra2);
+                ctx.sleep(extra2).await;
                 let mut bounce = vec![0u8; (span_end - start) as usize];
-                self.device_read(ctx, &asegs, &mut bounce)?;
+                self.device_read_fut(ctx, &asegs, &mut bounce).await?;
                 let off = (offset - start) as usize;
                 buf[..len as usize].copy_from_slice(&bounce[off..off + len as usize]);
             }
         } else {
-            self.buffered_read(ctx, of.ino, offset, &mut buf[..len as usize])?;
-            ctx.delay(self.cost.kernel_copy(len));
+            self.buffered_read_fut(ctx, of.ino, offset, &mut buf[..len as usize])
+                .await?;
+            ctx.sleep(self.cost.kernel_copy(len)).await;
         }
         self.with_proc(pid, |p| {
             if let Some(f) = p.fd_mut(fd) {
                 f.did_read = true;
             }
         });
-        ctx.delay(self.cost.kernel_to_user);
+        ctx.sleep(self.cost.kernel_to_user).await;
         Ok(len as usize)
     }
 
@@ -716,13 +791,11 @@ impl Kernel {
         data: &[u8],
         offset: u64,
     ) -> SysResult<usize> {
-        let start = ctx.now();
-        let result = self.pwrite_body(ctx, pid, fd, data, offset);
-        self.record_syscall(ctx, pid, true, &result, start);
-        result
+        block_on(self.sys_pwrite_fut(ctx, pid, fd, data, offset))
     }
 
-    fn pwrite_body(
+    /// The async body of [`Kernel::sys_pwrite`].
+    pub async fn sys_pwrite_fut(
         &self,
         ctx: &mut ActorCtx,
         pid: Pid,
@@ -730,14 +803,28 @@ impl Kernel {
         data: &[u8],
         offset: u64,
     ) -> SysResult<usize> {
-        ctx.delay(self.cost.user_to_kernel);
+        let start = ctx.now();
+        let result = self.pwrite_body_fut(ctx, pid, fd, data, offset).await;
+        self.record_syscall(ctx, pid, true, &result, start);
+        result
+    }
+
+    async fn pwrite_body_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        data: &[u8],
+        offset: u64,
+    ) -> SysResult<usize> {
+        ctx.sleep(self.cost.user_to_kernel).await;
         let of = self.fd_info(pid, fd)?;
         if !of.write {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::Perm);
         }
         let len = data.len() as u64;
-        ctx.delay(self.cost.vfs(len));
+        ctx.sleep(self.cost.vfs(len)).await;
         let size = self.fs.size_of(of.ino)?;
         let end = offset + len;
         if end > size || self.hole_in_range(of.ino, offset, len)? {
@@ -745,39 +832,39 @@ impl Kernel {
             // published only *after* the data write below completes
             // (ordered mode: data before metadata).
             let cost = self.fs.allocate_keep_size(of.ino, offset, len)?;
-            ctx.delay(cost);
+            ctx.sleep(cost).await;
         }
         if of.direct || end > size {
             if offset.is_multiple_of(SECTOR_SIZE) && len.is_multiple_of(SECTOR_SIZE) {
                 let (segs, extra) = self.fs.resolve(of.ino, offset, len)?;
-                ctx.delay(extra + self.cost.block_path());
-                self.device_write(ctx, &segs, data)?;
+                ctx.sleep(extra + self.cost.block_path()).await;
+                self.device_write_fut(ctx, &segs, data).await?;
             } else {
                 // Unaligned direct write: read-modify-write the covering
                 // aligned span through a bounce buffer.
                 let start = offset - offset % SECTOR_SIZE;
                 let span_end = end.div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
                 let (asegs, extra) = self.fs.resolve(of.ino, start, span_end - start)?;
-                ctx.delay(extra + self.cost.block_path());
+                ctx.sleep(extra + self.cost.block_path()).await;
                 let mut bounce = vec![0u8; (span_end - start) as usize];
-                self.device_read(ctx, &asegs, &mut bounce)?;
+                self.device_read_fut(ctx, &asegs, &mut bounce).await?;
                 let off = (offset - start) as usize;
                 bounce[off..off + data.len()].copy_from_slice(data);
-                self.device_write(ctx, &asegs, &bounce)?;
+                self.device_write_fut(ctx, &asegs, &bounce).await?;
             }
             if end > size {
                 self.fs.set_size(of.ino, end)?;
             }
         } else {
-            self.buffered_write(ctx, of.ino, offset, data)?;
-            ctx.delay(self.cost.kernel_copy(len));
+            self.buffered_write_fut(ctx, of.ino, offset, data).await?;
+            ctx.sleep(self.cost.kernel_copy(len)).await;
         }
         self.with_proc(pid, |p| {
             if let Some(f) = p.fd_mut(fd) {
                 f.did_write = true;
             }
         });
-        ctx.delay(self.cost.kernel_to_user);
+        ctx.sleep(self.cost.kernel_to_user).await;
         Ok(data.len())
     }
 
@@ -786,7 +873,7 @@ impl Kernel {
         Ok(segs.iter().any(|(l, _)| l.is_none()))
     }
 
-    fn buffered_read(
+    async fn buffered_read_fut(
         &self,
         ctx: &mut ActorCtx,
         ino: Ino,
@@ -804,14 +891,15 @@ impl Kernel {
                 Some(d) => d,
                 None => {
                     let (segs, extra) = self.fs.resolve(ino, block * BLOCK_SIZE, BLOCK_SIZE)?;
-                    ctx.delay(extra);
+                    ctx.sleep(extra).await;
                     let mut d = vec![0u8; BLOCK_SIZE as usize];
-                    ctx.delay(self.cost.block_path());
-                    self.device_read(ctx, &segs, &mut d)?;
+                    ctx.sleep(self.cost.block_path()).await;
+                    self.device_read_fut(ctx, &segs, &mut d).await?;
                     let evicted = self.cache.lock().insert(ino, block, d.clone(), false);
                     for (eino, eblock, edata, edirty) in evicted {
                         if edirty {
-                            self.writeback(ctx, Ino(eino), vec![(eblock, edata.to_vec())])?;
+                            self.writeback_fut(ctx, Ino(eino), vec![(eblock, edata.to_vec())])
+                                .await?;
                         }
                     }
                     d
@@ -823,7 +911,7 @@ impl Kernel {
         Ok(())
     }
 
-    fn buffered_write(
+    async fn buffered_write_fut(
         &self,
         ctx: &mut ActorCtx,
         ino: Ino,
@@ -843,10 +931,10 @@ impl Kernel {
                 None => {
                     // Partial block write: read-modify-write.
                     let (segs, extra) = self.fs.resolve(ino, block * BLOCK_SIZE, BLOCK_SIZE)?;
-                    ctx.delay(extra);
+                    ctx.sleep(extra).await;
                     let mut d = vec![0u8; BLOCK_SIZE as usize];
-                    ctx.delay(self.cost.block_path());
-                    self.device_read(ctx, &segs, &mut d)?;
+                    ctx.sleep(self.cost.block_path()).await;
+                    self.device_read_fut(ctx, &segs, &mut d).await?;
                     d
                 }
             };
@@ -854,7 +942,8 @@ impl Kernel {
             let evicted = self.cache.lock().insert(ino, block, blockdata, true);
             for (eino, eblock, edata, edirty) in evicted {
                 if edirty {
-                    self.writeback(ctx, Ino(eino), vec![(eblock, edata.to_vec())])?;
+                    self.writeback_fut(ctx, Ino(eino), vec![(eblock, edata.to_vec())])
+                        .await?;
                 }
             }
             pos += n;
@@ -873,8 +962,19 @@ impl Kernel {
         fd: Fd,
         buf: &mut [u8],
     ) -> SysResult<usize> {
+        block_on(self.sys_read_fut(ctx, pid, fd, buf))
+    }
+
+    /// The async body of [`Kernel::sys_read`].
+    pub async fn sys_read_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        buf: &mut [u8],
+    ) -> SysResult<usize> {
         let off = self.fd_info(pid, fd)?.offset;
-        let n = self.sys_pread(ctx, pid, fd, buf, off)?;
+        let n = self.sys_pread_fut(ctx, pid, fd, buf, off).await?;
         self.with_proc(pid, |p| {
             if let Some(f) = p.fd_mut(fd) {
                 f.offset += n as u64;
@@ -888,8 +988,19 @@ impl Kernel {
     /// # Errors
     /// As [`Kernel::sys_pwrite`].
     pub fn sys_write(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd, data: &[u8]) -> SysResult<usize> {
+        block_on(self.sys_write_fut(ctx, pid, fd, data))
+    }
+
+    /// The async body of [`Kernel::sys_write`].
+    pub async fn sys_write_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        data: &[u8],
+    ) -> SysResult<usize> {
         let off = self.fd_info(pid, fd)?.offset;
-        let n = self.sys_pwrite(ctx, pid, fd, data, off)?;
+        let n = self.sys_pwrite_fut(ctx, pid, fd, data, off).await?;
         self.with_proc(pid, |p| {
             if let Some(f) = p.fd_mut(fd) {
                 f.offset += n as u64;
@@ -911,19 +1022,30 @@ impl Kernel {
         fd: Fd,
         data: &[u8],
     ) -> SysResult<usize> {
-        ctx.delay(self.cost.user_to_kernel);
+        block_on(self.sys_append_fut(ctx, pid, fd, data))
+    }
+
+    /// The async body of [`Kernel::sys_append`].
+    pub async fn sys_append_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        data: &[u8],
+    ) -> SysResult<usize> {
+        ctx.sleep(self.cost.user_to_kernel).await;
         let of = self.fd_info(pid, fd)?;
         if !of.write {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::Perm);
         }
         let size = self.fs.size_of(of.ino)?;
         let len = data.len() as u64;
-        ctx.delay(self.cost.vfs(len));
+        ctx.sleep(self.cost.vfs(len)).await;
         // KEEP_SIZE allocation: the size becomes visible only after the
         // data write (ordered mode).
         let cost = self.fs.allocate_keep_size(of.ino, size, len)?;
-        ctx.delay(cost);
+        ctx.sleep(cost).await;
         // Sector-align the device write (zero padding within the newly
         // zeroed block is harmless).
         let aligned_off = size - size % SECTOR_SIZE;
@@ -933,12 +1055,13 @@ impl Kernel {
         if pad_front > 0 {
             // Preserve the partial sector's existing bytes.
             let (segs, _) = self.fs.resolve(of.ino, aligned_off, SECTOR_SIZE)?;
-            self.device_read(ctx, &segs, &mut padded[..SECTOR_SIZE as usize])?;
+            self.device_read_fut(ctx, &segs, &mut padded[..SECTOR_SIZE as usize])
+                .await?;
         }
         padded[pad_front..pad_front + data.len()].copy_from_slice(data);
         let (segs, extra) = self.fs.resolve(of.ino, aligned_off, total)?;
-        ctx.delay(extra + self.cost.block_path());
-        self.device_write(ctx, &segs, &padded)?;
+        ctx.sleep(extra + self.cost.block_path()).await;
+        self.device_write_fut(ctx, &segs, &padded).await?;
         self.fs.set_size(of.ino, size + len)?;
         self.with_proc(pid, |p| {
             if let Some(f) = p.fd_mut(fd) {
@@ -946,7 +1069,7 @@ impl Kernel {
                 f.offset = size + len;
             }
         });
-        ctx.delay(self.cost.kernel_to_user);
+        ctx.sleep(self.cost.kernel_to_user).await;
         Ok(data.len())
     }
 
@@ -956,16 +1079,22 @@ impl Kernel {
     /// # Errors
     /// `BadF`.
     pub fn sys_fsync(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd) -> SysResult<()> {
-        ctx.delay(self.cost.user_to_kernel + self.cost.vfs(4096) / 2);
+        block_on(self.sys_fsync_fut(ctx, pid, fd))
+    }
+
+    /// The async body of [`Kernel::sys_fsync`].
+    pub async fn sys_fsync_fut(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd) -> SysResult<()> {
+        ctx.sleep(self.cost.user_to_kernel + self.cost.vfs(4096) / 2)
+            .await;
         let of = self.fd_info(pid, fd)?;
         let dirty = self.cache.lock().take_dirty(of.ino);
-        self.writeback(ctx, of.ino, dirty)?;
+        self.writeback_fut(ctx, of.ino, dirty).await?;
         let (st, ready) = self.dev.execute(self.kq, Command::flush(), ctx.now());
         debug_assert!(st.is_ok());
-        ctx.wait_until(ready);
+        ctx.sleep_until(ready).await;
         self.fs.sync_point();
         let _ = self.fs.touch(of.ino, ctx.now(), of.did_read, of.did_write);
-        ctx.delay(self.cost.kernel_to_user);
+        ctx.sleep(self.cost.kernel_to_user).await;
         Ok(())
     }
 
@@ -981,14 +1110,27 @@ impl Kernel {
         offset: u64,
         len: u64,
     ) -> SysResult<()> {
-        ctx.delay(self.cost.user_to_kernel + self.cost.metadata_op);
+        block_on(self.sys_fallocate_fut(ctx, pid, fd, offset, len))
+    }
+
+    /// The async body of [`Kernel::sys_fallocate`].
+    pub async fn sys_fallocate_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        offset: u64,
+        len: u64,
+    ) -> SysResult<()> {
+        ctx.sleep(self.cost.user_to_kernel + self.cost.metadata_op)
+            .await;
         let of = self.fd_info(pid, fd)?;
         if !of.write {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::Perm);
         }
         let cost = self.fs.allocate(of.ino, offset, len)?;
-        ctx.delay(cost + self.cost.kernel_to_user);
+        ctx.sleep(cost + self.cost.kernel_to_user).await;
         Ok(())
     }
 
@@ -1005,14 +1147,27 @@ impl Kernel {
         offset: u64,
         len: u64,
     ) -> SysResult<()> {
-        ctx.delay(self.cost.user_to_kernel + self.cost.metadata_op);
+        block_on(self.sys_fallocate_keep_fut(ctx, pid, fd, offset, len))
+    }
+
+    /// The async body of [`Kernel::sys_fallocate_keep`].
+    pub async fn sys_fallocate_keep_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        offset: u64,
+        len: u64,
+    ) -> SysResult<()> {
+        ctx.sleep(self.cost.user_to_kernel + self.cost.metadata_op)
+            .await;
         let of = self.fd_info(pid, fd)?;
         if !of.write {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::Perm);
         }
         let cost = self.fs.allocate_keep_size(of.ino, offset, len)?;
-        ctx.delay(cost + self.cost.kernel_to_user);
+        ctx.sleep(cost + self.cost.kernel_to_user).await;
         Ok(())
     }
 
@@ -1022,7 +1177,19 @@ impl Kernel {
     /// # Errors
     /// `BadF`, `Perm`.
     pub fn sys_set_size(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd, size: u64) -> SysResult<()> {
-        ctx.delay(self.cost.syscall() + self.cost.metadata_op / 2);
+        block_on(self.sys_set_size_fut(ctx, pid, fd, size))
+    }
+
+    /// The async body of [`Kernel::sys_set_size`].
+    pub async fn sys_set_size_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        size: u64,
+    ) -> SysResult<()> {
+        ctx.sleep(self.cost.syscall() + self.cost.metadata_op / 2)
+            .await;
         let of = self.fd_info(pid, fd)?;
         if !of.write {
             return Err(Errno::Perm);
@@ -1041,14 +1208,26 @@ impl Kernel {
     /// # Errors
     /// `BadF`, `Perm`.
     pub fn sys_ftruncate(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd, size: u64) -> SysResult<()> {
-        ctx.delay(self.cost.user_to_kernel + self.cost.metadata_op);
+        block_on(self.sys_ftruncate_fut(ctx, pid, fd, size))
+    }
+
+    /// The async body of [`Kernel::sys_ftruncate`].
+    pub async fn sys_ftruncate_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+        size: u64,
+    ) -> SysResult<()> {
+        ctx.sleep(self.cost.user_to_kernel + self.cost.metadata_op)
+            .await;
         let of = self.fd_info(pid, fd)?;
         if !of.write {
-            ctx.delay(self.cost.kernel_to_user);
+            ctx.sleep(self.cost.kernel_to_user).await;
             return Err(Errno::Perm);
         }
         let cost = self.fs.truncate(of.ino, size)?;
-        ctx.delay(cost + self.cost.kernel_to_user);
+        ctx.sleep(cost + self.cost.kernel_to_user).await;
         Ok(())
     }
 
@@ -1057,7 +1236,18 @@ impl Kernel {
     /// # Errors
     /// `BadF`.
     pub fn sys_fstat(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd) -> SysResult<bypassd_ext4::Stat> {
-        ctx.delay(self.cost.syscall() + self.cost.metadata_op / 4);
+        block_on(self.sys_fstat_fut(ctx, pid, fd))
+    }
+
+    /// The async body of [`Kernel::sys_fstat`].
+    pub async fn sys_fstat_fut(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        fd: Fd,
+    ) -> SysResult<bypassd_ext4::Stat> {
+        ctx.sleep(self.cost.syscall() + self.cost.metadata_op / 4)
+            .await;
         let of = self.fd_info(pid, fd)?;
         Ok(self.fs.stat(of.ino)?)
     }

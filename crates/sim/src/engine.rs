@@ -1,21 +1,40 @@
 //! The discrete-event conductor.
 //!
-//! Simulated actors are real OS threads, but the conductor admits exactly
-//! one at a time: whenever an actor blocks (via [`ActorCtx::delay`] or
-//! [`ActorCtx::wait_until`]) or finishes, the conductor advances virtual
-//! time to the earliest pending wakeup and hands the run token to that
-//! actor. Ties are broken FIFO by a global sequence number, so a run is
-//! fully deterministic for a fixed set of actors and seeds.
+//! The conductor admits exactly one actor at a time: whenever an actor
+//! waits (via [`ActorCtx::delay`] / [`ActorCtx::wait_until`], or by
+//! awaiting [`ActorCtx::sleep`] / [`ActorCtx::sleep_until`]) or
+//! finishes, the conductor advances virtual time to the earliest
+//! pending wakeup and resumes that actor. Ties are broken FIFO by a
+//! global sequence number, so a run is fully deterministic for a fixed
+//! set of actors and seeds.
 //!
-//! Handoffs are targeted: each actor parks on its own condvar and the
-//! conductor wakes exactly the next runnable actor, so the cost of a
-//! handoff is independent of how many actors exist. (The earlier
-//! broadcast design woke every parked actor per event, which made large
-//! fleets quadratic in wakeups.)
+//! ## Thread actors and task actors
+//!
+//! An actor is one of two kinds, sharing one `(wake, seq, id)` run
+//! queue and one dispatch order:
+//!
+//! * A **thread actor** ([`Simulation::spawn`]) is a real OS thread
+//!   running straight-line code. Resuming it is a targeted handoff: it
+//!   parks on its own condvar and the conductor wakes exactly that one.
+//!   Each handoff costs an OS context switch (microseconds).
+//! * A **task actor** ([`Simulation::spawn_task`]) is a `Send` future.
+//!   Whichever thread is conducting polls it inline: the caller of
+//!   [`Simulation::run`], the fleet worker inside
+//!   [`Simulation::run_until`], or a thread actor that is handing off.
+//!   Resuming it costs one poll, not an OS wake.
+//!
+//! Both kinds share the in-place fast path: a wait that no other actor
+//! could interleave with just advances the clock and keeps running.
+//!
+//! Blocking code and async code share one body per operation: an
+//! `async fn` that awaits [`ActorCtx::sleep`]. On a thread actor the
+//! sleep blocks inside `poll` and always completes, so a synchronous
+//! wrapper is just [`block_on`]. On a task actor the sleep parks the
+//! task in the run queue and returns `Pending` to the conductor.
 //!
 //! Shared simulation state (the SSD model, the kernel, …) can be protected
 //! by ordinary mutexes — they are never contended because only one actor
-//! executes at any moment.
+//! executes at any moment — as long as no guard is held across a wait.
 //!
 //! ## Lane mode
 //!
@@ -27,17 +46,70 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::{pin, Pin};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::time::Nanos;
 
 /// Identifies an actor within one [`Simulation`].
 pub type ActorId = u64;
 
-#[derive(Debug)]
+type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+
+/// How the conductor resumes one actor.
+enum Slot {
+    /// An OS-thread actor, parked on its own condvar.
+    Thread(Arc<Condvar>),
+    /// A task actor. `fut` is `None` while the task is being polled
+    /// (the conductor owns it outside the state lock).
+    Task {
+        fut: Option<TaskFuture>,
+        name: String,
+    },
+    /// A finished task whose future has been dropped.
+    Done,
+}
+
+/// Engine self-counters, read with [`Simulation::stats`]. Every
+/// increment happens under the state lock the engine already holds.
+/// `thread_spawns`, `task_spawns` and `handoffs` are fixed by the
+/// scenario; `events`, `inplace` and `task_polls` also depend on how
+/// [`Simulation::run_until`] slices the timeline (the in-place fast
+/// path stops at each horizon).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Run-queue entries dispatched (each resumes one actor).
+    pub events: u64,
+    /// Waits satisfied by advancing the clock in place, with no
+    /// dispatch.
+    pub inplace: u64,
+    /// Dispatches that woke a different OS thread.
+    pub handoffs: u64,
+    /// Polls of task-actor futures.
+    pub task_polls: u64,
+    /// Thread actors spawned.
+    pub thread_spawns: u64,
+    /// Task actors spawned.
+    pub task_spawns: u64,
+}
+
+impl std::ops::AddAssign for SimStats {
+    fn add_assign(&mut self, o: SimStats) {
+        self.events += o.events;
+        self.inplace += o.inplace;
+        self.handoffs += o.handoffs;
+        self.task_polls += o.task_polls;
+        self.thread_spawns += o.thread_spawns;
+        self.task_spawns += o.task_spawns;
+    }
+}
+
 struct SimState {
     /// Current virtual time.
     now: Nanos,
@@ -49,19 +121,96 @@ struct SimState {
     live: usize,
     /// Monotone tie-breaker for FIFO ordering of equal wake times.
     next_seq: u64,
-    /// Next actor id to hand out.
-    next_id: ActorId,
     /// Whether the simulation has started executing actors.
     started: bool,
-    /// Name of an actor that panicked, if any.
-    panicked: Option<String>,
+    /// Why the run failed (an actor panicked), if it did.
+    failure: Option<String>,
     /// Inclusive dispatch bound: actors with wake times beyond this are
     /// not dispatched. `Nanos::MAX` (run-to-completion) except while a
     /// lane executor drives the simulation via [`Simulation::run_until`].
     horizon: Nanos,
-    /// Per-actor parking condvars, indexed by `ActorId`. Each handoff
-    /// wakes exactly one of these.
-    parkers: Vec<Arc<Condvar>>,
+    /// Per-actor resume handles, indexed by `ActorId`.
+    actors: Vec<Slot>,
+    /// Set by a task's sleep when it parks itself in the run queue;
+    /// cleared by the conductor after every poll.
+    task_parked: bool,
+    stats: SimStats,
+}
+
+impl SimState {
+    /// The shared half of every wait at `t`. Advances the clock in place
+    /// and returns `None` when the conductor would hand the token
+    /// straight back to `id`; otherwise enqueues `id` and returns its
+    /// wake time.
+    ///
+    /// The in-place comparison must be inclusive: an actor already
+    /// waiting at exactly that time has an earlier FIFO sequence number
+    /// and must run first. It must also respect the dispatch horizon —
+    /// a lane executor relies on every actor parking before the clock
+    /// crosses it.
+    fn advance_or_park(&mut self, id: ActorId, t: Nanos) -> Option<Nanos> {
+        debug_assert_eq!(self.current, Some(id));
+        let eff = t.max(self.now);
+        let blocked = self.waiting.peek().is_some_and(|e| e.0 .0 <= eff);
+        if !blocked && eff <= self.horizon {
+            self.now = eff;
+            self.stats.inplace += 1;
+            return None;
+        }
+        self.enqueue(eff, id);
+        Some(eff)
+    }
+
+    /// Enqueue `id` to wake at `t` (clamped to `now` for determinism).
+    fn enqueue(&mut self, t: Nanos, id: ActorId) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.waiting.push(Reverse((t.max(self.now), seq, id)));
+    }
+
+    /// Settles a task turn handed out by [`Inner::next_turn`]: releases
+    /// the run token and re-parks the task, or retires it.
+    fn end_turn(&mut self, turn: PolledTurn) {
+        self.current = None;
+        let parked = std::mem::take(&mut self.task_parked);
+        let PolledTurn { id, name, outcome } = turn;
+        let failure = match outcome {
+            TaskOutcome::Pending(fut) if parked => {
+                self.actors[id as usize] = Slot::Task {
+                    fut: Some(fut),
+                    name,
+                };
+                return;
+            }
+            TaskOutcome::Pending(_) => Some(format!(
+                "simulation task '{name}' suspended on a future that is not a \
+                 simulation sleep"
+            )),
+            TaskOutcome::Finished => None,
+            TaskOutcome::Panicked(f) => Some(f),
+        };
+        self.actors[id as usize] = Slot::Done;
+        self.live -= 1;
+        if let Some(f) = failure {
+            self.failure.get_or_insert(f);
+        }
+    }
+
+    /// Registers a new actor that will run at `start`; returns its id.
+    fn admit(&mut self, start: Nanos, name: &str, slot: Slot) -> ActorId {
+        if start < self.now {
+            panic!(
+                "spawn_at schedules actor '{name}' in the past: start {start} < now {} \
+                 (events at {start} have already been dispatched; spawning behind the \
+                 clock would reorder the run queue)",
+                self.now
+            );
+        }
+        let id = self.actors.len() as ActorId;
+        self.actors.push(slot);
+        self.live += 1;
+        id
+    }
 }
 
 struct Inner {
@@ -72,55 +221,204 @@ struct Inner {
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Inner {
-    /// Pop the earliest waiting actor (within the horizon), advance time,
-    /// and wake exactly that actor. Must be called with the state lock
-    /// held and `current == None`. If the earliest wakeup lies beyond the
-    /// horizon, or there is nothing left to run, wakes the conductor's
-    /// control condvar instead.
-    fn dispatch_next(&self, state: &mut SimState) {
-        debug_assert!(state.current.is_none());
-        let runnable = match state.waiting.peek() {
-            Some(&Reverse((t, _, _))) => t <= state.horizon,
-            None => false,
+/// A task actor taken out of its slot, to be polled with the state
+/// lock released.
+struct TaskTurn {
+    id: ActorId,
+    fut: TaskFuture,
+    name: String,
+}
+
+/// A task actor after one poll, to be settled under the state lock by
+/// [`SimState::end_turn`].
+struct PolledTurn {
+    id: ActorId,
+    name: String,
+    outcome: TaskOutcome,
+}
+
+/// How one poll of a task actor ended.
+enum TaskOutcome {
+    /// The task returned `Pending`; its future is handed back.
+    Pending(TaskFuture),
+    /// The task finished (its future is already dropped).
+    Finished,
+    /// The task panicked, with this failure message.
+    Panicked(String),
+}
+
+impl TaskTurn {
+    /// Polls the task once. Must be called without the state lock: the
+    /// task locks it in every sleep. A finished future is dropped here
+    /// too, still outside the lock: it owns actor state (user threads,
+    /// DMA buffers) whose drops may lock.
+    fn poll_once(mut self) -> PolledTurn {
+        let polled = catch_unwind(AssertUnwindSafe(|| {
+            self.fut
+                .as_mut()
+                .poll(&mut Context::from_waker(Waker::noop()))
+        }));
+        let outcome = match polled {
+            Ok(Poll::Pending) => TaskOutcome::Pending(self.fut),
+            Ok(Poll::Ready(())) => {
+                drop(self.fut);
+                TaskOutcome::Finished
+            }
+            Err(payload) => {
+                drop(self.fut);
+                TaskOutcome::Panicked(format!(
+                    "simulation actor '{}' panicked: {}",
+                    self.name,
+                    panic_message(payload.as_ref())
+                ))
+            }
         };
-        if runnable {
-            let Reverse((t, _seq, id)) = state.waiting.pop().expect("peeked entry vanished");
+        PolledTurn {
+            id: self.id,
+            name: self.name,
+            outcome,
+        }
+    }
+}
+
+impl Inner {
+    /// One dispatch, run under the state lock by whichever thread holds
+    /// the free run token (`current == None`): pops the earliest waiting
+    /// actor within the horizon, advances time, and resumes it.
+    ///
+    /// * A thread actor is woken (unless it is `me`, which keeps the
+    ///   token); returns `None`.
+    /// * Nothing runnable within the horizon: signals the control
+    ///   condvar; returns `None`.
+    /// * A task actor is returned, for the caller to poll with the lock
+    ///   released and then settle with [`SimState::end_turn`].
+    ///
+    /// Every conducting thread runs the same loop:
+    ///
+    /// ```text
+    /// while let Some(turn) = inner.next_turn(&mut state, me) {
+    ///     drop(state);
+    ///     let polled = turn.poll_once();
+    ///     state = inner.state.lock();
+    ///     state.end_turn(polled);
+    /// }
+    /// ```
+    ///
+    /// The loop is spelled out at each call site, not wrapped in a
+    /// helper taking the guard, so no guard is ever passed into a
+    /// function that locks the state again.
+    fn next_turn(&self, state: &mut SimState, me: Option<ActorId>) -> Option<TaskTurn> {
+        loop {
+            debug_assert!(state.current.is_none());
+            let next = state.waiting.peek().map(|e| e.0);
+            let Some((t, _, id)) = next.filter(|e| e.0 <= state.horizon) else {
+                if state.waiting.is_empty() && state.live > 0 && state.started {
+                    panic!(
+                        "simulation deadlock: {} live actor(s) but none runnable \
+                         (an actor blocked outside the simulation primitives?)",
+                        state.live
+                    );
+                }
+                // Paused at the horizon, or all done; wake `run`/`run_until`.
+                self.cond.notify_all();
+                return None;
+            };
+            state.waiting.pop();
+            if matches!(state.actors[id as usize], Slot::Done) {
+                // A task that parked and then panicked out of a
+                // `block_on` left this entry behind; it no longer runs.
+                continue;
+            }
             state.now = state.now.max(t);
             state.current = Some(id);
-            state.parkers[id as usize].notify_one();
-        } else if state.waiting.is_empty() && state.live > 0 && state.started {
-            panic!(
-                "simulation deadlock: {} live actor(s) but none runnable \
-                 (an actor blocked outside the simulation primitives?)",
-                state.live
-            );
-        } else {
-            // Paused at the horizon, or all done; wake `run`/`run_until`.
-            self.cond.notify_all();
+            state.stats.events += 1;
+            match &mut state.actors[id as usize] {
+                Slot::Thread(parker) => {
+                    if me != Some(id) {
+                        parker.notify_one();
+                        state.stats.handoffs += 1;
+                    }
+                    return None;
+                }
+                Slot::Task { fut, name } => {
+                    let turn = TaskTurn {
+                        id,
+                        fut: fut.take().expect("task actor resumed while being polled"),
+                        name: std::mem::take(name),
+                    };
+                    state.stats.task_polls += 1;
+                    return Some(turn);
+                }
+                Slot::Done => unreachable!("skipped above"),
+            }
         }
     }
 
-    /// Enqueue `id` to wake at `t` (which must be >= now for determinism).
-    fn enqueue(&self, state: &mut SimState, t: Nanos, id: ActorId) {
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.waiting.push(Reverse((t.max(state.now), seq, id)));
+    /// Conducts until the run pauses at the horizon or quiesces,
+    /// sleeping on the control condvar while a thread actor holds the
+    /// token. Returns the state guard at that point.
+    fn drive(&self, horizon: Nanos) -> MutexGuard<'_, SimState> {
+        let mut state = self.state.lock();
+        state.horizon = horizon;
+        state.started = true;
+        loop {
+            if state.current.is_none() {
+                while let Some(turn) = self.next_turn(&mut state, None) {
+                    drop(state);
+                    let polled = turn.poll_once();
+                    state = self.state.lock();
+                    state.end_turn(polled);
+                }
+                if state.current.is_none() {
+                    return state;
+                }
+            }
+            self.cond.wait(&mut state);
+        }
     }
 
-    /// Block the calling actor until it holds the run token; returns the
-    /// virtual time at which it resumes (so the actor can cache it).
+    /// Block the calling thread actor until it holds the run token;
+    /// returns the virtual time at which it resumes (so the actor can
+    /// cache it).
     fn wait_for_token(&self, id: ActorId) -> Nanos {
         let mut state = self.state.lock();
-        let parker = Arc::clone(&state.parkers[id as usize]);
+        let Slot::Thread(parker) = &state.actors[id as usize] else {
+            unreachable!("actor {id} is not a thread actor");
+        };
+        let parker = Arc::clone(parker);
         while state.current != Some(id) {
             parker.wait(&mut state);
         }
         state.now
     }
+
+    /// Panics with the recorded failure, if any actor failed.
+    fn check_failure(&self) {
+        let failure = self.state.lock().failure.clone();
+        if let Some(f) = failure {
+            panic!("{f}");
+        }
+    }
+
+    fn join_threads(&self) {
+        let handles: Vec<_> = std::mem::take(&mut *self.threads.lock());
+        for h in handles {
+            let _ = h.join();
+        }
+    }
 }
 
-/// Ensures the run token is passed on even if the actor panics.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("<non-string payload>", String::as_str),
+    }
+}
+
+/// Passes the run token on when a thread actor finishes, even if it
+/// panicked.
 struct FinishGuard {
     inner: Arc<Inner>,
     id: ActorId,
@@ -134,9 +432,20 @@ impl Drop for FinishGuard {
         state.current = None;
         state.live -= 1;
         if std::thread::panicking() {
-            state.panicked = Some(self.name.clone());
+            let f = format!("simulation actor '{}' panicked", self.name);
+            state.failure.get_or_insert(f);
+            // Polling tasks while unwinding would turn a task panic into
+            // an abort; the `run`/`run_until` caller conducts instead.
+            self.inner.cond.notify_all();
+        } else {
+            // Conduct on this thread until another actor holds the token.
+            while let Some(turn) = self.inner.next_turn(&mut state, None) {
+                drop(state);
+                let polled = turn.poll_once();
+                state = self.inner.state.lock();
+                state.end_turn(polled);
+            }
         }
-        self.inner.dispatch_next(&mut state);
     }
 }
 
@@ -158,15 +467,16 @@ impl RunStatus {
 
 /// A deterministic discrete-event simulation.
 ///
-/// Spawn actors with [`Simulation::spawn`] / [`Simulation::spawn_at`], then
-/// call [`Simulation::run`] to execute them to completion. After `run`
-/// returns, [`Simulation::now`] reports the final virtual time.
+/// Spawn actors with [`Simulation::spawn`] / [`Simulation::spawn_task`]
+/// (and their `_at` forms), then call [`Simulation::run`] to execute
+/// them to completion. After `run` returns, [`Simulation::now`] reports
+/// the final virtual time.
 ///
 /// ```rust
 /// use bypassd_sim::{Simulation, Nanos};
 /// let sim = Simulation::new();
 /// sim.spawn("a", |ctx| ctx.delay(Nanos(10)));
-/// sim.spawn("b", |ctx| ctx.delay(Nanos(5)));
+/// sim.spawn_task("b", |mut ctx| async move { ctx.sleep(Nanos(5)).await });
 /// sim.run();
 /// assert_eq!(sim.now(), Nanos(10));
 /// ```
@@ -203,11 +513,12 @@ impl Simulation {
                     current: None,
                     live: 0,
                     next_seq: 0,
-                    next_id: 0,
                     started: false,
-                    panicked: None,
+                    failure: None,
                     horizon: Nanos::MAX,
-                    parkers: Vec::new(),
+                    actors: Vec::new(),
+                    task_parked: false,
+                    stats: SimStats::default(),
                 }),
                 cond: Condvar::new(),
                 threads: Mutex::new(Vec::new()),
@@ -215,7 +526,7 @@ impl Simulation {
         }
     }
 
-    /// Spawns an actor that becomes runnable at virtual time zero.
+    /// Spawns a thread actor that becomes runnable at virtual time zero.
     ///
     /// # Panics
     /// Panics if the simulation clock has already advanced past zero; see
@@ -227,7 +538,8 @@ impl Simulation {
         self.spawn_at(Nanos::ZERO, name, f)
     }
 
-    /// Spawns an actor that becomes runnable at virtual time `start`.
+    /// Spawns a thread actor that becomes runnable at virtual time
+    /// `start`.
     ///
     /// May be called before [`Simulation::run`] or from inside another
     /// actor (see [`ActorCtx::spawn_at`]).
@@ -240,25 +552,13 @@ impl Simulation {
     where
         F: FnOnce(&mut ActorCtx) + Send + 'static,
     {
-        let inner = Arc::clone(&self.inner);
-        let id;
-        {
-            let mut state = inner.state.lock();
-            if start < state.now {
-                panic!(
-                    "spawn_at schedules actor '{name}' in the past: start {start} < now {} \
-                     (events at {start} have already been dispatched; spawning behind the \
-                     clock would reorder the run queue)",
-                    state.now
-                );
-            }
-            id = state.next_id;
-            state.next_id += 1;
-            state.live += 1;
-            state.parkers.push(Arc::new(Condvar::new()));
-            debug_assert_eq!(state.parkers.len() as u64, state.next_id);
-            self.inner.enqueue(&mut state, start, id);
-        }
+        let id = {
+            let mut state = self.inner.state.lock();
+            let id = state.admit(start, name, Slot::Thread(Arc::new(Condvar::new())));
+            state.enqueue(start, id);
+            state.stats.thread_spawns += 1;
+            id
+        };
         let name = name.to_string();
         let thread_inner = Arc::clone(&self.inner);
         let handle = std::thread::Builder::new()
@@ -270,6 +570,7 @@ impl Simulation {
                     id,
                     name: name.clone(),
                     now,
+                    task: false,
                 };
                 let _guard = FinishGuard {
                     inner: thread_inner,
@@ -283,32 +584,64 @@ impl Simulation {
         id
     }
 
+    /// Spawns a task actor that becomes runnable at virtual time zero.
+    ///
+    /// # Panics
+    /// As [`Simulation::spawn_task_at`].
+    pub fn spawn_task<F, Fut>(&self, name: &str, f: F) -> ActorId
+    where
+        F: FnOnce(ActorCtx) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.spawn_task_at(Nanos::ZERO, name, f)
+    }
+
+    /// Spawns a task actor that becomes runnable at virtual time
+    /// `start`. `f` receives the task's context and returns its body
+    /// (typically an `async move` block); the body runs only when the
+    /// conductor first dispatches the task. Inside it, wait with
+    /// `ctx.sleep(d).await`: the blocking [`ActorCtx::delay`] panics on
+    /// a task.
+    ///
+    /// # Panics
+    /// Panics if `start` is earlier than the current virtual time (see
+    /// [`Simulation::spawn_at`]).
+    pub fn spawn_task_at<F, Fut>(&self, start: Nanos, name: &str, f: F) -> ActorId
+    where
+        F: FnOnce(ActorCtx) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        let placeholder = Slot::Task {
+            fut: None,
+            name: name.to_string(),
+        };
+        let id = self.inner.state.lock().admit(start, name, placeholder);
+        let fut: TaskFuture = Box::pin(f(ActorCtx {
+            inner: Arc::clone(&self.inner),
+            id,
+            name: name.to_string(),
+            now: start,
+            task: true,
+        }));
+        let mut state = self.inner.state.lock();
+        if let Slot::Task { fut: slot, .. } = &mut state.actors[id as usize] {
+            *slot = Some(fut);
+        }
+        state.enqueue(start, id);
+        state.stats.task_spawns += 1;
+        id
+    }
+
     /// Runs the simulation until every actor has finished.
     ///
     /// # Panics
     /// Panics if any actor panicked, or on deadlock (an actor blocked
     /// outside the simulation primitives).
     pub fn run(&self) {
-        {
-            let mut state = self.inner.state.lock();
-            state.started = true;
-            state.horizon = Nanos::MAX;
-            if state.current.is_none() {
-                self.inner.dispatch_next(&mut state);
-            }
-            while state.live > 0 {
-                self.inner.cond.wait(&mut state);
-            }
-        }
+        drop(self.inner.drive(Nanos::MAX));
         // Join threads so panics/resources are fully settled.
-        let handles: Vec<_> = std::mem::take(&mut *self.inner.threads.lock());
-        for h in handles {
-            let _ = h.join();
-        }
-        let state = self.inner.state.lock();
-        if let Some(name) = &state.panicked {
-            panic!("simulation actor '{name}' panicked");
-        }
+        self.inner.join_threads();
+        self.inner.check_failure();
     }
 
     /// Runs the simulation up to and including virtual time `horizon`,
@@ -325,33 +658,13 @@ impl Simulation {
     /// # Panics
     /// Panics if an actor panicked during this slice, or on deadlock.
     pub fn run_until(&self, horizon: Nanos) -> RunStatus {
-        let mut state = self.inner.state.lock();
-        state.started = true;
-        state.horizon = horizon;
-        loop {
-            if state.current.is_none() {
-                let runnable = match state.waiting.peek() {
-                    Some(&Reverse((t, _, _))) => t <= horizon,
-                    None => false,
-                };
-                if runnable {
-                    self.inner.dispatch_next(&mut state);
-                } else {
-                    break;
-                }
-            } else {
-                self.inner.cond.wait(&mut state);
-            }
-        }
+        let state = self.inner.drive(horizon);
         let status = RunStatus {
             next_wake: state.waiting.peek().map(|&Reverse((t, _, _))| t),
             live: state.live,
         };
-        let panicked = state.panicked.clone();
         drop(state);
-        if let Some(name) = panicked {
-            panic!("simulation actor '{name}' panicked");
-        }
+        self.inner.check_failure();
         status
     }
 
@@ -369,14 +682,8 @@ impl Simulation {
             "join_finished with {live} live actor(s): drive the simulation \
              to quiescence (run / run_until) before joining"
         );
-        let handles: Vec<_> = std::mem::take(&mut *self.inner.threads.lock());
-        for h in handles {
-            let _ = h.join();
-        }
-        let state = self.inner.state.lock();
-        if let Some(name) = &state.panicked {
-            panic!("simulation actor '{name}' panicked");
-        }
+        self.inner.join_threads();
+        self.inner.check_failure();
     }
 
     /// The current virtual time (final time, once [`Simulation::run`] has
@@ -400,6 +707,11 @@ impl Simulation {
     pub fn live(&self) -> usize {
         self.inner.state.lock().live
     }
+
+    /// The engine's self-counters so far.
+    pub fn stats(&self) -> SimStats {
+        self.inner.state.lock().stats
+    }
 }
 
 impl std::fmt::Debug for Simulation {
@@ -412,19 +724,39 @@ impl std::fmt::Debug for Simulation {
     }
 }
 
+/// Drives `fut` to completion on the calling thread actor: the
+/// synchronous shell around an operation's single `async` body. Every
+/// simulation wait completes inside `poll` on a thread actor, so one
+/// poll suffices.
+///
+/// # Panics
+/// Panics if the future suspends, which means a blocking call was made
+/// from a task actor (await the operation's async form instead).
+pub fn block_on<F: Future>(fut: F) -> F::Output {
+    match pin!(fut).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(v) => v,
+        Poll::Pending => panic!(
+            "a blocking simulation call suspended: it was made from a task actor \
+             (await the operation's async form instead)"
+        ),
+    }
+}
+
 /// Handle through which an actor interacts with virtual time.
 ///
-/// An `ActorCtx` is passed to each actor closure; it must not be sent to
-/// other actors.
+/// A thread actor's closure borrows one; a task actor's body owns one.
+/// It must not be sent to other actors.
 pub struct ActorCtx {
     inner: Arc<Inner>,
     id: ActorId,
     name: String,
     /// Cache of the conductor's clock. Valid whenever this actor holds the
-    /// run token: virtual time only advances in `dispatch_next` (while no
-    /// actor runs) or in this actor's own `wait_until` fast path, so no
+    /// run token: virtual time only advances in the conductor (while no
+    /// actor runs) or in this actor's own in-place fast path, so no
     /// other thread can move the clock while we execute.
     now: Nanos,
+    /// Task actor (polled by the conductor) rather than thread actor.
+    task: bool,
 }
 
 impl ActorCtx {
@@ -445,38 +777,45 @@ impl ActorCtx {
 
     /// Advances this actor's virtual time by `d`, yielding to any actor
     /// scheduled earlier.
+    ///
+    /// # Panics
+    /// Panics on a task actor (see [`ActorCtx::wait_until`]).
     pub fn delay(&mut self, d: Nanos) {
         let t = self.now() + d;
         self.wait_until(t);
     }
 
-    /// Blocks this actor until virtual time `t` (no-op if `t` has passed,
-    /// but still yields to equal-time actors queued earlier).
+    /// Blocks this thread actor until virtual time `t` (no-op if `t`
+    /// has passed, but still yields to equal-time actors queued
+    /// earlier).
+    ///
+    /// # Panics
+    /// Panics on a task actor: blocking would stall the thread that
+    /// conducts every other actor. Tasks await [`ActorCtx::sleep_until`].
     pub fn wait_until(&mut self, t: Nanos) {
+        assert!(
+            !self.task,
+            "blocking ActorCtx wait called from task actor '{}': \
+             await `ctx.sleep(..)` / `ctx.sleep_until(..)` instead",
+            self.name
+        );
         {
             let mut state = self.inner.state.lock();
-            debug_assert_eq!(state.current, Some(self.id));
-            // Fast path: if no other actor is scheduled at or before our
-            // effective wake time, the conductor would hand the token
-            // straight back to us, so advance the clock in place and keep
-            // running. The comparison must be inclusive: an actor already
-            // waiting at exactly that time has an earlier FIFO sequence
-            // number and must run first. The fast path must also respect
-            // the dispatch horizon — a lane executor relies on every
-            // actor parking before the clock crosses it.
-            let eff = t.max(state.now);
-            let handoff = match state.waiting.peek() {
-                Some(&Reverse((wake, _, _))) => wake <= eff,
-                None => false,
-            };
-            if !handoff && eff <= state.horizon {
-                state.now = eff;
-                self.now = eff;
+            if state.advance_or_park(self.id, t).is_none() {
+                self.now = state.now;
                 return;
             }
             state.current = None;
-            self.inner.enqueue(&mut state, t, self.id);
-            self.inner.dispatch_next(&mut state);
+            while let Some(turn) = self.inner.next_turn(&mut state, Some(self.id)) {
+                drop(state);
+                let polled = turn.poll_once();
+                state = self.inner.state.lock();
+                state.end_turn(polled);
+            }
+            if state.current == Some(self.id) {
+                self.now = state.now;
+                return;
+            }
         }
         self.now = self.inner.wait_for_token(self.id);
     }
@@ -487,7 +826,26 @@ impl ActorCtx {
         self.wait_until(now);
     }
 
-    /// Spawns a new actor runnable at time `start`.
+    /// Waits `d` of virtual time: the awaitable form of
+    /// [`ActorCtx::delay`], usable from both actor kinds.
+    pub fn sleep(&mut self, d: Nanos) -> Sleep<'_> {
+        let t = self.now + d;
+        self.sleep_until(t)
+    }
+
+    /// Waits until virtual time `t`: the awaitable form of
+    /// [`ActorCtx::wait_until`]. On a thread actor the wait blocks
+    /// inside `poll`; on a task actor it parks the task in the run
+    /// queue until the conductor resumes it.
+    pub fn sleep_until(&mut self, t: Nanos) -> Sleep<'_> {
+        Sleep {
+            ctx: self,
+            until: t,
+            wake: None,
+        }
+    }
+
+    /// Spawns a new thread actor runnable at time `start`.
     ///
     /// # Panics
     /// Panics if `start` is earlier than the current virtual time (see
@@ -496,10 +854,26 @@ impl ActorCtx {
     where
         F: FnOnce(&mut ActorCtx) + Send + 'static,
     {
-        let sim = Simulation {
+        self.sim().spawn_at(start, name, f)
+    }
+
+    /// Spawns a new task actor runnable at time `start` (see
+    /// [`Simulation::spawn_task_at`]).
+    ///
+    /// # Panics
+    /// Panics if `start` is earlier than the current virtual time.
+    pub fn spawn_task_at<F, Fut>(&self, start: Nanos, name: &str, f: F) -> ActorId
+    where
+        F: FnOnce(ActorCtx) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.sim().spawn_task_at(start, name, f)
+    }
+
+    fn sim(&self) -> Simulation {
+        Simulation {
             inner: Arc::clone(&self.inner),
-        };
-        sim.spawn_at(start, name, f)
+        }
     }
 }
 
@@ -508,7 +882,50 @@ impl std::fmt::Debug for ActorCtx {
         f.debug_struct("ActorCtx")
             .field("id", &self.id)
             .field("name", &self.name)
+            .field("task", &self.task)
             .finish()
+    }
+}
+
+/// Future returned by [`ActorCtx::sleep`] / [`ActorCtx::sleep_until`].
+#[must_use = "a sleep does nothing unless awaited"]
+#[derive(Debug)]
+pub struct Sleep<'a> {
+    ctx: &'a mut ActorCtx,
+    until: Nanos,
+    /// Set once a task parked itself: its resume time.
+    wake: Option<Nanos>,
+}
+
+impl Future for Sleep<'_> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let this = &mut *self;
+        if let Some(wake) = this.wake {
+            // Only the conductor polls a parked task, and only when it
+            // pops the task's entry: the clock now reads `wake` (nothing
+            // earlier was left in the queue, and nothing moves the clock
+            // past a queued entry).
+            this.ctx.now = wake;
+            return Poll::Ready(());
+        }
+        if !this.ctx.task {
+            this.ctx.wait_until(this.until);
+            return Poll::Ready(());
+        }
+        let mut state = this.ctx.inner.state.lock();
+        match state.advance_or_park(this.ctx.id, this.until) {
+            None => {
+                this.ctx.now = state.now;
+                Poll::Ready(())
+            }
+            Some(wake) => {
+                state.task_parked = true;
+                this.wake = Some(wake);
+                Poll::Pending
+            }
+        }
     }
 }
 

@@ -4,10 +4,13 @@
 //! reproduction. It provides:
 //!
 //! * [`time::Nanos`] — the virtual time unit (nanoseconds).
-//! * [`engine::Simulation`] — a conductor that runs *real OS threads* as
-//!   simulated actors, exactly one at a time, always the one with the
-//!   earliest virtual timestamp. Workload code stays straight-line
-//!   imperative while runs remain bit-for-bit reproducible.
+//! * [`engine::Simulation`] — a conductor that runs simulated actors
+//!   exactly one at a time, always the one with the earliest virtual
+//!   timestamp. An actor is a real OS thread running straight-line code
+//!   or a task (a `Send` future polled inline by the conducting
+//!   thread); either way runs remain bit-for-bit reproducible.
+//!   [`engine::Simulation::stats`] counts dispatches, in-place
+//!   advances, OS-thread handoffs and task polls.
 //! * [`rng`] — seedable PRNG plus the YCSB zipfian/latest distributions.
 //! * [`stats`] — log-bucketed latency histograms and throughput counters.
 //! * [`report`] — plain-text table formatting for the benchmark harnesses.
@@ -38,7 +41,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{ActorCtx, RunStatus, Simulation};
+pub use engine::{block_on, ActorCtx, RunStatus, SimStats, Simulation, Sleep};
 pub use mailbox::{Envelope, Mailbox};
 pub use port::Port;
 pub use time::Nanos;

@@ -133,6 +133,20 @@ impl Fnv64 {
         }
     }
 
+    /// Continues hashing from a digest returned by [`Fnv64::finish`].
+    pub fn resume(state: u64) -> Self {
+        Fnv64 { state }
+    }
+
+    /// `P^n` for the FNV prime `P` (wrapping): absorbing any `n` bytes
+    /// from state `s` yields `s·P^n + c`, where `c` depends only on the
+    /// bytes and on `s mod 256`. XOR touches only the low 8 bits, and
+    /// multiplication mod 2^8 sees only the low 8 bits, so the low byte
+    /// evolves on its own and the high bits follow linearly.
+    pub fn prime_pow(n: u64) -> u64 {
+        Self::PRIME.wrapping_pow(n as u32)
+    }
+
     /// Absorbs a byte slice.
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {

@@ -1,16 +1,40 @@
 //! Sparse sector store: the device's persistent media.
 //!
 //! Data is stored in 4 KB chunks keyed by device block; blocks that were
-//! never written read back as zeroes without allocating memory, which is
-//! what lets large simulated datasets stay affordable.
+//! never written read back as zeroes without allocating memory, and a
+//! block that repeats one byte (a populated file, a fill pattern) is
+//! kept as that byte. Both are what let large simulated datasets stay
+//! affordable.
 
 use bypassd_hw::types::{Lba, PAGE_SIZE, SECTORS_PER_PAGE, SECTOR_SIZE};
+use bypassd_sim::rng::Fnv64;
 use std::collections::HashMap;
+
+/// One resident 4 KB block.
+enum Block {
+    /// Every byte equals this one.
+    Fill(u8),
+    /// Arbitrary content, `PAGE_SIZE` bytes.
+    Data(Box<[u8]>),
+}
+
+impl Block {
+    /// The block's bytes, materializing a fill block first.
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        if let Block::Fill(b) = *self {
+            *self = Block::Data(vec![b; PAGE_SIZE as usize].into_boxed_slice());
+        }
+        match self {
+            Block::Data(d) => d,
+            Block::Fill(_) => unreachable!("materialized above"),
+        }
+    }
+}
 
 /// The device media: a sparse map of 4 KB blocks.
 #[derive(Default)]
 pub struct SectorStore {
-    blocks: HashMap<u64, Box<[u8]>>,
+    blocks: HashMap<u64, Block>,
     capacity_sectors: u64,
 }
 
@@ -57,9 +81,11 @@ impl SectorStore {
             let block = pos / PAGE_SIZE;
             let off = (pos % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
+            let out = &mut buf[done..done + n];
             match self.blocks.get(&block) {
-                Some(data) => buf[done..done + n].copy_from_slice(&data[off..off + n]),
-                None => buf[done..done + n].fill(0),
+                Some(Block::Data(data)) => out.copy_from_slice(&data[off..off + n]),
+                Some(Block::Fill(b)) => out.fill(*b),
+                None => out.fill(0),
             }
             done += n;
             pos += n as u64;
@@ -86,11 +112,19 @@ impl SectorStore {
             let block = pos / PAGE_SIZE;
             let off = (pos % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - off).min(data.len() - done);
-            let chunk = self
-                .blocks
-                .entry(block)
-                .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-            chunk[off..off + n].copy_from_slice(&data[done..done + n]);
+            let src = &data[done..done + n];
+            if n == PAGE_SIZE as usize {
+                match (uniform_fill(src), self.blocks.get_mut(&block)) {
+                    (Some(b), _) => drop(self.blocks.insert(block, Block::Fill(b))),
+                    // Overwrite in place: a fresh buffer per write would
+                    // scatter blocks over the writers' malloc arenas.
+                    (None, Some(Block::Data(d))) => d.copy_from_slice(src),
+                    (None, _) => drop(self.blocks.insert(block, Block::Data(src.into()))),
+                }
+            } else {
+                let chunk = self.blocks.entry(block).or_insert(Block::Fill(0));
+                chunk.bytes_mut()[off..off + n].copy_from_slice(src);
+            }
             done += n;
             pos += n as u64;
         }
@@ -109,16 +143,18 @@ impl SectorStore {
             if n == SECTORS_PER_PAGE {
                 self.blocks.remove(&block);
             } else if let Some(chunk) = self.blocks.get_mut(&block) {
-                let start = (off_sectors * SECTOR_SIZE) as usize;
-                let len = (n * SECTOR_SIZE) as usize;
-                chunk[start..start + len].fill(0);
+                if !matches!(chunk, Block::Fill(0)) {
+                    let start = (off_sectors * SECTOR_SIZE) as usize;
+                    let len = (n * SECTOR_SIZE) as usize;
+                    chunk.bytes_mut()[start..start + len].fill(0);
+                }
             }
             cur = cur.advance(n);
             remaining -= n;
         }
     }
 
-    /// Number of materialised 4 KB blocks (memory accounting).
+    /// Number of resident (written, not zeroed) 4 KB blocks.
     pub fn resident_blocks(&self) -> usize {
         self.blocks.len()
     }
@@ -129,16 +165,69 @@ impl SectorStore {
     pub fn fingerprint(&self) -> u64 {
         let mut keys: Vec<u64> = self.blocks.keys().copied().collect();
         keys.sort_unstable();
-        let mut h = bypassd_sim::rng::Fnv64::new();
+        let mut h = Fnv64::new();
+        let mut uniform = UniformBlocks::new();
         for k in keys {
-            let data = &self.blocks[&k];
-            if data.iter().all(|&b| b == 0) {
-                continue;
+            let block = &self.blocks[&k];
+            let fill = match block {
+                Block::Fill(b) => Some(*b),
+                Block::Data(data) => uniform_fill(data),
+            };
+            match (fill, block) {
+                (Some(0), _) => {}
+                (Some(byte), _) => {
+                    h.write_u64(k);
+                    h = Fnv64::resume(uniform.absorb(h.finish(), byte));
+                }
+                (None, Block::Data(data)) => {
+                    h.write_u64(k);
+                    h.write(data);
+                }
+                (None, Block::Fill(_)) => unreachable!("a fill block has its byte"),
             }
-            h.write_u64(k);
-            h.write(data);
         }
         h.finish()
+    }
+}
+
+/// The byte a block repeats, if it is one byte throughout.
+fn uniform_fill(data: &[u8]) -> Option<u8> {
+    let first = data[0];
+    data.chunks_exact(64)
+        .all(|c| c.iter().fold(0, |acc, &b| acc | (b ^ first)) == 0)
+        .then_some(first)
+}
+
+/// FNV absorption of uniform 4 KB blocks in O(1). Absorbing a fixed
+/// block from state `s` yields `s·P^4096 + c(s mod 256)` (see
+/// [`Fnv64::prime_pow`]), so `c` is computed once per (fill byte, low
+/// byte) and reused. Populated files and fleet writes are uniform
+/// blocks, which makes hashing a whole device a multiply-add per block.
+struct UniformBlocks {
+    pow: u64,
+    /// `c` by fill byte, then by the state's low byte.
+    memo: Vec<Option<Box<[Option<u64>; 256]>>>,
+}
+
+impl UniformBlocks {
+    fn new() -> Self {
+        UniformBlocks {
+            pow: Fnv64::prime_pow(PAGE_SIZE),
+            memo: vec![None; 256],
+        }
+    }
+
+    /// The FNV state after absorbing a block of `fill` bytes from `state`.
+    fn absorb(&mut self, state: u64, fill: u8) -> u64 {
+        let pow = self.pow;
+        let table = self.memo[usize::from(fill)].get_or_insert_with(|| Box::new([None; 256]));
+        let low = state & 0xFF;
+        let c = *table[low as usize].get_or_insert_with(|| {
+            let mut h = Fnv64::resume(low);
+            h.write(&[fill; PAGE_SIZE as usize]);
+            h.finish().wrapping_sub(low.wrapping_mul(pow))
+        });
+        state.wrapping_mul(pow).wrapping_add(c)
     }
 }
 
@@ -154,6 +243,46 @@ impl std::fmt::Debug for SectorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time digest the memoized one must match.
+    fn naive_fingerprint(s: &SectorStore) -> u64 {
+        let mut keys: Vec<u64> = s.blocks.keys().copied().collect();
+        keys.sort_unstable();
+        let mut h = Fnv64::new();
+        for k in keys {
+            let mut data = vec![0u8; PAGE_SIZE as usize];
+            s.read(Lba(k * SECTORS_PER_PAGE), &mut data);
+            if data.iter().all(|&b| b == 0) {
+                continue;
+            }
+            h.write_u64(k);
+            h.write(&data);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn uniform_block_memo_matches_byte_at_a_time_fnv() {
+        let mut s = store();
+        let mut rng = bypassd_sim::rng::Rng::new(7);
+        for i in 0..400u64 {
+            let block = rng.gen_range(4_000);
+            let mut data = vec![(rng.gen_range(6) * 51) as u8; PAGE_SIZE as usize];
+            if i % 5 == 0 {
+                // Mixed content, including a block that differs only in
+                // its last byte.
+                let at = if i % 10 == 0 {
+                    data.len() - 1
+                } else {
+                    rng.gen_range(4096) as usize
+                };
+                data[at] ^= 0x5A;
+            }
+            s.write(Lba(block * SECTORS_PER_PAGE), &data);
+        }
+        s.write_zeroes(Lba(10 * SECTORS_PER_PAGE), 8);
+        assert_eq!(s.fingerprint(), naive_fingerprint(&s));
+    }
 
     fn store() -> SectorStore {
         SectorStore::new(1 << 20) // 512 MB

@@ -15,6 +15,25 @@ use bypassd_sim::Nanos;
 
 const MATRIX: [usize; 3] = [1, 2, 8];
 
+/// Fingerprints of the three scenarios below, recorded when every fleet
+/// actor was an OS thread. Task actors must reproduce them bit for bit.
+const SMOKE_FINGERPRINT: u64 = 0xDC06_D9EA_72B6_ADBB;
+const REVOCATION_FINGERPRINT: u64 = 0x34C0_CA72_D731_1043;
+const K1_FINGERPRINT: u64 = 0xB68A_F560_1D66_9BB7;
+
+fn revocation_config() -> FleetConfig {
+    FleetConfig {
+        processes: 48,
+        rounds: 4,
+        revokes: 4,
+        revoke_start: Nanos(100_000),
+        revoke_gap: Nanos(60_000),
+        remote_per_mille: 200,
+        seed: 0xF1EE_74E0,
+        ..FleetConfig::smoke()
+    }
+}
+
 /// Runs `cfg` across the worker matrix, asserts every fingerprint is
 /// identical and the outcome matches the monolithic baseline, and
 /// returns the (single) fingerprint.
@@ -46,29 +65,63 @@ fn fairness_fleet_matrix_is_worker_count_invariant() {
     let fp = matrix_fingerprint(FleetConfig::smoke());
     // The smoke seed is fixed, so the fingerprint is a constant of the
     // tree; a change means the virtual-time schedule itself moved.
-    assert_ne!(fp, 0);
+    assert_eq!(fp, SMOKE_FINGERPRINT, "smoke fingerprint {fp:#x}");
 }
 
 /// Revocation flavor: a shootdown per tenant arrives mid-run, forcing
 /// fallback I/O on every lane while reads and remote traffic continue.
 #[test]
 fn revocation_fleet_matrix_is_worker_count_invariant() {
-    let cfg = FleetConfig {
-        processes: 48,
-        rounds: 4,
-        revokes: 4,
-        revoke_start: Nanos(100_000),
-        revoke_gap: Nanos(60_000),
-        remote_per_mille: 200,
-        seed: 0xF1EE_7_4E0,
-        ..FleetConfig::smoke()
-    };
+    let cfg = revocation_config();
     let fleet = FleetBuilder::new(cfg.clone());
     let reference = fleet.run(1);
     assert_eq!(reference.revokes_issued, 4);
     let revoked: u64 = reference.lanes.iter().map(|l| l.revoked_pids).sum();
     assert!(revoked > 0, "revocations never landed on a live process");
     assert_eq!(matrix_fingerprint(cfg), reference.fingerprint());
+    assert_eq!(
+        reference.fingerprint(),
+        REVOCATION_FINGERPRINT,
+        "revocation fingerprint {:#x}",
+        reference.fingerprint()
+    );
+}
+
+/// The benchmark's 1,000-process fleet, pinned in both modes.
+#[test]
+fn k1_fleet_fingerprint_is_pinned() {
+    let fleet = FleetBuilder::new(FleetConfig::k1());
+    for report in [fleet.run(2), fleet.run_monolithic()] {
+        assert_eq!(
+            report.fingerprint(),
+            K1_FINGERPRINT,
+            "k1 fingerprint {:#x}",
+            report.fingerprint()
+        );
+    }
+}
+
+/// Fleet actors are tasks polled by the executor workers (or by the
+/// monolithic `run` caller): no actor ever gets an OS thread, so no
+/// event is an OS-thread handoff.
+#[test]
+fn fleet_actors_run_without_threads_or_handoffs() {
+    let fleet = FleetBuilder::new(FleetConfig::smoke());
+    for (mode, (_, e)) in [
+        ("lanes", fleet.run_with_stats(2)),
+        ("monolithic", fleet.run_monolithic_with_stats()),
+    ] {
+        assert_eq!(e.thread_spawns, 0, "{mode}: {e:?}");
+        assert_eq!(e.handoffs, 0, "{mode}: {e:?}");
+        assert!(
+            e.task_spawns > 0 && e.task_polls >= e.task_spawns,
+            "{mode}: {e:?}"
+        );
+        assert_eq!(
+            e.task_polls, e.events,
+            "{mode}: every dispatch polls a task"
+        );
+    }
 }
 
 /// `BYPASSD_FLEET_WORKERS` selects the worker count without perturbing
