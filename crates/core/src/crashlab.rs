@@ -9,7 +9,7 @@
 //! the post-crash image:
 //!
 //! 1. remount ([`Ext4::mount_with`]) — journal recovery;
-//! 2. [`bypassd_ext4::fsck`] — structural invariants;
+//! 2. [`bypassd_ext4::fsck()`] — structural invariants;
 //! 3. replay-twice idempotence — a second mount must leave the media
 //!    fingerprint unchanged;
 //! 4. data integrity — every fsync state at or below the durable-mark

@@ -861,7 +861,7 @@ impl FleetBuilder {
 
     /// Runs the identical scenario on one shared [`Simulation`]: the
     /// pre-fleet baseline. Same machines, same driver code and seeds;
-    /// cross-machine traffic is routed by [`MonoRouter`] at exactly the
+    /// cross-machine traffic is routed by `MonoRouter` at exactly the
     /// virtual times the fleet ports would produce. Logical outcomes
     /// match the fleet run ([`FleetReport::assert_same_outcome`]);
     /// latency sums can differ in the last tie-breaking nanosecond

@@ -7,7 +7,7 @@
 //! explanation for BypassD's flat latency up to device saturation, §6.3).
 //!
 //! Locking: the file-info table is a `RwLock` map from fd to a shared
-//! [`FileEntry`]; the data path takes the map lock only in read mode and
+//! `FileEntry`; the data path takes the map lock only in read mode and
 //! only long enough to clone the entry's `Arc`. All mutable per-file
 //! state (offset/size/flags, the partial-write ranges, the pending
 //! non-blocking writes) lives in short per-fd mutexes inside the entry,
@@ -29,6 +29,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use bypassd_hw::types::{Vba, SECTOR_SIZE};
+use bypassd_offload::{ChainSpec, ProgHandle, BLOCK, NUM_REGS};
 use bypassd_os::process::{Fd, Pid};
 use bypassd_os::{Errno, OpenFlags, SysResult};
 use bypassd_sim::engine::{block_on, ActorCtx};
@@ -200,18 +201,7 @@ pub struct UserProcess {
 impl UserProcess {
     /// Starts a process with the given credentials.
     pub fn start(system: &System, uid: u32, gid: u32) -> Arc<UserProcess> {
-        let pid = system.kernel().spawn_process(uid, gid);
-        let proc = Arc::new(UserProcess {
-            system: system.clone(),
-            pid,
-            files: RwLock::new(HashMap::new()),
-            io_policy: Mutex::new(IoPolicy::default()),
-            direct_ops: AtomicU64::new(0),
-            fallback_ops: AtomicU64::new(0),
-            recorder: Arc::clone(system.recorder()),
-        });
-        system.metrics().register(&format!("proc.{pid}"), &proc);
-        proc
+        Self::with_pid(system, system.kernel().spawn_process(uid, gid))
     }
 
     /// Starts a process inside a container (mount namespace rooted at
@@ -228,6 +218,11 @@ impl UserProcess {
         root: &str,
     ) -> SysResult<Arc<UserProcess>> {
         let pid = system.kernel().spawn_process_in(uid, gid, root)?;
+        Ok(Self::with_pid(system, pid))
+    }
+
+    /// Wraps the kernel process `pid` in UserLib's per-process state.
+    fn with_pid(system: &System, pid: Pid) -> Arc<UserProcess> {
         let proc = Arc::new(UserProcess {
             system: system.clone(),
             pid,
@@ -238,7 +233,7 @@ impl UserProcess {
             recorder: Arc::clone(system.recorder()),
         });
         system.metrics().register(&format!("proc.{pid}"), &proc);
-        Ok(proc)
+        proc
     }
 
     /// The process id.
@@ -365,6 +360,113 @@ pub struct ChainReq<'a> {
     pub buf: &'a mut [u8],
 }
 
+/// The kind of one direct device command. It decides how the command is
+/// built and, on the single-command and flight paths, how many bytes come
+/// back and which sequential op re-issues a demoted slot.
+#[derive(Clone, Copy)]
+enum IoKind<'r> {
+    Read,
+    Write,
+    /// An offload chain: the device runs the program from these
+    /// registers and returns one final block.
+    Chain(ProgHandle, &'r [u64; NUM_REGS]),
+}
+
+impl IoKind<'_> {
+    /// The command over `span` bytes at file offset `off` of the mapping
+    /// based at `vba` (a chain resolves its hops against that base).
+    fn command(self, vba: Vba, off: u64, span: u64, dma: &DmaBuffer) -> Command<'_> {
+        let addr = BlockAddr::Vba(vba.offset(off));
+        let sectors = (span / SECTOR_SIZE) as u32;
+        match self {
+            IoKind::Read => Command::read(addr, sectors, dma),
+            IoKind::Write => Command::write(addr, sectors, dma),
+            IoKind::Chain(prog, regs) => {
+                let spec = ChainSpec {
+                    prog,
+                    regs: *regs,
+                    base_vba: vba.0,
+                };
+                Command::chain_read(vba.offset(off), dma, spec)
+            }
+        }
+    }
+}
+
+/// One op on the single-command path, with its user buffer.
+enum DirectOp<'b> {
+    /// `len` bytes at `offset` into `buf`, which may be longer (a kernel
+    /// fallback reads into all of it).
+    Read {
+        buf: &'b mut [u8],
+        offset: u64,
+        len: u64,
+    },
+    Write {
+        data: &'b [u8],
+        offset: u64,
+    },
+    /// A chain from `start`; its final block lands in `buf`.
+    Chain {
+        prog: ProgHandle,
+        regs: &'b [u64; NUM_REGS],
+        start: u64,
+        buf: &'b mut [u8],
+    },
+}
+
+impl<'b> DirectOp<'b> {
+    /// The command kind and the file range `[offset, offset + len)` the
+    /// op moves.
+    fn target(&self) -> (IoKind<'b>, u64, u64) {
+        match self {
+            DirectOp::Read { offset, len, .. } => (IoKind::Read, *offset, *len),
+            DirectOp::Write { data, offset } => (IoKind::Write, *offset, data.len() as u64),
+            DirectOp::Chain {
+                prog, regs, start, ..
+            } => (IoKind::Chain(*prog, regs), *start, BLOCK as u64),
+        }
+    }
+}
+
+/// The requests of one batched call, or one flight-sized window of them.
+enum Flight<'r, 'a> {
+    Reads(&'r mut [ReadReq<'a>]),
+    Chains(ProgHandle, &'r mut [ChainReq<'a>]),
+}
+
+impl<'a> Flight<'_, 'a> {
+    fn len(&self) -> usize {
+        match self {
+            Flight::Reads(reqs) => reqs.len(),
+            Flight::Chains(_, reqs) => reqs.len(),
+        }
+    }
+
+    /// Slot `i`'s command kind, file offset, returned bytes and
+    /// destination buffer.
+    fn slot(&mut self, i: usize) -> (IoKind<'_>, u64, usize, &mut [u8]) {
+        match self {
+            Flight::Reads(reqs) => {
+                let r = &mut reqs[i];
+                (IoKind::Read, r.offset, r.buf.len(), &mut *r.buf)
+            }
+            Flight::Chains(prog, reqs) => {
+                let ChainReq { start, regs, buf } = &mut reqs[i];
+                (IoKind::Chain(*prog, regs), *start, BLOCK, &mut **buf)
+            }
+        }
+    }
+
+    /// Requests `base..base + n`.
+    fn window(&mut self, base: usize, n: usize) -> Flight<'_, 'a> {
+        match self {
+            Flight::Reads(reqs) => Flight::Reads(&mut reqs[base..base + n]),
+            Flight::Chains(prog, reqs) => Flight::Chains(*prog, &mut reqs[base..base + n]),
+        }
+    }
+}
+
 /// Preallocated SoA in-flight table for batched submission: one slot per
 /// hardware queue entry, reused across batches so the steady state never
 /// allocates. Parallel columns rather than a `Vec<struct>` so the reap
@@ -372,8 +474,6 @@ pub struct ChainReq<'a> {
 struct BatchScratch {
     /// Device command ids, in submission order.
     cids: Vec<u16>,
-    /// Request index (into the caller's slice) per submission slot.
-    req_idx: Vec<usize>,
     /// Completion visibility time per submission slot.
     ready: Vec<Nanos>,
     /// Reap staging, drained from the device in one locked pass.
@@ -384,7 +484,6 @@ impl BatchScratch {
     fn with_capacity(depth: usize) -> BatchScratch {
         BatchScratch {
             cids: Vec::with_capacity(depth),
-            req_idx: Vec::with_capacity(depth),
             ready: Vec::with_capacity(depth),
             comps: Vec::with_capacity(depth),
         }
@@ -629,33 +728,27 @@ impl UserThread {
 
     // ---- data path ----
 
-    /// One direct device round trip over `span` bytes starting at `vba`
-    /// (the file's base VBA already offset to the target sector), reading
-    /// into / writing from the thread DMA buffer at offset 0.
+    /// One direct device round trip: `kind`'s command over `span` bytes
+    /// at file offset `off` of the mapping based at `vba`, reading into /
+    /// writing from the thread DMA buffer at offset 0.
     #[allow(clippy::too_many_arguments)]
     async fn direct_io_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
         entry: &FileEntry,
+        kind: IoKind<'_>,
         vba: Vba,
+        off: u64,
         span: u64,
-        write: bool,
         scratch: &mut OpScratch,
     ) -> SysResult<DirectIo> {
         debug_assert!(span.is_multiple_of(SECTOR_SIZE) && span > 0);
         ctx.sleep(self.cost().userlib_overhead).await;
         scratch.userlib += self.cost().userlib_overhead;
-        let addr = BlockAddr::Vba(vba);
-        let sectors = (span / SECTOR_SIZE) as u32;
-        let policy = self.proc.io_policy();
         let mut media_retries = 0u32;
         loop {
-            let cmd = if write {
-                Command::write(addr, sectors, &self.dma)
-            } else {
-                Command::read(addr, sectors, &self.dma)
-            };
+            let cmd = kind.command(vba, off, span, &self.dma);
             let submit = ctx.now();
             let comp = self
                 .proc
@@ -675,6 +768,7 @@ impl UserThread {
                     // kernel never sees them on the direct path); after
                     // `max_attempts` the op fails with EIO.
                     media_retries += 1;
+                    let policy = self.proc.io_policy();
                     if media_retries >= policy.max_attempts {
                         return Err(Errno::Io);
                     }
@@ -682,9 +776,137 @@ impl UserThread {
                         ctx.sleep(policy.retry_backoff).await;
                     }
                 }
+                // A chain's program `Fail` or engine trap, or an invalid
+                // submission.
                 _ => return Err(Errno::Inval),
             }
         }
+    }
+
+    /// The single-command path behind `pread`, `pread_chain` and aligned
+    /// overwrites: one [`direct_io_fut`](Self::direct_io_fut) round trip
+    /// per DMA-buffer chunk, and the one fault/retry tail. After a
+    /// translation fault it picks up the re-fmapped VBA, backs off and
+    /// retries the op, up to `max_attempts`; after revocation or the last
+    /// attempt it serves the op on its fallback path.
+    async fn direct_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        entry: &FileEntry,
+        mut vba: Vba,
+        mut op: DirectOp<'_>,
+        scratch: &mut OpScratch,
+    ) -> SysResult<usize> {
+        let (_, offset, len) = op.target();
+        let start = offset - offset % SECTOR_SIZE;
+        let end = (offset + len).div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
+        let mut attempts = 0;
+        'attempt: loop {
+            let mut pos = start;
+            while pos < end {
+                let span = (end - pos).min(self.dma.len() as u64);
+                if let DirectOp::Write { data, .. } = &op {
+                    let copy = self.cost().user_copy(span);
+                    ctx.sleep(copy).await;
+                    scratch.user_copy += copy;
+                    let from = (pos - offset) as usize;
+                    self.dma.write(0, &data[from..from + span as usize]);
+                }
+                match self
+                    .direct_io_fut(ctx, fd, entry, op.target().0, vba, pos, span, scratch)
+                    .await?
+                {
+                    DirectIo::Done => {}
+                    DirectIo::Revoked => break 'attempt,
+                    DirectIo::Fault => {
+                        attempts += 1;
+                        let policy = self.proc.io_policy();
+                        if attempts >= policy.max_attempts {
+                            // Persistent fault (e.g. a hole): the
+                            // fallback path handles this one op.
+                            break 'attempt;
+                        }
+                        // The fault handler re-fmapped the file; a
+                        // sibling thread's close() unmaps the whole
+                        // per-process mapping, so the fresh map may live
+                        // at a new VBA — retrying the stale one would
+                        // fault forever.
+                        let refreshed = entry.state.lock().vba;
+                        let Some(fresh) = refreshed else {
+                            break 'attempt;
+                        };
+                        vba = fresh;
+                        if policy.retry_backoff > Nanos::ZERO {
+                            ctx.sleep(policy.retry_backoff).await;
+                        }
+                        continue 'attempt;
+                    }
+                }
+                if let DirectOp::Read { buf, .. } | DirectOp::Chain { buf, .. } = &mut op {
+                    let copy = self.cost().user_copy(span.min(len));
+                    ctx.sleep(copy).await;
+                    scratch.user_copy += copy;
+                    let lo = offset.max(pos);
+                    let hi = (offset + len).min(pos + span);
+                    self.dma.read(
+                        (lo - pos) as usize,
+                        &mut buf[(lo - offset) as usize..(hi - offset) as usize],
+                    );
+                }
+                pos += span;
+            }
+            // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
+            self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
+            // Read-after-write consistency for non-blocking writes:
+            // overlay any unconfirmed data (§5.1). One relaxed load skips
+            // both overlay locks in the common no-async case.
+            if let DirectOp::Read { buf, .. } = &mut op {
+                // ordering: Relaxed — mirror of the pending length, written under the
+                // pending lock; racing pushes resolve via the actor schedule.
+                if entry.pending_count.load(Ordering::Relaxed) > 0 {
+                    Self::prune_pending(entry, ctx.now());
+                    Self::overlay_pending(entry, &mut buf[..len as usize], offset);
+                }
+            }
+            return Ok(len as usize);
+        }
+        Box::pin(self.fallback_fut(ctx, fd, op, scratch)).await
+    }
+
+    /// Serves `op` after fallback or revocation: kernel `pread`/`pwrite`
+    /// timed into the scratch's kernel stage, or a chain interpreted
+    /// host-side (one kernel read per hop).
+    async fn fallback_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        op: DirectOp<'_>,
+        scratch: &mut OpScratch,
+    ) -> SysResult<usize> {
+        let (kernel, pid, t0) = (Arc::clone(self.kernel()), self.proc.pid, ctx.now());
+        let result = match op {
+            DirectOp::Read { buf, offset, .. } => {
+                kernel.sys_pread_fut(ctx, pid, fd, buf, offset).await
+            }
+            DirectOp::Write { data, offset } => {
+                kernel.sys_pwrite_fut(ctx, pid, fd, data, offset).await
+            }
+            DirectOp::Chain {
+                prog,
+                regs,
+                start,
+                buf,
+            } => {
+                let hops = self.chain_host_fallback_fut(ctx, fd, prog, *regs, start, buf, scratch);
+                return Box::pin(hops).await;
+            }
+        };
+        // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
+        self.proc.fallback_ops.fetch_add(1, Ordering::Relaxed);
+        scratch.fall_back();
+        scratch.kernel += ctx.now().saturating_sub(t0);
+        result
     }
 
     /// Handles a device translation fault on a direct op: re-fmaps the
@@ -707,24 +929,18 @@ impl UserThread {
             .sys_fmap_fut(ctx, self.proc.pid, fd, writable)
             .await?;
         scratch.kernel += ctx.now().saturating_sub(fmap_start);
-        let revoked = {
+        let revoked = vba.is_null();
+        {
             let mut st = entry.state.lock();
-            if vba.is_null() {
-                st.fallback = true;
-                st.vba = None;
-                true
-            } else {
-                st.vba = Some(vba);
-                false
-            }
-        };
-        if revoked {
-            kernel.mark_kernel_fallback(self.proc.pid, fd)?;
-            scratch.path = IoPath::Revoked;
-            Ok(DirectIo::Revoked)
-        } else {
-            Ok(DirectIo::Fault)
+            st.fallback |= revoked;
+            st.vba = (!revoked).then_some(vba);
         }
+        if !revoked {
+            return Ok(DirectIo::Fault);
+        }
+        kernel.mark_kernel_fallback(self.proc.pid, fd)?;
+        scratch.path = IoPath::Revoked;
+        Ok(DirectIo::Revoked)
     }
 
     /// Emits the attributed [`OpRecord`] for one finished top-level op.
@@ -752,48 +968,6 @@ impl UserThread {
             kernel: scratch.kernel,
             faults: scratch.faults,
         });
-    }
-
-    /// Kernel-path pread, timed into the scratch's kernel stage.
-    async fn kernel_pread_fut(
-        &mut self,
-        ctx: &mut ActorCtx,
-        fd: Fd,
-        buf: &mut [u8],
-        offset: u64,
-        scratch: &mut OpScratch,
-    ) -> SysResult<usize> {
-        // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
-        self.proc.fallback_ops.fetch_add(1, Ordering::Relaxed);
-        scratch.fall_back();
-        let kernel = Arc::clone(self.kernel());
-        let start = ctx.now();
-        let result = kernel
-            .sys_pread_fut(ctx, self.proc.pid, fd, buf, offset)
-            .await;
-        scratch.kernel += ctx.now().saturating_sub(start);
-        result
-    }
-
-    /// Kernel-path pwrite, timed into the scratch's kernel stage.
-    async fn kernel_pwrite_fut(
-        &mut self,
-        ctx: &mut ActorCtx,
-        fd: Fd,
-        data: &[u8],
-        offset: u64,
-        scratch: &mut OpScratch,
-    ) -> SysResult<usize> {
-        // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
-        self.proc.fallback_ops.fetch_add(1, Ordering::Relaxed);
-        scratch.fall_back();
-        let kernel = Arc::clone(self.kernel());
-        let start = ctx.now();
-        let result = kernel
-            .sys_pwrite_fut(ctx, self.proc.pid, fd, data, offset)
-            .await;
-        scratch.kernel += ctx.now().saturating_sub(start);
-        result
     }
 
     /// `pread()`: issued directly from userspace (§4.2); falls back to
@@ -837,102 +1011,34 @@ impl UserThread {
         scratch: &mut OpScratch,
     ) -> SysResult<usize> {
         let entry = self.entry_cached(fd)?;
-        let mut st = *entry.state.lock();
-        if st.fallback {
-            return Box::pin(self.kernel_pread_fut(ctx, fd, buf, offset, scratch)).await;
-        }
-        if offset >= st.size {
-            // Another process may have grown the file (its new FTEs are
-            // already visible through the shared fragments, §4.1) — the
-            // size, however, is kernel metadata: refresh it.
-            let kernel = Arc::clone(self.kernel());
-            let stat_start = ctx.now();
-            let stat = Box::pin(kernel.sys_fstat_fut(ctx, self.proc.pid, fd)).await;
-            scratch.kernel += ctx.now().saturating_sub(stat_start);
-            let size = stat?.size;
-            {
-                let mut s = entry.state.lock();
-                s.size = s.size.max(size);
-                st = *s;
-            }
-            if offset >= st.size {
-                return Ok(0);
-            }
-        }
-        let len = (buf.len() as u64).min(st.size - offset);
-        let Some(mut vba) = st.vba else {
-            return Err(Errno::Inval);
-        };
-        let start = offset - offset % SECTOR_SIZE;
-        let end = (offset + len).div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
-        let policy = self.proc.io_policy();
-        let mut attempts = 0;
-        loop {
-            // Chunk by the DMA buffer size.
-            let mut pos = start;
-            let mut ok = true;
-            while pos < end {
-                let span = (end - pos).min(self.dma.len() as u64);
-                match self
-                    .direct_io_fut(ctx, fd, &entry, vba.offset(pos), span, false, scratch)
-                    .await?
+        // Scoped so the snapshot is not carried across the I/O's awaits.
+        let (vba, len) = {
+            let mut st = *entry.state.lock();
+            if !st.fallback && offset >= st.size {
+                // Another process may have grown the file (its new FTEs
+                // are already visible through the shared fragments, §4.1)
+                // — the size, however, is kernel metadata: refresh it.
+                let kernel = Arc::clone(self.kernel());
+                let stat_start = ctx.now();
+                let stat = Box::pin(kernel.sys_fstat_fut(ctx, self.proc.pid, fd)).await;
+                scratch.kernel += ctx.now().saturating_sub(stat_start);
+                let size = stat?.size;
                 {
-                    DirectIo::Done => {
-                        let copy = self.cost().user_copy(span.min(len));
-                        ctx.sleep(copy).await;
-                        scratch.user_copy += copy;
-                        let lo = offset.max(pos);
-                        let hi = (offset + len).min(pos + span);
-                        self.dma.read(
-                            (lo - pos) as usize,
-                            &mut buf[(lo - offset) as usize..(hi - offset) as usize],
-                        );
-                        pos += span;
-                    }
-                    DirectIo::Revoked => {
-                        return Box::pin(self.kernel_pread_fut(ctx, fd, buf, offset, scratch))
-                            .await;
-                    }
-                    DirectIo::Fault => {
-                        ok = false;
-                        break;
-                    }
+                    let mut s = entry.state.lock();
+                    s.size = s.size.max(size);
+                    st = *s;
+                }
+                if offset >= st.size {
+                    return Ok(0);
                 }
             }
-            if ok {
-                // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
-                self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                // Read-after-write consistency for non-blocking writes:
-                // overlay any unconfirmed data (§5.1). One relaxed load
-                // skips both overlay locks in the common no-async case.
-                // ordering: Relaxed — mirror of the pending length, written under the
-                // pending lock; racing pushes resolve via the actor schedule.
-                if entry.pending_count.load(Ordering::Relaxed) > 0 {
-                    Self::prune_pending(&entry, ctx.now());
-                    Self::overlay_pending(&entry, &mut buf[..len as usize], offset);
-                }
-                return Ok(len as usize);
-            }
-            attempts += 1;
-            if attempts >= policy.max_attempts {
-                // Persistent fault (e.g. a hole): let the kernel path
-                // handle this one op.
-                return Box::pin(self.kernel_pread_fut(ctx, fd, buf, offset, scratch)).await;
-            }
-            // The fault handler re-fmapped the file; a sibling thread's
-            // close() unmaps the whole per-process mapping, so the fresh
-            // map may live at a new VBA — retrying the stale one would
-            // fault forever.
-            let refreshed = entry.state.lock().vba;
-            match refreshed {
-                Some(v) => vba = v,
-                None => {
-                    return Box::pin(self.kernel_pread_fut(ctx, fd, buf, offset, scratch)).await
-                }
-            }
-            if policy.retry_backoff > Nanos::ZERO {
-                ctx.sleep(policy.retry_backoff).await;
-            }
+            let len = (buf.len() as u64).min(st.size.saturating_sub(offset));
+            (st.vba.filter(|_| !st.fallback), len)
+        };
+        let op = DirectOp::Read { buf, offset, len };
+        match vba {
+            Some(vba) => self.direct_fut(ctx, fd, &entry, vba, op, scratch).await,
+            None => Box::pin(self.fallback_fut(ctx, fd, op, scratch)).await,
         }
     }
 
@@ -969,74 +1075,89 @@ impl UserThread {
         fd: Fd,
         reqs: &mut [ReadReq<'_>],
     ) -> SysResult<usize> {
-        if reqs.is_empty() {
+        self.batch_fut(ctx, fd, Flight::Reads(reqs)).await
+    }
+
+    /// The window-splitting loop behind [`UserThread::pread_batch`] and
+    /// [`UserThread::pread_chain_batch`] (fast-path rules as documented
+    /// there).
+    async fn batch_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        mut reqs: Flight<'_, '_>,
+    ) -> SysResult<usize> {
+        let n = reqs.len();
+        if n == 0 {
             return Ok(0);
         }
         let entry = self.entry_cached(fd)?;
         let st = *entry.state.lock();
         let slot = self.dma.len() / self.queue_depth;
-        let direct_ok = !st.fallback
-            && st.vba.is_some()
-            && reqs.iter().all(|r| {
-                let len = r.buf.len() as u64;
-                r.offset.is_multiple_of(SECTOR_SIZE)
-                    && len.is_multiple_of(SECTOR_SIZE)
-                    && !r.buf.is_empty()
-                    && r.buf.len() <= slot
-                    && r.offset + len <= st.size
-            });
-        if !direct_ok {
-            let mut total = 0;
-            for r in reqs.iter_mut() {
-                total += self.pread_fut(ctx, fd, r.buf, r.offset).await?;
+        let vba = st.vba.filter(|_| {
+            !st.fallback
+                && (0..n).all(|i| {
+                    let (_, off, bytes, buf) = reqs.slot(i);
+                    off.is_multiple_of(SECTOR_SIZE)
+                        && (bytes as u64).is_multiple_of(SECTOR_SIZE)
+                        && bytes > 0
+                        && bytes <= slot
+                        && buf.len() >= bytes
+                        && off + bytes as u64 <= st.size
+                })
+        });
+        let mut total = 0;
+        let Some(vba) = vba else {
+            for i in 0..n {
+                total += self.reissue_fut(ctx, fd, &mut reqs, i).await?;
             }
             return Ok(total);
-        }
-        let vba = st.vba.expect("checked above");
+        };
         let window = self.effective_depth.clamp(1, self.queue_depth);
-        let mut total = 0usize;
-        let mut base = 0usize;
-        while base < reqs.len() {
-            let n = window.min(reqs.len() - base);
-            let chunk = &mut reqs[base..base + n];
-            total += self.flight_fut(ctx, fd, &entry, vba, slot, chunk).await?;
-            base += n;
+        let mut base = 0;
+        while base < n {
+            let w = window.min(n - base);
+            total += self
+                .flight_fut(ctx, fd, &entry, vba, slot, reqs.window(base, w))
+                .await?;
+            base += w;
         }
         Ok(total)
     }
 
-    /// One batched flight of up to `effective_depth` direct reads:
-    /// submit all, ring once, wait once, reap once.
-    #[allow(clippy::too_many_arguments)]
+    /// One batched flight of up to `effective_depth` direct commands,
+    /// plain reads or chains: submit all, ring once, wait once, reap
+    /// once. A slot that faults mid-flight or loses its CQ entry is
+    /// re-issued on its sequential op.
     async fn flight_fut(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
-        entry: &Arc<FileEntry>,
+        entry: &FileEntry,
         vba: Vba,
         slot: usize,
-        chunk: &mut [ReadReq<'_>],
+        mut reqs: Flight<'_, '_>,
     ) -> SysResult<usize> {
+        let n = reqs.len();
         let op_start = ctx.now();
         // One userlib + doorbell charge for the whole flight.
-        ctx.sleep(self.cost().userlib_overhead).await;
+        let overhead = self.cost().userlib_overhead;
+        ctx.sleep(overhead).await;
         let submit_now = ctx.now();
         self.batch.cids.clear();
-        self.batch.req_idx.clear();
         self.batch.ready.clear();
         let submitted = {
             let dma = &self.dma;
-            let dev = self.proc.system.device();
-            let cmds = chunk.iter().enumerate().map(|(i, r)| {
-                let mut cmd = Command::read(
-                    BlockAddr::Vba(vba.offset(r.offset)),
-                    (r.buf.len() as u64 / SECTOR_SIZE) as u32,
-                    dma,
-                );
+            let cmds = (0..n).map(|i| {
+                let (kind, off, bytes, _) = reqs.slot(i);
+                let mut cmd = kind.command(vba, off, bytes as u64, dma);
                 cmd.dma_offset = i * slot;
                 cmd
             });
-            dev.submit_batch(self.qid, cmds, submit_now, &mut self.batch.cids)
+            self.proc
+                .system
+                .device()
+                .submit_batch(self.qid, cmds, submit_now, &mut self.batch.cids)
         };
         if submitted.is_err() {
             // The private queue was unexpectedly full: drain whatever was
@@ -1056,8 +1177,8 @@ impl UserThread {
                 }
             }
             let mut total = 0;
-            for r in chunk.iter_mut() {
-                total += self.pread_fut(ctx, fd, r.buf, r.offset).await?;
+            for i in 0..n {
+                total += self.reissue_fut(ctx, fd, &mut reqs, i).await?;
             }
             return Ok(total);
         }
@@ -1080,12 +1201,10 @@ impl UserThread {
         }
         ctx.sleep_until(latest).await;
         self.batch.comps.clear();
-        self.proc.system.device().reap_ready_into(
-            self.qid,
-            ctx.now(),
-            chunk.len(),
-            &mut self.batch.comps,
-        );
+        self.proc
+            .system
+            .device()
+            .reap_ready_into(self.qid, ctx.now(), n, &mut self.batch.comps);
         // Copy out, charging one coalesced user-copy delay for the flight.
         let mut copy_total = Nanos::ZERO;
         let mut ok_bytes = 0usize;
@@ -1100,40 +1219,39 @@ impl UserThread {
                 .iter()
                 .position(|&c| c == comp.cid)
                 .expect("reaped a cid this flight never submitted");
-            if comp.status.is_ok() {
-                let req = &mut chunk[i];
-                let copy = self.cost().user_copy(req.buf.len() as u64);
-                copy_total += copy;
-                self.dma.read(i * slot, req.buf);
-                ok_bytes += req.buf.len();
-                ok_ops += 1;
-                self.record_flight_op(
-                    ctx,
-                    op_start,
-                    k == 0,
-                    submit_now,
-                    self.batch.ready[i],
-                    copy,
-                    req.buf.len(),
-                );
-            } else {
-                // Translation fault (revocation or growth race): retry
-                // this request on the sequential path, which re-fmaps.
-                retry_bytes += self
-                    .pread_fut(ctx, fd, chunk[i].buf, chunk[i].offset)
-                    .await?;
+            if !comp.status.is_ok() {
+                // Translation fault (revocation or growth race) or a
+                // failed chain: the sequential op re-fmaps and retries,
+                // or surfaces the program's failure.
+                retry_bytes += self.reissue_fut(ctx, fd, &mut reqs, i).await?;
+                continue;
             }
+            let (_, _, bytes, buf) = reqs.slot(i);
+            let copy = self.cost().user_copy(bytes as u64);
+            copy_total += copy;
+            self.dma.read(i * slot, &mut buf[..bytes]);
+            // The flight's one userlib charge goes to its first successful
+            // record, so stage totals still sum to the virtual time
+            // consumed when a faulted slot is reaped first.
+            let record = OpScratch {
+                userlib: if ok_ops == 0 { overhead } else { Nanos::ZERO },
+                device_span: self.batch.ready[i].saturating_sub(submit_now),
+                user_copy: copy,
+                ..OpScratch::new()
+            };
+            self.record_op(ctx, false, &Ok(bytes), op_start, &record);
+            ok_bytes += bytes;
+            ok_ops += 1;
         }
-        if self.batch.comps.len() < chunk.len() {
+        if self.batch.comps.len() < n {
             // Lost CQ entries (injected completion drop): re-issue the
-            // un-reaped reads on the sequential path, as a host timeout
+            // un-reaped slots on the sequential path, as a host timeout
             // would.
-            for (i, req) in chunk.iter_mut().enumerate() {
+            for i in 0..n {
                 let cid = self.batch.cids[i];
-                if self.batch.comps.iter().any(|c| c.cid == cid) {
-                    continue;
+                if !self.batch.comps.iter().any(|c| c.cid == cid) {
+                    retry_bytes += self.reissue_fut(ctx, fd, &mut reqs, i).await?;
                 }
-                retry_bytes += self.pread_fut(ctx, fd, req.buf, req.offset).await?;
             }
         }
         if copy_total > Nanos::ZERO {
@@ -1141,51 +1259,36 @@ impl UserThread {
         }
         // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
         self.proc.direct_ops.fetch_add(ok_ops, Ordering::Relaxed);
-        // Read-after-write consistency, same gate as the sequential path.
-        // ordering: Relaxed — mirror of the pending length, written under the
-        // pending lock; races resolve via the serialised actor schedule.
-        if entry.pending_count.load(Ordering::Relaxed) > 0 {
-            Self::prune_pending(entry, ctx.now());
-            for r in chunk.iter_mut() {
-                Self::overlay_pending(entry, r.buf, r.offset);
+        // Read-after-write consistency for plain reads, same gate as the
+        // sequential path.
+        if let Flight::Reads(reads) = reqs {
+            // ordering: Relaxed — mirror of the pending length, written under the
+            // pending lock; races resolve via the serialised actor schedule.
+            if entry.pending_count.load(Ordering::Relaxed) > 0 {
+                Self::prune_pending(entry, ctx.now());
+                for r in reads.iter_mut() {
+                    Self::overlay_pending(entry, r.buf, r.offset);
+                }
             }
         }
         Ok(ok_bytes + retry_bytes)
     }
 
-    /// Emits the per-op record for one successful op inside a batched
-    /// flight. The flight's single userlib charge is attributed to its
-    /// first record so stage totals still sum to virtual time consumed.
-    #[allow(clippy::too_many_arguments)]
-    fn record_flight_op(
-        &self,
-        ctx: &ActorCtx,
-        start: Nanos,
-        first: bool,
-        submit_now: Nanos,
-        ready: Nanos,
-        copy: Nanos,
-        bytes: usize,
-    ) {
-        let end = ctx.now();
-        let userlib = if first {
-            self.cost().userlib_overhead
-        } else {
-            Nanos::ZERO
-        };
-        self.proc.recorder.record_op(|| OpRecord {
-            pid: self.proc.pid,
-            path: IoPath::Direct,
-            write: false,
-            bytes: bytes as u64,
-            start,
-            end,
-            userlib,
-            device_span: ready.saturating_sub(submit_now),
-            user_copy: copy,
-            kernel: Nanos::ZERO,
-            faults: 0,
-        });
+    /// Re-issues flight slot `i` on its sequential op (`pread` or
+    /// `pread_chain`), which re-fmaps, retries and falls back as needed.
+    async fn reissue_fut(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        reqs: &mut Flight<'_, '_>,
+        i: usize,
+    ) -> SysResult<usize> {
+        match reqs.slot(i) {
+            (IoKind::Chain(prog, regs), start, _, buf) => {
+                self.pread_chain_fut(ctx, fd, prog, *regs, start, buf).await
+            }
+            (_, offset, _, buf) => self.pread_fut(ctx, fd, buf, offset).await,
+        }
     }
 
     // ---- offload chains ----
@@ -1242,107 +1345,29 @@ impl UserThread {
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
-        prog: bypassd_offload::ProgHandle,
-        regs: [u64; bypassd_offload::NUM_REGS],
+        prog: ProgHandle,
+        regs: [u64; NUM_REGS],
         start: u64,
         buf: &mut [u8],
         scratch: &mut OpScratch,
     ) -> SysResult<usize> {
-        const BLOCK: u64 = bypassd_offload::BLOCK as u64;
-        if !start.is_multiple_of(SECTOR_SIZE) || (buf.len() as u64) < BLOCK {
+        if !start.is_multiple_of(SECTOR_SIZE) || buf.len() < BLOCK {
             return Err(Errno::Inval);
         }
         let entry = self.entry_cached(fd)?;
         let st = *entry.state.lock();
-        if start + BLOCK > st.size {
+        if start + BLOCK as u64 > st.size {
             return Err(Errno::Inval);
         }
-        if st.fallback || st.vba.is_none() {
-            return self
-                .chain_host_fallback_fut(ctx, fd, prog, regs, start, buf, scratch)
-                .await;
-        }
-        let mut vba = st.vba.expect("checked above");
-        let policy = self.proc.io_policy();
-        let mut attempts = 0;
-        loop {
-            ctx.sleep(self.cost().userlib_overhead).await;
-            scratch.userlib += self.cost().userlib_overhead;
-            let spec = bypassd_offload::ChainSpec {
-                prog,
-                regs,
-                base_vba: vba.0,
-            };
-            let cmd = Command::chain_read(vba.offset(start), &self.dma, spec);
-            let submit = ctx.now();
-            let comp = self
-                .proc
-                .system
-                .device()
-                .execute_full(self.qid, cmd, submit);
-            self.note_pressure(comp.pressure);
-            ctx.sleep_until(comp.ready_at).await;
-            scratch.device_span += comp.ready_at.saturating_sub(submit);
-            match comp.status {
-                NvmeStatus::Success => {
-                    let copy = self.cost().user_copy(BLOCK);
-                    ctx.sleep(copy).await;
-                    scratch.user_copy += copy;
-                    self.dma.read(0, &mut buf[..BLOCK as usize]);
-                    // ordering: Relaxed — monotonic stats counter; read only for
-                    // reporting, publishes no other memory.
-                    self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                    return Ok(BLOCK as usize);
-                }
-                NvmeStatus::TranslationFault(_) => {
-                    match self
-                        .refmap_after_fault_fut(ctx, fd, &entry, scratch)
-                        .await?
-                    {
-                        DirectIo::Revoked => {
-                            return self
-                                .chain_host_fallback_fut(ctx, fd, prog, regs, start, buf, scratch)
-                                .await;
-                        }
-                        _ => {
-                            attempts += 1;
-                            if attempts >= policy.max_attempts {
-                                return self
-                                    .chain_host_fallback_fut(
-                                        ctx, fd, prog, regs, start, buf, scratch,
-                                    )
-                                    .await;
-                            }
-                            let refreshed = entry.state.lock().vba;
-                            match refreshed {
-                                Some(v) => vba = v,
-                                None => {
-                                    return self
-                                        .chain_host_fallback_fut(
-                                            ctx, fd, prog, regs, start, buf, scratch,
-                                        )
-                                        .await;
-                                }
-                            }
-                            if policy.retry_backoff > Nanos::ZERO {
-                                ctx.sleep(policy.retry_backoff).await;
-                            }
-                        }
-                    }
-                }
-                NvmeStatus::MediaError => {
-                    // Transient media error: bounded in-place retry, then EIO.
-                    attempts += 1;
-                    if attempts >= policy.max_attempts {
-                        return Err(Errno::Io);
-                    }
-                    if policy.retry_backoff > Nanos::ZERO {
-                        ctx.sleep(policy.retry_backoff).await;
-                    }
-                }
-                // Program `Fail`, engine trap, or invalid submission.
-                _ => return Err(Errno::Inval),
-            }
+        let op = DirectOp::Chain {
+            prog,
+            regs: &regs,
+            start,
+            buf,
+        };
+        match st.vba.filter(|_| !st.fallback) {
+            Some(vba) => self.direct_fut(ctx, fd, &entry, vba, op, scratch).await,
+            None => Box::pin(self.fallback_fut(ctx, fd, op, scratch)).await,
         }
     }
 
@@ -1361,14 +1386,16 @@ impl UserThread {
         buf: &mut [u8],
         scratch: &mut OpScratch,
     ) -> SysResult<usize> {
-        const BLOCK: usize = bypassd_offload::BLOCK;
         let program = self.kernel().prog_of(prog).ok_or(Errno::Inval)?;
         let mut st = bypassd_offload::ChainState::new(regs);
         let mut cur = start;
         for _ in 0..bypassd_offload::MAX_HOPS {
-            let n = self
-                .kernel_pread_fut(ctx, fd, &mut buf[..BLOCK], cur, scratch)
-                .await?;
+            let hop = DirectOp::Read {
+                buf: &mut buf[..BLOCK],
+                offset: cur,
+                len: BLOCK as u64,
+            };
+            let n = self.fallback_fut(ctx, fd, hop, scratch).await?;
             if n < BLOCK {
                 return Err(Errno::Inval);
             }
@@ -1419,184 +1446,7 @@ impl UserThread {
         prog: bypassd_offload::ProgHandle,
         reqs: &mut [ChainReq<'_>],
     ) -> SysResult<usize> {
-        const BLOCK: u64 = bypassd_offload::BLOCK as u64;
-        if reqs.is_empty() {
-            return Ok(0);
-        }
-        let entry = self.entry_cached(fd)?;
-        let st = *entry.state.lock();
-        let slot = self.dma.len() / self.queue_depth;
-        let direct_ok = !st.fallback
-            && st.vba.is_some()
-            && slot as u64 >= BLOCK
-            && reqs.iter().all(|r| {
-                r.start.is_multiple_of(SECTOR_SIZE)
-                    && r.buf.len() as u64 >= BLOCK
-                    && r.start + BLOCK <= st.size
-            });
-        if !direct_ok {
-            let mut total = 0;
-            for r in reqs.iter_mut() {
-                total += self
-                    .pread_chain_fut(ctx, fd, prog, r.regs, r.start, r.buf)
-                    .await?;
-            }
-            return Ok(total);
-        }
-        let vba = st.vba.expect("checked above");
-        let window = self.effective_depth.clamp(1, self.queue_depth);
-        let mut total = 0usize;
-        let mut base = 0usize;
-        while base < reqs.len() {
-            let n = window.min(reqs.len() - base);
-            let chunk = &mut reqs[base..base + n];
-            total += self
-                .chain_flight_fut(ctx, fd, prog, vba, slot, chunk)
-                .await?;
-            base += n;
-        }
-        Ok(total)
-    }
-
-    /// One batched flight of concurrent chains: submit all, ring once,
-    /// wait once, reap once (mirrors [`UserThread::flight`]).
-    async fn chain_flight_fut(
-        &mut self,
-        ctx: &mut ActorCtx,
-        fd: Fd,
-        prog: bypassd_offload::ProgHandle,
-        vba: Vba,
-        slot: usize,
-        chunk: &mut [ChainReq<'_>],
-    ) -> SysResult<usize> {
-        const BLOCK: usize = bypassd_offload::BLOCK;
-        let op_start = ctx.now();
-        ctx.sleep(self.cost().userlib_overhead).await;
-        let submit_now = ctx.now();
-        self.batch.cids.clear();
-        self.batch.req_idx.clear();
-        self.batch.ready.clear();
-        let submitted = {
-            let dma = &self.dma;
-            let dev = self.proc.system.device();
-            let cmds = chunk.iter().enumerate().map(|(i, r)| {
-                let spec = bypassd_offload::ChainSpec {
-                    prog,
-                    regs: r.regs,
-                    base_vba: vba.0,
-                };
-                let mut cmd = Command::chain_read(vba.offset(r.start), dma, spec);
-                cmd.dma_offset = i * slot;
-                cmd
-            });
-            dev.submit_batch(self.qid, cmds, submit_now, &mut self.batch.cids)
-        };
-        if submitted.is_err() {
-            // Unexpectedly full queue: drain what was accepted, then
-            // serve the flight sequentially.
-            let mut latest = submit_now;
-            for k in 0..self.batch.cids.len() {
-                let cid = self.batch.cids[k];
-                if let Some(t) = self.proc.system.device().ready_time(self.qid, cid) {
-                    latest = latest.max(t);
-                }
-            }
-            ctx.sleep_until(latest).await;
-            for k in 0..self.batch.cids.len() {
-                let cid = self.batch.cids[k];
-                if let Some(c) = self.proc.system.device().reap_at(self.qid, cid, ctx.now()) {
-                    self.note_pressure(c.pressure);
-                }
-            }
-            let mut total = 0;
-            for r in chunk.iter_mut() {
-                total += self
-                    .pread_chain_fut(ctx, fd, prog, r.regs, r.start, r.buf)
-                    .await?;
-            }
-            return Ok(total);
-        }
-        let mut latest = submit_now;
-        for k in 0..self.batch.cids.len() {
-            let cid = self.batch.cids[k];
-            // Missing ready time = swallowed CQ entry (injected
-            // completion loss); the chain is re-issued after the reap.
-            let t = self
-                .proc
-                .system
-                .device()
-                .ready_time(self.qid, cid)
-                .unwrap_or(submit_now);
-            self.batch.ready.push(t);
-            latest = latest.max(t);
-        }
-        ctx.sleep_until(latest).await;
-        self.batch.comps.clear();
-        self.proc.system.device().reap_ready_into(
-            self.qid,
-            ctx.now(),
-            chunk.len(),
-            &mut self.batch.comps,
-        );
-        let mut copy_total = Nanos::ZERO;
-        let mut ok_bytes = 0usize;
-        let mut ok_ops = 0u64;
-        let mut retry_bytes = 0usize;
-        for k in 0..self.batch.comps.len() {
-            let comp = self.batch.comps[k];
-            self.note_pressure(comp.pressure);
-            let i = self
-                .batch
-                .cids
-                .iter()
-                .position(|&c| c == comp.cid)
-                .expect("reaped a cid this flight never submitted");
-            if comp.status.is_ok() {
-                let req = &mut chunk[i];
-                let copy = self.cost().user_copy(BLOCK as u64);
-                copy_total += copy;
-                self.dma.read(i * slot, &mut req.buf[..BLOCK]);
-                ok_bytes += BLOCK;
-                ok_ops += 1;
-                self.record_flight_op(
-                    ctx,
-                    op_start,
-                    k == 0,
-                    submit_now,
-                    self.batch.ready[i],
-                    copy,
-                    BLOCK,
-                );
-            } else {
-                // Translation fault mid-chain (or a chain fault): the
-                // sequential path re-fmaps and retries, or surfaces the
-                // program's failure.
-                retry_bytes += self
-                    .pread_chain_fut(ctx, fd, prog, chunk[i].regs, chunk[i].start, chunk[i].buf)
-                    .await?;
-            }
-        }
-        if self.batch.comps.len() < chunk.len() {
-            // Lost CQ entries (injected completion drop): re-issue the
-            // un-reaped chains on the sequential path, as a host timeout
-            // would.
-            for (i, req) in chunk.iter_mut().enumerate() {
-                let cid = self.batch.cids[i];
-                if self.batch.comps.iter().any(|c| c.cid == cid) {
-                    continue;
-                }
-                retry_bytes += self
-                    .pread_chain_fut(ctx, fd, prog, req.regs, req.start, req.buf)
-                    .await?;
-            }
-        }
-        if copy_total > Nanos::ZERO {
-            ctx.sleep(copy_total).await;
-        }
-        // ordering: Relaxed — monotonic stats counter; read only for
-        // reporting, publishes no other memory.
-        self.proc.direct_ops.fetch_add(ok_ops, Ordering::Relaxed);
-        Ok(ok_bytes + retry_bytes)
+        self.batch_fut(ctx, fd, Flight::Chains(prog, reqs)).await
     }
 
     /// `pwrite()`: overwrites go directly to the device; appends are
@@ -1647,7 +1497,8 @@ impl UserThread {
             return Err(Errno::Perm);
         }
         if st.fallback {
-            return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await;
+            let op = DirectOp::Write { data, offset };
+            return Box::pin(self.fallback_fut(ctx, fd, op, scratch)).await;
         }
         let len = data.len() as u64;
         let end = offset + len;
@@ -1661,80 +1512,9 @@ impl UserThread {
                 .partial_write_fut(ctx, fd, &entry, data, offset, scratch)
                 .await;
         }
-        self.overwrite_fut(ctx, fd, &entry, data, offset, scratch)
-            .await
-    }
-
-    /// Aligned overwrite of existing blocks.
-    async fn overwrite_fut(
-        &mut self,
-        ctx: &mut ActorCtx,
-        fd: Fd,
-        entry: &FileEntry,
-        data: &[u8],
-        offset: u64,
-        scratch: &mut OpScratch,
-    ) -> SysResult<usize> {
-        let Some(mut vba) = entry.state.lock().vba else {
-            return Err(Errno::Inval);
-        };
-        let policy = self.proc.io_policy();
-        let mut attempts = 0;
-        loop {
-            let mut pos = 0u64;
-            let mut ok = true;
-            while pos < data.len() as u64 {
-                let span = (data.len() as u64 - pos).min(self.dma.len() as u64);
-                let copy = self.cost().user_copy(span);
-                ctx.sleep(copy).await;
-                scratch.user_copy += copy;
-                self.dma
-                    .write(0, &data[pos as usize..(pos + span) as usize]);
-                match self
-                    .direct_io_fut(
-                        ctx,
-                        fd,
-                        entry,
-                        vba.offset(offset + pos),
-                        span,
-                        true,
-                        scratch,
-                    )
-                    .await?
-                {
-                    DirectIo::Done => pos += span,
-                    DirectIo::Revoked => {
-                        return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch))
-                            .await;
-                    }
-                    DirectIo::Fault => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
-                self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                return Ok(data.len());
-            }
-            attempts += 1;
-            if attempts >= policy.max_attempts {
-                return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await;
-            }
-            // Pick up the VBA the fault handler re-fmapped (see
-            // pread_inner): the old mapping may be gone entirely.
-            let refreshed = entry.state.lock().vba;
-            match refreshed {
-                Some(v) => vba = v,
-                None => {
-                    return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await
-                }
-            }
-            if policy.retry_backoff > Nanos::ZERO {
-                ctx.sleep(policy.retry_backoff).await;
-            }
-        }
+        let vba = st.vba.ok_or(Errno::Inval)?;
+        let op = DirectOp::Write { data, offset };
+        self.direct_fut(ctx, fd, &entry, vba, op, scratch).await
     }
 
     /// Append handling: kernel route, or direct overwrite of
@@ -1775,7 +1555,7 @@ impl UserThread {
             scratch.user_copy += copy;
             self.dma.write(0, data);
             match self
-                .direct_io_fut(ctx, fd, entry, vba.offset(offset), len, true, scratch)
+                .direct_io_fut(ctx, fd, entry, IoKind::Write, vba, offset, len, scratch)
                 .await?
             {
                 DirectIo::Done => {
@@ -1898,33 +1678,26 @@ impl UserThread {
         };
         let start = offset - offset % SECTOR_SIZE;
         let span = (offset + data.len() as u64).div_ceil(SECTOR_SIZE) * SECTOR_SIZE - start;
-        // Read old sectors.
-        match self
-            .direct_io_fut(ctx, fd, entry, vba.offset(start), span, false, scratch)
-            .await?
-        {
-            DirectIo::Done => {}
-            _ => {
-                return Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await;
-            }
-        }
-        // Modify.
-        let copy = self.cost().user_copy(data.len() as u64);
-        ctx.sleep(copy).await;
-        scratch.user_copy += copy;
-        self.dma.write((offset - start) as usize, data);
-        // Write back.
-        match self
-            .direct_io_fut(ctx, fd, entry, vba.offset(start), span, true, scratch)
-            .await?
-        {
-            DirectIo::Done => {
+        // Read the old sectors, modify, write back.
+        let read = self
+            .direct_io_fut(ctx, fd, entry, IoKind::Read, vba, start, span, scratch)
+            .await?;
+        if matches!(read, DirectIo::Done) {
+            let copy = self.cost().user_copy(data.len() as u64);
+            ctx.sleep(copy).await;
+            scratch.user_copy += copy;
+            self.dma.write((offset - start) as usize, data);
+            let written = self
+                .direct_io_fut(ctx, fd, entry, IoKind::Write, vba, start, span, scratch)
+                .await?;
+            if matches!(written, DirectIo::Done) {
                 // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
                 self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                Ok(data.len())
+                return Ok(data.len());
             }
-            _ => Box::pin(self.kernel_pwrite_fut(ctx, fd, data, offset, scratch)).await,
         }
+        let op = DirectOp::Write { data, offset };
+        Box::pin(self.fallback_fut(ctx, fd, op, scratch)).await
     }
 
     // ---- non-blocking writes (§5.1 enhancement) ----
@@ -2026,65 +1799,36 @@ impl UserThread {
         {
             self.async_staging = Some(DmaBuffer::alloc(self.proc.system.mem(), data.len()));
         }
-        let first_try = {
-            let dma = self
+        let submit = move |this: &Self, now| {
+            let dma = this
                 .async_staging
                 .as_ref()
                 .expect("staging buffer just ensured");
             dma.write(0, data);
-            let dev = self.proc.system.device();
-            let cmd = Command::write(
-                BlockAddr::Vba(vba.offset(offset)),
-                (len / SECTOR_SIZE) as u32,
-                dma,
-            );
-            dev.submit(self.qid, cmd, ctx.now())
+            let cmd = IoKind::Write.command(vba, offset, len, dma);
+            this.proc.system.device().submit(this.qid, cmd, now)
         };
-        let cid = match first_try {
-            Ok(c) => c,
-            Err(_) => {
-                // Queue full: drain and retry once, then give up to sync.
-                self.flush_writes_fut(ctx, fd).await?;
-                let retry = {
-                    let dma = self
-                        .async_staging
-                        .as_ref()
-                        .expect("staging buffer just ensured");
-                    let dev = self.proc.system.device();
-                    let cmd = Command::write(
-                        BlockAddr::Vba(vba.offset(offset)),
-                        (len / SECTOR_SIZE) as u32,
-                        dma,
-                    );
-                    dev.submit(self.qid, cmd, ctx.now())
-                };
-                match retry {
-                    Ok(c) => c,
-                    Err(_) => {
-                        return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch))
-                            .await
-                    }
-                }
-            }
+        let mut submitted = submit(self, ctx.now());
+        if submitted.is_err() {
+            // Queue full: drain and retry once, then give up to sync.
+            self.flush_writes_fut(ctx, fd).await?;
+            submitted = submit(self, ctx.now());
+        }
+        let Ok(cid) = submitted else {
+            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
         };
         let dev = self.proc.system.device();
-        let ready = match dev.ready_time(self.qid, cid) {
-            Some(t) => t,
-            None => {
-                // Swallowed CQ entry: re-issue synchronously (idempotent,
-                // same target blocks), as a host timeout would.
-                return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
-            }
+        let Some(ready) = dev.ready_time(self.qid, cid) else {
+            // Swallowed CQ entry: re-issue synchronously (idempotent,
+            // same target blocks), as a host timeout would.
+            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
         };
-        let comp = match dev.reap_at(self.qid, cid, ready) {
-            Some(c) => c,
-            None => {
-                // Lost CQ entry (injected completion drop): the host-side
-                // timeout re-issues on the synchronous path, which is
-                // idempotent — the write targets the same blocks.
-                ctx.sleep_until(ready).await;
-                return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
-            }
+        let Some(comp) = dev.reap_at(self.qid, cid, ready) else {
+            // Lost CQ entry (injected completion drop): the host-side
+            // timeout re-issues on the synchronous path, which is
+            // idempotent — the write targets the same blocks.
+            ctx.sleep_until(ready).await;
+            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
         };
         self.note_pressure(comp.pressure);
         scratch.device_span += ready.saturating_sub(ctx.now());

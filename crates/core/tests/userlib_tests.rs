@@ -555,9 +555,12 @@ fn batch_mid_flight_fault_demotes_only_faulted_slots() {
     // mid-flight; each such slot must demote to the sequential path
     // (re-fmap, exhaust retries, kernel read of zeros) while written
     // slots in the same flight stay direct — and the entry's VBA must
-    // remain valid afterwards (no stale-VBA reuse).
-    use bypassd::ReadReq;
-    let sys = system();
+    // remain valid afterwards (no stale-VBA reuse). Traced: the flight's
+    // single userlib charge must land on a direct record even though
+    // the faulted slots complete (and are reaped) first.
+    use bypassd::{ReadReq, TraceConfig};
+    use bypassd_trace::IoPath;
+    let sys = System::builder().trace(TraceConfig::on()).build();
     let data = 256u64 * 1024;
     let ino = sys.fs().populate("/sparse", data, 0xAB).unwrap();
     sys.fs().truncate(ino, 2 * data).unwrap();
@@ -566,7 +569,8 @@ fn batch_mid_flight_fault_demotes_only_faulted_slots() {
         let proc = UserProcess::start(sys, 0, 0);
         let mut t = proc.thread();
         let fd = t.open(ctx, "/sparse", false).unwrap();
-        // Eight 4 KB slots alternating written / hole.
+        sys.recorder().take_ops(); // drain setup records
+                                   // Eight 4 KB slots alternating written / hole.
         let offsets: Vec<(u64, bool)> = (0..8u64)
             .map(|i| {
                 if i % 2 == 0 {
@@ -596,6 +600,16 @@ fn batch_mid_flight_fault_demotes_only_faulted_slots() {
         let (direct, fallback) = proc.op_counts();
         assert_eq!(fallback, 4, "each hole slot demotes to one kernel read");
         assert_eq!(direct, 4, "written slots stay direct within the flight");
+        let ops = sys.recorder().take_ops();
+        let flight: Vec<_> = ops.iter().filter(|op| op.path == IoPath::Direct).collect();
+        assert_eq!(flight.len(), 4, "one direct record per written slot");
+        let charged: Vec<Nanos> = flight.iter().map(|op| op.userlib).collect();
+        let overhead = sys.kernel().cost().userlib_overhead;
+        assert_eq!(
+            charged,
+            [overhead, Nanos::ZERO, Nanos::ZERO, Nanos::ZERO],
+            "the flight's userlib charge goes to its first successful record"
+        );
 
         // No stale-VBA reuse: the fault handling re-fmapped the file;
         // a follow-up all-written batch must run fully direct off the

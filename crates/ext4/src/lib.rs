@@ -17,7 +17,7 @@
 //!   data / commit blocks with crash recovery.
 //! * [`dir`] — directories, path resolution and POSIX permission checks.
 //! * [`fs`] — the [`fs::Ext4`] facade: namespace and file operations.
-//! * [`fsck`] — offline checker: extent trees, bitmaps, directory
+//! * [`fsck`](mod@fsck) — offline checker: extent trees, bitmaps, directory
 //!   structure and journal checksums, run by the crash campaigns after
 //!   every simulated power cut.
 //! * [`fmap`] — BypassD's contribution inside the FS: building shared,

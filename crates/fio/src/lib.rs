@@ -1,6 +1,6 @@
 //! # bypassd-fio
 //!
-//! A fio-style workload generator (the paper uses fio [8] for all of
+//! A fio-style workload generator (the paper uses fio \[8\] for all of
 //! §6.3's microbenchmarks): synchronous jobs at queue depth 1, random or
 //! sequential, read/write/mixed, with per-op latency histograms and
 //! aggregate throughput. Multiple jobs — possibly different backends and

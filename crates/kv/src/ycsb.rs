@@ -6,7 +6,7 @@
 //! | B | 95% read / 5% update | zipfian |
 //! | C | 100% read | zipfian |
 //! | D | 95% read / 5% insert | latest |
-//! | E | 95% scan / 5% insert | zipfian (scan len ~ U[1,100]) |
+//! | E | 95% scan / 5% insert | zipfian (scan len ~ U\[1,100\]) |
 //! | F | 50% read / 50% read-modify-write | zipfian |
 
 use bypassd_sim::rng::{KeyDist, Rng};

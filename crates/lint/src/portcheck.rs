@@ -1,7 +1,7 @@
 //! R6 — fleet port contract.
 //!
 //! Cross-lane traffic is declared up front: `Topology::add_channel(src,
-//! dst, port, reaction)` binds a channel to a [`Port`], and the port's
+//! dst, port, reaction)` binds a channel to a `Port`, and the port's
 //! `lookahead` is what lets the Chandy–Misra scheduler promise
 //! conservative null messages (DESIGN.md §14). That promise is only as
 //! good as the declared lookahead — an inline `Port::new("x", Nanos(1))`

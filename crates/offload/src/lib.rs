@@ -1,7 +1,7 @@
 //! # bypassd-offload
 //!
 //! A verified operation IR for one-submission storage chains — the
-//! "BPF for storage" resubmission model (XRP [70], and ROADMAP item 3's
+//! "BPF for storage" resubmission model (XRP \[70\], and ROADMAP item 3's
 //! computational-storage offload) made executable instead of modeled by
 //! latency constants.
 //!

@@ -1,5 +1,5 @@
 //! XRP: in-kernel storage functions via eBPF resubmission (the paper's
-//! state-of-the-art kernel-side comparison point [70]).
+//! state-of-the-art kernel-side comparison point \[70\]).
 //!
 //! XRP hooks the NVMe driver's completion path: a chained lookup (e.g. a
 //! B-tree traversal) crosses the syscall boundary and the VFS/block

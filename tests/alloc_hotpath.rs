@@ -1,7 +1,8 @@
 //! Allocation contract for the steady-state data path (DESIGN.md §12):
-//! after warmup, a cached-fd 4 KB direct read must touch the global
-//! allocator **zero** times — every per-op buffer lives in a
-//! preallocated slab, scratch, or ring.
+//! after warmup, a cached-fd 4 KB direct read and an 8-read
+//! `pread_batch` flight must each touch the global allocator **zero**
+//! times — every per-op buffer lives in a preallocated slab, scratch,
+//! or ring.
 //!
 //! The binary installs a counting `#[global_allocator]` with a
 //! *thread-local* allocation counter, so only allocations made by the
@@ -14,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use bypassd::{System, UserProcess};
+use bypassd::{ReadReq, System, UserProcess};
 use bypassd_sim::rng::Rng;
 use bypassd_sim::Simulation;
 use parking_lot::Mutex;
@@ -54,11 +55,13 @@ fn steady_state_cached_fd_reads_do_not_allocate() {
     const WARMUP: u64 = 2_000;
     const OPS: u64 = 10_000;
     const FILE: u64 = 8 << 20;
+    const FLIGHTS: u64 = 1_000;
+    const WIDTH: usize = 8;
     let sys = System::builder().capacity(64 << 20).build();
     sys.fs().populate("/hot", FILE, 0x5a).unwrap();
     let sim = Simulation::new();
     let s2 = sys.clone();
-    let delta = Arc::new(Mutex::new(u64::MAX));
+    let delta = Arc::new(Mutex::new((u64::MAX, u64::MAX)));
     let d2 = Arc::clone(&delta);
     sim.spawn("reader", move |ctx| {
         let proc = UserProcess::start(&s2, 0, 0);
@@ -87,16 +90,41 @@ fn steady_state_cached_fd_reads_do_not_allocate() {
             assert_eq!(n, 4096);
         }
         let after = ALLOCS.with(Cell::get);
-        *d2.lock() = after - before;
+        // Flights: same offsets drawn the same way, WIDTH reads each,
+        // into buffers and a request array allocated once up front.
+        let mut bufs = [[0u8; 4096]; WIDTH];
+        let mut flight = |t: &mut bypassd::UserThread, ctx: &mut _, rng: &mut Rng| {
+            let mut reqs = bufs.each_mut().map(|buf| ReadReq {
+                offset: rng.gen_range(FILE / 4096) * 4096,
+                buf,
+            });
+            let n = t.pread_batch(ctx, fd, &mut reqs).unwrap();
+            assert_eq!(n, WIDTH * 4096);
+        };
+        for _ in 0..WARMUP {
+            flight(&mut t, ctx, &mut rng);
+        }
+        let flights_before = ALLOCS.with(Cell::get);
+        for _ in 0..FLIGHTS {
+            flight(&mut t, ctx, &mut rng);
+        }
+        let flights_after = ALLOCS.with(Cell::get);
+        *d2.lock() = (after - before, flights_after - flights_before);
         let (direct, fallback) = proc.op_counts();
-        assert_eq!(direct, FILE / 4096 + WARMUP + OPS);
+        let flight_reads = (WARMUP + FLIGHTS) * WIDTH as u64;
+        assert_eq!(direct, FILE / 4096 + WARMUP + OPS + flight_reads);
         assert_eq!(fallback, 0);
     });
     sim.run();
-    let allocs = *delta.lock();
+    let (allocs, flight_allocs) = *delta.lock();
     assert_eq!(
         allocs, 0,
         "steady-state cached-fd 4KB reads hit the global allocator {allocs} times \
          (contract: zero after warmup)"
+    );
+    assert_eq!(
+        flight_allocs, 0,
+        "{FLIGHTS} steady-state {WIDTH}-read flights hit the global allocator \
+         {flight_allocs} times (contract: zero after warmup)"
     );
 }

@@ -192,3 +192,106 @@ fn batched_chains_match_sequential_chains() {
         t.close(ctx, fd).unwrap();
     });
 }
+
+/// Chains under faults take the same fault paths batched as one at a
+/// time: a mapping revoked after the flight was planned (every slot
+/// demotes to the host-interpreted fallback), one lost CQ entry (the
+/// slot is re-issued), and media errors — transient ones retried, a
+/// persistent one surfacing as `EIO`. The device engine does not inject
+/// media errors into chains, so they reach chains through the fallback's
+/// kernel reads. Values and op counts must match sequential
+/// `pread_chain`; virtual time is not compared.
+#[test]
+fn batched_chains_under_faults_match_sequential_chains() {
+    use bypassd::ChainReq;
+    use bypassd_faults::plane::FaultPlane;
+    use bypassd_os::Errno;
+
+    type Arm = fn(&FaultPlane, &System, &str);
+    let scenarios: [(&str, Arm); 4] = [
+        ("revoked", |_, sys, file| {
+            sys.kernel().revoke_path(file).unwrap();
+        }),
+        ("dropped completion", |plane, _, _| {
+            plane.drop_completions(vec![3])
+        }),
+        ("transient media errors", |plane, sys, file| {
+            sys.kernel().revoke_path(file).unwrap();
+            plane.fail_reads(vec![0, 5, 17]);
+        }),
+        ("persistent media error", |plane, sys, file| {
+            sys.kernel().revoke_path(file).unwrap();
+            plane.fail_reads((0..1024).collect());
+        }),
+    ];
+    let keys: Vec<u64> = (0..12u64).map(|i| i * 331 % 4096).collect();
+    let one_run = |arm: Arm, batched: bool| {
+        let plane = Arc::new(FaultPlane::new());
+        let sys = System::builder().fault_plane(Arc::clone(&plane)).build();
+        let kv = store(&sys, "/bpfkv");
+        let keys = keys.clone();
+        run(&sys, move |ctx, sys| {
+            let proc = UserProcess::start(sys, 0, 0);
+            let mut t = proc.thread();
+            let fd = t.open(ctx, kv.file(), false).unwrap();
+            let handle = sys
+                .kernel()
+                .sys_prog_load(ctx, proc.pid(), kv.lookup_ops())
+                .unwrap();
+            arm(&plane, sys, kv.file());
+            let regs = |k: u64| {
+                let mut regs = [0u64; bypassd_offload::NUM_REGS];
+                regs[0] = k;
+                regs[1] = 6;
+                regs
+            };
+            let mut bufs = vec![vec![0u8; 512]; keys.len()];
+            let result = if batched {
+                let mut reqs: Vec<ChainReq<'_>> = bufs
+                    .iter_mut()
+                    .zip(&keys)
+                    .map(|(buf, &k)| ChainReq {
+                        start: 0,
+                        regs: regs(k),
+                        buf,
+                    })
+                    .collect();
+                t.pread_chain_batch(ctx, fd, handle, &mut reqs)
+            } else {
+                bufs.iter_mut().zip(&keys).try_fold(0, |n, (buf, &k)| {
+                    Ok::<_, Errno>(n + t.pread_chain(ctx, fd, handle, regs(k), 0, buf)?)
+                })
+            };
+            (result.map(|_| bufs), proc.op_counts(), plane.stats())
+        })
+    };
+    for (name, arm) in scenarios {
+        let (batched, batched_ops, stats) = one_run(arm, true);
+        let (sequential, sequential_ops, _) = one_run(arm, false);
+        assert_eq!(batched, sequential, "{name}: batched values diverged");
+        assert_eq!(batched_ops, sequential_ops, "{name}: op counts diverged");
+        match name {
+            "persistent media error" => assert_eq!(batched, Err(Errno::Io)),
+            _ => {
+                let values = batched.unwrap();
+                for (v, &k) in values.iter().zip(&keys) {
+                    assert_eq!(u64::from_le_bytes(v[..8].try_into().unwrap()), k, "{name}");
+                }
+            }
+        }
+        let (direct, fallback) = batched_ops;
+        if name == "dropped completion" {
+            assert_eq!(stats.completions_dropped, 1, "drop never fired");
+            assert_eq!((direct, fallback), (keys.len() as u64, 0));
+        } else {
+            assert_eq!(
+                direct, 0,
+                "{name}: a revoked mapping serves no chain directly"
+            );
+            assert!(fallback > 0, "{name}: chains never fell back");
+        }
+        if name == "transient media errors" {
+            assert_eq!(stats.read_errors, 3, "injected media errors never fired");
+        }
+    }
+}
