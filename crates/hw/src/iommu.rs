@@ -26,6 +26,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bypassd_sim::time::Nanos;
+use bypassd_sim::FixedState;
 
 use crate::lru::PasidLru;
 use crate::mem::PhysMem;
@@ -187,7 +188,7 @@ struct IommuStats {
 /// ```
 pub struct Iommu {
     mem: PhysMem,
-    context: HashMap<Pasid, u64>,
+    context: HashMap<Pasid, u64, FixedState>,
     timing: IommuTiming,
     /// (pasid, virtual page number) → leaf entry, true LRU. Per the paper,
     /// FTEs are *not* cached here unless [`Iommu::set_cache_ftes`] enables
@@ -238,7 +239,7 @@ impl Iommu {
     pub fn new(mem: &PhysMem) -> Self {
         Iommu {
             mem: mem.clone(),
-            context: HashMap::new(),
+            context: HashMap::default(),
             timing: IommuTiming::default(),
             iotlb: PasidLru::new(4096),
             pwc: PasidLru::new(64),
@@ -313,7 +314,7 @@ impl Iommu {
     pub fn unregister_all(&mut self) {
         let mut pasids: Vec<Pasid> = self.context.keys().copied().collect();
         // Sorted drain: each unregister broadcasts an ATS shootdown, and
-        // those land in traces — HashMap order would vary run to run.
+        // those land in traces — HashMap order is bucket order, not PASID order.
         pasids.sort_unstable();
         for p in pasids {
             self.unregister(p);

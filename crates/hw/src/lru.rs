@@ -4,17 +4,23 @@
 //! Entries are keyed `(Pasid, u64)` — the `u64` is a virtual page number
 //! (IOTLB/ATC) or a 2 MB prefix (PWC). The structure keeps three indexes:
 //!
-//! * a `HashMap` from key to slot for O(1) lookup;
+//! * a fixed-key `HashMap` from key to slot for O(1) lookup;
 //! * an intrusive doubly-linked recency list threaded through a slot slab
 //!   (no allocation per touch), giving O(1) touch-on-hit, insert, and
 //!   LRU eviction — replacing the seed's `Vec` order list whose
 //!   `Vec::remove(0)` made every eviction O(n);
-//! * a per-PASID `BTreeSet` of secondary indices, so PASID and range
-//!   invalidations visit only the entries actually dropped (plus a
-//!   logarithmic range-seek) instead of `retain`-scanning the whole
-//!   cache.
+//! * a residency bitmap: one `u64` word per `(Pasid, index / 64)`, a bit
+//!   per cached index, so a range invalidation probes one word per 64
+//!   indexes and visits only the entries actually dropped. Insert/evict
+//!   churn in a full cache never allocates, which an ordered set's node
+//!   splits and merges would (the steady-state read path must not).
+//!
+//! Ranges wider than the cache, and whole-PASID invalidations, walk the
+//! recency list instead: O(entries cached), never more.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+
+use bypassd_sim::FixedState;
 
 use crate::types::Pasid;
 
@@ -33,14 +39,17 @@ struct Slot<V> {
 ///
 /// `get` refreshes recency; `insert` evicts the least-recently-used entry
 /// when full. All single-entry operations are O(1) amortized (hash map
-/// plus list splice); invalidations cost O(log n) to locate the affected
-/// key range plus O(1) per entry dropped.
+/// plus list splice); a range invalidation costs one probe per 64
+/// indexes of the range (capped at one list walk) plus O(1) per entry
+/// dropped.
 #[derive(Debug)]
 pub struct PasidLru<V> {
-    map: HashMap<(Pasid, u64), u32>,
+    map: HashMap<(Pasid, u64), u32, FixedState>,
     slots: Vec<Slot<V>>,
     free: Vec<u32>,
-    by_pasid: HashMap<Pasid, BTreeSet<u64>>,
+    /// `(pasid, index / 64)` → bit `index % 64` set for each cached
+    /// index; a word leaves the map when its last bit clears.
+    resident: HashMap<(Pasid, u64), u64, FixedState>,
     head: u32,
     tail: u32,
     capacity: usize,
@@ -51,10 +60,10 @@ impl<V: Default> PasidLru<V> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         PasidLru {
-            map: HashMap::with_capacity(capacity.min(1 << 16)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 16), FixedState::default()),
             slots: Vec::new(),
             free: Vec::new(),
-            by_pasid: HashMap::new(),
+            resident: HashMap::default(),
             head: NIL,
             tail: NIL,
             capacity,
@@ -90,7 +99,7 @@ impl<V: Default> PasidLru<V> {
         self.map.clear();
         self.slots.clear();
         self.free.clear();
-        self.by_pasid.clear();
+        self.resident.clear();
         self.head = NIL;
         self.tail = NIL;
     }
@@ -135,11 +144,14 @@ impl<V: Default> PasidLru<V> {
         let (pasid, index) = (s.pasid, s.index);
         let value = std::mem::take(&mut s.value);
         self.map.remove(&(pasid, index));
-        if let Some(set) = self.by_pasid.get_mut(&pasid) {
-            set.remove(&index);
-            if set.is_empty() {
-                self.by_pasid.remove(&pasid);
-            }
+        let word_key = (pasid, index / 64);
+        let word = self
+            .resident
+            .get_mut(&word_key)
+            .expect("a cached index has its residency bit");
+        *word &= !(1u64 << (index % 64));
+        if *word == 0 {
+            self.resident.remove(&word_key);
         }
         self.free.push(slot);
         value
@@ -209,7 +221,7 @@ impl<V: Default> PasidLru<V> {
         };
         self.push_front(slot);
         self.map.insert((pasid, index), slot);
-        self.by_pasid.entry(pasid).or_default().insert(index);
+        *self.resident.entry((pasid, index / 64)).or_insert(0) |= 1u64 << (index % 64);
         true
     }
 
@@ -220,54 +232,59 @@ impl<V: Default> PasidLru<V> {
     }
 
     /// Drops every entry of `pasid`; returns how many were dropped.
-    /// Cost: O(1) amortized per dropped entry.
+    /// Cost: one walk of the recency list (O(entries cached)).
     pub fn invalidate_pasid(&mut self, pasid: Pasid) -> usize {
-        let Some(set) = self.by_pasid.remove(&pasid) else {
-            return 0;
-        };
-        let n = set.len();
-        for index in set {
-            if let Some(slot) = self.map.remove(&(pasid, index)) {
-                self.unlink(slot);
-                self.slots[slot as usize].value = V::default();
-                self.free.push(slot);
-            }
-        }
-        n
+        self.discard_where(|s| s.pasid == pasid)
     }
 
     /// Drops `pasid`'s entries with secondary index in `[first, last]`;
-    /// returns how many were dropped. Cost: O(log n) to seek the range
-    /// plus O(1) amortized per dropped entry — a single-range shootdown
-    /// no longer scans the whole cache.
+    /// returns how many were dropped. Cost: one residency-word probe per
+    /// 64 indexes of the range plus O(1) per dropped entry, or one walk
+    /// of the recency list when the range spans more words than the
+    /// cache holds entries — a single-range shootdown never scans more
+    /// than the cache.
     pub fn invalidate_range(&mut self, pasid: Pasid, first: u64, last: u64) -> usize {
-        // An inverted bound means an empty shootdown, not a panic:
-        // BTreeSet::range aborts on start > end.
+        // An inverted bound means an empty shootdown, not a panic.
         if first > last {
             return 0;
         }
-        // BTreeSet::range + per-key remove keeps the cost proportional to
-        // the entries actually dropped (plus one logarithmic range seek).
-        let doomed: Vec<u64> = match self.by_pasid.get(&pasid) {
-            Some(set) => set.range(first..=last).copied().collect(),
-            None => return 0,
-        };
-        for index in &doomed {
-            if let Some(slot) = self.map.remove(&(pasid, *index)) {
-                self.unlink(slot);
-                self.slots[slot as usize].value = V::default();
-                self.free.push(slot);
+        let (w0, w1) = (first / 64, last / 64);
+        if w1 - w0 >= self.map.len() as u64 {
+            return self.discard_where(|s| s.pasid == pasid && (first..=last).contains(&s.index));
+        }
+        let mut dropped = 0;
+        for w in w0..=w1 {
+            let Some(&bits) = self.resident.get(&(pasid, w)) else {
+                continue;
+            };
+            let lo = if w == w0 { first % 64 } else { 0 };
+            let hi = if w == w1 { last % 64 } else { 63 };
+            let mut doomed = bits & (u64::MAX << lo) & (u64::MAX >> (63 - hi));
+            while doomed != 0 {
+                let index = w * 64 + u64::from(doomed.trailing_zeros());
+                doomed &= doomed - 1;
+                let slot = self.map[&(pasid, index)];
+                self.discard(slot);
+                dropped += 1;
             }
         }
-        if let Some(set) = self.by_pasid.get_mut(&pasid) {
-            for index in &doomed {
-                set.remove(index);
+        dropped
+    }
+
+    /// Drops every entry whose slot matches, walking the recency list;
+    /// returns how many were dropped.
+    fn discard_where(&mut self, doomed: impl Fn(&Slot<V>) -> bool) -> usize {
+        let mut dropped = 0;
+        let mut cur = self.head;
+        while cur != NIL {
+            let next = self.slots[cur as usize].next;
+            if doomed(&self.slots[cur as usize]) {
+                self.discard(cur);
+                dropped += 1;
             }
-            if set.is_empty() {
-                self.by_pasid.remove(&pasid);
-            }
+            cur = next;
         }
-        doomed.len()
+        dropped
     }
 
     /// Keys from most- to least-recently used (test/debug helper).
@@ -364,9 +381,9 @@ mod tests {
 
     #[test]
     fn inverted_range_invalidation_is_an_empty_shootdown() {
-        // Regression: `invalidate_range(7, 3)` used to panic inside
-        // BTreeSet::range ("range start is greater than range end")
-        // instead of dropping nothing.
+        // Regression: `invalidate_range(7, 3)` once panicked inside an
+        // ordered-set range seek ("range start is greater than range
+        // end") instead of dropping nothing.
         let mut c: PasidLru<u64> = PasidLru::new(8);
         c.insert(P1, 5, 5);
         assert_eq!(c.invalidate_range(P1, 7, 3), 0);
@@ -375,6 +392,54 @@ mod tests {
         // Degenerate single-point range still works.
         assert_eq!(c.invalidate_range(P1, 5, 5), 1);
         assert!(!c.contains(P1, 5));
+    }
+
+    /// Random inserts, touches and shootdowns against a plain recency
+    /// `Vec`: narrow ranges (word probes, straddling 64-index words),
+    /// ranges wider than the cache (list walk), and PASID drops.
+    #[test]
+    fn invalidations_match_a_naive_model() {
+        let mut c: PasidLru<u64> = PasidLru::new(48);
+        let mut model: Vec<(Pasid, u64)> = Vec::new(); // MRU first
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for step in 0..20_000u64 {
+            let p = Pasid(next(3) as u32 + 1);
+            let i = next(400);
+            match next(10) {
+                0..=5 => {
+                    c.insert(p, i, step);
+                    model.retain(|&k| k != (p, i));
+                    model.insert(0, (p, i));
+                    model.truncate(48);
+                }
+                6 | 7 => {
+                    let hit = c.get(p, i).is_some();
+                    assert_eq!(hit, model.contains(&(p, i)));
+                    if hit {
+                        model.retain(|&k| k != (p, i));
+                        model.insert(0, (p, i));
+                    }
+                }
+                8 => {
+                    let last = i + [0, 3, 70, 200, 5_000][next(5) as usize];
+                    let before = model.len();
+                    model.retain(|&(kp, ki)| kp != p || !(i..=last).contains(&ki));
+                    assert_eq!(c.invalidate_range(p, i, last), before - model.len());
+                }
+                _ => {
+                    let before = model.len();
+                    model.retain(|&(kp, _)| kp != p);
+                    assert_eq!(c.invalidate_pasid(p), before - model.len());
+                }
+            }
+            assert_eq!(c.recency_order(), model, "step {step}");
+        }
     }
 
     #[test]

@@ -22,6 +22,34 @@ struct MemInner {
     allocated: u64,
 }
 
+impl MemInner {
+    /// The `len` bytes at `addr`; they must lie in one allocated frame.
+    fn bytes(&self, addr: PhysAddr, len: usize) -> &[u8] {
+        let off = addr.frame_offset() as usize;
+        assert!(
+            off + len <= PAGE_SIZE as usize,
+            "read crosses frame boundary"
+        );
+        let frame = self.frames[addr.frame() as usize]
+            .as_ref()
+            .unwrap_or_else(|| panic!("read from unallocated frame {}", addr.frame()));
+        &frame[off..off + len]
+    }
+
+    /// Mutable [`MemInner::bytes`].
+    fn bytes_mut(&mut self, addr: PhysAddr, len: usize) -> &mut [u8] {
+        let off = addr.frame_offset() as usize;
+        assert!(
+            off + len <= PAGE_SIZE as usize,
+            "write crosses frame boundary"
+        );
+        let frame = self.frames[addr.frame() as usize]
+            .as_mut()
+            .unwrap_or_else(|| panic!("write to unallocated frame {}", addr.frame()));
+        &mut frame[off..off + len]
+    }
+}
+
 /// Simulated physical memory with a frame allocator.
 ///
 /// Cloning shares the underlying memory (it is an `Arc` handle), which is
@@ -88,16 +116,7 @@ impl PhysMem {
     /// Panics if the frame is unallocated or the range crosses the frame
     /// boundary.
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) {
-        let inner = self.inner.lock();
-        let off = addr.frame_offset() as usize;
-        assert!(
-            off + buf.len() <= PAGE_SIZE as usize,
-            "read crosses frame boundary"
-        );
-        let frame = inner.frames[addr.frame() as usize]
-            .as_ref()
-            .unwrap_or_else(|| panic!("read from unallocated frame {}", addr.frame()));
-        buf.copy_from_slice(&frame[off..off + buf.len()]);
+        self.read_with(addr, buf.len(), |src| buf.copy_from_slice(src));
     }
 
     /// Writes bytes starting at `addr` (must stay within one frame).
@@ -106,23 +125,49 @@ impl PhysMem {
     /// Panics if the frame is unallocated or the range crosses the frame
     /// boundary.
     pub fn write(&self, addr: PhysAddr, data: &[u8]) {
-        let mut inner = self.inner.lock();
-        let off = addr.frame_offset() as usize;
-        assert!(
-            off + data.len() <= PAGE_SIZE as usize,
-            "write crosses frame boundary"
-        );
-        let frame = inner.frames[addr.frame() as usize]
-            .as_mut()
-            .unwrap_or_else(|| panic!("write to unallocated frame {}", addr.frame()));
-        frame[off..off + data.len()].copy_from_slice(data);
+        self.write_with(addr, data.len(), |dst| dst.copy_from_slice(data));
+    }
+
+    /// Lends `f` the `len` bytes at `addr` (within one frame) for
+    /// reading, under the memory lock: a device can move them straight
+    /// into its media with no staging copy. `f` must not touch this
+    /// memory itself.
+    ///
+    /// # Panics
+    /// Panics if the frame is unallocated or the range crosses the frame
+    /// boundary.
+    pub fn read_with<R>(&self, addr: PhysAddr, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(self.inner.lock().bytes(addr, len))
+    }
+
+    /// Lends `f` the `len` bytes at `addr` (within one frame) to fill,
+    /// under the memory lock: a device can read its media straight into
+    /// a DMA frame with no staging copy. `f` must not touch this memory
+    /// itself.
+    ///
+    /// # Panics
+    /// Panics if the frame is unallocated or the range crosses the frame
+    /// boundary.
+    pub fn write_with<R>(&self, addr: PhysAddr, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        f(self.inner.lock().bytes_mut(addr, len))
     }
 
     /// Reads one little-endian u64 (for page table entries).
     pub fn read_u64(&self, addr: PhysAddr) -> u64 {
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf);
-        u64::from_le_bytes(buf)
+        self.with_u64_reader(|read| read(addr))
+    }
+
+    /// Runs `f` with a reader of little-endian u64s, all under one
+    /// memory-lock acquisition: a page walk's four dependent entry reads
+    /// pay for one lock, not four. `f` must not touch this memory
+    /// through another handle.
+    ///
+    /// # Panics
+    /// The reader panics on an unallocated frame or a read crossing the
+    /// frame boundary.
+    pub fn with_u64_reader<R>(&self, f: impl FnOnce(&dyn Fn(PhysAddr) -> u64) -> R) -> R {
+        let inner = self.inner.lock();
+        f(&|addr| u64::from_le_bytes(inner.bytes(addr, 8).try_into().expect("8 bytes")))
     }
 
     /// Writes one little-endian u64 (for page table entries).
@@ -230,6 +275,29 @@ mod tests {
         let f = mem.alloc_frame();
         let mut buf = [0u8; 16];
         mem.read(PhysAddr::from_frame(f, PAGE_SIZE - 8), &mut buf);
+    }
+
+    #[test]
+    fn lent_bytes_are_the_frame_bytes() {
+        let mem = PhysMem::new();
+        let f = mem.alloc_frame();
+        let addr = PhysAddr::from_frame(f, 1000);
+        mem.write_with(addr, 3, |dst| dst.copy_from_slice(&[4, 5, 6]));
+        let sum = mem.read_with(addr, 3, |src| {
+            src.iter().map(|&b| u32::from(b)).sum::<u32>()
+        });
+        assert_eq!(sum, 15);
+        let mut buf = [0u8; 3];
+        mem.read(addr, &mut buf);
+        assert_eq!(buf, [4, 5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses frame boundary")]
+    fn cross_frame_lend_panics() {
+        let mem = PhysMem::new();
+        let f = mem.alloc_frame();
+        mem.write_with(PhysAddr::from_frame(f, PAGE_SIZE - 8), 16, |_| ());
     }
 
     #[test]

@@ -59,24 +59,29 @@ pub struct Walk {
 ///
 /// Returns `None` if any level is not present.
 pub fn walk_raw(mem: &PhysMem, root: u64, va: VirtAddr) -> Option<Walk> {
-    let mut table = root;
-    let mut writable = true;
-    for level in (2..=4).rev() {
-        let entry = Pte(mem.read_u64(PhysAddr::from_frame(table, 8 * va.index(level) as u64)));
-        if !entry.present() {
+    mem.with_u64_reader(|read| {
+        let mut table = root;
+        let mut writable = true;
+        for level in (2..=4).rev() {
+            let entry = Pte(read(PhysAddr::from_frame(
+                table,
+                8 * va.index(level) as u64,
+            )));
+            if !entry.present() {
+                return None;
+            }
+            writable &= entry.writable();
+            table = entry.frame();
+        }
+        let pte = Pte(read(PhysAddr::from_frame(table, 8 * va.index(1) as u64)));
+        if !pte.present() {
             return None;
         }
-        writable &= entry.writable();
-        table = entry.frame();
-    }
-    let pte = Pte(mem.read_u64(PhysAddr::from_frame(table, 8 * va.index(1) as u64)));
-    if !pte.present() {
-        return None;
-    }
-    Some(Walk {
-        pte,
-        effective_writable: writable && pte.writable(),
-        levels: 4,
+        Some(Walk {
+            pte,
+            effective_writable: writable && pte.writable(),
+            levels: 4,
+        })
     })
 }
 

@@ -7,7 +7,7 @@
 //! lock-serialized *sequences*: a translation touch interleaving with a
 //! PASID or range shootdown. What must hold after any interleaving is
 //! that the three internal indexes (hash map, intrusive recency list,
-//! per-PASID BTreeSet) agree — a desync here silently revives revoked
+//! residency bitmap) agree — a desync here silently revives revoked
 //! translations, which is exactly the permission bug BypassD's
 //! revocation path (§3.6) exists to prevent.
 #![cfg(loom)]

@@ -195,9 +195,9 @@ pub enum Stmt {
     Let { name: String, rhs: Span },
     /// `name = <rhs>;` / `name += <rhs>;` (re-assignment of a local).
     Assign { name: String, rhs: Span },
-    /// `for pat in <iter tokens> {` — `name` is the first binding
-    /// identifier of the pattern.
-    For { name: String, iter: Span },
+    /// `for pat in <iter tokens> {` — `names` are the pattern's binding
+    /// identifiers (`for (k, v) in ..` binds both).
+    For { names: Vec<String>, iter: Span },
     /// Anything else, spanning to the next `;` or block boundary.
     Expr(Span),
 }
@@ -335,19 +335,24 @@ fn parse_let(toks: &[Token], let_idx: usize, end: usize) -> (Option<Stmt>, usize
 }
 
 fn parse_for(toks: &[Token], for_idx: usize, end: usize) -> (Option<Stmt>, usize) {
-    // `for <pat> in <iter> {` — find `in`, then the loop `{`.
+    // `for <pat> in <iter> {` — find `in`, then the loop `{`. Tuple
+    // and slice patterns are walked into; an identifier followed by
+    // `(`/`{`/`::` names a constructor or path, not a binding.
     let mut i = for_idx + 1;
-    let mut name = None;
+    let mut names = Vec::new();
     while i < end {
         match &toks[i].kind {
             TokenKind::Ident(kw) if kw == "in" => break,
             TokenKind::Ident(n) => {
-                if name.is_none() && n != "mut" {
-                    name = Some(n.clone());
+                let path_or_ctor = matches!(
+                    toks.get(i + 1).map(|t| &t.kind),
+                    Some(TokenKind::Open('(' | '{') | TokenKind::Punct(':'))
+                );
+                if !path_or_ctor && n != "mut" && n != "ref" {
+                    names.push(n.clone());
                 }
                 i += 1;
             }
-            TokenKind::Open(_) => i = matching_close(toks, i),
             _ => i += 1,
         }
     }
@@ -363,20 +368,15 @@ fn parse_for(toks: &[Token], for_idx: usize, end: usize) -> (Option<Stmt>, usize
             _ => j += 1,
         }
     }
-    match name {
-        // Continue scanning *inside* the loop body (j + 1).
-        Some(name) => (
-            Some(Stmt::For {
-                name,
-                iter: Span {
-                    start: iter_start,
-                    end: j,
-                },
-            }),
-            j + 1,
-        ),
-        None => (None, j + 1),
-    }
+    // Continue scanning *inside* the loop body (j + 1).
+    let stmt = (!names.is_empty()).then_some(Stmt::For {
+        names,
+        iter: Span {
+            start: iter_start,
+            end: j,
+        },
+    });
+    (stmt, j + 1)
 }
 
 /// Identifiers bound to unordered collections in this file: local
@@ -471,10 +471,25 @@ mod tests {
         assert!(matches!(&stmts[1], Stmt::Expr(_)));
         assert!(stmts
             .iter()
-            .any(|s| matches!(s, Stmt::For { name, .. } if name == "k")));
+            .any(|s| matches!(s, Stmt::For { names, .. } if names == &["k"])));
         assert!(stmts
             .iter()
             .any(|s| matches!(s, Stmt::Assign { name, .. } if name == "total")));
+    }
+
+    #[test]
+    fn for_patterns_bind_every_identifier() {
+        let (m, body) = first_fn(
+            "fn f(&self) { for (k, mut v) in m.iter() {} for &(a, Some(ref b)) in xs {} for Foo::Bar { c } in ys {} }",
+        );
+        let names: Vec<Vec<String>> = statements(&m.lexed.tokens, body)
+            .into_iter()
+            .filter_map(|s| match s {
+                Stmt::For { names, .. } => Some(names),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names, vec![vec!["k", "v"], vec!["a", "b"], vec!["c"]]);
     }
 
     #[test]

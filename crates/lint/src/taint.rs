@@ -304,10 +304,12 @@ impl<'w> TaintPass<'w> {
                             }
                         }
                     }
-                    Stmt::For { name, iter } => {
+                    Stmt::For { names, iter } => {
                         if let Some(o) = expr_taint(*iter, &tainted, &sanitized) {
-                            if !sanitized.contains(name) {
-                                tainted.entry(name.clone()).or_insert(o);
+                            for name in names {
+                                if !sanitized.contains(name) {
+                                    tainted.entry(name.clone()).or_insert_with(|| o.clone());
+                                }
                             }
                         }
                     }

@@ -232,6 +232,22 @@ fn r5_bad_reports_each_flow_with_exact_spans() {
     );
 }
 
+/// A map on the fixed-key hasher stays an unordered collection to R5:
+/// the full `HashMap<K, V, FixedState>` spelling is what the lint keys
+/// on, for struct fields and annotated locals.
+#[test]
+fn r5_flags_fixed_hasher_maps_folded_into_a_fingerprint() {
+    let diags = taint_diags("r5_fixed_hasher_bad.rs");
+    let spans: Vec<(usize, usize, usize)> =
+        diags.iter().map(|d| (d.line, d.col, d.end_col)).collect();
+    assert_eq!(spans, vec![(16, 15, 24), (25, 11, 20)], "{diags:#?}");
+    for d in &diags {
+        assert_eq!(d.rule, "R5");
+        assert!(d.message.contains("FNV fingerprint"), "{}", d.message);
+        assert!(d.message.contains("unordered"), "{}", d.message);
+    }
+}
+
 #[test]
 fn r5_good_sorted_drain_and_seeded_deadline_are_clean() {
     assert_eq!(taint_diags("r5_good.rs"), vec![]);

@@ -134,6 +134,11 @@ struct SimState {
     /// Set by a task's sleep when it parks itself in the run queue;
     /// cleared by the conductor after every poll.
     task_parked: bool,
+    /// True while `drive` sleeps on the control condvar. A pause
+    /// signals the condvar only then: a notify costs a futex syscall
+    /// even with no waiter, and most pauses (every `run_until` slice the
+    /// caller conducts itself) have none.
+    driver_waiting: bool,
     stats: SimStats,
 }
 
@@ -216,7 +221,8 @@ impl SimState {
 struct Inner {
     state: Mutex<SimState>,
     /// Control condvar: signalled when the dispatcher pauses (horizon
-    /// reached) or the simulation quiesces, waking `run`/`run_until`.
+    /// reached) or the simulation quiesces while `run`/`run_until` is
+    /// waiting on it (`SimState::driver_waiting`).
     cond: Condvar,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -320,7 +326,9 @@ impl Inner {
                     );
                 }
                 // Paused at the horizon, or all done; wake `run`/`run_until`.
-                self.cond.notify_all();
+                if state.driver_waiting {
+                    self.cond.notify_all();
+                }
                 return None;
             };
             state.waiting.pop();
@@ -373,7 +381,9 @@ impl Inner {
                     return state;
                 }
             }
+            state.driver_waiting = true;
             self.cond.wait(&mut state);
+            state.driver_waiting = false;
         }
     }
 
@@ -436,7 +446,9 @@ impl Drop for FinishGuard {
             state.failure.get_or_insert(f);
             // Polling tasks while unwinding would turn a task panic into
             // an abort; the `run`/`run_until` caller conducts instead.
-            self.inner.cond.notify_all();
+            if state.driver_waiting {
+                self.inner.cond.notify_all();
+            }
         } else {
             // Conduct on this thread until another actor holds the token.
             while let Some(turn) = self.inner.next_turn(&mut state, None) {
@@ -518,6 +530,7 @@ impl Simulation {
                     horizon: Nanos::MAX,
                     actors: Vec::new(),
                     task_parked: false,
+                    driver_waiting: false,
                     stats: SimStats::default(),
                 }),
                 cond: Condvar::new(),

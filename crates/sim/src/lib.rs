@@ -11,6 +11,8 @@
 //!   thread); either way runs remain bit-for-bit reproducible.
 //!   [`engine::Simulation::stats`] counts dispatches, in-place
 //!   advances, OS-thread handoffs and task polls.
+//! * [`hash`] — [`FixedState`], the fixed-key hasher of the hot lookup
+//!   maps (cheap, and identical in every run).
 //! * [`rng`] — seedable PRNG plus the YCSB zipfian/latest distributions.
 //! * [`stats`] — log-bucketed latency histograms and throughput counters.
 //! * [`report`] — plain-text table formatting for the benchmark harnesses.
@@ -34,6 +36,7 @@
 //! ```
 
 pub mod engine;
+pub mod hash;
 pub mod mailbox;
 pub mod port;
 pub mod report;
@@ -42,6 +45,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{block_on, ActorCtx, RunStatus, SimStats, Simulation, Sleep};
+pub use hash::FixedState;
 pub use mailbox::{Envelope, Mailbox};
 pub use port::Port;
 pub use time::Nanos;

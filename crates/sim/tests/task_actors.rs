@@ -138,6 +138,43 @@ fn sliced_task_run_matches_whole_run() {
     assert_eq!(sim.now(), end);
 }
 
+/// The conductor signals its control condvar only while `run_until`
+/// sleeps on it (a thread actor holds the token). Slicing at every
+/// nanosecond makes nearly every pause one the caller conducts itself,
+/// interleaved with thread-actor handoffs it must still wait out: a lost
+/// wakeup would hang here, so the sliced run goes on its own thread
+/// under a deadline.
+#[test]
+fn one_ns_slices_over_mixed_actors_match_run_and_never_hang() {
+    let (whole, end, whole_stats) = run_whole(Kind::Mixed);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (sim, log) = scenario(Kind::Mixed);
+        let mut h = 0u64;
+        while !sim.run_until(Nanos(h)).quiesced() {
+            h += 1;
+        }
+        sim.join_finished();
+        let v = log.lock().clone();
+        tx.send((v, sim.now(), sim.stats(), h)).unwrap();
+    });
+    let (sliced, sliced_end, stats, slices) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("1 ns run_until slicing hung (lost control-condvar wakeup?)");
+    assert_eq!(sliced, whole, "slicing reordered events");
+    assert_eq!(sliced_end, end);
+    assert_eq!(
+        slices, end.0,
+        "one slice per nanosecond up to the last event"
+    );
+    assert!(
+        stats.handoffs > 0,
+        "mixed run must hand off to thread actors"
+    );
+    assert_eq!(stats.thread_spawns, whole_stats.thread_spawns);
+    assert_eq!(stats.task_spawns, whole_stats.task_spawns);
+}
+
 #[test]
 fn task_fast_path_stops_at_horizon() {
     let sim = Simulation::new();

@@ -18,6 +18,8 @@
 //! reaches the IOMMU, faults, and surfaces as a failed completion — the
 //! §3.6 fault-and-fallback path is preserved bit-for-bit.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use parking_lot::Mutex;
 
 use bypassd_hw::iommu::{AccessKind, AtsSink, PageTranslation};
@@ -38,7 +40,6 @@ struct AtcEntry {
 
 #[derive(Debug)]
 struct AtcInner {
-    enabled: bool,
     cache: PasidLru<AtcEntry>,
     hits: u64,
     misses: u64,
@@ -65,6 +66,10 @@ pub struct AtcStats {
 /// cycle exists.
 #[derive(Debug)]
 pub struct AtsCache {
+    /// Written only under `inner`'s lock; read lock-free first, so a
+    /// disabled cache (the default) costs every command one relaxed
+    /// load instead of a lock round trip.
+    enabled: AtomicBool,
     inner: Mutex<AtcInner>,
     /// Modeled cost of a device-local translation hit. The lookup is an
     /// on-device SRAM access, comparable to an IOTLB tag match (14 ns);
@@ -76,8 +81,8 @@ impl AtsCache {
     /// Creates a disabled cache of `capacity` page entries.
     pub fn new(capacity: usize) -> Self {
         AtsCache {
+            enabled: AtomicBool::new(false),
             inner: Mutex::new(AtcInner {
-                enabled: false,
                 cache: PasidLru::new(capacity),
                 hits: 0,
                 misses: 0,
@@ -91,7 +96,9 @@ impl AtsCache {
     /// entries so a later re-enable starts cold.
     pub fn set_enabled(&self, enabled: bool) {
         let mut inner = self.inner.lock();
-        inner.enabled = enabled;
+        // ordering: Relaxed — stored under the `inner` lock, which orders it against
+        // every locked re-check; lock-free readers only skip a disabled cache early.
+        self.enabled.store(enabled, Ordering::Relaxed);
         if !enabled {
             inner.cache.clear();
         }
@@ -99,7 +106,8 @@ impl AtsCache {
 
     /// Whether the cache is currently enabled.
     pub fn enabled(&self) -> bool {
-        self.inner.lock().enabled
+        // ordering: Relaxed — a knob read; the locked paths re-check it under `inner`.
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Modeled latency of an ATC hit.
@@ -127,60 +135,65 @@ impl AtsCache {
         self.len() == 0
     }
 
-    /// Attempts to translate `len` bytes at `vba` entirely from the cache.
-    /// Returns coalesced `(Lba, sectors)` extents plus the modeled hit
-    /// cost, or `None` when disabled, any page misses, or a write lacks
-    /// permission (the IOMMU then performs — and faults — the request).
-    pub fn translate(
+    /// Attempts to translate `len` bytes at `vba` entirely from the cache,
+    /// appending coalesced `(Lba, sectors)` extents to `extents` (the
+    /// device's reusable scratch, so a hit allocates nothing). Returns
+    /// the modeled hit cost, or `None` — with `extents` as it was — when
+    /// disabled, any page misses, or a write lacks permission (the IOMMU
+    /// then performs — and faults — the request).
+    pub fn translate_into(
         &self,
         pasid: Pasid,
         vba: Vba,
         len: u64,
         access: AccessKind,
-    ) -> Option<(Vec<(Lba, u32)>, Nanos)> {
-        let mut inner = self.inner.lock();
-        if !inner.enabled {
+        extents: &mut Vec<(Lba, u32)>,
+    ) -> Option<Nanos> {
+        // Lock-free early out for the default disabled cache, re-checked
+        // under the lock (a concurrent `set_enabled(false)` clears it).
+        if !self.enabled() {
             return None;
         }
+        let mut inner = self.inner.lock();
+        if !self.enabled() {
+            return None;
+        }
+        let base = extents.len();
         let first_page = vba.0 / PAGE_SIZE;
         let last_page = (vba.0 + len.max(1) - 1) / PAGE_SIZE;
-        let mut extents: Vec<(Lba, u32)> = Vec::new();
         for page in first_page..=last_page {
             let entry = match inner.cache.get(pasid, page) {
-                Some(e) => *e,
-                None => {
+                // Insufficient write permission counts as a miss: let
+                // the IOMMU walk and fault.
+                Some(e) if access == AccessKind::Read || e.writable => *e,
+                _ => {
                     inner.misses += 1;
+                    // `drain`, not `truncate`: the lock-order lint resolves
+                    // calls by name, and ext4's `truncate` takes its lock.
+                    extents.drain(base..);
                     return None;
                 }
             };
-            if access == AccessKind::Write && !entry.writable {
-                // Insufficient permission: let the IOMMU walk and fault.
-                inner.misses += 1;
-                return None;
-            }
             let page_start = page * PAGE_SIZE;
             let lo = vba.0.max(page_start);
             let hi = (vba.0 + len).min(page_start + PAGE_SIZE);
             let sector_off = (lo - page_start) / SECTOR_SIZE;
             let sectors = ((hi - lo) / SECTOR_SIZE) as u32;
             let lba = entry.lba.advance(sector_off);
-            if let Some(last) = extents.last_mut() {
-                if last.0.advance(last.1 as u64) == lba {
-                    last.1 += sectors;
-                    continue;
-                }
+            match extents[base..].last_mut() {
+                Some(last) if last.0.advance(last.1 as u64) == lba => last.1 += sectors,
+                _ => extents.push((lba, sectors)),
             }
-            extents.push((lba, sectors));
         }
         inner.hits += 1;
-        Some((extents, self.hit_cost))
+        Some(self.hit_cost)
     }
 
     /// Installs the per-page translations returned by an IOMMU walk.
     /// No-op while disabled.
     pub fn fill(&self, pasid: Pasid, pages: &[PageTranslation]) {
         let mut inner = self.inner.lock();
-        if !inner.enabled {
+        if !self.enabled() {
             return;
         }
         for p in pages {
@@ -226,13 +239,42 @@ mod tests {
         }
     }
 
+    /// `translate_into` on a fresh extent list.
+    fn translate(
+        atc: &AtsCache,
+        vba: Vba,
+        len: u64,
+        access: AccessKind,
+    ) -> Option<(Vec<(Lba, u32)>, Nanos)> {
+        let mut extents = Vec::new();
+        let cost = atc.translate_into(P, vba, len, access, &mut extents)?;
+        Some((extents, cost))
+    }
+
+    #[test]
+    fn translate_into_appends_on_hit_and_restores_on_miss() {
+        let atc = AtsCache::new(16);
+        atc.set_enabled(true);
+        atc.fill(P, &[page(0, 10, true), page(1, 11, true)]);
+        let prior = (Lba::from_block(10).advance(8), 4);
+        let mut extents = vec![prior];
+        // A hit never coalesces into an extent it did not produce.
+        assert!(atc
+            .translate_into(P, Vba(0), 2 * PAGE_SIZE, AccessKind::Read, &mut extents)
+            .is_some());
+        assert_eq!(extents, vec![prior, (Lba::from_block(10), 16)]);
+        // Pages 0-1 hit, page 2 misses: the partial extents are dropped.
+        assert!(atc
+            .translate_into(P, Vba(0), 3 * PAGE_SIZE, AccessKind::Read, &mut extents)
+            .is_none());
+        assert_eq!(extents, vec![prior, (Lba::from_block(10), 16)]);
+    }
+
     #[test]
     fn disabled_cache_never_answers() {
         let atc = AtsCache::new(16);
         atc.fill(P, &[page(1, 10, true)]);
-        assert!(atc
-            .translate(P, Vba(PAGE_SIZE), PAGE_SIZE, AccessKind::Read)
-            .is_none());
+        assert!(translate(&atc, Vba(PAGE_SIZE), PAGE_SIZE, AccessKind::Read).is_none());
         assert_eq!(atc.stats(), AtcStats::default(), "disabled: no counters");
     }
 
@@ -244,9 +286,7 @@ mod tests {
             P,
             &[page(0, 10, true), page(1, 11, true), page(2, 40, true)],
         );
-        let (extents, cost) = atc
-            .translate(P, Vba(0), 3 * PAGE_SIZE, AccessKind::Read)
-            .unwrap();
+        let (extents, cost) = translate(&atc, Vba(0), 3 * PAGE_SIZE, AccessKind::Read).unwrap();
         assert_eq!(
             extents,
             vec![(Lba::from_block(10), 16), (Lba::from_block(40), 8)]
@@ -260,9 +300,7 @@ mod tests {
         let atc = AtsCache::new(16);
         atc.set_enabled(true);
         atc.fill(P, &[page(0, 10, true)]);
-        assert!(atc
-            .translate(P, Vba(0), 2 * PAGE_SIZE, AccessKind::Read)
-            .is_none());
+        assert!(translate(&atc, Vba(0), 2 * PAGE_SIZE, AccessKind::Read).is_none());
         assert_eq!(atc.stats().misses, 1);
     }
 
@@ -271,12 +309,8 @@ mod tests {
         let atc = AtsCache::new(16);
         atc.set_enabled(true);
         atc.fill(P, &[page(0, 10, false)]);
-        assert!(atc
-            .translate(P, Vba(0), PAGE_SIZE, AccessKind::Write)
-            .is_none());
-        assert!(atc
-            .translate(P, Vba(0), PAGE_SIZE, AccessKind::Read)
-            .is_some());
+        assert!(translate(&atc, Vba(0), PAGE_SIZE, AccessKind::Write).is_none());
+        assert!(translate(&atc, Vba(0), PAGE_SIZE, AccessKind::Read).is_some());
     }
 
     #[test]
@@ -285,12 +319,8 @@ mod tests {
         atc.set_enabled(true);
         atc.fill(P, &[page(0, 10, true), page(1, 11, true)]);
         atc.ats_invalidate_range(P, Vba(0), PAGE_SIZE);
-        assert!(atc
-            .translate(P, Vba(0), PAGE_SIZE, AccessKind::Read)
-            .is_none());
-        assert!(atc
-            .translate(P, Vba(PAGE_SIZE), PAGE_SIZE, AccessKind::Read)
-            .is_some());
+        assert!(translate(&atc, Vba(0), PAGE_SIZE, AccessKind::Read).is_none());
+        assert!(translate(&atc, Vba(PAGE_SIZE), PAGE_SIZE, AccessKind::Read).is_some());
         atc.ats_invalidate_pasid(P);
         assert!(atc.is_empty());
         assert_eq!(atc.stats().shootdowns, 2);
@@ -303,8 +333,6 @@ mod tests {
         atc.fill(P, &[page(0, 10, true)]);
         atc.set_enabled(false);
         atc.set_enabled(true);
-        assert!(atc
-            .translate(P, Vba(0), PAGE_SIZE, AccessKind::Read)
-            .is_none());
+        assert!(translate(&atc, Vba(0), PAGE_SIZE, AccessKind::Read).is_none());
     }
 }

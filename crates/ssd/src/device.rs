@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd_faults::plane::{FaultPlane, WriteKind, WriteVerdict};
-use bypassd_hw::iommu::{AccessKind, Iommu};
+use bypassd_hw::iommu::{AccessKind, Iommu, PageTranslation};
 use bypassd_hw::types::{DevId, Lba, Pasid, Vba, SECTOR_SIZE};
 use bypassd_offload::{
     run_hop, ChainSpec, ChainState, Outcome, ProgHandle, Program, BLOCK, MAX_HOPS, STEP_NS,
@@ -30,6 +30,7 @@ use bypassd_offload::{
 };
 use bypassd_qos::{QosArbiter, QosConfig, Tenant, TenantShare, TenantStats};
 use bypassd_sim::time::Nanos;
+use bypassd_sim::FixedState;
 use bypassd_trace::{DeviceRecord, Metric, MetricSource, Recorder, TraceOp, WalkLevel};
 
 use crate::atc::{AtcStats, AtsCache, DEFAULT_ATC_CAPACITY};
@@ -207,14 +208,19 @@ pub struct DeviceStats {
 struct DevScratch {
     /// Coalesced LBA extents of the command being processed.
     extents: Vec<(Lba, u32)>,
-    /// Staging chunk for media ↔ DMA data movement.
-    chunk: Vec<u8>,
+    /// Per-page translations of an IOMMU walk, kept to fill the
+    /// device-side ATC (used only while the ATC is enabled).
+    pages: Vec<PageTranslation>,
+    /// The block an offload chain hop reads and runs its program over
+    /// (device-internal; plain reads and writes move data media ↔ DMA
+    /// in one copy and never stage here).
+    chain_block: Vec<u8>,
 }
 
 struct DevState {
     store: SectorStore,
     timer: DeviceTimer,
-    queues: std::collections::HashMap<QueueId, QueuePair>,
+    queues: std::collections::HashMap<QueueId, QueuePair, FixedState>,
     io_bufs: DevScratch,
     stats: DeviceStats,
     /// QoS enforcement + per-tenant accounting. Accounting is always on
@@ -287,7 +293,7 @@ impl NvmeDevice {
             state: Mutex::new(DevState {
                 store: SectorStore::new(capacity_sectors),
                 timer: DeviceTimer::new(timing),
-                queues: std::collections::HashMap::new(),
+                queues: std::collections::HashMap::default(),
                 io_bufs: DevScratch::default(),
                 stats: DeviceStats::default(),
                 qos: QosArbiter::new(QosConfig::default(), timing.channels),
@@ -718,31 +724,31 @@ impl NvmeDevice {
                 let len = cmd.sectors as u64 * SECTOR_SIZE;
                 // Device-side ATC first (no PCIe round trip on a hit);
                 // off by default, in which case this is always None.
-                if let Some((atc_extents, cost)) = self.atc.translate(pasid, vba, len, kind) {
+                if let Some(cost) =
+                    self.atc
+                        .translate_into(pasid, vba, len, kind, &mut state.io_bufs.extents)
+                {
                     let cost = if is_write { Nanos::ZERO } else { cost };
                     scratch.walk = Some(WalkLevel::AtcHit);
                     scratch.translate = cost;
-                    state.io_bufs.extents.extend_from_slice(&atc_extents);
                     cost
                 } else {
-                    let mut pages = if self.atc.enabled() {
-                        Some(Vec::new())
-                    } else {
-                        None
-                    };
+                    let atc_on = self.atc.enabled();
+                    let bufs = &mut state.io_bufs;
+                    bufs.pages.clear();
                     let walked = self.iommu.lock().translate_extents_into(
                         pasid,
                         vba,
                         len,
                         kind,
                         self.id,
-                        pages.as_mut(),
-                        &mut state.io_bufs.extents,
+                        atc_on.then_some(&mut bufs.pages),
+                        &mut bufs.extents,
                     );
                     match walked {
                         Ok(t) => {
-                            if let Some(pages) = &pages {
-                                self.atc.fill(pasid, pages);
+                            if atc_on {
+                                self.atc.fill(pasid, &state.io_bufs.pages);
                             }
                             // Reads serialise translation; writes overlap it
                             // with the data transfer (§4.3).
@@ -785,19 +791,19 @@ impl NvmeDevice {
             }
         }
 
-        // Functional data movement, staged through the reusable chunk.
+        // Functional data movement: one copy between media and the DMA
+        // frames, which the buffer lends chunk by chunk (memory lock
+        // taken under the device state lock, as every DMA access does).
         match cmd.opcode {
             Opcode::Read => {
                 let dma = cmd.dma.expect("read without DMA buffer");
                 let mut off = cmd.dma_offset;
-                for i in 0..state.io_bufs.extents.len() {
-                    let (lba, sectors) = state.io_bufs.extents[i];
+                for &(lba, sectors) in &state.io_bufs.extents {
                     let n = (sectors as u64 * SECTOR_SIZE) as usize;
-                    if state.io_bufs.chunk.len() < n {
-                        state.io_bufs.chunk.resize(n, 0);
-                    }
-                    state.store.read(lba, &mut state.io_bufs.chunk[..n]);
-                    dma.write(off, &state.io_bufs.chunk[..n]);
+                    let pos = lba.byte_offset();
+                    dma.fill_with(off, n, |done, dst| {
+                        state.store.read_bytes_at(pos + done as u64, dst);
+                    });
                     off += n;
                 }
                 state.stats.reads += 1;
@@ -806,36 +812,32 @@ impl NvmeDevice {
             Opcode::Write => {
                 let dma = cmd.dma.expect("write without DMA buffer");
                 let mut off = cmd.dma_offset;
-                for i in 0..state.io_bufs.extents.len() {
-                    let (lba, sectors) = state.io_bufs.extents[i];
+                for &(lba, sectors) in &state.io_bufs.extents {
                     let n = (sectors as u64 * SECTOR_SIZE) as usize;
-                    if state.io_bufs.chunk.len() < n {
-                        state.io_bufs.chunk.resize(n, 0);
-                    }
-                    dma.read(off, &mut state.io_bufs.chunk[..n]);
-                    if state.faults.is_active() {
-                        match state
+                    let verdict = if state.faults.is_active() {
+                        state
                             .faults
                             .on_write(lba, sectors, Some(now), WriteKind::Timed)
-                        {
-                            WriteVerdict::Persist => {
-                                state.store.write(lba, &state.io_bufs.chunk[..n]);
-                            }
-                            WriteVerdict::Drop => {}
-                            WriteVerdict::Partial(mask) => {
-                                for (s, &keep) in mask.iter().enumerate() {
-                                    if keep {
-                                        let b = s * SECTOR_SIZE as usize;
-                                        state.store.write(
-                                            lba.advance(s as u64),
-                                            &state.io_bufs.chunk[b..b + SECTOR_SIZE as usize],
-                                        );
-                                    }
+                    } else {
+                        WriteVerdict::Persist
+                    };
+                    let store = &mut state.store;
+                    let pos = lba.byte_offset();
+                    match verdict {
+                        WriteVerdict::Persist => dma.read_with(off, n, |done, src| {
+                            store.write_bytes_at(pos + done as u64, src);
+                        }),
+                        WriteVerdict::Drop => {}
+                        WriteVerdict::Partial(mask) => {
+                            let sector = SECTOR_SIZE as usize;
+                            for (s, &keep) in mask.iter().enumerate() {
+                                if keep {
+                                    dma.read_with(off + s * sector, sector, |done, src| {
+                                        store.write_bytes_at(pos + (s * sector + done) as u64, src);
+                                    });
                                 }
                             }
                         }
-                    } else {
-                        state.store.write(lba, &state.io_bufs.chunk[..n]);
                     }
                     off += n;
                 }
@@ -1048,10 +1050,10 @@ impl NvmeDevice {
                 break NvmeStatus::LbaOutOfRange;
             }
 
-            // Media read of the block into the device-internal chunk
+            // Media read of the block into the device-internal buffer
             // (not DMA'd — only the final block crosses to the host).
-            if state.io_bufs.chunk.len() < BLOCK {
-                state.io_bufs.chunk.resize(BLOCK, 0);
+            if state.io_bufs.chain_block.len() < BLOCK {
+                state.io_bufs.chain_block.resize(BLOCK, 0);
             }
             let mut off = 0usize;
             for i in 0..state.io_bufs.extents.len() {
@@ -1059,7 +1061,7 @@ impl NvmeDevice {
                 let n = (u64::from(sectors) * SECTOR_SIZE) as usize;
                 state
                     .store
-                    .read(lba, &mut state.io_bufs.chunk[off..off + n]);
+                    .read(lba, &mut state.io_bufs.chain_block[off..off + n]);
                 off += n;
             }
             state.stats.reads += 1;
@@ -1076,7 +1078,7 @@ impl NvmeDevice {
 
             // Run the program on the device's lightweight core, charged
             // purely in virtual time.
-            let run = run_hop(&prog, &mut st, &state.io_bufs.chunk[..BLOCK]);
+            let run = run_hop(&prog, &mut st, &state.io_bufs.chain_block[..BLOCK]);
             t = media_done + Nanos(run.steps * STEP_NS);
             let service = t.saturating_sub(hop_start + trans_cost);
             self.record_hop(
@@ -1106,7 +1108,7 @@ impl NvmeDevice {
                         state.timer.chain_return_transfer(t, BLOCK as u64)
                     };
                     let dma = cmd.dma.expect("validated above");
-                    dma.write(cmd.dma_offset, &state.io_bufs.chunk[..BLOCK]);
+                    dma.write(cmd.dma_offset, &state.io_bufs.chain_block[..BLOCK]);
                     break NvmeStatus::Success;
                 }
                 Outcome::Fail { code } => break NvmeStatus::ChainFault(code),
@@ -1542,6 +1544,78 @@ mod tests {
         dma.read(0, &mut out);
         assert!(out[..4096].iter().all(|&b| b == 0xAA));
         assert!(out[4096..].iter().all(|&b| b == 0xBB));
+    }
+
+    /// Reads and writes move bytes media ↔ DMA frames in one copy, chunk
+    /// by chunk at frame boundaries; the bytes must be exactly what the
+    /// staging path produced — i.e. what `read_raw`/`write_raw` see —
+    /// for data, fill and never-written blocks, across extents, and at
+    /// DMA offsets that split a page (sector-aligned or not).
+    #[test]
+    fn single_copy_data_movement_matches_raw_access() {
+        let (mem, dev) = setup();
+        let mut asid = AddressSpace::new(&mem);
+        let vba = Vba(0x4000_0000);
+        // Three pages on non-contiguous blocks: three extents.
+        let blocks = [1000u64, 2000, 3000];
+        for (i, &b) in blocks.iter().enumerate() {
+            asid.map_page(
+                vba.as_virt().offset(i as u64 * PAGE_SIZE),
+                Pte::fte(Lba::from_block(b), DEV, true),
+            );
+        }
+        dev.iommu().lock().register(P, asid.root_frame());
+        let data: Vec<u8> = (0..PAGE_SIZE as usize)
+            .map(|i| (i * 7 % 251) as u8)
+            .collect();
+        // A Data block and a Fill block; block 3000 is never written
+        // and reads as zeroes.
+        dev.write_raw(Lba::from_block(1000), &data);
+        dev.write_raw(Lba::from_block(2000), &[0x77; 4096]);
+        let raw = |b: u64| {
+            let mut out = vec![0u8; PAGE_SIZE as usize];
+            dev.read_raw(Lba::from_block(b), &mut out);
+            out
+        };
+        let q = dev.create_queue(Some(P), 32);
+        let dma = DmaBuffer::alloc(&mem, 4 * PAGE_SIZE as usize);
+        let len = 3 * PAGE_SIZE as usize;
+
+        for dma_offset in [0, 1536, 700] {
+            let mut cmd = Command::read(BlockAddr::Vba(vba), 24, &dma);
+            cmd.dma_offset = dma_offset;
+            assert!(dev.execute(q, cmd, Nanos::ZERO).0.is_ok());
+            let mut out = vec![0u8; len];
+            dma.read(dma_offset, &mut out);
+            assert_eq!(
+                out,
+                [raw(1000), raw(2000), raw(3000)].concat(),
+                "read at {dma_offset}"
+            );
+        }
+        assert_eq!(raw(1000), data);
+        assert!(raw(2000).iter().all(|&b| b == 0x77));
+        assert!(raw(3000).iter().all(|&b| b == 0));
+
+        // One page spanning two DMA frames at a non-page-aligned offset,
+        // then a three-extent write at an unaligned one.
+        let pattern: Vec<u8> = (0..len).map(|i| (i * 13 % 253) as u8 ^ 0x5A).collect();
+        dma.write(2560, &pattern[..PAGE_SIZE as usize]);
+        let mut cmd = Command::write(BlockAddr::Vba(vba.offset(PAGE_SIZE)), 8, &dma);
+        cmd.dma_offset = 2560;
+        assert!(dev.execute(q, cmd, Nanos::ZERO).0.is_ok());
+        assert_eq!(raw(2000), pattern[..PAGE_SIZE as usize]);
+
+        dma.write(700, &pattern);
+        let mut cmd = Command::write(BlockAddr::Vba(vba), 24, &dma);
+        cmd.dma_offset = 700;
+        assert!(dev.execute(q, cmd, Nanos::ZERO).0.is_ok());
+        assert_eq!([raw(1000), raw(2000), raw(3000)].concat(), pattern);
+        // A uniform page written through DMA reads back uniform.
+        dma.write(0, &[0x42; 4096]);
+        let cmd = Command::write(BlockAddr::Vba(vba.offset(2 * PAGE_SIZE)), 8, &dma);
+        assert!(dev.execute(q, cmd, Nanos::ZERO).0.is_ok());
+        assert!(raw(3000).iter().all(|&b| b == 0x42));
     }
 
     #[test]

@@ -77,8 +77,8 @@ impl DmaBuffer {
     /// # Panics
     /// Panics if the range exceeds the buffer.
     pub fn write(&self, offset: usize, data: &[u8]) {
-        self.for_each_chunk(offset, data.len(), |pa, done, n| {
-            self.mem.write(pa, &data[done..done + n]);
+        self.fill_with(offset, data.len(), |done, dst| {
+            dst.copy_from_slice(&data[done..done + dst.len()]);
         });
     }
 
@@ -88,12 +88,32 @@ impl DmaBuffer {
     /// # Panics
     /// Panics if the range exceeds the buffer.
     pub fn read(&self, offset: usize, out: &mut [u8]) {
-        let len = out.len();
-        let mut rest = &mut *out;
-        self.for_each_chunk(offset, len, |pa, _done, n| {
-            let (cur, tail) = std::mem::take(&mut rest).split_at_mut(n);
-            self.mem.read(pa, cur);
-            rest = tail;
+        self.read_with(offset, out.len(), |done, src| {
+            out[done..done + src.len()].copy_from_slice(src);
+        });
+    }
+
+    /// Lends `f` the buffer's bytes `[offset, offset+len)` to fill, one
+    /// frame-contiguous chunk at a time, as `f(done, chunk)` where `done`
+    /// is the chunk's position within the range. This is the device's
+    /// single-copy path: media bytes land in the frame directly.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the buffer.
+    pub fn fill_with(&self, offset: usize, len: usize, mut f: impl FnMut(usize, &mut [u8])) {
+        self.for_each_chunk(offset, len, |pa, done, n| {
+            self.mem.write_with(pa, n, |dst| f(done, dst));
+        });
+    }
+
+    /// Lends `f` the buffer's bytes `[offset, offset+len)` to read, one
+    /// frame-contiguous chunk at a time, as `f(done, chunk)`.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the buffer.
+    pub fn read_with(&self, offset: usize, len: usize, mut f: impl FnMut(usize, &[u8])) {
+        self.for_each_chunk(offset, len, |pa, done, n| {
+            self.mem.read_with(pa, n, |src| f(done, src));
         });
     }
 }
@@ -131,6 +151,23 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         buf.read(500, &mut out);
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn lent_chunks_split_at_frame_boundaries() {
+        let mem = PhysMem::new();
+        let buf = DmaBuffer::alloc(&mem, 2 * PAGE_SIZE as usize);
+        let mut seen = Vec::new();
+        buf.fill_with(4000, 200, |done, dst| {
+            seen.push((done, dst.len()));
+            dst.fill(done as u8 + 1);
+        });
+        assert_eq!(seen, vec![(0, 96), (96, 104)]);
+        let mut sums = Vec::new();
+        buf.read_with(4000, 200, |done, src| {
+            sums.push((done, src.iter().map(|&b| b as usize).sum::<usize>()));
+        });
+        assert_eq!(sums, vec![(0, 96), (96, 104 * 97)]);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::collections::{BinaryHeap, HashMap};
 use bypassd_hw::iommu::TranslateError;
 use bypassd_hw::types::Pasid;
 use bypassd_sim::time::Nanos;
+use bypassd_sim::FixedState;
 
 /// Identifies a queue pair on a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,7 +79,7 @@ pub(crate) struct QueuePair {
     /// Maximum outstanding commands.
     pub depth: usize,
     /// Completions not yet reaped by the host, by command id.
-    pending: HashMap<u16, Completion>,
+    pending: HashMap<u16, Completion, FixedState>,
     /// Min-heap of `(ready_at, cid)`; may hold stale entries for reaped
     /// or reused cids (discarded lazily against `pending`, and compacted
     /// once the stale fraction exceeds one half).
@@ -100,7 +101,7 @@ impl QueuePair {
         QueuePair {
             pasid,
             depth,
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             heap: BinaryHeap::new(),
             stale: 0,
             inflight: 0,

@@ -8,6 +8,7 @@
 
 use bypassd_hw::types::{Lba, PAGE_SIZE, SECTORS_PER_PAGE, SECTOR_SIZE};
 use bypassd_sim::rng::Fnv64;
+use bypassd_sim::FixedState;
 use std::collections::HashMap;
 
 /// One resident 4 KB block.
@@ -34,7 +35,7 @@ impl Block {
 /// The device media: a sparse map of 4 KB blocks.
 #[derive(Default)]
 pub struct SectorStore {
-    blocks: HashMap<u64, Block>,
+    blocks: HashMap<u64, Block, FixedState>,
     capacity_sectors: u64,
 }
 
@@ -42,7 +43,7 @@ impl SectorStore {
     /// Creates a store with the given capacity in 512 B sectors.
     pub fn new(capacity_sectors: u64) -> Self {
         SectorStore {
-            blocks: HashMap::new(),
+            blocks: HashMap::default(),
             capacity_sectors,
         }
     }
@@ -75,8 +76,15 @@ impl SectorStore {
             self.in_range(lba, buf.len() as u64 / SECTOR_SIZE),
             "read out of device range"
         );
+        self.read_bytes_at(lba.byte_offset(), buf);
+    }
+
+    /// Reads `buf.len()` bytes at device byte position `pos`, with no
+    /// alignment requirement: the device's single-copy path reads media
+    /// straight into DMA frames, whose chunks follow frame boundaries.
+    /// The caller has range-checked the command.
+    pub(crate) fn read_bytes_at(&self, mut pos: u64, buf: &mut [u8]) {
         let mut done = 0usize;
-        let mut pos = lba.byte_offset();
         while done < buf.len() {
             let block = pos / PAGE_SIZE;
             let off = (pos % PAGE_SIZE) as usize;
@@ -106,8 +114,13 @@ impl SectorStore {
             self.in_range(lba, data.len() as u64 / SECTOR_SIZE),
             "write out of device range"
         );
+        self.write_bytes_at(lba.byte_offset(), data);
+    }
+
+    /// Writes `data` at device byte position `pos`, with no alignment
+    /// requirement (the write-side twin of [`SectorStore::read_bytes_at`]).
+    pub(crate) fn write_bytes_at(&mut self, mut pos: u64, data: &[u8]) {
         let mut done = 0usize;
-        let mut pos = lba.byte_offset();
         while done < data.len() {
             let block = pos / PAGE_SIZE;
             let off = (pos % PAGE_SIZE) as usize;

@@ -16,6 +16,7 @@
 //! virtual time (the paper notes NVMe devices round-robin across queues).
 
 use bypassd_sim::time::Nanos;
+use bypassd_sim::FixedState;
 
 /// Timing parameters of the device media.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,7 +151,7 @@ pub struct DeviceTimer {
     /// priced into its lane pacing, so transfers of *different* tenants
     /// do not collide here — only a tenant's own transfers serialize,
     /// keyed by an opaque tenant id.
-    paced_buses: std::collections::HashMap<u64, (BusLedger, BusLedger)>,
+    paced_buses: std::collections::HashMap<u64, (BusLedger, BusLedger), FixedState>,
 }
 
 impl DeviceTimer {
@@ -161,7 +162,7 @@ impl DeviceTimer {
             timing,
             read_bus_free: Nanos::ZERO,
             write_bus_free: Nanos::ZERO,
-            paced_buses: std::collections::HashMap::new(),
+            paced_buses: std::collections::HashMap::default(),
         }
     }
 
