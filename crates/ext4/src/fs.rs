@@ -168,9 +168,34 @@ impl Default for FsTiming {
     }
 }
 
+/// One block of an inode's overflow extent chain, with the image last
+/// staged there and the extents and next pointer that image encodes.
+/// `image` is empty for a block read off the device and not yet staged
+/// by this mount.
+pub(crate) struct ChainBlock {
+    block: u64,
+    extents: Vec<Extent>,
+    next: u64,
+    image: Vec<u8>,
+}
+
+impl ChainBlock {
+    fn unstaged(block: u64) -> Self {
+        ChainBlock {
+            block,
+            extents: Vec::new(),
+            next: 0,
+            image: Vec::new(),
+        }
+    }
+}
+
 pub(crate) struct CachedInode {
     pub disk: DiskInode,
     pub extents: Option<ExtentTree>,
+    /// The overflow chain behind `disk.overflow_block`; loaded together
+    /// with `extents`.
+    pub chain: Vec<ChainBlock>,
     pub ftab: Option<FileTables>,
     pub mappings: HashMap<u64, Mapping>,
     pub kernel_opens: usize,
@@ -182,6 +207,7 @@ impl CachedInode {
         CachedInode {
             disk,
             extents: None,
+            chain: Vec::new(),
             ftab: None,
             mappings: HashMap::new(),
             kernel_opens: 0,
@@ -430,45 +456,48 @@ impl Ext4 {
 
     /// Rewrites the inode's extent representation: first
     /// [`INLINE_EXTENTS`] inline, the rest in a chain of overflow blocks.
+    /// Every chain block is staged; one is re-encoded only when its
+    /// extents or next pointer changed since it was last staged.
     fn flush_extents_to_disk(&self, inner: &mut FsInner, ino: Ino, tx: &mut Tx) {
-        let Some(ci) = inner.icache.get(&ino.0) else {
+        let Some(ci) = inner.icache.get_mut(&ino.0) else {
             return;
         };
-        let Some(tree) = ci.extents.clone() else {
+        let Some(tree) = &ci.extents else {
             return;
         };
-        let all: Vec<Extent> = tree.iter().copied().collect();
-        let ci = inner.icache.get_mut(&ino.0).unwrap();
-        ci.disk.extent_count = all.len() as u32;
-        ci.disk.inline = all.iter().take(INLINE_EXTENTS).copied().collect();
-        let overflow: Vec<Extent> = all.into_iter().skip(INLINE_EXTENTS).collect();
-        // Collect the existing chain for reuse.
-        let mut chain = Vec::new();
-        let mut b = ci.disk.overflow_block;
-        let mut buf = vec![0u8; BLOCK_SIZE as usize];
-        while b != 0 {
-            chain.push(b);
-            self.dev.read_raw(Lba::from_block(b), &mut buf);
-            let (_, next) = decode_extent_block(&buf);
-            b = next;
+        ci.disk.extent_count = tree.len() as u32;
+        ci.disk.inline = tree.iter().take(INLINE_EXTENTS).copied().collect();
+        if ci.disk.overflow_block == 0 {
+            // `unlink` detaches the chain without freeing its blocks.
+            ci.chain.clear();
         }
-        let needed = overflow.len().div_ceil(EXTENTS_PER_BLOCK);
-        while chain.len() < needed {
+        debug_assert_eq!(
+            ci.chain.first().map_or(0, |c| c.block),
+            ci.disk.overflow_block
+        );
+        let needed = (tree.len().saturating_sub(INLINE_EXTENTS)).div_ceil(EXTENTS_PER_BLOCK);
+        while ci.chain.len() < needed {
             let blk = match inner.alloc.alloc_one() {
                 Some(b) => b,
                 None => panic!("no space for extent overflow block"),
             };
-            chain.push(blk);
+            ci.chain.push(ChainBlock::unstaged(blk));
         }
-        while chain.len() > needed {
-            let blk = chain.pop().unwrap();
-            inner.alloc.free_run(blk, 1);
+        for c in ci.chain.drain(needed..).rev() {
+            inner.alloc.free_run(c.block, 1);
         }
-        let ci = inner.icache.get_mut(&ino.0).unwrap();
-        ci.disk.overflow_block = chain.first().copied().unwrap_or(0);
-        for (i, chunk) in overflow.chunks(EXTENTS_PER_BLOCK).enumerate() {
-            let next = chain.get(i + 1).copied().unwrap_or(0);
-            tx.stage(chain[i], encode_extent_block(chunk, next));
+        ci.disk.overflow_block = ci.chain.first().map_or(0, |c| c.block);
+        let mut overflow = tree.iter().skip(INLINE_EXTENTS).copied();
+        for i in 0..needed {
+            let next = ci.chain.get(i + 1).map_or(0, |c| c.block);
+            let extents: Vec<Extent> = overflow.by_ref().take(EXTENTS_PER_BLOCK).collect();
+            let c = &mut ci.chain[i];
+            if c.image.is_empty() || c.next != next || c.extents != extents {
+                c.image = encode_extent_block(&extents, next);
+                c.extents = extents;
+                c.next = next;
+            }
+            tx.stage(c.block, c.image.clone());
         }
     }
 
@@ -517,17 +546,19 @@ impl Ext4 {
         }
         let mut extents: Vec<Extent> = ci.disk.inline.clone();
         let mut b = ci.disk.overflow_block;
-        let mut reads = 0u64;
+        let mut chain = Vec::new();
         let mut buf = vec![0u8; BLOCK_SIZE as usize];
         while b != 0 {
             self.dev.read_raw(Lba::from_block(b), &mut buf);
             let (mut more, next) = decode_extent_block(&buf);
             extents.append(&mut more);
+            chain.push(ChainBlock::unstaged(b));
             b = next;
-            reads += 1;
         }
-        let tree = ExtentTree::from_extents(extents);
-        inner.icache.get_mut(&ino.0).unwrap().extents = Some(tree);
+        let reads = chain.len() as u64;
+        let ci = inner.icache.get_mut(&ino.0).unwrap();
+        ci.extents = Some(ExtentTree::from_extents(extents));
+        ci.chain = chain;
         // Each overflow block read is a real device read.
         let per_read = self.dev.timing().service(false, BLOCK_SIZE);
         Ok(Nanos(per_read.as_nanos() * reads))

@@ -14,9 +14,12 @@
 //! queue and one dispatch order:
 //!
 //! * A **thread actor** ([`Simulation::spawn`]) is a real OS thread
-//!   running straight-line code. Resuming it is a targeted handoff: it
-//!   parks on its own condvar and the conductor wakes exactly that one.
-//!   Each handoff costs an OS context switch (microseconds).
+//!   running straight-line code. Resuming it is a targeted handoff: a
+//!   waiting actor polls a lock-free mirror of the run token, yielding
+//!   its CPU between loads, for a few ms (`SPIN_ROUNDS`), then parks on
+//!   its own condvar; the conductor wakes exactly that one, and only if
+//!   it parked. Waiters poll only while at most
+//!   8 × `available_parallelism()` thread actors are live.
 //! * A **task actor** ([`Simulation::spawn_task`]) is a `Send` future.
 //!   Whichever thread is conducting polls it inline: the caller of
 //!   [`Simulation::run`], the fleet worker inside
@@ -49,7 +52,8 @@ use std::collections::BinaryHeap;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::{pin, Pin};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 
@@ -62,10 +66,19 @@ pub type ActorId = u64;
 
 type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
+/// Polls of the run-token mirror before a waiting thread actor parks
+/// (a few ms of `yield_now`).
+const SPIN_ROUNDS: u32 = 4_000;
+/// `Inner::token` while no actor holds the run token.
+const NOBODY: u64 = u64::MAX;
+/// `Inner::token` while the run is paused or quiesced: pollers park.
+const PAUSED: u64 = u64::MAX - 1;
+
 /// How the conductor resumes one actor.
 enum Slot {
-    /// An OS-thread actor, parked on its own condvar.
-    Thread(Arc<Condvar>),
+    /// An OS-thread actor and its condvar; the flag is set while it is
+    /// parked there (not polling).
+    Thread(Arc<Condvar>, bool),
     /// A task actor. `fut` is `None` while the task is being polled
     /// (the conductor owns it outside the state lock).
     Task {
@@ -81,7 +94,8 @@ enum Slot {
 /// `thread_spawns`, `task_spawns` and `handoffs` are fixed by the
 /// scenario; `events`, `inplace` and `task_polls` also depend on how
 /// [`Simulation::run_until`] slices the timeline (the in-place fast
-/// path stops at each horizon).
+/// path stops at each horizon). `spun` and `parked` split `handoffs`
+/// by host timing, so they differ from run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Run-queue entries dispatched (each resumes one actor).
@@ -91,6 +105,11 @@ pub struct SimStats {
     pub inplace: u64,
     /// Dispatches that woke a different OS thread.
     pub handoffs: u64,
+    /// Handoffs whose successor had not parked (still polling, or not
+    /// yet waiting): no futex wake.
+    pub spun: u64,
+    /// Handoffs whose successor had parked and needed a futex wake.
+    pub parked: u64,
     /// Polls of task-actor futures.
     pub task_polls: u64,
     /// Thread actors spawned.
@@ -104,6 +123,8 @@ impl std::ops::AddAssign for SimStats {
         self.events += o.events;
         self.inplace += o.inplace;
         self.handoffs += o.handoffs;
+        self.spun += o.spun;
+        self.parked += o.parked;
         self.task_polls += o.task_polls;
         self.thread_spawns += o.thread_spawns;
         self.task_spawns += o.task_spawns;
@@ -119,6 +140,8 @@ struct SimState {
     current: Option<ActorId>,
     /// Number of spawned actors that have not finished.
     live: usize,
+    /// How many of them are thread actors.
+    live_threads: usize,
     /// Monotone tie-breaker for FIFO ordering of equal wake times.
     next_seq: u64,
     /// Whether the simulation has started executing actors.
@@ -175,8 +198,8 @@ impl SimState {
 
     /// Settles a task turn handed out by [`Inner::next_turn`]: releases
     /// the run token and re-parks the task, or retires it.
-    fn end_turn(&mut self, turn: PolledTurn) {
-        self.current = None;
+    fn end_turn(&mut self, token: &AtomicU64, turn: PolledTurn) {
+        self.set_current(token, None);
         let parked = std::mem::take(&mut self.task_parked);
         let PolledTurn { id, name, outcome } = turn;
         let failure = match outcome {
@@ -199,6 +222,14 @@ impl SimState {
         if let Some(f) = failure {
             self.failure.get_or_insert(f);
         }
+    }
+
+    /// Hands the run token to `id` (or to nobody), mirroring it in
+    /// `token` for polling waiters.
+    fn set_current(&mut self, token: &AtomicU64, id: Option<ActorId>) {
+        self.current = id;
+        // ordering: a hint; waiters re-read `current` under the lock.
+        token.store(id.unwrap_or(NOBODY), Ordering::Relaxed);
     }
 
     /// Registers a new actor that will run at `start`; returns its id.
@@ -225,6 +256,11 @@ struct Inner {
     /// waiting on it (`SimState::driver_waiting`).
     cond: Condvar,
     threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Lock-free mirror of `SimState::current`: the actor id, [`NOBODY`]
+    /// or [`PAUSED`]. Waiting thread actors poll it.
+    token: AtomicU64,
+    /// Waiters poll only while live thread actors are at most this.
+    spin_cap: usize,
 }
 
 /// A task actor taken out of its slot, to be polled with the state
@@ -306,7 +342,7 @@ impl Inner {
     ///     drop(state);
     ///     let polled = turn.poll_once();
     ///     state = inner.state.lock();
-    ///     state.end_turn(polled);
+    ///     state.end_turn(&inner.token, polled);
     /// }
     /// ```
     ///
@@ -325,7 +361,10 @@ impl Inner {
                         state.live
                     );
                 }
-                // Paused at the horizon, or all done; wake `run`/`run_until`.
+                // Paused at the horizon, or all done: pollers park, and
+                // `run`/`run_until` wakes.
+                // ordering: a hint, as in `set_current`.
+                self.token.store(PAUSED, Ordering::Relaxed);
                 if state.driver_waiting {
                     self.cond.notify_all();
                 }
@@ -338,13 +377,18 @@ impl Inner {
                 continue;
             }
             state.now = state.now.max(t);
-            state.current = Some(id);
+            state.set_current(&self.token, Some(id));
             state.stats.events += 1;
             match &mut state.actors[id as usize] {
-                Slot::Thread(parker) => {
+                Slot::Thread(parker, parked) => {
                     if me != Some(id) {
-                        parker.notify_one();
                         state.stats.handoffs += 1;
+                        if std::mem::take(parked) {
+                            parker.notify_one();
+                            state.stats.parked += 1;
+                        } else {
+                            state.stats.spun += 1;
+                        }
                     }
                     return None;
                 }
@@ -375,7 +419,7 @@ impl Inner {
                     drop(state);
                     let polled = turn.poll_once();
                     state = self.state.lock();
-                    state.end_turn(polled);
+                    state.end_turn(&self.token, polled);
                 }
                 if state.current.is_none() {
                     return state;
@@ -389,14 +433,25 @@ impl Inner {
 
     /// Block the calling thread actor until it holds the run token;
     /// returns the virtual time at which it resumes (so the actor can
-    /// cache it).
-    fn wait_for_token(&self, id: ActorId) -> Nanos {
+    /// cache it). With `spin`, first polls the token mirror without the
+    /// state lock, yielding the CPU between loads, then parks.
+    fn wait_for_token(&self, id: ActorId, spin: bool) -> Nanos {
+        let rounds = if spin { SPIN_ROUNDS } else { 0 };
+        for _ in 0..rounds {
+            // ordering: a hint; `current` is re-read under the lock.
+            let t = self.token.load(Ordering::Relaxed);
+            if t == id || t == PAUSED {
+                break;
+            }
+            std::thread::yield_now();
+        }
         let mut state = self.state.lock();
-        let Slot::Thread(parker) = &state.actors[id as usize] else {
-            unreachable!("actor {id} is not a thread actor");
-        };
-        let parker = Arc::clone(parker);
         while state.current != Some(id) {
+            let Slot::Thread(parker, parked) = &mut state.actors[id as usize] else {
+                unreachable!("actor {id} is not a thread actor");
+            };
+            *parked = true;
+            let parker = Arc::clone(parker);
             parker.wait(&mut state);
         }
         state.now
@@ -439,8 +494,9 @@ impl Drop for FinishGuard {
     fn drop(&mut self) {
         let mut state = self.inner.state.lock();
         debug_assert_eq!(state.current, Some(self.id));
-        state.current = None;
+        state.set_current(&self.inner.token, None);
         state.live -= 1;
+        state.live_threads -= 1;
         if std::thread::panicking() {
             let f = format!("simulation actor '{}' panicked", self.name);
             state.failure.get_or_insert(f);
@@ -455,7 +511,7 @@ impl Drop for FinishGuard {
                 drop(state);
                 let polled = turn.poll_once();
                 state = self.inner.state.lock();
-                state.end_turn(polled);
+                state.end_turn(&self.inner.token, polled);
             }
         }
     }
@@ -517,6 +573,11 @@ impl Clone for Simulation {
 impl Simulation {
     /// Creates an empty simulation at virtual time zero.
     pub fn new() -> Self {
+        // Read once per process: `available_parallelism` reads cgroup
+        // files, far too slow for the handoff path.
+        static SPIN_CAP: OnceLock<usize> = OnceLock::new();
+        let spin_cap = *SPIN_CAP
+            .get_or_init(|| 8 * std::thread::available_parallelism().map_or(1, |n| n.get()));
         Simulation {
             inner: Arc::new(Inner {
                 state: Mutex::new(SimState {
@@ -524,6 +585,7 @@ impl Simulation {
                     waiting: BinaryHeap::new(),
                     current: None,
                     live: 0,
+                    live_threads: 0,
                     next_seq: 0,
                     started: false,
                     failure: None,
@@ -535,8 +597,21 @@ impl Simulation {
                 }),
                 cond: Condvar::new(),
                 threads: Mutex::new(Vec::new()),
+                token: AtomicU64::new(NOBODY),
+                spin_cap,
             }),
         }
+    }
+
+    /// A simulation whose waiters poll while at most `spin_cap` thread
+    /// actors are live (0: always park).
+    #[cfg(test)]
+    pub(crate) fn with_spin_cap(spin_cap: usize) -> Self {
+        let mut sim = Self::new();
+        Arc::get_mut(&mut sim.inner)
+            .expect("fresh simulation")
+            .spin_cap = spin_cap;
+        sim
     }
 
     /// Spawns a thread actor that becomes runnable at virtual time zero.
@@ -567,8 +642,9 @@ impl Simulation {
     {
         let id = {
             let mut state = self.inner.state.lock();
-            let id = state.admit(start, name, Slot::Thread(Arc::new(Condvar::new())));
+            let id = state.admit(start, name, Slot::Thread(Arc::new(Condvar::new()), false));
             state.enqueue(start, id);
+            state.live_threads += 1;
             state.stats.thread_spawns += 1;
             id
         };
@@ -577,7 +653,7 @@ impl Simulation {
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || {
-                let now = thread_inner.wait_for_token(id);
+                let now = thread_inner.wait_for_token(id, false);
                 let mut ctx = ActorCtx {
                     inner: Arc::clone(&thread_inner),
                     id,
@@ -812,25 +888,26 @@ impl ActorCtx {
              await `ctx.sleep(..)` / `ctx.sleep_until(..)` instead",
             self.name
         );
-        {
+        let spin = {
             let mut state = self.inner.state.lock();
             if state.advance_or_park(self.id, t).is_none() {
                 self.now = state.now;
                 return;
             }
-            state.current = None;
+            state.set_current(&self.inner.token, None);
             while let Some(turn) = self.inner.next_turn(&mut state, Some(self.id)) {
                 drop(state);
                 let polled = turn.poll_once();
                 state = self.inner.state.lock();
-                state.end_turn(polled);
+                state.end_turn(&self.inner.token, polled);
             }
             if state.current == Some(self.id) {
                 self.now = state.now;
                 return;
             }
-        }
-        self.now = self.inner.wait_for_token(self.id);
+            state.live_threads <= self.inner.spin_cap
+        };
+        self.now = self.inner.wait_for_token(self.id, spin);
     }
 
     /// Yields to any other actor scheduled at the current time.

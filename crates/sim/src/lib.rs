@@ -36,6 +36,8 @@
 //! ```
 
 pub mod engine;
+#[cfg(test)]
+mod handoff_tests;
 pub mod hash;
 pub mod mailbox;
 pub mod port;

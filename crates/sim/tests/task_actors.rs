@@ -111,6 +111,7 @@ fn task_runs_use_no_threads_and_no_handoffs() {
     let (_, _, s) = run_whole(Kind::Tasks);
     assert_eq!(s.thread_spawns, 0);
     assert_eq!(s.handoffs, 0);
+    assert_eq!((s.spun, s.parked), (0, 0));
     assert_eq!(s.task_spawns, 5);
     assert_eq!(s.task_polls, s.events, "every dispatch polls one task");
     assert!(s.inplace > 0);
@@ -120,6 +121,12 @@ fn task_runs_use_no_threads_and_no_handoffs() {
     assert_eq!(s.task_spawns, 0);
     assert_eq!(s.task_polls, 0);
     assert!(s.handoffs > 0 && s.handoffs <= s.events);
+    // Host-timing split: every handoff either found its successor
+    // polling or woke it from its condvar.
+    assert_eq!(s.spun + s.parked, s.handoffs);
+
+    let (_, _, s) = run_whole(Kind::Mixed);
+    assert_eq!(s.spun + s.parked, s.handoffs);
 }
 
 #[test]
