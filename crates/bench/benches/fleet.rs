@@ -1,71 +1,30 @@
-//! Fleet scaling benchmark: the sharded parallel event executor versus
-//! the monolithic single-timeline simulation, on the 1 000- and
-//! 10 000-process shared-SSD scenarios.
+//! Fleet benchmark: host wall-clock per full fleet scenario, with every
+//! machine, driver and control actor on one simulation timeline, at the
+//! smoke, 1 000- and 10 000-process sizes.
 //!
-//! Full mode runs the monolithic baseline once per scale, then the
-//! sharded fleet at 1/2/4/8 workers. Along the way it enforces the two
-//! correctness contracts that make the wall-clock numbers meaningful:
-//! every worker count must produce the bit-identical virtual-time
-//! fingerprint, and the fleet must reach the same logical outcome
-//! (op totals, remote counts, writes, revocations, media fingerprints)
-//! as the monolithic run. It writes `BENCH_fleet.json` at the repo root
-//! with the full matrix plus host metadata.
+//! Full mode times each scenario and writes `BENCH_fleet.json` at the
+//! repo root with host metadata. Along the way it checks that a rerun
+//! of each scenario reaches the bit-identical fingerprint, which is what
+//! makes the wall-clock numbers comparable across commits.
 //!
 //! **CI perf contract:** `cargo bench --bench fleet -- --smoke` runs the
-//! smoke-sized fleet, re-checks both correctness contracts, and compares
+//! smoke-sized fleet, re-checks the fingerprint, and compares its
 //! throughput against the *committed* `BENCH_fleet.json`, failing
-//! (non-zero exit) on regression. The parallel-scaling floor is scaled
-//! by the host's core count — a 1-core runner can only demand that the
-//! 8-worker run is not grossly slower than 1 worker, while an 8-core
-//! host must show the >= 3x the subsystem exists to deliver. Smoke mode
-//! never rewrites the report.
+//! (non-zero exit) on regression. Smoke mode never rewrites the report.
 
 use std::time::Instant;
 
 use bypassd::fleet::{FleetBuilder, FleetConfig, FleetReport};
 use bypassd_bench::hostinfo;
 
-/// Worker counts swept in full mode; smoke mode uses the first and last.
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
-
 /// A smoke-mode throughput may land this far below its committed value
 /// before the contract fails. Wider than the fastpath tolerance because
-/// a fleet run's wall clock includes thread spawn/join for every lane
-/// worker, which is noisier on shared runners.
+/// a fleet run's wall clock includes building every machine, which is
+/// noisier on shared runners.
 const SMOKE_TOLERANCE: f64 = 0.50;
 
-/// Per-core parallel-efficiency demanded by the smoke scaling floor:
-/// with `c = min(cores, 8)`, the 8-worker run must be at least
-/// `max(c * 0.375, 0.45)` times as fast as the 1-worker run. At 8 cores
-/// that is the 3.0x contract from the fleet issue; at 1 core it only
-/// guards against the sharding machinery itself becoming a > 2.2x
-/// overhead.
-const PER_CORE_EFFICIENCY: f64 = 0.375;
-const SCALING_FLOOR_MIN: f64 = 0.45;
-
-struct ScaleResult {
-    label: &'static str,
-    ops: u64,
-    mono_secs: f64,
-    fleet_secs: [f64; WORKERS.len()],
-}
-
-impl ScaleResult {
-    fn best_fleet_secs(&self) -> f64 {
-        self.fleet_secs
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    fn speedup_w8_over_w1(&self) -> f64 {
-        self.fleet_secs[0] / self.fleet_secs[WORKERS.len() - 1]
-    }
-
-    fn speedup_over_monolithic(&self) -> f64 {
-        self.mono_secs / self.best_fleet_secs()
-    }
-}
+/// Smoke-fleet runs per measurement; the throughput is their median.
+const SMOKE_REPS: usize = 5;
 
 fn timed(f: impl FnOnce() -> FleetReport) -> (FleetReport, f64) {
     let start = Instant::now();
@@ -73,121 +32,70 @@ fn timed(f: impl FnOnce() -> FleetReport) -> (FleetReport, f64) {
     (report, start.elapsed().as_secs_f64())
 }
 
-/// Run one scale end-to-end: monolithic baseline, then the worker
-/// sweep, enforcing fingerprint invariance and outcome equivalence.
-fn run_scale(label: &'static str, cfg: FleetConfig) -> ScaleResult {
+/// Runs `cfg` `reps` times (at least twice), asserts every run reached
+/// the same fingerprint and returns the report with the median seconds.
+fn measure(label: &str, cfg: FleetConfig, reps: usize) -> (FleetReport, f64) {
     let fleet = FleetBuilder::new(cfg);
-    let (mono, mono_secs) = timed(|| fleet.run_monolithic());
-    println!(
-        "{label:>4} monolithic        {mono_secs:>8.3}s  ({} ops)",
-        mono.total_ops()
-    );
-
-    let mut fleet_secs = [0.0; WORKERS.len()];
-    let mut fingerprint = None;
-    let mut ops = 0;
-    for (i, &w) in WORKERS.iter().enumerate() {
-        let (report, secs) = timed(|| fleet.run(w));
-        fleet_secs[i] = secs;
-        ops = report.total_ops();
-        println!(
-            "{label:>4} fleet workers={w}   {secs:>8.3}s  (fingerprint {:#018x})",
-            report.fingerprint()
+    let (first, first_secs) = timed(|| fleet.run_monolithic());
+    let mut secs = vec![first_secs];
+    while secs.len() < reps.max(2) {
+        let (report, s) = timed(|| fleet.run_monolithic());
+        assert_eq!(
+            report.fingerprint(),
+            first.fingerprint(),
+            "{label}: a rerun diverged from the first run's fingerprint"
         );
-        match fingerprint {
-            None => {
-                report.assert_same_outcome(&mono);
-                fingerprint = Some(report.fingerprint());
-            }
-            Some(fp) => assert_eq!(
-                report.fingerprint(),
-                fp,
-                "{label}: fingerprint diverged at {w} workers — worker-count invariance broken"
-            ),
-        }
+        secs.push(s);
     }
-    ScaleResult {
-        label,
-        ops,
-        mono_secs,
-        fleet_secs,
-    }
+    secs.sort_by(f64::total_cmp);
+    let median = secs[secs.len() / 2];
+    println!(
+        "{label:>5} {median:>8.3}s  ({} ops, fingerprint {:#018x}, median of {})",
+        first.total_ops(),
+        first.fingerprint(),
+        secs.len()
+    );
+    (first, median)
 }
 
 fn repo_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
 }
 
-/// Smoke mode: correctness contracts on the smoke fleet, then the
-/// throughput and scaling floors against the committed report — this is
-/// the CI perf contract.
+/// Smoke mode: the fingerprint check on the smoke fleet, then the
+/// throughput floor against the committed report — this is the CI perf
+/// contract.
 fn smoke() {
     let committed = std::fs::read_to_string(repo_path("BENCH_fleet.json"))
         .expect("smoke mode needs the committed BENCH_fleet.json");
-
-    let fleet = FleetBuilder::new(FleetConfig::smoke());
-    let (mono, _) = timed(|| fleet.run_monolithic());
-    let (w1, w1_secs) = timed(|| fleet.run(1));
-    let (w8, w8_secs) = timed(|| fleet.run(8));
-    w1.assert_same_outcome(&mono);
-    assert_eq!(
-        w1.fingerprint(),
-        w8.fingerprint(),
-        "smoke fleet fingerprint diverged between 1 and 8 workers"
-    );
+    let (report, secs) = measure("smoke", FleetConfig::smoke(), SMOKE_REPS);
     println!(
-        "PASS determinism + outcome equivalence (fingerprint {:#018x})",
-        w1.fingerprint()
+        "PASS rerun determinism (fingerprint {:#018x})",
+        report.fingerprint()
     );
 
-    let mut failed = false;
-
-    let measured = w1.total_ops() as f64 / w1_secs;
-    let reference = hostinfo::json_number(&committed, "smoke", "ops_per_sec_w1")
-        .expect("committed BENCH_fleet.json lacks smoke.ops_per_sec_w1");
+    let measured = report.total_ops() as f64 / secs;
+    let reference = hostinfo::json_number(&committed, "smoke", "ops_per_sec")
+        .expect("committed BENCH_fleet.json lacks smoke.ops_per_sec");
     let floor = reference * SMOKE_TOLERANCE;
-    let ok = measured >= floor;
-    failed |= !ok;
-    println!(
-        "{} smoke ops_per_sec_w1   {measured:>12.0} /s  (committed {reference:.0}, floor {floor:.0})",
-        if ok { "PASS" } else { "FAIL" },
-    );
-
-    let cores = hostinfo::cores().min(8) as f64;
-    let scaling_floor = (cores * PER_CORE_EFFICIENCY).max(SCALING_FLOOR_MIN);
-    let scaling = w1_secs / w8_secs;
-    let ok = scaling >= scaling_floor;
-    failed |= !ok;
-    println!(
-        "{} smoke speedup w8/w1    {scaling:>12.2} x   (floor {scaling_floor:.2} on {} core(s))",
-        if ok { "PASS" } else { "FAIL" },
-        hostinfo::cores(),
-    );
-
-    if failed {
+    if measured < floor {
         eprintln!(
-            "fleet perf contract violated; if the slowdown is intended, regenerate the report \
-             with `cargo bench --bench fleet`"
+            "FAIL smoke ops_per_sec {measured:.0} /s below the floor {floor:.0} (committed \
+             {reference:.0}); if the slowdown is intended, regenerate the report with \
+             `cargo bench --bench fleet`"
         );
         std::process::exit(1);
     }
     println!(
-        "fleet perf contract holds (tolerance {SMOKE_TOLERANCE}, scaling floor {scaling_floor:.2})"
+        "PASS smoke ops_per_sec {measured:>12.0} /s  (committed {reference:.0}, floor {floor:.0})"
     );
 }
 
-fn scale_json(r: &ScaleResult) -> String {
-    let mut s = format!("  \"{}\": {{\n    \"ops\": {},\n", r.label, r.ops);
-    s.push_str(&format!("    \"mono_secs\": {:.3},\n", r.mono_secs));
-    for (i, &w) in WORKERS.iter().enumerate() {
-        s.push_str(&format!("    \"w{w}_secs\": {:.3},\n", r.fleet_secs[i]));
-    }
-    s.push_str(&format!(
-        "    \"speedup_w8_over_w1\": {:.2},\n    \"speedup_over_monolithic\": {:.2}\n  }}",
-        r.speedup_w8_over_w1(),
-        r.speedup_over_monolithic(),
-    ));
-    s
+fn scale_json(label: &str, report: &FleetReport, secs: f64) -> String {
+    format!(
+        "  \"{label}\": {{\n    \"ops\": {},\n    \"secs\": {secs:.3}\n  }}",
+        report.total_ops()
+    )
 }
 
 fn main() {
@@ -196,40 +104,28 @@ fn main() {
         return;
     }
 
-    let smoke_fleet = FleetBuilder::new(FleetConfig::smoke());
-    let (smoke_report, smoke_secs) = timed(|| smoke_fleet.run(1));
-    let smoke_ops_per_sec = smoke_report.total_ops() as f64 / smoke_secs;
-
-    let k1 = run_scale("1k", FleetConfig::k1());
-    let k10 = run_scale("10k", FleetConfig::k10());
+    let (smoke, smoke_secs) = measure("smoke", FleetConfig::smoke(), SMOKE_REPS);
+    let (k1, k1_secs) = measure("1k", FleetConfig::k1(), 3);
+    let (k10, k10_secs) = measure("10k", FleetConfig::k10(), 2);
 
     let mut json = String::from(
-        "{\n  \"workload\": \"fleet scaling: sharded event lanes (1 machine lane per shard + \
-         control lane, Chandy-Misra lookahead = PCIe RTT) vs one monolithic timeline; mixed \
-         read/write + cross-machine remote reads + QoS pressure epochs + revocations\",\n  \
-         \"units\": \"wall-clock seconds per full scenario\",\n  ",
+        "{\n  \"workload\": \"fleet on one simulation timeline: every machine, driver and \
+         control actor is a task; cross-machine messages land after their port's delay \
+         (PCIe RTT); mixed read/write + cross-machine remote reads + QoS pressure epochs + \
+         revocations\",\n  \"units\": \"wall-clock seconds per full scenario (median of \
+         the runs)\",\n  ",
     );
     json.push_str(&hostinfo::host_json());
     json.push_str(",\n  \"smoke\": {\n");
-    json.push_str(&format!("    \"ops\": {},\n", smoke_report.total_ops()));
+    json.push_str(&format!("    \"ops\": {},\n", smoke.total_ops()));
     json.push_str(&format!(
-        "    \"ops_per_sec_w1\": {smoke_ops_per_sec:.0}\n  }},\n"
+        "    \"ops_per_sec\": {:.0}\n  }},\n",
+        smoke.total_ops() as f64 / smoke_secs
     ));
-    json.push_str(&scale_json(&k1));
+    json.push_str(&scale_json("1k", &k1, k1_secs));
     json.push_str(",\n");
-    json.push_str(&scale_json(&k10));
+    json.push_str(&scale_json("10k", &k10, k10_secs));
     json.push_str("\n}\n");
     std::fs::write(repo_path("BENCH_fleet.json"), &json).expect("write BENCH_fleet.json");
     println!("{json}");
-    for r in [&k1, &k10] {
-        println!(
-            "{:>4}: {} ops  mono {:.3}s  fleet best {:.3}s  ({:.2}x vs mono, w8/w1 {:.2}x)",
-            r.label,
-            r.ops,
-            r.mono_secs,
-            r.best_fleet_secs(),
-            r.speedup_over_monolithic(),
-            r.speedup_w8_over_w1(),
-        );
-    }
 }

@@ -1,49 +1,45 @@
 //! Fleet harness: thousands of [`UserProcess`]es across multiple
-//! simulated machines, one machine per [`bypassd_fleet`] event lane.
+//! simulated machines on one [`Simulation`] timeline.
 //!
 //! The paper evaluates BypassD one host at a time; this module scales
 //! the reproduction out. A *fleet* is `lanes` independent machines
 //! (each a full [`System`]: memory, IOMMU, Optane-class SSD, ext4,
-//! kernel) plus one control-plane lane. Each machine lane runs its own
-//! driver actors multiplexing hundreds of processes over `pread_batch`
-//! on per-tenant shared files; the only events that cross machine
-//! boundaries are the four declared ports:
+//! kernel) plus a control plane. Each machine runs its own driver
+//! actors multiplexing hundreds of processes over `pread_batch` on
+//! per-tenant shared files; the only messages that cross machine
+//! boundaries travel over the four declared ports, and each hop takes
+//! its port's declared delay (`Port::lookahead`):
 //!
 //! * **doorbell** (`bypassd_ssd::ports::DOORBELL`) — a driver on one
 //!   machine rings a remote machine's gateway queue (peer-to-peer NVMe
-//!   over the fabric, modeled as one PCIe RTT of lookahead),
+//!   over the fabric),
 //! * **completion** (`bypassd_ssd::ports::COMPLETION`) — the remote
-//!   machine posts the completion back; this edge is input-coupled, so
-//!   it declares `COMPLETION_REACTION` as its reaction bound,
-//! * **shootdown** (`bypassd_hw::ports::SHOOTDOWN`) — the control lane
+//!   machine posts the completion back,
+//! * **shootdown** (`bypassd_hw::ports::SHOOTDOWN`) — the control plane
 //!   revokes a shared file's direct mappings on a machine (Fig. 12's
 //!   permission-revocation path, fleet-wide),
 //! * **pressure** (`bypassd_qos::ports::PRESSURE`) — machines publish
-//!   periodic QoS summaries to the control lane.
+//!   periodic QoS summaries to the control plane.
 //!
-//! [`FleetBuilder::run`] executes the fleet on the sharded executor
-//! (worker count from `BYPASSD_FLEET_WORKERS` or explicit);
-//! [`FleetBuilder::run_monolithic`] executes the *same* scenario —
-//! same machines, same driver code, same seeds — on a single
-//! [`Simulation`] timeline, the pre-fleet baseline the bench compares
-//! wall-clock against. Within a mode, the [`FleetReport::fingerprint`]
-//! is bit-identical for any worker count; across the two modes the
-//! *logical* outcomes (op counts, remote traffic, revocations, media
-//! bytes) agree, while sub-nanosecond tie-breaking of device-ledger
-//! updates may differ (see `run_monolithic` docs).
+//! [`FleetBuilder::run_monolithic`] runs every driver, remote read and
+//! control action as a task on one shared timeline. `Router` delivers
+//! each cross-machine message after its port's delay and counts it in
+//! [`FleetReport::delivered`]. Equal configs give bit-identical
+//! [`FleetReport`]s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use bypassd_fleet::{workers_from_env, ChannelId, Event, Executor, Lane, LaneHandle, Topology};
+use bypassd_hw::ports::SHOOTDOWN;
 use bypassd_hw::types::Lba;
-use bypassd_hw::PhysMem;
+use bypassd_qos::ports::PRESSURE;
 use bypassd_sim::rng::{Fnv64, Rng};
-use bypassd_sim::{ActorCtx, Nanos, SimStats, Simulation};
+use bypassd_sim::{ActorCtx, Nanos, Port, SimStats, Simulation};
 use bypassd_ssd::device::BlockAddr;
-use bypassd_ssd::{Command, DmaBuffer, NvmeDevice, QueueId};
+use bypassd_ssd::ports::{COMPLETION, DOORBELL};
+use bypassd_ssd::{Command, DmaBuffer, QueueId};
 
 use crate::userlib::ReadReq;
 use crate::{QosConfig, System, TenantShare, UserProcess};
@@ -52,24 +48,22 @@ use crate::{QosConfig, System, TenantShare, UserProcess};
 const BLOCK: u64 = 4096;
 /// Sectors per fleet I/O.
 const SECTORS: u32 = (BLOCK / 512) as u32;
-/// The modeled PCIe round trip, shared with every port definition.
-const RTT: Nanos = bypassd_hw::ports::PCIE_RTT;
 
 /// Scenario knobs for one fleet run. Every field is deterministic
 /// input: two runs with equal configs produce bit-identical
-/// [`FleetReport`]s at any worker count.
+/// [`FleetReport`]s.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Machine lanes (one full `System` each). The control lane is
-    /// added on top.
+    /// Machines (one full `System` each; one [`LaneReport`] each). The
+    /// control plane is added on top.
     pub lanes: u32,
-    /// Total processes, distributed round-robin over lanes.
+    /// Total processes, distributed round-robin over machines.
     pub processes: u32,
     /// Tenant uids (`1000..1000+tenants`), cycled over processes. Each
     /// machine hosts one shared file per tenant.
     pub tenants: u32,
-    /// Driver actors per machine lane; each multiplexes its share of
-    /// the lane's processes.
+    /// Driver actors per machine; each multiplexes its share of the
+    /// machine's processes.
     pub drivers_per_lane: u32,
     /// Batched-read rounds each process performs.
     pub rounds: u32,
@@ -203,34 +197,9 @@ impl FleetConfig {
     }
 }
 
-/// Events crossing lane boundaries (and lane-local self-timers).
-#[derive(Debug)]
-enum FleetMsg {
-    /// Doorbell: machine `src` asks this machine to read `block`.
-    RemoteRead { src: u32, block: u64, sent: u64 },
-    /// Self-timer on the serving machine: the gateway read completed;
-    /// post the completion back to `src`.
-    RemoteReply { src: u32, sent: u64, ok: bool },
-    /// Completion post back on the issuing machine.
-    RemoteDone { sent: u64, ok: bool },
-    /// Shootdown: revoke tenant `tenant`'s file on this machine.
-    Revoke { tenant: u32 },
-    /// Self-timer on a machine lane: publish a QoS summary.
-    TickPressure { epoch: u32 },
-    /// Pressure summary arriving at the control lane.
-    Pressure {
-        lane: u32,
-        reads: u64,
-        throttled: u64,
-        deferred: u64,
-    },
-    /// Self-timer on the control lane: issue revocation `idx`.
-    TickRevoke { idx: u32 },
-}
-
 /// Mutable per-machine counters, shared between that machine's driver
-/// actors and its lane handler. All updates happen on the lane's own
-/// timeline, so the final values are deterministic.
+/// actors, the router and the control actors. Every update happens on
+/// the fleet's one timeline, so the final values are deterministic.
 #[derive(Debug, Default)]
 struct LaneCounters {
     remote_issued: u64,
@@ -287,24 +256,24 @@ pub struct LaneReport {
 /// Deterministic outcome of one fleet run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetReport {
-    /// Per-machine observations, indexed by lane.
+    /// Per-machine observations, indexed by machine.
     pub lanes: Vec<LaneReport>,
-    /// Pressure summaries received by the control lane.
+    /// Pressure summaries received by the control plane.
     pub pressure_received: u64,
-    /// Revocations the control lane issued.
+    /// Revocations the control plane issued.
     pub revokes_issued: u64,
-    /// FNV-64 fold of every pressure summary's payload (lane, reads,
-    /// throttled, deferred) in control-lane arrival order.
+    /// FNV-64 fold of every pressure summary's payload (machine, reads,
+    /// throttled, deferred) in control-plane arrival order.
     pub pressure_hash: u64,
-    /// Cross-lane envelopes delivered (0 for a monolithic run, which
-    /// has no lanes to cross).
+    /// Cross-machine messages delivered: doorbells, completions,
+    /// shootdowns and pressure summaries.
     pub delivered: u64,
 }
 
 impl FleetReport {
     /// FNV-64 over every virtual-time-derived field. Bit-identical
-    /// across worker counts for the same config; `delivered` is
-    /// excluded so fleet and monolithic runs hash comparable state.
+    /// across runs of the same config. `delivered` is left out: the
+    /// remote, revocation and pressure counts hashed here fix it.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(self.lanes.len() as u64);
@@ -345,10 +314,8 @@ impl FleetReport {
     }
 
     /// Asserts that `other` reached the same logical outcome: same op
-    /// totals, remote traffic, revocations and media bytes. Used to
-    /// cross-check fleet and monolithic executions of one config, which
-    /// agree on everything except device-ledger tie-breaking at equal
-    /// virtual instants (and therefore on latencies only per-mode).
+    /// totals, remote traffic, revocations and media bytes. Latencies
+    /// and QoS counters are not compared.
     pub fn assert_same_outcome(&self, other: &FleetReport) {
         assert_eq!(self.lanes.len(), other.lanes.len(), "lane counts differ");
         for (i, (a, b)) in self.lanes.iter().zip(&other.lanes).enumerate() {
@@ -376,15 +343,14 @@ impl FleetReport {
     }
 }
 
-/// One machine's fixed wiring, shared by its driver actors and its
-/// lane handler.
+/// One machine's fixed wiring.
 struct Machine {
     system: System,
-    counters: Arc<Mutex<LaneCounters>>,
+    counters: Mutex<LaneCounters>,
     procs: Vec<Arc<UserProcess>>,
     /// Gateway queue for peer-to-peer reads (kernel tenant).
     gateway: QueueId,
-    gateway_dma: Arc<DmaBuffer>,
+    gateway_dma: DmaBuffer,
 }
 
 fn tenant_path(tenant: u32) -> String {
@@ -424,10 +390,10 @@ fn build_machines(cfg: &FleetConfig) -> Vec<Machine> {
                 })
                 .collect();
             let gateway = system.device().create_queue(None, 64);
-            let gateway_dma = Arc::new(DmaBuffer::alloc(system.mem(), BLOCK as usize));
+            let gateway_dma = DmaBuffer::alloc(system.mem(), BLOCK as usize);
             Machine {
                 system,
-                counters: Arc::new(Mutex::new(LaneCounters::default())),
+                counters: Mutex::new(LaneCounters::default()),
                 procs,
                 gateway,
                 gateway_dma,
@@ -436,109 +402,77 @@ fn build_machines(cfg: &FleetConfig) -> Vec<Machine> {
         .collect()
 }
 
-/// Where a driver's remote reads go: a fleet doorbell channel, or the
-/// monolithic in-timeline router.
-enum RemoteSink {
-    Fleet {
-        handle: LaneHandle<FleetMsg>,
-        /// Doorbell channel to each peer machine (`None` = self).
-        doorbell_to: Arc<Vec<Option<ChannelId>>>,
-    },
-    Mono(Arc<MonoRouter>),
-}
-
-impl RemoteSink {
-    fn issue(&self, now: Nanos, src: u32, dst: u32, block: u64) {
-        match self {
-            RemoteSink::Fleet {
-                handle,
-                doorbell_to,
-            } => {
-                let ch = doorbell_to[dst as usize].expect("no doorbell to self");
-                handle.send(
-                    now,
-                    ch,
-                    FleetMsg::RemoteRead {
-                        src,
-                        block,
-                        sent: now.0,
-                    },
-                );
-            }
-            RemoteSink::Mono(router) => router.issue(now, src, dst, block),
-        }
-    }
-}
-
-/// Monolithic stand-in for the doorbell/completion ports: executes the
-/// remote read on the target device at `sent + RTT` via a one-shot
-/// actor (so device-ledger updates stay in virtual-time order on the
-/// single shared timeline) and books the completion at `ready + RTT`,
-/// exactly the times the fleet ports produce.
-struct MonoRouter {
+/// The fleet's machines and its cross-machine links on one timeline.
+/// Every message that crosses a machine boundary goes through
+/// [`Router::hop`], which delays it by its port's lookahead and counts
+/// it.
+struct Router {
     sim: Simulation,
-    devices: Vec<Arc<NvmeDevice>>,
-    gateways: Vec<QueueId>,
-    gateway_dma: Vec<Arc<DmaBuffer>>,
-    gateway_mem: Vec<PhysMem>,
-    counters: Vec<Arc<Mutex<LaneCounters>>>,
+    machines: Vec<Machine>,
+    /// Control-plane tallies: (pressure summaries received,
+    /// revocations issued, pressure payload fold).
+    control: Mutex<(u64, u64, u64)>,
     next_op: AtomicU64,
+    delivered: AtomicU64,
 }
 
-impl MonoRouter {
-    fn issue(&self, now: Nanos, src: u32, dst: u32, block: u64) {
+impl Router {
+    /// Books one message sent over `port` at `sent`; returns when it
+    /// arrives.
+    fn hop(&self, sent: Nanos, port: Port) -> Nanos {
+        // ordering: Relaxed — a tally read after the run.
+        self.delivered.fetch_add(1, Ordering::Relaxed);
+        sent.saturating_add(port.lookahead)
+    }
+
+    /// Machine `src` rings machine `dst`'s gateway doorbell at `now`.
+    /// The read runs on `dst`'s device when the doorbell lands (a
+    /// one-shot task, so device-ledger updates stay in virtual-time
+    /// order), and its completion reaches `src` one completion hop
+    /// after the media finishes.
+    fn issue(self: &Arc<Self>, now: Nanos, src: u32, dst: u32, block: u64) {
         // ordering: Relaxed — the id only names the spawned actor.
         let op = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let dev = Arc::clone(&self.devices[dst as usize]);
-        let qid = self.gateways[dst as usize];
-        let dma = Arc::clone(&self.gateway_dma[dst as usize]);
-        let _ = &self.gateway_mem; // keeps the DMA frames' memory alive
-        let served = Arc::clone(&self.counters[dst as usize]);
-        let done = Arc::clone(&self.counters[src as usize]);
+        let router = Arc::clone(self);
         self.sim.spawn_task_at(
-            now.saturating_add(RTT),
+            self.hop(now, DOORBELL),
             &format!("remote-{op}"),
             move |ctx| async move {
-                let comp = dev.execute_full(
-                    qid,
+                let m = &router.machines[dst as usize];
+                let comp = m.system.device().execute_full(
+                    m.gateway,
                     Command::read(
                         BlockAddr::Lba(Lba(block * u64::from(SECTORS))),
                         SECTORS,
-                        &dma,
+                        &m.gateway_dma,
                     ),
                     ctx.now(),
                 );
-                served.lock().remote_served += 1;
-                let done_at = comp.ready_at.saturating_add(RTT);
-                let mut c = done.lock();
-                record_remote_done(&mut c, now.0, done_at.0, comp.status.is_ok());
+                m.counters.lock().remote_served += 1;
+                let lat = router.hop(comp.ready_at, COMPLETION).0 - now.0;
+                let mut c = router.machines[src as usize].counters.lock();
+                c.remote_done += 1;
+                c.remote_ok += u64::from(comp.status.is_ok());
+                c.remote_lat_sum += lat;
+                c.remote_lat_max = c.remote_lat_max.max(lat);
             },
         );
     }
 }
 
-fn record_remote_done(c: &mut LaneCounters, sent: u64, done_at: u64, ok: bool) {
-    let lat = done_at.saturating_sub(sent);
-    c.remote_done += 1;
-    c.remote_ok += u64::from(ok);
-    c.remote_lat_sum += lat;
-    c.remote_lat_max = c.remote_lat_max.max(lat);
-}
-
-/// The body every driver task runs, identical in fleet and monolithic
-/// mode: open per-process handles on the tenant's shared file, then
-/// `rounds` passes over the processes, each a `pread_batch` plus
-/// occasional private-slice writes and remote doorbell rings.
-#[allow(clippy::too_many_arguments)]
+/// The body every driver task runs: open per-process handles on the
+/// tenant's shared file, then `rounds` passes over the processes, each
+/// a `pread_batch` plus occasional private-slice writes and remote
+/// doorbell rings.
 async fn driver_loop(
     ctx: &mut ActorCtx,
     cfg: &FleetConfig,
     lane: u32,
     procs: &[(u32, Arc<UserProcess>)],
-    remote: &RemoteSink,
-    counters: &Arc<Mutex<LaneCounters>>,
+    router: &Arc<Router>,
     mut rng: Rng,
 ) {
+    let counters = &router.machines[lane as usize].counters;
     let mut threads = Vec::with_capacity(procs.len());
     for (idx_on_lane, proc_) in procs {
         let uid = 1000 + (lane + idx_on_lane * cfg.lanes) % cfg.tenants;
@@ -583,7 +517,7 @@ async fn driver_loop(
                 let dst = (lane + 1 + rng.gen_range(u64::from(cfg.lanes) - 1) as u32) % cfg.lanes;
                 let block = rng.gen_range(blocks);
                 counters.lock().remote_issued += 1;
-                remote.issue(ctx.now(), lane, dst, block);
+                router.issue(ctx.now(), lane, dst, block);
             }
             ctx.sleep(Nanos(200 + rng.gen_range(800))).await;
         }
@@ -596,7 +530,7 @@ async fn driver_loop(
 }
 
 /// Assigns a machine's processes to its drivers (round-robin), with
-/// each entry carrying the process's index on the lane (which fixes
+/// each entry carrying the process's index on the machine (which fixes
 /// its tenant and write slice).
 fn driver_partition(cfg: &FleetConfig, machine: &Machine) -> Vec<Vec<(u32, Arc<UserProcess>)>> {
     let mut per_driver: Vec<Vec<(u32, Arc<UserProcess>)>> =
@@ -632,325 +566,86 @@ impl FleetBuilder {
         &self.cfg
     }
 
-    /// Runs the fleet on the sharded executor with `workers` OS
-    /// threads (see [`workers_from_env`]). Virtual-time results are
-    /// independent of `workers`.
-    pub fn run(&self, workers: usize) -> FleetReport {
-        self.run_with_stats(workers).0
+    /// Alias of [`run_monolithic`](Self::run_monolithic); `workers` is
+    /// ignored. It remains only because the layerbench `fleet_k1`
+    /// workload still calls `run(2)` and `run(1)`.
+    pub fn run(&self, _workers: usize) -> FleetReport {
+        self.run_monolithic()
     }
 
-    /// [`run`](Self::run), also returning the engine self-counters
-    /// summed over every lane's simulation. The counters are host-side
-    /// diagnostics, not part of the outcome: event and poll counts
-    /// depend on how lane horizons slice the timeline.
-    pub fn run_with_stats(&self, workers: usize) -> (FleetReport, SimStats) {
-        let cfg = &self.cfg;
-        let machines = build_machines(cfg);
-        let n = cfg.lanes as usize;
-
-        // Topology: n machine lanes + 1 control lane.
-        let mut topo = Topology::new();
-        let lane_ids: Vec<_> = (0..=n).map(|_| topo.add_lane()).collect();
-        let control = lane_ids[n];
-        let mut doorbell = vec![vec![None; n]; n]; // [src][dst]
-        let mut completion = vec![vec![None; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                // Doorbells are driven purely by driver-actor timers on
-                // the source machine — reaction-free, which is what
-                // breaks the promise cycle between mutually connected
-                // machines. Completions are input-coupled: a doorbell
-                // arriving at `t` can trigger a completion post, but
-                // never sooner than one link traversal.
-                doorbell[i][j] = Some(topo.add_channel(
-                    lane_ids[i],
-                    lane_ids[j],
-                    bypassd_ssd::ports::DOORBELL,
-                    None,
-                ));
-                completion[i][j] = Some(topo.add_channel(
-                    lane_ids[i],
-                    lane_ids[j],
-                    bypassd_ssd::ports::COMPLETION,
-                    Some(bypassd_ssd::ports::COMPLETION_REACTION),
-                ));
-            }
-        }
-        let pressure_ch: Vec<_> = (0..n)
-            .map(|i| topo.add_channel(lane_ids[i], control, bypassd_qos::ports::PRESSURE, None))
-            .collect();
-        let revoke_ch: Vec<_> = (0..n)
-            .map(|i| topo.add_channel(control, lane_ids[i], bypassd_hw::ports::SHOOTDOWN, None))
-            .collect();
-
-        // (pressure summaries received, revocations issued, payload fold)
-        let control_counters = Arc::new(Mutex::new((0u64, 0u64, FNV_OFFSET)));
-        let mut models: Vec<Box<dyn bypassd_fleet::LaneModel<FleetMsg>>> = Vec::new();
-        let mut sims = Vec::new();
-        for (i, machine) in machines.iter().enumerate() {
-            let lane = i as u32;
-            let system = machine.system.clone();
-            let counters = Arc::clone(&machine.counters);
-            let gateway = machine.gateway;
-            let gateway_dma = Arc::clone(&machine.gateway_dma);
-            let completion_to: Vec<Option<ChannelId>> = completion[i].clone();
-            let my_pressure = pressure_ch[i];
-            let epochs = cfg.pressure_epochs;
-            let epoch_len = cfg.pressure_epoch;
-            let lane_model = Lane::new(
-                move |ev: Event<FleetMsg>, h: &LaneHandle<FleetMsg>| match ev.msg {
-                    FleetMsg::RemoteRead { src, block, sent } => {
-                        let comp = system.device().execute_full(
-                            gateway,
-                            Command::read(
-                                BlockAddr::Lba(Lba(block * u64::from(SECTORS))),
-                                SECTORS,
-                                &gateway_dma,
-                            ),
-                            ev.at,
-                        );
-                        counters.lock().remote_served += 1;
-                        h.arm(
-                            comp.ready_at,
-                            FleetMsg::RemoteReply {
-                                src,
-                                sent,
-                                ok: comp.status.is_ok(),
-                            },
-                        );
-                    }
-                    FleetMsg::RemoteReply { src, sent, ok } => {
-                        let ch = completion_to[src as usize].expect("no completion channel");
-                        h.send(ev.at, ch, FleetMsg::RemoteDone { sent, ok });
-                    }
-                    FleetMsg::RemoteDone { sent, ok } => {
-                        record_remote_done(&mut counters.lock(), sent, ev.at.0, ok);
-                    }
-                    FleetMsg::Revoke { tenant } => {
-                        let pids = system
-                            .kernel()
-                            .revoke_path(&tenant_path(tenant))
-                            .expect("revoke tenant file");
-                        let mut c = counters.lock();
-                        c.revokes_applied += 1;
-                        c.revoked_pids += pids.len() as u64;
-                    }
-                    FleetMsg::TickPressure { epoch } => {
-                        let stats = system.device().stats();
-                        {
-                            counters.lock().pressure_sent += 1;
-                        }
-                        h.send(
-                            ev.at,
-                            my_pressure,
-                            FleetMsg::Pressure {
-                                lane,
-                                reads: stats.reads,
-                                throttled: stats.qos_throttled,
-                                deferred: stats.qos_deferred,
-                            },
-                        );
-                        if epoch + 1 < epochs {
-                            h.arm(
-                                ev.at.saturating_add(epoch_len),
-                                FleetMsg::TickPressure { epoch: epoch + 1 },
-                            );
-                        }
-                    }
-                    FleetMsg::Pressure { .. } | FleetMsg::TickRevoke { .. } => {
-                        unreachable!("control-plane event on a machine lane")
-                    }
-                },
-            );
-            if cfg.pressure_epochs > 0 {
-                lane_model
-                    .handle()
-                    .arm(cfg.pressure_epoch, FleetMsg::TickPressure { epoch: 0 });
-            }
-            for (d, procs) in driver_partition(cfg, machine).into_iter().enumerate() {
-                if procs.is_empty() {
-                    continue;
-                }
-                let sink = RemoteSink::Fleet {
-                    handle: lane_model.handle(),
-                    doorbell_to: Arc::new(doorbell[i].clone()),
-                };
-                let counters = Arc::clone(&machine.counters);
-                let cfg2 = cfg.clone();
-                let rng = Rng::new(driver_seed(cfg, lane, d as u32));
-                lane_model
-                    .sim()
-                    .spawn_task(&format!("l{lane}d{d}"), move |mut ctx| async move {
-                        driver_loop(&mut ctx, &cfg2, lane, &procs, &sink, &counters, rng).await;
-                    });
-            }
-            sims.push(lane_model.sim().clone());
-            models.push(Box::new(lane_model));
-        }
-
-        // Control lane: no inner actors, just revocation timers and
-        // pressure aggregation.
-        {
-            let cc = Arc::clone(&control_counters);
-            let cfg2 = cfg.clone();
-            let revoke_ch = revoke_ch.clone();
-            let control_model =
-                Lane::new(
-                    move |ev: Event<FleetMsg>, h: &LaneHandle<FleetMsg>| match ev.msg {
-                        FleetMsg::Pressure {
-                            lane,
-                            reads,
-                            throttled,
-                            deferred,
-                        } => {
-                            let mut c = cc.lock();
-                            c.0 += 1;
-                            for v in [u64::from(lane), reads, throttled, deferred] {
-                                c.2 = fnv_fold(c.2, v);
-                            }
-                        }
-                        FleetMsg::TickRevoke { idx } => {
-                            let lane = idx % cfg2.lanes;
-                            let tenant = idx % cfg2.tenants;
-                            cc.lock().1 += 1;
-                            h.send(ev.at, revoke_ch[lane as usize], FleetMsg::Revoke { tenant });
-                            if idx + 1 < cfg2.revokes {
-                                h.arm(
-                                    ev.at.saturating_add(cfg2.revoke_gap),
-                                    FleetMsg::TickRevoke { idx: idx + 1 },
-                                );
-                            }
-                        }
-                        _ => unreachable!("machine event on the control lane"),
-                    },
-                );
-            if cfg.revokes > 0 {
-                control_model
-                    .handle()
-                    .arm(cfg.revoke_start, FleetMsg::TickRevoke { idx: 0 });
-            }
-            models.push(Box::new(control_model));
-        }
-
-        let mut exec = Executor::new(topo, models);
-        let stats = exec.run(workers);
-        drop(exec);
-        let (pressure_received, revokes_issued, pressure_hash) = *control_counters.lock();
-        let report = finish_report(
-            &machines,
-            pressure_received,
-            revokes_issued,
-            pressure_hash,
-            stats.delivered,
-        );
-        let mut engine = SimStats::default();
-        for sim in &sims {
-            engine += sim.stats();
-        }
-        (report, engine)
-    }
-
-    /// [`run`](Self::run) with the worker count taken from
-    /// `BYPASSD_FLEET_WORKERS` (default `default`).
-    pub fn run_env(&self, default: usize) -> FleetReport {
-        self.run(workers_from_env(default))
-    }
-
-    /// Runs the identical scenario on one shared [`Simulation`]: the
-    /// pre-fleet baseline. Same machines, same driver code and seeds;
-    /// cross-machine traffic is routed by `MonoRouter` at exactly the
-    /// virtual times the fleet ports would produce. Logical outcomes
-    /// match the fleet run ([`FleetReport::assert_same_outcome`]);
-    /// latency sums can differ in the last tie-breaking nanosecond
-    /// because a single timeline interleaves equal-instant device
-    /// updates in global order rather than per-lane order.
+    /// Runs the fleet on one shared [`Simulation`]: every driver,
+    /// remote read and control action is a task on one timeline, and
+    /// each cross-machine message lands after its port's delay.
     pub fn run_monolithic(&self) -> FleetReport {
         self.run_monolithic_with_stats().0
     }
 
     /// [`run_monolithic`](Self::run_monolithic), also returning the
-    /// shared simulation's engine self-counters.
+    /// simulation's engine self-counters.
     pub fn run_monolithic_with_stats(&self) -> (FleetReport, SimStats) {
         let cfg = &self.cfg;
-        let machines = build_machines(cfg);
         let sim = Simulation::new();
-        let router = Arc::new(MonoRouter {
+        let router = Arc::new(Router {
             sim: sim.clone(),
-            devices: machines
-                .iter()
-                .map(|m| Arc::clone(m.system.device()))
-                .collect(),
-            gateways: machines.iter().map(|m| m.gateway).collect(),
-            gateway_dma: machines
-                .iter()
-                .map(|m| Arc::clone(&m.gateway_dma))
-                .collect(),
-            gateway_mem: machines.iter().map(|m| m.system.mem().clone()).collect(),
-            counters: machines.iter().map(|m| Arc::clone(&m.counters)).collect(),
+            machines: build_machines(cfg),
+            control: Mutex::new((0, 0, FNV_OFFSET)),
             next_op: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
         });
-        for (i, machine) in machines.iter().enumerate() {
+        for (i, machine) in router.machines.iter().enumerate() {
             let lane = i as u32;
             for (d, procs) in driver_partition(cfg, machine).into_iter().enumerate() {
                 if procs.is_empty() {
                     continue;
                 }
-                let sink = RemoteSink::Mono(Arc::clone(&router));
-                let counters = Arc::clone(&machine.counters);
+                let router = Arc::clone(&router);
                 let cfg2 = cfg.clone();
                 let rng = Rng::new(driver_seed(cfg, lane, d as u32));
                 sim.spawn_task(&format!("l{lane}d{d}"), move |mut ctx| async move {
-                    driver_loop(&mut ctx, &cfg2, lane, &procs, &sink, &counters, rng).await;
+                    driver_loop(&mut ctx, &cfg2, lane, &procs, &router, rng).await;
                 });
             }
         }
-        // Control plane on the same timeline: revocations land at
-        // send-time + one link traversal, like the shootdown port;
-        // pressure is sampled at the epoch boundaries + traversal.
-        let control_counters = Arc::new(Mutex::new((0u64, 0u64, FNV_OFFSET)));
+        // Control plane: each revocation lands one shootdown hop after
+        // it is issued; each pressure summary is sampled at an epoch
+        // boundary and lands one pressure hop later.
         if cfg.revokes > 0 {
-            let cc = Arc::clone(&control_counters);
+            let router = Arc::clone(&router);
             let cfg2 = cfg.clone();
-            let systems: Vec<System> = machines.iter().map(|m| m.system.clone()).collect();
-            let counters: Vec<_> = machines.iter().map(|m| Arc::clone(&m.counters)).collect();
             sim.spawn_task("control-revoke", move |mut ctx| async move {
                 for idx in 0..cfg2.revokes {
                     let fire = cfg2
                         .revoke_start
                         .saturating_add(Nanos(cfg2.revoke_gap.0 * u64::from(idx)));
                     ctx.sleep_until(fire).await;
-                    cc.lock().1 += 1;
-                    ctx.sleep_until(fire.saturating_add(RTT)).await;
-                    let lane = (idx % cfg2.lanes) as usize;
-                    let tenant = idx % cfg2.tenants;
-                    let pids = systems[lane]
+                    router.control.lock().1 += 1;
+                    ctx.sleep_until(router.hop(fire, SHOOTDOWN)).await;
+                    let m = &router.machines[(idx % cfg2.lanes) as usize];
+                    let pids = m
+                        .system
                         .kernel()
-                        .revoke_path(&tenant_path(tenant))
+                        .revoke_path(&tenant_path(idx % cfg2.tenants))
                         .expect("revoke tenant file");
-                    let mut c = counters[lane].lock();
+                    let mut c = m.counters.lock();
                     c.revokes_applied += 1;
                     c.revoked_pids += pids.len() as u64;
                 }
             });
         }
         if cfg.pressure_epochs > 0 {
-            for (i, machine) in machines.iter().enumerate() {
-                let cc = Arc::clone(&control_counters);
+            for i in 0..router.machines.len() {
+                let router = Arc::clone(&router);
                 let cfg2 = cfg.clone();
-                let system = machine.system.clone();
-                let counters = Arc::clone(&machine.counters);
                 sim.spawn_task(&format!("pressure-{i}"), move |mut ctx| async move {
+                    let m = &router.machines[i];
                     for epoch in 0..cfg2.pressure_epochs {
                         ctx.sleep_until(Nanos(cfg2.pressure_epoch.0 * u64::from(epoch + 1)))
                             .await;
-                        let stats = system.device().stats();
-                        counters.lock().pressure_sent += 1;
-                        let t = ctx.now().saturating_add(RTT);
+                        let stats = m.system.device().stats();
+                        m.counters.lock().pressure_sent += 1;
+                        let t = router.hop(ctx.now(), PRESSURE);
                         ctx.sleep_until(t).await;
-                        let mut c = cc.lock();
+                        let mut c = router.control.lock();
                         c.0 += 1;
                         for v in [
                             u64::from(i as u32),
@@ -965,15 +660,7 @@ impl FleetBuilder {
             }
         }
         sim.run();
-        let (pressure_received, revokes_issued, pressure_hash) = *control_counters.lock();
-        let report = finish_report(
-            &machines,
-            pressure_received,
-            revokes_issued,
-            pressure_hash,
-            0,
-        );
-        (report, sim.stats())
+        (finish_report(&router), sim.stats())
     }
 }
 
@@ -988,14 +675,9 @@ fn fnv_fold(h: u64, v: u64) -> u64 {
     h
 }
 
-fn finish_report(
-    machines: &[Machine],
-    pressure_received: u64,
-    revokes_issued: u64,
-    pressure_hash: u64,
-    delivered: u64,
-) -> FleetReport {
-    let lanes = machines
+fn finish_report(router: &Router) -> FleetReport {
+    let lanes = router
+        .machines
         .iter()
         .map(|m| {
             let c = m.counters.lock();
@@ -1026,12 +708,14 @@ fn finish_report(
             }
         })
         .collect();
+    let (pressure_received, revokes_issued, pressure_hash) = *router.control.lock();
     FleetReport {
         lanes,
         pressure_received,
         revokes_issued,
         pressure_hash,
-        delivered,
+        // ordering: Relaxed — the run has finished.
+        delivered: router.delivered.load(Ordering::Relaxed),
     }
 }
 
@@ -1050,52 +734,26 @@ mod tests {
     }
 
     #[test]
-    fn fleet_is_worker_count_invariant() {
-        let b = FleetBuilder::new(tiny());
-        let r1 = b.run(1);
-        let r2 = b.run(2);
-        let r8 = b.run(8);
-        assert_eq!(r1.fingerprint(), r2.fingerprint());
-        assert_eq!(r1.fingerprint(), r8.fingerprint());
-        assert_eq!(r1, r2);
-        assert!(r1.total_ops() > 0, "fleet did no work");
-        assert!(
-            r1.lanes.iter().map(|l| l.remote_done).sum::<u64>() > 0,
-            "no cross-machine traffic exercised"
-        );
-        assert_eq!(r1.revokes_issued, 1);
-        assert_eq!(
-            r1.pressure_received,
-            u64::from(tiny().lanes * tiny().pressure_epochs)
-        );
-    }
-
-    #[test]
-    fn fleet_matches_monolithic_outcome() {
-        let b = FleetBuilder::new(tiny());
-        let fleet = b.run(2);
-        let mono = b.run_monolithic();
-        fleet.assert_same_outcome(&mono);
-        assert!(fleet.delivered > 0);
-        assert_eq!(mono.delivered, 0);
-    }
-
-    #[test]
     fn remote_completions_all_return() {
-        let b = FleetBuilder::new(tiny());
-        let r = b.run(3);
+        let r = FleetBuilder::new(tiny()).run_monolithic();
         let issued: u64 = r.lanes.iter().map(|l| l.remote_issued).sum();
         let served: u64 = r.lanes.iter().map(|l| l.remote_served).sum();
         let done: u64 = r.lanes.iter().map(|l| l.remote_done).sum();
         let ok: u64 = r.lanes.iter().map(|l| l.remote_ok).sum();
+        assert!(issued > 0, "no cross-machine traffic exercised");
         assert_eq!(issued, served, "every doorbell must be served");
         assert_eq!(issued, done, "every remote read must complete");
         assert_eq!(done, ok, "in-range gateway reads must succeed");
-        let lat_floor = 2 * RTT.0;
+        assert_eq!(
+            r.delivered,
+            2 * issued + r.revokes_issued + r.pressure_received,
+            "one delivery per doorbell, completion, shootdown and summary"
+        );
+        let lat_floor = DOORBELL.lookahead.0 + COMPLETION.lookahead.0;
         for l in &r.lanes {
-            if l.remote_done > 0 {
+            if let Some(mean) = l.remote_lat_sum.checked_div(l.remote_done) {
                 assert!(
-                    l.remote_lat_sum / l.remote_done >= lat_floor,
+                    mean >= lat_floor,
                     "remote latency below two link traversals"
                 );
             }
@@ -1107,7 +765,7 @@ mod tests {
         let mut cfg = tiny();
         cfg.revokes = cfg.tenants; // revoke every tenant once
         cfg.rounds = 4;
-        let r = FleetBuilder::new(cfg).run(2);
+        let r = FleetBuilder::new(cfg).run_monolithic();
         assert!(
             r.lanes.iter().map(|l| l.fallback_ops).sum::<u64>() > 0,
             "revocations must push some ops onto the kernel path"

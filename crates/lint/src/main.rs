@@ -274,10 +274,6 @@ fn loom() -> ExitCode {
                 "bypassd-hw",
                 "--test",
                 "loom_lru",
-                "-p",
-                "bypassd-sim",
-                "--test",
-                "loom_mailbox",
             ])
             .env("RUSTFLAGS", rustflags.trim()),
         "loom tests",

@@ -1,19 +1,20 @@
-//! Cross-shard port annotation for QoS pressure signals.
+//! Cross-machine port annotation for QoS pressure signals.
 //!
 //! The pressure bit (§ QoS backpressure: completions carry a
 //! "queue is hot" flag that drives AIMD window shrinking in UserLib)
-//! normally rides inside completions and never crosses a lane boundary
-//! by itself. In fleet runs, device lanes additionally publish
-//! *aggregated* pressure/fairness summaries to a control-plane lane on
+//! normally rides inside completions and never crosses a machine
+//! boundary by itself. In fleet runs, machines additionally publish
+//! *aggregated* pressure/fairness summaries to the control plane on
 //! this port so a fleet-wide report can be assembled; the summaries are
-//! timer-driven (per pressure epoch), never input-triggered, so the
-//! edge declares no reaction bound in the topology.
+//! timer-driven (per pressure epoch), never input-triggered.
 
 use bypassd_hw::ports::PCIE_RTT;
 use bypassd_sim::{Nanos, Port};
 
-/// Device lane publishes a pressure/fairness summary to a control lane.
+/// Machine publishes a pressure/fairness summary to the control plane.
 pub const PRESSURE: Port = Port::new("qos.pressure", PCIE_RTT);
+
+const _: () = assert!(PRESSURE.lookahead.0 >= 1);
 
 /// Floor for the pressure-summary epoch in fleet runs. Matches the
 /// arbiter's `active_grace` default: sampling tenant activity faster
@@ -28,6 +29,5 @@ mod tests {
     #[test]
     fn epoch_floor_matches_active_grace_default() {
         assert_eq!(PRESSURE_EPOCH_FLOOR, QosConfig::default().active_grace);
-        assert!(PRESSURE.lookahead.0 >= 1);
     }
 }

@@ -22,8 +22,7 @@
 //!   8 × `available_parallelism()` thread actors are live.
 //! * A **task actor** ([`Simulation::spawn_task`]) is a `Send` future.
 //!   Whichever thread is conducting polls it inline: the caller of
-//!   [`Simulation::run`], the fleet worker inside
-//!   [`Simulation::run_until`], or a thread actor that is handing off.
+//!   [`Simulation::run`], or a thread actor that is handing off.
 //!   Resuming it costs one poll, not an OS wake.
 //!
 //! Both kinds share the in-place fast path: a wait that no other actor
@@ -38,14 +37,6 @@
 //! Shared simulation state (the SSD model, the kernel, …) can be protected
 //! by ordinary mutexes — they are never contended because only one actor
 //! executes at any moment — as long as no guard is held across a wait.
-//!
-//! ## Lane mode
-//!
-//! A `Simulation` can also be driven incrementally with
-//! [`Simulation::run_until`], which executes events up to an inclusive
-//! horizon and then pauses. `bypassd-fleet` uses this to run many small
-//! simulations ("lanes") side by side, each advancing its own timeline
-//! between conservative synchronization points.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -57,7 +48,7 @@ use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 
 use crate::time::Nanos;
 
@@ -71,8 +62,8 @@ type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 const SPIN_ROUNDS: u32 = 4_000;
 /// `Inner::token` while no actor holds the run token.
 const NOBODY: u64 = u64::MAX;
-/// `Inner::token` while the run is paused or quiesced: pollers park.
-const PAUSED: u64 = u64::MAX - 1;
+/// `Inner::token` while the run has quiesced: pollers park.
+const QUIESCED: u64 = u64::MAX - 1;
 
 /// How the conductor resumes one actor.
 enum Slot {
@@ -91,11 +82,8 @@ enum Slot {
 
 /// Engine self-counters, read with [`Simulation::stats`]. Every
 /// increment happens under the state lock the engine already holds.
-/// `thread_spawns`, `task_spawns` and `handoffs` are fixed by the
-/// scenario; `events`, `inplace` and `task_polls` also depend on how
-/// [`Simulation::run_until`] slices the timeline (the in-place fast
-/// path stops at each horizon). `spun` and `parked` split `handoffs`
-/// by host timing, so they differ from run to run.
+/// All but two are fixed by the scenario: `spun` and `parked` split
+/// `handoffs` by host timing, so they differ from run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Run-queue entries dispatched (each resumes one actor).
@@ -144,23 +132,17 @@ struct SimState {
     live_threads: usize,
     /// Monotone tie-breaker for FIFO ordering of equal wake times.
     next_seq: u64,
-    /// Whether the simulation has started executing actors.
-    started: bool,
     /// Why the run failed (an actor panicked), if it did.
     failure: Option<String>,
-    /// Inclusive dispatch bound: actors with wake times beyond this are
-    /// not dispatched. `Nanos::MAX` (run-to-completion) except while a
-    /// lane executor drives the simulation via [`Simulation::run_until`].
-    horizon: Nanos,
     /// Per-actor resume handles, indexed by `ActorId`.
     actors: Vec<Slot>,
     /// Set by a task's sleep when it parks itself in the run queue;
     /// cleared by the conductor after every poll.
     task_parked: bool,
-    /// True while `drive` sleeps on the control condvar. A pause
+    /// True while `drive` sleeps on the control condvar. Quiescence
     /// signals the condvar only then: a notify costs a futex syscall
-    /// even with no waiter, and most pauses (every `run_until` slice the
-    /// caller conducts itself) have none.
+    /// even with no waiter, and a run the caller conducts to the end
+    /// itself has none.
     driver_waiting: bool,
     stats: SimStats,
 }
@@ -173,14 +155,12 @@ impl SimState {
     ///
     /// The in-place comparison must be inclusive: an actor already
     /// waiting at exactly that time has an earlier FIFO sequence number
-    /// and must run first. It must also respect the dispatch horizon —
-    /// a lane executor relies on every actor parking before the clock
-    /// crosses it.
+    /// and must run first.
     fn advance_or_park(&mut self, id: ActorId, t: Nanos) -> Option<Nanos> {
         debug_assert_eq!(self.current, Some(id));
         let eff = t.max(self.now);
         let blocked = self.waiting.peek().is_some_and(|e| e.0 .0 <= eff);
-        if !blocked && eff <= self.horizon {
+        if !blocked {
             self.now = eff;
             self.stats.inplace += 1;
             return None;
@@ -251,13 +231,12 @@ impl SimState {
 
 struct Inner {
     state: Mutex<SimState>,
-    /// Control condvar: signalled when the dispatcher pauses (horizon
-    /// reached) or the simulation quiesces while `run`/`run_until` is
-    /// waiting on it (`SimState::driver_waiting`).
+    /// Control condvar: signalled when the simulation quiesces while
+    /// `run` is waiting on it (`SimState::driver_waiting`).
     cond: Condvar,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Lock-free mirror of `SimState::current`: the actor id, [`NOBODY`]
-    /// or [`PAUSED`]. Waiting thread actors poll it.
+    /// or [`QUIESCED`]. Waiting thread actors poll it.
     token: AtomicU64,
     /// Waiters poll only while live thread actors are at most this.
     spin_cap: usize,
@@ -326,12 +305,12 @@ impl TaskTurn {
 impl Inner {
     /// One dispatch, run under the state lock by whichever thread holds
     /// the free run token (`current == None`): pops the earliest waiting
-    /// actor within the horizon, advances time, and resumes it.
+    /// actor, advances time, and resumes it.
     ///
     /// * A thread actor is woken (unless it is `me`, which keeps the
     ///   token); returns `None`.
-    /// * Nothing runnable within the horizon: signals the control
-    ///   condvar; returns `None`.
+    /// * Nothing left to run: signals the control condvar; returns
+    ///   `None`.
     /// * A task actor is returned, for the caller to poll with the lock
     ///   released and then settle with [`SimState::end_turn`].
     ///
@@ -352,19 +331,17 @@ impl Inner {
     fn next_turn(&self, state: &mut SimState, me: Option<ActorId>) -> Option<TaskTurn> {
         loop {
             debug_assert!(state.current.is_none());
-            let next = state.waiting.peek().map(|e| e.0);
-            let Some((t, _, id)) = next.filter(|e| e.0 <= state.horizon) else {
-                if state.waiting.is_empty() && state.live > 0 && state.started {
+            let Some(&Reverse((t, _, id))) = state.waiting.peek() else {
+                if state.live > 0 {
                     panic!(
                         "simulation deadlock: {} live actor(s) but none runnable \
                          (an actor blocked outside the simulation primitives?)",
                         state.live
                     );
                 }
-                // Paused at the horizon, or all done: pollers park, and
-                // `run`/`run_until` wakes.
+                // All done: pollers park, and `run` wakes.
                 // ordering: a hint, as in `set_current`.
-                self.token.store(PAUSED, Ordering::Relaxed);
+                self.token.store(QUIESCED, Ordering::Relaxed);
                 if state.driver_waiting {
                     self.cond.notify_all();
                 }
@@ -406,13 +383,10 @@ impl Inner {
         }
     }
 
-    /// Conducts until the run pauses at the horizon or quiesces,
-    /// sleeping on the control condvar while a thread actor holds the
-    /// token. Returns the state guard at that point.
-    fn drive(&self, horizon: Nanos) -> MutexGuard<'_, SimState> {
+    /// Conducts until the run quiesces, sleeping on the control condvar
+    /// while a thread actor holds the token.
+    fn drive(&self) {
         let mut state = self.state.lock();
-        state.horizon = horizon;
-        state.started = true;
         loop {
             if state.current.is_none() {
                 while let Some(turn) = self.next_turn(&mut state, None) {
@@ -422,7 +396,7 @@ impl Inner {
                     state.end_turn(&self.token, polled);
                 }
                 if state.current.is_none() {
-                    return state;
+                    return;
                 }
             }
             state.driver_waiting = true;
@@ -440,7 +414,7 @@ impl Inner {
         for _ in 0..rounds {
             // ordering: a hint; `current` is re-read under the lock.
             let t = self.token.load(Ordering::Relaxed);
-            if t == id || t == PAUSED {
+            if t == id || t == QUIESCED {
                 break;
             }
             std::thread::yield_now();
@@ -501,7 +475,7 @@ impl Drop for FinishGuard {
             let f = format!("simulation actor '{}' panicked", self.name);
             state.failure.get_or_insert(f);
             // Polling tasks while unwinding would turn a task panic into
-            // an abort; the `run`/`run_until` caller conducts instead.
+            // an abort; the `run` caller conducts instead.
             if state.driver_waiting {
                 self.inner.cond.notify_all();
             }
@@ -514,22 +488,6 @@ impl Drop for FinishGuard {
                 state.end_turn(&self.inner.token, polled);
             }
         }
-    }
-}
-
-/// Progress snapshot returned by [`Simulation::run_until`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunStatus {
-    /// Earliest pending wakeup beyond the horizon, if any.
-    pub next_wake: Option<Nanos>,
-    /// Actors that have not yet finished.
-    pub live: usize,
-}
-
-impl RunStatus {
-    /// True when every actor has finished and no wakeups remain.
-    pub fn quiesced(&self) -> bool {
-        self.live == 0 && self.next_wake.is_none()
     }
 }
 
@@ -587,9 +545,7 @@ impl Simulation {
                     live: 0,
                     live_threads: 0,
                     next_seq: 0,
-                    started: false,
                     failure: None,
-                    horizon: Nanos::MAX,
                     actors: Vec::new(),
                     task_parked: false,
                     driver_waiting: false,
@@ -727,50 +683,8 @@ impl Simulation {
     /// Panics if any actor panicked, or on deadlock (an actor blocked
     /// outside the simulation primitives).
     pub fn run(&self) {
-        drop(self.inner.drive(Nanos::MAX));
+        self.inner.drive();
         // Join threads so panics/resources are fully settled.
-        self.inner.join_threads();
-        self.inner.check_failure();
-    }
-
-    /// Runs the simulation up to and including virtual time `horizon`,
-    /// then pauses.
-    ///
-    /// Dispatches every pending wakeup with time `<= horizon` (in the
-    /// same deterministic order [`Simulation::run`] would use) and
-    /// returns once no runnable actor remains at or below the horizon.
-    /// Actors whose next wakeup lies beyond the horizon stay parked;
-    /// a later `run_until` with a larger horizon (or [`Simulation::run`])
-    /// resumes them. Calling with a horizon at or before a previous one
-    /// is a no-op that just reports status.
-    ///
-    /// # Panics
-    /// Panics if an actor panicked during this slice, or on deadlock.
-    pub fn run_until(&self, horizon: Nanos) -> RunStatus {
-        let state = self.inner.drive(horizon);
-        let status = RunStatus {
-            next_wake: state.waiting.peek().map(|&Reverse((t, _, _))| t),
-            live: state.live,
-        };
-        drop(state);
-        self.inner.check_failure();
-        status
-    }
-
-    /// Joins all actor threads. Callable only once every actor has
-    /// finished (e.g. after [`Simulation::run_until`] reported
-    /// `live == 0`); [`Simulation::run`] already joins internally.
-    ///
-    /// # Panics
-    /// Panics if actors are still live (joining would block forever on a
-    /// parked actor), or if any actor panicked.
-    pub fn join_finished(&self) {
-        let live = self.inner.state.lock().live;
-        assert_eq!(
-            live, 0,
-            "join_finished with {live} live actor(s): drive the simulation \
-             to quiescence (run / run_until) before joining"
-        );
         self.inner.join_threads();
         self.inner.check_failure();
     }
@@ -779,17 +693,6 @@ impl Simulation {
     /// returned).
     pub fn now(&self) -> Nanos {
         self.inner.state.lock().now
-    }
-
-    /// Earliest pending wakeup, if any. Stable only while the simulation
-    /// is paused (before `run`, or between `run_until` slices).
-    pub fn next_wake(&self) -> Option<Nanos> {
-        self.inner
-            .state
-            .lock()
-            .waiting
-            .peek()
-            .map(|&Reverse((t, _, _))| t)
     }
 
     /// Number of actors that have not finished.
@@ -1123,7 +1026,7 @@ mod tests {
     fn spawn_into_the_past_traps() {
         let sim = Simulation::new();
         sim.spawn("clock-mover", |ctx| ctx.delay(Nanos(100)));
-        assert!(sim.run_until(Nanos(100)).quiesced());
+        sim.run();
         // The clock is at 100; scheduling an actor at 50 must trap
         // rather than silently reorder already-dispatched events.
         sim.spawn_at(Nanos(50), "ghost", |_ctx| {});
@@ -1198,91 +1101,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(*log.lock(), vec!["first-before", "second", "first-after"]);
-    }
-
-    #[test]
-    fn run_until_pauses_at_horizon_and_resumes() {
-        let sim = Simulation::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let l = Arc::clone(&log);
-        sim.spawn("ticker", move |ctx| {
-            for _ in 0..5 {
-                ctx.delay(Nanos(10));
-                l.lock().push(ctx.now().0);
-            }
-        });
-        let st = sim.run_until(Nanos(25));
-        assert_eq!(*log.lock(), vec![10, 20]);
-        assert_eq!(st.next_wake, Some(Nanos(30)));
-        assert_eq!(st.live, 1);
-        assert!(!st.quiesced());
-
-        // A smaller horizon is a status-only no-op.
-        let st = sim.run_until(Nanos(5));
-        assert_eq!(st.next_wake, Some(Nanos(30)));
-
-        let st = sim.run_until(Nanos(40));
-        assert_eq!(*log.lock(), vec![10, 20, 30, 40]);
-        assert_eq!(st.next_wake, Some(Nanos(50)));
-
-        let st = sim.run_until(Nanos::MAX);
-        assert!(st.quiesced());
-        assert_eq!(*log.lock(), vec![10, 20, 30, 40, 50]);
-        sim.join_finished();
-    }
-
-    #[test]
-    fn run_until_slicing_matches_run() {
-        fn scenario(sim: &Simulation, log: &Arc<Mutex<Vec<(u64, u64)>>>) {
-            for id in 0..3u64 {
-                let l = Arc::clone(log);
-                sim.spawn(&format!("w{id}"), move |ctx| {
-                    let mut step = 5 + id * 7;
-                    for _ in 0..6 {
-                        ctx.delay(Nanos(step));
-                        l.lock().push((id, ctx.now().0));
-                        step = step * 13 % 41 + 1;
-                    }
-                });
-            }
-        }
-        let whole = Arc::new(Mutex::new(Vec::new()));
-        let sim = Simulation::new();
-        scenario(&sim, &whole);
-        sim.run();
-
-        let sliced = Arc::new(Mutex::new(Vec::new()));
-        let sim2 = Simulation::new();
-        scenario(&sim2, &sliced);
-        let mut h = 0u64;
-        loop {
-            h += 7;
-            if sim2.run_until(Nanos(h)).quiesced() {
-                break;
-            }
-        }
-        sim2.join_finished();
-        assert_eq!(*whole.lock(), *sliced.lock());
-        assert_eq!(sim.now(), sim2.now());
-    }
-
-    #[test]
-    fn run_until_fast_path_stops_at_horizon() {
-        // A single actor whose wait would normally advance the clock in
-        // place must still park at the horizon boundary.
-        let sim = Simulation::new();
-        sim.spawn("lone", |ctx| {
-            ctx.delay(Nanos(1_000));
-        });
-        let st = sim.run_until(Nanos(100));
-        assert_eq!(st.live, 1);
-        assert_eq!(st.next_wake, Some(Nanos(1_000)));
-        assert!(
-            sim.now() <= Nanos(100),
-            "clock ran past horizon: {:?}",
-            sim.now()
-        );
-        assert!(sim.run_until(Nanos::MAX).quiesced());
-        sim.join_finished();
     }
 }

@@ -45,24 +45,13 @@ fn scenario(sim: &Simulation, log: &Log) {
     }
 }
 
-/// Runs the scenario whole, or in `run_until` slices of `slice` ns.
-fn run(spin_cap: usize, slice: Option<u64>) -> (Vec<(u64, u64)>, Nanos) {
+/// Runs the scenario with waiters polling while at most `spin_cap`
+/// thread actors are live.
+fn run(spin_cap: usize) -> (Vec<(u64, u64)>, Nanos) {
     let sim = Simulation::with_spin_cap(spin_cap);
     let log: Log = Arc::new(Mutex::new(Vec::new()));
     scenario(&sim, &log);
-    match slice {
-        None => sim.run(),
-        Some(step) => {
-            let mut h = 0;
-            loop {
-                h += step;
-                if sim.run_until(Nanos(h)).quiesced() {
-                    break;
-                }
-            }
-            sim.join_finished();
-        }
-    }
+    sim.run();
     let s = sim.stats();
     assert_eq!(s.spun + s.parked, s.handoffs, "{s:?}");
     let v = log.lock().clone();
@@ -71,16 +60,10 @@ fn run(spin_cap: usize, slice: Option<u64>) -> (Vec<(u64, u64)>, Nanos) {
 
 #[test]
 fn polling_and_parking_dispatch_identically() {
-    let reference = run(0, None);
+    let reference = run(0);
     assert_eq!(reference.0.len(), 4 * 8 + 4 * 3 + 4);
-    for slice in [None, Some(7), Some(1)] {
-        assert_eq!(run(0, slice), reference, "parking, slice {slice:?}");
-        assert_eq!(
-            run(usize::MAX, slice),
-            reference,
-            "polling, slice {slice:?}"
-        );
-    }
+    assert_eq!(run(0), reference, "parking");
+    assert_eq!(run(usize::MAX), reference, "polling");
 }
 
 #[test]

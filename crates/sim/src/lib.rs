@@ -16,9 +16,8 @@
 //! * [`rng`] — seedable PRNG plus the YCSB zipfian/latest distributions.
 //! * [`stats`] — log-bucketed latency histograms and throughput counters.
 //! * [`report`] — plain-text table formatting for the benchmark harnesses.
-//! * [`mailbox`] / [`port`] — the cross-lane primitives for the sharded
-//!   parallel executor (`bypassd-fleet`): deterministically merged
-//!   mailboxes and lookahead-annotated cross-shard ports.
+//! * [`port`] — named cross-machine links with their declared delay,
+//!   which the fleet harness routes each hop through.
 //!
 //! ## Example
 //!
@@ -39,15 +38,13 @@ pub mod engine;
 #[cfg(test)]
 mod handoff_tests;
 pub mod hash;
-pub mod mailbox;
 pub mod port;
 pub mod report;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{block_on, ActorCtx, RunStatus, SimStats, Simulation, Sleep};
+pub use engine::{block_on, ActorCtx, SimStats, Simulation, Sleep};
 pub use hash::FixedState;
-pub use mailbox::{Envelope, Mailbox};
 pub use port::Port;
 pub use time::Nanos;

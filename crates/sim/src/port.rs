@@ -1,32 +1,26 @@
-//! Cross-shard port annotations.
+//! Cross-machine port annotations.
 //!
-//! A [`Port`] names one kind of edge along which events may cross lane
-//! boundaries in the sharded executor, together with its *lookahead*:
-//! a hardware-derived lower bound on the delay between the instant a
-//! lane decides to send and the instant the receiving lane can observe
-//! the message. Conservative synchronization (Chandy–Misra style) is
-//! only sound — and only fast — because every cross-shard edge declares
-//! a positive lookahead; for BypassD the natural floor is the modeled
-//! PCIe round-trip (~345 ns), since doorbells, completion posts, and
-//! ATS shootdowns all traverse the link.
+//! A [`Port`] names one kind of link along which a message crosses from
+//! one simulated machine to another, together with its *lookahead*:
+//! the modeled delay between the instant the sender acts and the
+//! instant the receiver can observe the message. For BypassD every such
+//! link is the modeled PCIe round trip (~345 ns), since doorbells,
+//! completion posts and ATS shootdowns all traverse it.
 //!
-//! Hardware crates export their edges as `Port` constants (see
-//! `bypassd_ssd::ports`, `bypassd_hw::ports`, `bypassd_qos::ports`) so
-//! the fleet topology is assembled from the same timing model the
-//! devices themselves use.
+//! Hardware crates export their links as `Port` constants (see
+//! `bypassd_ssd::ports`, `bypassd_hw::ports`, `bypassd_qos::ports`), and
+//! the fleet harness (`bypassd::fleet`) takes every hop's delay from
+//! them, so the link timing comes from the same model the devices use.
 
 use crate::time::Nanos;
 
-/// A named cross-shard edge type with its minimum propagation delay.
+/// A named cross-machine link with its propagation delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Port {
     /// Stable human-readable name (diagnostics, topology dumps).
     pub name: &'static str,
-    /// Minimum virtual-time delay from send decision to delivery.
-    /// Must be at least 1 ns: a zero-lookahead edge would force the
-    /// receiving lane's clock to never get ahead of the sender's, which
-    /// defeats sharding (and, at equal times, would make the merge order
-    /// depend on tie-breaking between lanes).
+    /// Virtual-time delay from send decision to delivery. Must be at
+    /// least 1 ns: no message crosses a physical link instantly.
     pub lookahead: Nanos,
 }
 
@@ -35,7 +29,7 @@ impl Port {
     pub const fn new(name: &'static str, lookahead: Nanos) -> Self {
         assert!(
             lookahead.0 >= 1,
-            "cross-shard ports need positive lookahead"
+            "cross-machine ports need positive lookahead"
         );
         Port { name, lookahead }
     }

@@ -83,8 +83,8 @@ impl Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Addition clamped at [`Nanos::MAX`] (used by horizon arithmetic,
-    /// where `MAX` means "unbounded").
+    /// Addition clamped at [`Nanos::MAX`], where `MAX` means
+    /// "unbounded".
     pub fn saturating_add(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_add(rhs.0))
     }

@@ -130,73 +130,6 @@ fn task_runs_use_no_threads_and_no_handoffs() {
 }
 
 #[test]
-fn sliced_task_run_matches_whole_run() {
-    let (whole, end, _) = run_whole(Kind::Tasks);
-    let (sim, log) = scenario(Kind::Tasks);
-    let mut h = 0u64;
-    loop {
-        h += 7;
-        if sim.run_until(Nanos(h)).quiesced() {
-            break;
-        }
-    }
-    sim.join_finished();
-    assert_eq!(*log.lock(), whole);
-    assert_eq!(sim.now(), end);
-}
-
-/// The conductor signals its control condvar only while `run_until`
-/// sleeps on it (a thread actor holds the token). Slicing at every
-/// nanosecond makes nearly every pause one the caller conducts itself,
-/// interleaved with thread-actor handoffs it must still wait out: a lost
-/// wakeup would hang here, so the sliced run goes on its own thread
-/// under a deadline.
-#[test]
-fn one_ns_slices_over_mixed_actors_match_run_and_never_hang() {
-    let (whole, end, whole_stats) = run_whole(Kind::Mixed);
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let (sim, log) = scenario(Kind::Mixed);
-        let mut h = 0u64;
-        while !sim.run_until(Nanos(h)).quiesced() {
-            h += 1;
-        }
-        sim.join_finished();
-        let v = log.lock().clone();
-        tx.send((v, sim.now(), sim.stats(), h)).unwrap();
-    });
-    let (sliced, sliced_end, stats, slices) = rx
-        .recv_timeout(std::time::Duration::from_secs(60))
-        .expect("1 ns run_until slicing hung (lost control-condvar wakeup?)");
-    assert_eq!(sliced, whole, "slicing reordered events");
-    assert_eq!(sliced_end, end);
-    assert_eq!(
-        slices, end.0,
-        "one slice per nanosecond up to the last event"
-    );
-    assert!(
-        stats.handoffs > 0,
-        "mixed run must hand off to thread actors"
-    );
-    assert_eq!(stats.thread_spawns, whole_stats.thread_spawns);
-    assert_eq!(stats.task_spawns, whole_stats.task_spawns);
-}
-
-#[test]
-fn task_fast_path_stops_at_horizon() {
-    let sim = Simulation::new();
-    sim.spawn_task("lone", |mut ctx| async move {
-        ctx.sleep(Nanos(1_000)).await;
-        assert_eq!(ctx.now(), Nanos(1_000));
-    });
-    let st = sim.run_until(Nanos(100));
-    assert_eq!(st.live, 1);
-    assert_eq!(st.next_wake, Some(Nanos(1_000)));
-    assert!(sim.now() <= Nanos(100));
-    assert!(sim.run_until(Nanos::MAX).quiesced());
-}
-
-#[test]
 #[should_panic(expected = "simulation actor 'boom' panicked: intentional")]
 fn task_panic_propagates() {
     let sim = Simulation::new();

@@ -1,51 +1,25 @@
-//! Cross-shard port annotations for the NVMe data path.
+//! Cross-machine port annotations for the NVMe data path.
 //!
-//! In a sharded fleet run (`bypassd-fleet`) each simulated SSD lives in
-//! its own event lane; the two data-path edges that cross lane
-//! boundaries are the *doorbell* (a remote shard ringing a submission
-//! queue on this device) and the *completion post* (this device's lane
-//! posting a completion back to the submitter's shard). Both traverse
-//! the PCIe link, so both inherit the modeled round trip as lookahead —
-//! the same constant the IOMMU timing model uses
+//! In a fleet run the two data-path links that cross machine
+//! boundaries are the *doorbell* (a remote machine ringing a submission
+//! queue on this device) and the *completion post* (this device posting
+//! a completion back to the submitter's machine). Both traverse the
+//! PCIe link, so both take the modeled round trip as their delay — the
+//! same constant the IOMMU timing model uses
 //! ([`bypassd_hw::ports::PCIE_RTT`]).
-//!
-//! [`COMPLETION_REACTION`] is the input→output bound a device lane may
-//! declare for its completion edges: a completion for a remotely rung
-//! doorbell can never be posted sooner than one PCIe round trip after
-//! the doorbell arrived (command fetch + the shortest possible
-//! device-side turnaround). Media service times are far larger
-//! ([`MediaTiming::read_base`] is ~3.45 µs), but error completions can
-//! return without touching media, so the conservative bound is the link
-//! latency, not the media latency.
 
 use bypassd_hw::ports::PCIE_RTT;
-use bypassd_sim::{Nanos, Port};
+use bypassd_sim::Port;
 
-#[allow(unused_imports)] // doc link
-use crate::timing::MediaTiming;
-
-/// Remote shard rings a submission-queue doorbell on this device.
+/// Remote machine rings a submission-queue doorbell on this device.
 pub const DOORBELL: Port = Port::new("nvme.doorbell", PCIE_RTT);
 
-/// Device lane posts a completion back to the submitting shard.
+/// Device posts a completion back to the submitting machine.
 pub const COMPLETION: Port = Port::new("nvme.completion", PCIE_RTT);
-
-/// Lower bound from a doorbell arriving to its completion being sent.
-pub const COMPLETION_REACTION: Nanos = PCIE_RTT;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn completion_reaction_is_below_any_media_service() {
-        // The reaction bound must be conservative against every path a
-        // completion can take, including ones that never touch media.
-        let t = MediaTiming::default();
-        assert!(COMPLETION_REACTION <= t.read_base);
-        assert!(COMPLETION_REACTION <= t.write_base);
-        assert!(COMPLETION_REACTION.0 >= 1);
-    }
 
     #[test]
     fn data_path_ports_share_the_link_lookahead() {

@@ -213,7 +213,7 @@ fn batched_chains_under_faults_match_sequential_chains() {
             sys.kernel().revoke_path(file).unwrap();
         }),
         ("dropped completion", |plane, _, _| {
-            plane.drop_completions(vec![3])
+            plane.drop_completions(vec![3]);
         }),
         ("transient media errors", |plane, sys, file| {
             sys.kernel().revoke_path(file).unwrap();
