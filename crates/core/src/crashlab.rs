@@ -41,8 +41,8 @@ use crate::userlib::UserProcess;
 #[derive(Debug, Clone, Copy)]
 pub enum CrashWorkload {
     /// Append-only log: step `i` writes `blocks_per_step` fresh blocks,
-    /// then fsyncs. Exercises allocation, the optimized-append path and
-    /// size commits.
+    /// then fsyncs. Exercises allocation, kernel appends and size
+    /// commits (optimized append stays off).
     Append {
         /// fsync'd steps.
         steps: usize,

@@ -272,7 +272,6 @@ impl UserProcess {
             clean_streak: 0,
             pressure_events: 0,
             cached_fd: None,
-            async_staging: None,
             batch: BatchScratch::with_capacity(queue_depth),
         }
     }
@@ -508,10 +507,6 @@ pub struct UserThread {
     /// Last entry resolved by this thread: repeated ops on the same fd
     /// skip the process-wide table lock and map lookup entirely.
     cached_fd: Option<(Fd, Arc<FileEntry>)>,
-    /// Reusable staging buffer for non-blocking writes (the simulated
-    /// device consumes the data synchronously at submission, so the
-    /// buffer is free for reuse as soon as `submit` returns).
-    async_staging: Option<DmaBuffer>,
     /// SoA in-flight table for [`UserThread::pread_batch`].
     batch: BatchScratch,
 }
@@ -783,12 +778,15 @@ impl UserThread {
         }
     }
 
-    /// The single-command path behind `pread`, `pread_chain` and aligned
-    /// overwrites: one [`direct_io_fut`](Self::direct_io_fut) round trip
-    /// per DMA-buffer chunk, and the one fault/retry tail. After a
-    /// translation fault it picks up the re-fmapped VBA, backs off and
-    /// retries the op, up to `max_attempts`; after revocation or the last
-    /// attempt it serves the op on its fallback path.
+    /// The single-command path behind `pread`, `pread_chain`, in-place
+    /// `pwrite` and optimized appends: one
+    /// [`direct_io_fut`](Self::direct_io_fut) round trip per DMA-buffer
+    /// chunk, and the one fault/retry tail. A write chunk the op covers
+    /// only in part is read first and patched (the read-modify-write of
+    /// §4.5.1; callers serialise overlapping ones). After a translation
+    /// fault it picks up the re-fmapped VBA, backs off and retries the
+    /// op, up to `max_attempts`; after revocation or the last attempt it
+    /// serves the op on its fallback path.
     async fn direct_fut(
         &mut self,
         ctx: &mut ActorCtx,
@@ -804,17 +802,29 @@ impl UserThread {
         let mut attempts = 0;
         'attempt: loop {
             let mut pos = start;
+            // Set while a partly covered write chunk's old sectors are read.
+            let mut pre_read = false;
             while pos < end {
                 let span = (end - pos).min(self.dma.len() as u64);
+                let lo = offset.max(pos);
+                let hi = (offset + len).min(pos + span);
+                let mut kind = op.target().0;
                 if let DirectOp::Write { data, .. } = &op {
-                    let copy = self.cost().user_copy(span);
-                    ctx.sleep(copy).await;
-                    scratch.user_copy += copy;
-                    let from = (pos - offset) as usize;
-                    self.dma.write(0, &data[from..from + span as usize]);
+                    pre_read = !pre_read && (lo > pos || hi < pos + span);
+                    if pre_read {
+                        kind = IoKind::Read;
+                    } else {
+                        let copy = self.cost().user_copy(hi - lo);
+                        ctx.sleep(copy).await;
+                        scratch.user_copy += copy;
+                        self.dma.write(
+                            (lo - pos) as usize,
+                            &data[(lo - offset) as usize..(hi - offset) as usize],
+                        );
+                    }
                 }
                 match self
-                    .direct_io_fut(ctx, fd, entry, op.target().0, vba, pos, span, scratch)
+                    .direct_io_fut(ctx, fd, entry, kind, vba, pos, span, scratch)
                     .await?
                 {
                     DirectIo::Done => {}
@@ -843,12 +853,13 @@ impl UserThread {
                         continue 'attempt;
                     }
                 }
+                if pre_read {
+                    continue;
+                }
                 if let DirectOp::Read { buf, .. } | DirectOp::Chain { buf, .. } = &mut op {
                     let copy = self.cost().user_copy(span.min(len));
                     ctx.sleep(copy).await;
                     scratch.user_copy += copy;
-                    let lo = offset.max(pos);
-                    let hi = (offset + len).min(pos + span);
                     self.dma.read(
                         (lo - pos) as usize,
                         &mut buf[(lo - offset) as usize..(hi - offset) as usize],
@@ -890,7 +901,13 @@ impl UserThread {
                 kernel.sys_pread_fut(ctx, pid, fd, buf, offset).await
             }
             DirectOp::Write { data, offset } => {
-                kernel.sys_pwrite_fut(ctx, pid, fd, data, offset).await
+                let r = kernel.sys_pwrite_fut(ctx, pid, fd, data, offset).await;
+                // A dirty size flush at fsync/close must not undo the kernel's growth.
+                if let (Ok(n), Ok(e)) = (&r, self.proc.entry(fd)) {
+                    let mut s = e.state.lock();
+                    s.size = s.size.max(offset + *n as u64);
+                }
+                r
             }
             DirectOp::Chain {
                 prog,
@@ -1507,14 +1524,35 @@ impl UserThread {
                 .append_path_fut(ctx, fd, &entry, data, offset, st, scratch)
                 .await;
         }
-        if !offset.is_multiple_of(SECTOR_SIZE) || !len.is_multiple_of(SECTOR_SIZE) {
-            return self
-                .partial_write_fut(ctx, fd, &entry, data, offset, scratch)
-                .await;
-        }
         let vba = st.vba.ok_or(Errno::Inval)?;
         let op = DirectOp::Write { data, offset };
-        self.direct_fut(ctx, fd, &entry, vba, op, scratch).await
+        if offset.is_multiple_of(SECTOR_SIZE) && len.is_multiple_of(SECTOR_SIZE) {
+            return self.direct_fut(ctx, fd, &entry, vba, op, scratch).await;
+        }
+        // Sub-sector write: a serialised read-modify-write (§4.5.1). Wait
+        // until no in-flight partial write overlaps our sectors.
+        let range = (
+            offset - offset % SECTOR_SIZE,
+            end.div_ceil(SECTOR_SIZE) * SECTOR_SIZE,
+        );
+        loop {
+            let registered = {
+                let mut partials = entry.partials.lock();
+                let conflict = partials.iter().any(|(s, e)| *s < range.1 && range.0 < *e);
+                if !conflict {
+                    partials.push(range);
+                }
+                !conflict
+            };
+            if registered {
+                break;
+            }
+            ctx.sleep(Nanos(200)).await;
+        }
+        let result = self.direct_fut(ctx, fd, &entry, vba, op, scratch).await;
+        // Always deregister.
+        entry.partials.lock().retain(|r| *r != range);
+        result
     }
 
     /// Append handling: kernel route, or direct overwrite of
@@ -1549,29 +1587,16 @@ impl UserThread {
                 r?;
                 entry.state.lock().prealloc_end = st.prealloc_end + grow;
             }
+            // After revocation the op lands as a kernel `pwrite` at its own
+            // offset: the kernel's size is stale until the dirty size is
+            // flushed, so a kernel append would land too early.
             let vba = st.vba.ok_or(Errno::Inval)?;
-            let copy = self.cost().user_copy(len);
-            ctx.sleep(copy).await;
-            scratch.user_copy += copy;
-            self.dma.write(0, data);
-            match self
-                .direct_io_fut(ctx, fd, entry, IoKind::Write, vba, offset, len, scratch)
-                .await?
-            {
-                DirectIo::Done => {
-                    {
-                        let mut s = entry.state.lock();
-                        s.size = s.size.max(end);
-                        s.size_dirty = true;
-                    }
-                    // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
-                    self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                    return Ok(data.len());
-                }
-                DirectIo::Revoked | DirectIo::Fault => {
-                    // Fall through to the kernel append below.
-                }
-            }
+            let op = DirectOp::Write { data, offset };
+            let n = self.direct_fut(ctx, fd, entry, vba, op, scratch).await?;
+            let mut s = entry.state.lock();
+            s.size = s.size.max(end);
+            s.size_dirty = true;
+            return Ok(n);
         }
         scratch.fall_back();
         let kernel_start = ctx.now();
@@ -1628,78 +1653,6 @@ impl UserThread {
         Ok(n)
     }
 
-    /// Serialised read-modify-write for sub-sector writes (§4.5.1).
-    async fn partial_write_fut(
-        &mut self,
-        ctx: &mut ActorCtx,
-        fd: Fd,
-        entry: &FileEntry,
-        data: &[u8],
-        offset: u64,
-        scratch: &mut OpScratch,
-    ) -> SysResult<usize> {
-        let len = data.len() as u64;
-        let start = offset - offset % SECTOR_SIZE;
-        let end = (offset + len).div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
-        // Wait until no in-flight partial write overlaps our sectors.
-        loop {
-            let registered = {
-                let mut partials = entry.partials.lock();
-                let conflict = partials.iter().any(|(s, e)| *s < end && start < *e);
-                if !conflict {
-                    partials.push((start, end));
-                }
-                !conflict
-            };
-            if registered {
-                break;
-            }
-            ctx.sleep(Nanos(200)).await;
-        }
-        let result = self
-            .partial_write_inner_fut(ctx, fd, entry, data, offset, scratch)
-            .await;
-        // Always deregister.
-        entry.partials.lock().retain(|r| *r != (start, end));
-        result
-    }
-
-    async fn partial_write_inner_fut(
-        &mut self,
-        ctx: &mut ActorCtx,
-        fd: Fd,
-        entry: &FileEntry,
-        data: &[u8],
-        offset: u64,
-        scratch: &mut OpScratch,
-    ) -> SysResult<usize> {
-        let Some(vba) = entry.state.lock().vba else {
-            return Err(Errno::Inval);
-        };
-        let start = offset - offset % SECTOR_SIZE;
-        let span = (offset + data.len() as u64).div_ceil(SECTOR_SIZE) * SECTOR_SIZE - start;
-        // Read the old sectors, modify, write back.
-        let read = self
-            .direct_io_fut(ctx, fd, entry, IoKind::Read, vba, start, span, scratch)
-            .await?;
-        if matches!(read, DirectIo::Done) {
-            let copy = self.cost().user_copy(data.len() as u64);
-            ctx.sleep(copy).await;
-            scratch.user_copy += copy;
-            self.dma.write((offset - start) as usize, data);
-            let written = self
-                .direct_io_fut(ctx, fd, entry, IoKind::Write, vba, start, span, scratch)
-                .await?;
-            if matches!(written, DirectIo::Done) {
-                // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
-                self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                return Ok(data.len());
-            }
-        }
-        let op = DirectOp::Write { data, offset };
-        Box::pin(self.fallback_fut(ctx, fd, op, scratch)).await
-    }
-
     // ---- non-blocking writes (§5.1 enhancement) ----
 
     /// Submits an aligned overwrite without waiting for the device
@@ -1709,7 +1662,7 @@ impl UserThread {
     /// or [`UserThread::flush_writes`].
     ///
     /// Falls back to the synchronous path for unaligned writes, appends,
-    /// or revoked files.
+    /// writes larger than the thread DMA buffer, or revoked files.
     ///
     /// # Errors
     /// `Perm` on read-only fds; kernel-path errors on fallback.
@@ -1757,10 +1710,10 @@ impl UserThread {
         let aligned =
             offset.is_multiple_of(SECTOR_SIZE) && len.is_multiple_of(SECTOR_SIZE) && len > 0;
         let in_place = offset + len <= st.size;
-        if st.fallback || !aligned || !in_place || st.vba.is_none() || len > 256 * 1024 {
-            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
-        }
-        let vba = st.vba.unwrap();
+        let vba = match st.vba {
+            Some(vba) if !st.fallback && aligned && in_place && len <= self.dma.len() as u64 => vba,
+            _ => return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await,
+        };
         // Serialise against overlapping pending writes (same-file
         // write-write ordering, the CrossFS-style range rule).
         loop {
@@ -1787,53 +1740,22 @@ impl UserThread {
         ctx.sleep(self.cost().userlib_overhead + copy).await;
         scratch.userlib += self.cost().userlib_overhead;
         scratch.user_copy += copy;
-        // Async writes stage through a reusable per-thread DMA buffer so
-        // the main thread buffer stays free for subsequent operations.
-        // The simulated device consumes the payload synchronously inside
-        // `submit`, so the staging buffer is free again as soon as the
-        // doorbell rings — no per-op allocation required.
-        if self
-            .async_staging
-            .as_ref()
-            .is_none_or(|d| d.len() < data.len())
-        {
-            self.async_staging = Some(DmaBuffer::alloc(self.proc.system.mem(), data.len()));
-        }
-        let submit = move |this: &Self, now| {
-            let dma = this
-                .async_staging
-                .as_ref()
-                .expect("staging buffer just ensured");
-            dma.write(0, data);
-            let cmd = IoKind::Write.command(vba, offset, len, dma);
-            this.proc.system.device().submit(this.qid, cmd, now)
-        };
-        let mut submitted = submit(self, ctx.now());
-        if submitted.is_err() {
-            // Queue full: drain and retry once, then give up to sync.
-            self.flush_writes_fut(ctx, fd).await?;
-            submitted = submit(self, ctx.now());
-        }
-        let Ok(cid) = submitted else {
-            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
-        };
-        let dev = self.proc.system.device();
-        let Some(ready) = dev.ready_time(self.qid, cid) else {
-            // Swallowed CQ entry: re-issue synchronously (idempotent,
-            // same target blocks), as a host timeout would.
-            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
-        };
-        let Some(comp) = dev.reap_at(self.qid, cid, ready) else {
-            // Lost CQ entry (injected completion drop): the host-side
-            // timeout re-issues on the synchronous path, which is
-            // idempotent — the write targets the same blocks.
-            ctx.sleep_until(ready).await;
-            return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
-        };
+        // The simulated device consumes the payload and posts the
+        // completion inside the call, so the thread DMA buffer is free
+        // again at once and only the wait for `ready_at` is skipped.
+        self.dma.write(0, data);
+        let cmd = IoKind::Write.command(vba, offset, len, &self.dma);
+        let comp = self
+            .proc
+            .system
+            .device()
+            .execute_full(self.qid, cmd, ctx.now());
         self.note_pressure(comp.pressure);
+        let ready = comp.ready_at;
         scratch.device_span += ready.saturating_sub(ctx.now());
         if !comp.status.is_ok() {
-            // Translation fault (revocation mid-flight): fall back.
+            // A fault or media error: re-issue on the synchronous path,
+            // which owns the retry tail and the kernel fallback.
             scratch.faults += 1;
             return Box::pin(self.pwrite_inner_fut(ctx, fd, data, offset, scratch)).await;
         }

@@ -16,6 +16,10 @@ use parking_lot::Mutex;
 /// 1.5x the measured 520 bytes.
 const PREAD_FUTURE_MAX: usize = 780;
 
+/// The `pwrite` future holds every write path (in place, sub-sector,
+/// append): 1,544 bytes when this bound was set, with 10% headroom.
+const PWRITE_FUTURE_MAX: usize = 1_700;
+
 fn assert_send<T: Send>(_: &T) {}
 
 #[test]
@@ -93,6 +97,12 @@ fn direct_pread_future_stays_small() {
     assert!(
         pread <= PREAD_FUTURE_MAX,
         "the direct pread future grew to {pread} bytes (bound {PREAD_FUTURE_MAX}): \
+         box the new cold path instead of inlining it"
+    );
+    let pwrite = sizes[2].1;
+    assert!(
+        pwrite <= PWRITE_FUTURE_MAX,
+        "the pwrite future grew to {pwrite} bytes (bound {PWRITE_FUTURE_MAX}): \
          box the new cold path instead of inlining it"
     );
 }

@@ -697,3 +697,96 @@ fn batch_unaligned_slot_demotes_whole_batch_to_sequential() {
         t.close(ctx, fd).unwrap();
     });
 }
+
+#[test]
+fn writes_larger_than_the_dma_buffer_round_trip() {
+    // A sub-sector pwrite and an optimized append, each spanning several
+    // 16 KiB DMA chunks: the partly covered head and tail chunks are
+    // read-modify-written, the chunks between are plain overwrites.
+    let sys = system();
+    sys.fs().populate("/big", 64 << 10, 0x11).unwrap();
+    run(&sys, |ctx, sys| {
+        let proc = UserProcess::start(sys, 0, 0);
+        let mut t = proc.thread_with(4, 16 << 10);
+        let fd = t.open(ctx, "/big", true).unwrap();
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+        assert_eq!(t.pwrite(ctx, fd, &data, 100).unwrap(), data.len());
+        let mut buf = vec![0u8; 64 << 10];
+        t.pread(ctx, fd, &mut buf, 0).unwrap();
+        assert!(buf[..100].iter().all(|&b| b == 0x11), "head clobbered");
+        assert_eq!(&buf[100..40_100], &data[..]);
+        assert!(buf[40_100..].iter().all(|&b| b == 0x11), "tail clobbered");
+
+        let log = t.open_with(ctx, "/log", true, true).unwrap();
+        proc.enable_optimized_append(log, 1 << 20);
+        let chunk: Vec<u8> = (0..64u32 << 10).map(|i| (i % 253) as u8).collect();
+        assert_eq!(t.pwrite(ctx, log, &chunk, 0).unwrap(), chunk.len());
+        buf.fill(0);
+        t.pread(ctx, log, &mut buf, 0).unwrap();
+        assert_eq!(buf, chunk);
+        assert!(!t.is_fallback(log));
+    });
+}
+
+#[test]
+fn optimized_append_after_revocation_lands_at_its_offset() {
+    // The kernel's size lags the direct appends until fsync, so the
+    // append that discovers the revocation must land at its own offset,
+    // not at the kernel's end of file.
+    let sys = system();
+    run(&sys, |ctx, sys| {
+        let proc = UserProcess::start(sys, 0, 0);
+        let mut t = proc.thread();
+        let fd = t.open_with(ctx, "/log", true, true).unwrap();
+        proc.enable_optimized_append(fd, 1 << 20);
+        for i in 0..4u8 {
+            t.pwrite(ctx, fd, &[i + 1; 4096], u64::from(i) * 4096)
+                .unwrap();
+        }
+        sys.kernel().revoke_path("/log").unwrap();
+        t.pwrite(ctx, fd, &[5; 4096], 4 * 4096).unwrap();
+        assert!(t.is_fallback(fd));
+        t.fsync(ctx, fd).unwrap();
+        let mut buf = vec![0u8; 5 * 4096];
+        t.pread(ctx, fd, &mut buf, 0).unwrap();
+        for block in buf.chunks(4096) {
+            assert!(block.iter().all(|&b| b == block[0]), "torn block");
+        }
+        let blocks: Vec<u8> = buf.chunks(4096).map(|b| b[0]).collect();
+        assert_eq!(blocks, [1, 2, 3, 4, 5]);
+        let ino = sys.fs().lookup("/log").unwrap();
+        assert_eq!(sys.fs().size_of(ino).unwrap(), 5 * 4096);
+    });
+}
+
+#[test]
+fn fallback_appends_after_revocation_keep_the_file_size() {
+    // Once the fd has fallen back, appends are kernel pwrites that grow
+    // the kernel's size; the size fsync flushes must not shrink it back.
+    let sys = system();
+    run(&sys, |ctx, sys| {
+        let proc = UserProcess::start(sys, 0, 0);
+        let mut t = proc.thread();
+        let fd = t.open_with(ctx, "/log", true, true).unwrap();
+        proc.enable_optimized_append(fd, 1 << 20);
+        for i in 0..4u8 {
+            t.pwrite(ctx, fd, &[i + 1; 4096], u64::from(i) * 4096)
+                .unwrap();
+        }
+        t.fsync(ctx, fd).unwrap();
+        sys.kernel().revoke_path("/log").unwrap();
+        for i in 4..6u8 {
+            t.pwrite(ctx, fd, &[i + 1; 4096], u64::from(i) * 4096)
+                .unwrap();
+        }
+        assert!(t.is_fallback(fd));
+        t.fsync(ctx, fd).unwrap();
+        let ino = sys.fs().lookup("/log").unwrap();
+        assert_eq!(sys.fs().size_of(ino).unwrap(), 6 * 4096);
+        let mut buf = vec![0u8; 6 * 4096];
+        assert_eq!(t.pread(ctx, fd, &mut buf, 0).unwrap(), buf.len());
+        let blocks: Vec<u8> = buf.chunks(4096).map(|b| b[0]).collect();
+        assert_eq!(blocks, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(t.size(fd).unwrap(), 6 * 4096);
+    });
+}

@@ -381,25 +381,6 @@ impl Ext4 {
         self.inner.lock().timing
     }
 
-    /// Simulates a crash (compatibility shim over the fault plane): cuts
-    /// device power *except* for the journal region, so all subsequent
-    /// home-location and data writes are dropped while journal commits
-    /// still reach the device — the historical `crashed`-flag semantics.
-    /// In-memory state must be discarded; remount with [`Ext4::mount`]
-    /// (which restores power).
-    ///
-    /// New code should drive the plane directly ([`Ext4::crash_at`] or
-    /// `NvmeDevice::fault_plane`) for arbitrary-virtual-time cuts.
-    pub fn crash(&self) {
-        let (js, jb) = {
-            let inner = self.inner.lock();
-            (inner.sb.journal_start, inner.sb.journal_blocks)
-        };
-        let plane = self.dev.fault_plane();
-        plane.activate();
-        plane.cut_now_except(vec![(Lba::from_block(js), Lba::from_block(js + jb))]);
-    }
-
     /// Schedules a *full* power cut at virtual time `t` (on the device's
     /// fault plane): every write observed at or after that instant — data,
     /// journal, everything — is lost. Remount with [`Ext4::mount`] to

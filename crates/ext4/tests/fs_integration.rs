@@ -6,8 +6,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd_ext4::fmap::{FmapCost, MapTarget, FRAGMENT_SPAN};
-use bypassd_ext4::layout::BLOCK_SIZE;
+use bypassd_ext4::layout::{Superblock, BLOCK_SIZE};
 use bypassd_ext4::{Ext4, Ext4Error, Ext4Options};
+use bypassd_faults::plane::{Cut, WriteKind};
 use bypassd_hw::iommu::{AccessKind, Iommu};
 use bypassd_hw::page_table::AddressSpace;
 use bypassd_hw::types::{DevId, Lba, Pasid, PAGE_SIZE};
@@ -30,6 +31,44 @@ fn fixture() -> Fixture {
     let dev = NvmeDevice::new(DEV, 4 << 20, MediaTiming::default(), iommu);
     let fs = Ext4::format(&dev, &mem, Ext4Options::default());
     Fixture { mem, dev, fs }
+}
+
+/// Runs `before`, a crash point, then `after` (handed `before`'s
+/// result), losing writes the way a crash under a journaling filesystem
+/// does: the journal commits issued after the crash point reach the
+/// media, their home-location writes do not. A first run records the
+/// write schedule; a second, identical run arms a cut whose
+/// `drop_before` lists every post-crash write outside the journal
+/// region. Returns the second run's fixture, still mounted.
+fn crash_keeping_journal<T>(before: impl Fn(&Ext4) -> T, after: impl Fn(&Ext4, T)) -> Fixture {
+    let f = fixture();
+    let plane = f.dev.fault_plane();
+    plane.start_recording();
+    let v = before(&f.fs);
+    let crash_seq = plane.seq();
+    after(&f.fs, v);
+    let mut buf = vec![0u8; BLOCK_SIZE as usize];
+    f.dev.read_raw(Lba(0), &mut buf);
+    let sb = Superblock::decode(&buf).unwrap();
+    let journal_start = Lba::from_block(sb.journal_start);
+    let journal_end = Lba::from_block(sb.journal_start + sb.journal_blocks);
+    let drop_before = plane
+        .take_schedule()
+        .into_iter()
+        .filter(|w| w.seq >= crash_seq && w.kind != WriteKind::Flush)
+        .filter(|w| w.lba < journal_start || Lba(w.lba.0 + u64::from(w.sectors)) > journal_end)
+        .map(|w| w.seq)
+        .collect();
+
+    let f = fixture();
+    f.dev.fault_plane().arm(Cut {
+        cut_seq: u64::MAX,
+        drop_before,
+        tear: None,
+    });
+    let v = before(&f.fs);
+    after(&f.fs, v);
+    f
 }
 
 fn target(mem: &PhysMem, iommu: &Arc<Mutex<Iommu>>, pid: u64) -> MapTarget {
@@ -186,11 +225,15 @@ fn mount_roundtrip_preserves_tree() {
 
 #[test]
 fn crash_recovery_replays_journal() {
-    let f = fixture();
-    f.fs.create("/before", 0o644, 0, 0).unwrap();
     // Crash: home writes stop reaching the device, journal writes do.
-    f.fs.crash();
-    f.fs.create("/after", 0o644, 0, 0).unwrap();
+    let f = crash_keeping_journal(
+        |fs| {
+            fs.create("/before", 0o644, 0, 0).unwrap();
+        },
+        |fs, ()| {
+            fs.create("/after", 0o644, 0, 0).unwrap();
+        },
+    );
     drop(f.fs);
     let fs2 = Ext4::mount(&f.dev, &f.mem).unwrap();
     assert!(fs2.lookup("/before").is_ok());
@@ -202,10 +245,12 @@ fn crash_recovery_replays_journal() {
 
 #[test]
 fn crash_recovery_preserves_allocations() {
-    let f = fixture();
-    let ino = f.fs.create("/f", 0o644, 0, 0).unwrap();
-    f.fs.crash();
-    f.fs.allocate(ino, 0, 20 * BLOCK_SIZE).unwrap();
+    let f = crash_keeping_journal(
+        |fs| fs.create("/f", 0o644, 0, 0).unwrap(),
+        |fs, ino| {
+            fs.allocate(ino, 0, 20 * BLOCK_SIZE).unwrap();
+        },
+    );
     drop(f.fs);
     let fs2 = Ext4::mount(&f.dev, &f.mem).unwrap();
     let ino2 = fs2.lookup("/f").unwrap();

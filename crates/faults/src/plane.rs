@@ -25,12 +25,6 @@
 //! write persisted. Workloads record [`FaultPlane::mark`] checkpoints (e.g.
 //! after each `fsync` returns) and recovery checks may assert exactly the
 //! marks below the horizon — the fsync contract under power loss.
-//!
-//! ## Legacy `Ext4::crash()` shim
-//!
-//! The old coarse crash switch let journal writes persist while dropping
-//! home-location writes. `persist_ranges` reproduces that: LBA ranges that
-//! keep persisting even after the cut fires.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -112,9 +106,6 @@ pub struct Cut {
     pub drop_before: Vec<u64>,
     /// At most one torn write.
     pub tear: Option<Tear>,
-    /// Sector ranges `[start, end)` whose writes persist even after the
-    /// cut fires (legacy `Ext4::crash()` journal-survives semantics).
-    pub persist_ranges: Vec<(Lba, Lba)>,
 }
 
 impl Cut {
@@ -137,12 +128,6 @@ impl Cut {
             h = h.min(t.seq);
         }
         h
-    }
-
-    fn in_persist_range(&self, lba: Lba, sectors: u32) -> bool {
-        self.persist_ranges
-            .iter()
-            .any(|&(s, e)| lba >= s && Lba(lba.0 + u64::from(sectors)) <= e)
     }
 }
 
@@ -271,22 +256,6 @@ impl FaultPlane {
             g.horizon = Some(g.seq);
             g.fire_cut();
         }
-    }
-
-    /// Cuts power immediately, except writes inside `persist_ranges`
-    /// keep persisting — the legacy `Ext4::crash()` semantics (journal
-    /// region survives, home-location writes vanish).
-    pub fn cut_now_except(&self, persist_ranges: Vec<(Lba, Lba)>) {
-        self.activate();
-        let mut g = self.inner.lock();
-        g.horizon = Some(g.seq);
-        g.cut = Some(Cut {
-            cut_seq: g.seq,
-            drop_before: Vec::new(),
-            tear: None,
-            persist_ranges,
-        });
-        g.fire_cut();
     }
 
     /// Restores power: disarms any cut and lets writes persist again.
@@ -422,14 +391,7 @@ impl FaultPlane {
                     if !g.powered_off {
                         g.fire_cut();
                     }
-                    if g.cut
-                        .as_ref()
-                        .is_some_and(|c| c.in_persist_range(lba, sectors))
-                    {
-                        WriteVerdict::Persist
-                    } else {
-                        WriteVerdict::Drop
-                    }
+                    WriteVerdict::Drop
                 } else if cut.drop_before.binary_search(&seq).is_ok() {
                     WriteVerdict::Drop
                 } else if let Some(t) = cut.tear.filter(|t| t.seq == seq) {
@@ -584,7 +546,6 @@ mod tests {
                 keep_sectors: 3,
                 scatter_salt: 0,
             }),
-            persist_ranges: Vec::new(),
         });
         match ev(&p, 0, 8) {
             WriteVerdict::Partial(mask) => {
@@ -621,7 +582,6 @@ mod tests {
             cut_seq: 4,
             drop_before: vec![1, 3],
             tear: None,
-            persist_ranges: Vec::new(),
         });
         assert_eq!(ev(&p, 0, 8), WriteVerdict::Persist); // 0
         assert_eq!(ev(&p, 8, 8), WriteVerdict::Drop); // 1 in cache
@@ -629,17 +589,6 @@ mod tests {
         assert_eq!(ev(&p, 24, 8), WriteVerdict::Drop); // 3 in cache
         assert_eq!(ev(&p, 32, 8), WriteVerdict::Drop); // 4: cut
         assert_eq!(p.horizon(), Some(1));
-    }
-
-    #[test]
-    fn persist_ranges_survive_cut() {
-        let p = FaultPlane::new();
-        p.reset();
-        p.cut_now_except(vec![(Lba(100), Lba(200))]);
-        assert_eq!(ev(&p, 0, 8), WriteVerdict::Drop);
-        assert_eq!(ev(&p, 100, 8), WriteVerdict::Persist);
-        assert_eq!(ev(&p, 196, 8), WriteVerdict::Drop); // straddles end
-        assert_eq!(ev(&p, 192, 8), WriteVerdict::Persist);
     }
 
     #[test]

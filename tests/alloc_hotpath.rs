@@ -1,8 +1,10 @@
 //! Allocation contract for the steady-state data path (DESIGN.md §12):
-//! after warmup, a cached-fd 4 KB direct read and an 8-read
-//! `pread_batch` flight must each touch the global allocator **zero**
-//! times — every per-op buffer lives in a preallocated slab, scratch,
-//! or ring.
+//! after warmup, a cached-fd 4 KB direct read, an 8-read `pread_batch`
+//! flight, an aligned 4 KB `pwrite` and a 4 KB `pwrite_async` drained by
+//! `flush_writes` must each touch the global allocator **zero** times —
+//! every per-op buffer lives in a preallocated slab, scratch, or ring.
+//! Sub-sector writes are left out: the device materialises the blocks
+//! they read.
 //!
 //! The binary installs a counting `#[global_allocator]` with a
 //! *thread-local* allocation counter, so only allocations made by the
@@ -57,16 +59,17 @@ fn steady_state_cached_fd_reads_do_not_allocate() {
     const FILE: u64 = 8 << 20;
     const FLIGHTS: u64 = 1_000;
     const WIDTH: usize = 8;
+    const WRITES: u64 = 5_000;
     let sys = System::builder().capacity(64 << 20).build();
     sys.fs().populate("/hot", FILE, 0x5a).unwrap();
     let sim = Simulation::new();
     let s2 = sys.clone();
-    let delta = Arc::new(Mutex::new((u64::MAX, u64::MAX)));
+    let delta = Arc::new(Mutex::new([u64::MAX; 4]));
     let d2 = Arc::clone(&delta);
     sim.spawn("reader", move |ctx| {
         let proc = UserProcess::start(&s2, 0, 0);
         let mut t = proc.thread();
-        let fd = t.open(ctx, "/hot", false).unwrap();
+        let fd = t.open(ctx, "/hot", true).unwrap();
         let mut buf = vec![0u8; 4096];
         let mut rng = Rng::new(1);
         // Warmup: touch every page once so the IOTLB/PWC reach their
@@ -109,14 +112,43 @@ fn steady_state_cached_fd_reads_do_not_allocate() {
             flight(&mut t, ctx, &mut rng);
         }
         let flights_after = ALLOCS.with(Cell::get);
-        *d2.lock() = (after - before, flights_after - flights_before);
+        // Writes: aligned 4 KB overwrites, then non-blocking ones each
+        // drained before the next, from one payload allocated up front.
+        let data = [0xa5u8; 4096];
+        // Each pass returns the allocations its loop made.
+        let write_pass = |t: &mut bypassd::UserThread, ctx: &mut _, rng: &mut Rng, sync| {
+            let before = ALLOCS.with(Cell::get);
+            for _ in 0..WRITES {
+                let off = rng.gen_range(FILE / 4096) * 4096;
+                if sync {
+                    assert_eq!(t.pwrite(ctx, fd, &data, off).unwrap(), 4096);
+                } else {
+                    assert_eq!(t.pwrite_async(ctx, fd, &data, off).unwrap(), 4096);
+                    t.flush_writes(ctx, fd).unwrap();
+                }
+            }
+            ALLOCS.with(Cell::get) - before
+        };
+        write_pass(&mut t, ctx, &mut rng, true);
+        let write_allocs = write_pass(&mut t, ctx, &mut rng, true);
+        write_pass(&mut t, ctx, &mut rng, false);
+        let async_allocs = write_pass(&mut t, ctx, &mut rng, false);
+        *d2.lock() = [
+            after - before,
+            flights_after - flights_before,
+            write_allocs,
+            async_allocs,
+        ];
         let (direct, fallback) = proc.op_counts();
         let flight_reads = (WARMUP + FLIGHTS) * WIDTH as u64;
-        assert_eq!(direct, FILE / 4096 + WARMUP + OPS + flight_reads);
+        assert_eq!(
+            direct,
+            FILE / 4096 + WARMUP + OPS + flight_reads + 4 * WRITES
+        );
         assert_eq!(fallback, 0);
     });
     sim.run();
-    let (allocs, flight_allocs) = *delta.lock();
+    let [allocs, flight_allocs, write_allocs, async_allocs] = *delta.lock();
     assert_eq!(
         allocs, 0,
         "steady-state cached-fd 4KB reads hit the global allocator {allocs} times \
@@ -126,5 +158,15 @@ fn steady_state_cached_fd_reads_do_not_allocate() {
         flight_allocs, 0,
         "{FLIGHTS} steady-state {WIDTH}-read flights hit the global allocator \
          {flight_allocs} times (contract: zero after warmup)"
+    );
+    assert_eq!(
+        write_allocs, 0,
+        "{WRITES} steady-state aligned 4KB pwrites hit the global allocator \
+         {write_allocs} times (contract: zero after warmup)"
+    );
+    assert_eq!(
+        async_allocs, 0,
+        "{WRITES} steady-state 4KB pwrite_async + flush_writes pairs hit the \
+         global allocator {async_allocs} times (contract: zero after warmup)"
     );
 }

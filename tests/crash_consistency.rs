@@ -4,11 +4,19 @@
 
 use bypassd::{System, UserProcess};
 use bypassd_ext4::Ext4;
+use bypassd_faults::plane::Cut;
 use bypassd_sim::time::Nanos;
 use bypassd_sim::Simulation;
 
 fn system() -> System {
     System::builder().capacity(2 << 30).build()
+}
+
+/// Cuts power now: no later write reaches the media until a remount
+/// power-cycles the device.
+fn cut_power(sys: &System) {
+    let plane = sys.device().fault_plane();
+    plane.arm(Cut::at_seq(plane.seq()));
 }
 
 #[test]
@@ -26,10 +34,10 @@ fn metadata_survives_crash_after_direct_appends() {
                 .unwrap();
         }
         t.fsync(ctx, fd).unwrap();
-        // Crash *before* close: home metadata writes stop reaching the
+        // Crash *before* close: nothing written from here on reaches the
         // device, but the journal has the committed transactions.
-        s.fs().crash();
-        // More activity after the crash point (these home writes vanish).
+        cut_power(&s);
+        // More activity after the crash point (these writes vanish).
         let _ = t.pwrite(ctx, fd, &vec![0xFF; 4096], 8 * 4096);
     });
     sim.run();
@@ -73,8 +81,8 @@ fn directory_tree_survives_crash() {
     for i in 0..10 {
         fs.create(&format!("/a/b/f{i}"), 0o644, 0, 0).unwrap();
     }
-    fs.crash();
-    // Post-crash creations must be recoverable from the journal too.
+    cut_power(&sys);
+    // The creations must be recoverable from the journal.
     let fs2 = Ext4::mount(sys.device(), sys.mem()).unwrap();
     for i in 0..10 {
         assert!(
@@ -91,7 +99,7 @@ fn allocations_not_double_used_after_recovery() {
     let fs = sys.fs();
     let a = fs.create("/alloc-a", 0o644, 0, 0).unwrap();
     fs.allocate(a, 0, 8 << 20).unwrap();
-    fs.crash();
+    cut_power(&sys);
     let fs2 = Ext4::mount(sys.device(), sys.mem()).unwrap();
     let a2 = fs2.lookup("/alloc-a").unwrap();
     let b = fs2.create("/alloc-b", 0o644, 0, 0).unwrap();
@@ -115,16 +123,15 @@ fn unlinked_file_stays_gone_after_crash() {
     let fs = sys.fs();
     fs.create("/gone", 0o644, 0, 0).unwrap();
     fs.unlink("/gone", 0, 0).unwrap();
-    fs.crash();
+    cut_power(&sys);
     let fs2 = Ext4::mount(sys.device(), sys.mem()).unwrap();
     assert!(fs2.lookup("/gone").is_err(), "unlink lost across crash");
 }
 
 #[test]
 fn virtual_time_cut_mid_workload_recovers_consistently() {
-    // The fault clock replaces the coarse `crash()`: power is cut at an
-    // arbitrary virtual-time instant *while the workload runs*, not at a
-    // hand-picked quiescent point. Whatever prefix of fsync'd steps made
+    // Power is cut at an arbitrary virtual-time instant *while the
+    // workload runs*, not at a hand-picked quiescent point. Whatever prefix of fsync'd steps made
     // it to media must be intact; the filesystem must be fsck-clean.
     for cut_ns in [150_000u64, 400_000, 900_000] {
         let sys = system();
@@ -197,7 +204,7 @@ fn repeated_crash_recovery_cycles() {
         };
         let ino = fs.lookup("/cycle").unwrap();
         fs.allocate(ino, round * 4096, 4096).unwrap();
-        fs.crash();
+        cut_power(&sys);
         let fs2 = Ext4::mount(sys.device(), sys.mem()).unwrap();
         let ino2 = fs2.lookup("/cycle").unwrap();
         assert_eq!(

@@ -1,7 +1,8 @@
 //! Model-based testing: UserLib (the whole stack under it — queues,
 //! IOMMU translation, ext4, device) must behave exactly like a flat byte
 //! array under arbitrary interleavings of reads, writes (sync, async,
-//! partial), appends, fsyncs and revocations.
+//! partial), appends, fsyncs and revocations, on a default thread or on
+//! a small-buffer thread whose fd has optimized append on.
 
 use std::sync::Arc;
 
@@ -44,7 +45,7 @@ fn generate_ops(seed: u64, n: usize, max_size: u64) -> Vec<Op> {
             },
             15..=16 => Op::PartialWrite {
                 offset: rng.gen_range(max_size / 2),
-                len: 1 + rng.gen_range(700) as usize,
+                len: 1 + rng.gen_range(9_000) as usize,
                 byte: rng.gen_range(255) as u8 + 1,
             },
             17..=18 => Op::Append {
@@ -84,7 +85,23 @@ fn case_ops(full: usize) -> usize {
     }
 }
 
-fn run_model_case(seed: u64, n_ops: usize) {
+/// The thread and fd a case runs on.
+#[derive(Clone, Copy)]
+struct Shape {
+    queue_depth: usize,
+    dma_len: usize,
+    /// Optimized-append chunk for the fd (0 = off).
+    append_chunk: u64,
+}
+
+/// What [`UserProcess::thread`] builds, with appends through the kernel.
+const DEFAULT_SHAPE: Shape = Shape {
+    queue_depth: 64,
+    dma_len: 1 << 20,
+    append_chunk: 0,
+};
+
+fn run_model_case(seed: u64, n_ops: usize, shape: Shape) {
     const INITIAL: u64 = 256 * 1024;
     const MAX: u64 = 512 * 1024;
     let sys = System::builder().capacity(1 << 30).build();
@@ -97,8 +114,11 @@ fn run_model_case(seed: u64, n_ops: usize) {
     let sys2 = sys.clone();
     sim.spawn("model", move |ctx| {
         let proc = UserProcess::start(&sys2, 0, 0);
-        let mut t = proc.thread();
+        let mut t = proc.thread_with(shape.queue_depth, shape.dma_len);
         let fd = t.open(ctx, "/model", true).unwrap();
+        if shape.append_chunk > 0 {
+            proc.enable_optimized_append(fd, shape.append_chunk);
+        }
         // The model: a plain in-memory byte vector.
         let mut model = vec![0xA5u8; INITIAL as usize];
         let mut revokes = 0;
@@ -196,24 +216,36 @@ fn run_model_case(seed: u64, n_ops: usize) {
 
 #[test]
 fn userlib_matches_flat_file_model_seed_a() {
-    run_model_case(0xB17A55D, case_ops(300));
+    run_model_case(0xB17A55D, case_ops(300), DEFAULT_SHAPE);
 }
 
 #[test]
 fn userlib_matches_flat_file_model_seed_b() {
-    run_model_case(0xCAFE, case_ops(300));
+    run_model_case(0xCAFE, case_ops(300), DEFAULT_SHAPE);
 }
 
 #[test]
 fn userlib_matches_flat_file_model_seed_c() {
-    run_model_case(7, case_ops(300));
+    run_model_case(7, case_ops(300), DEFAULT_SHAPE);
+}
+
+#[test]
+fn userlib_matches_flat_file_model_small_dma_optimized_append() {
+    // A 4 KiB DMA buffer: multi-sector writes and partial writes span
+    // several chunks, and appends overwrite preallocated blocks directly.
+    let shape = Shape {
+        queue_depth: 8,
+        dma_len: 4096,
+        append_chunk: 64 << 10,
+    };
+    run_model_case(0xD1A, case_ops(300), shape);
 }
 
 #[test]
 fn userlib_matches_flat_file_model_many_short_seeds() {
     let seeds = model_budget().unwrap_or(16).min(16) as u64;
     for seed in 100..100 + seeds {
-        run_model_case(seed, case_ops(60));
+        run_model_case(seed, case_ops(60), DEFAULT_SHAPE);
     }
 }
 
