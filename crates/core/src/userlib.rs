@@ -473,8 +473,6 @@ impl<'a> Flight<'_, 'a> {
 struct BatchScratch {
     /// Device command ids, in submission order.
     cids: Vec<u16>,
-    /// Completion visibility time per submission slot.
-    ready: Vec<Nanos>,
     /// Reap staging, drained from the device in one locked pass.
     comps: Vec<bypassd_ssd::queue::Completion>,
 }
@@ -483,7 +481,6 @@ impl BatchScratch {
     fn with_capacity(depth: usize) -> BatchScratch {
         BatchScratch {
             cids: Vec::with_capacity(depth),
-            ready: Vec::with_capacity(depth),
             comps: Vec::with_capacity(depth),
         }
     }
@@ -1162,7 +1159,6 @@ impl UserThread {
         ctx.sleep(overhead).await;
         let submit_now = ctx.now();
         self.batch.cids.clear();
-        self.batch.ready.clear();
         let submitted = {
             let dma = &self.dma;
             let cmds = (0..n).map(|i| {
@@ -1176,46 +1172,17 @@ impl UserThread {
                 .device()
                 .submit_batch(self.qid, cmds, submit_now, &mut self.batch.cids)
         };
-        if submitted.is_err() {
-            // The private queue was unexpectedly full: drain whatever was
-            // accepted, then serve the flight sequentially.
-            let mut latest = submit_now;
-            for k in 0..self.batch.cids.len() {
-                let cid = self.batch.cids[k];
-                if let Some(t) = self.proc.system.device().ready_time(self.qid, cid) {
-                    latest = latest.max(t);
-                }
-            }
-            ctx.sleep_until(latest).await;
-            for k in 0..self.batch.cids.len() {
-                let cid = self.batch.cids[k];
-                if let Some(c) = self.proc.system.device().reap_at(self.qid, cid, ctx.now()) {
-                    self.note_pressure(c.pressure);
-                }
-            }
+        let Ok(latest) = submitted else {
+            // The private queue was unexpectedly full. Nothing was
+            // submitted: serve the flight sequentially.
             let mut total = 0;
             for i in 0..n {
                 total += self.reissue_fut(ctx, fd, &mut reqs, i).await?;
             }
             return Ok(total);
-        }
-        // Completion batching: wait once for the latest ready time, then
-        // drain the CQ in one locked pass into reused scratch.
-        let mut latest = submit_now;
-        for k in 0..self.batch.cids.len() {
-            let cid = self.batch.cids[k];
-            // A missing ready time means the CQ entry was swallowed
-            // (injected completion loss): nothing to wait for — the
-            // request is re-issued after the reap.
-            let t = self
-                .proc
-                .system
-                .device()
-                .ready_time(self.qid, cid)
-                .unwrap_or(submit_now);
-            self.batch.ready.push(t);
-            latest = latest.max(t);
-        }
+        };
+        // Completion batching: wait once for the latest posted ready
+        // time, then drain the CQ in one locked pass into reused scratch.
         ctx.sleep_until(latest).await;
         self.batch.comps.clear();
         self.proc
@@ -1252,7 +1219,7 @@ impl UserThread {
             // consumed when a faulted slot is reaped first.
             let record = OpScratch {
                 userlib: if ok_ops == 0 { overhead } else { Nanos::ZERO },
-                device_span: self.batch.ready[i].saturating_sub(submit_now),
+                device_span: comp.ready_at.saturating_sub(submit_now),
                 user_copy: copy,
                 ..OpScratch::new()
             };

@@ -460,7 +460,9 @@ impl FaultPlane {
         g.fail_writes = nths;
     }
 
-    /// Arms completion drops on the nth, … queue submissions.
+    /// Arms completion drops on the nth, … queue submissions. A dropped
+    /// command still executes, but its completion is never posted and
+    /// its queue slot is freed at once (the host's timeout abort).
     pub fn drop_completions(&self, nths: Vec<u64>) {
         self.activate();
         let mut g = self.inner.lock();
@@ -491,7 +493,7 @@ impl FaultPlane {
     }
 
     /// Called per queue submission after processing; true if the
-    /// completion should be swallowed (never posted).
+    /// completion should be swallowed: never posted, its slot freed.
     pub fn take_completion_drop(&self) -> bool {
         let mut g = self.inner.lock();
         g.completions_seen += 1;

@@ -58,7 +58,7 @@ pub trait AtsSink: Send + Sync {
 /// Why a translation was refused. The device surfaces these to userspace
 /// as failed NVMe completions, which is what triggers UserLib's re-`fmap()`
 /// and kernel fallback (§3.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TranslateError {
     /// No context-table entry for the PASID.
     UnknownPasid,

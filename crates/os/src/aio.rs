@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use bypassd_hw::types::SECTOR_SIZE;
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::time::Nanos;
-use bypassd_ssd::device::{BlockAddr, Command};
+use bypassd_ssd::device::{BlockAddr, Command, Opcode};
 use bypassd_ssd::dma::DmaBuffer;
 use bypassd_ssd::queue::QueueId;
 
@@ -144,39 +144,35 @@ impl Kernel {
         }
         let (segs, extra) = self.fs().resolve(of.0, op.offset, len)?;
         ctx.delay(extra);
-        // Issue one device command per segment; completion of the *last*
-        // segment completes the iocb. (Files here are contiguous; treat
-        // multi-segment as consecutive commands whose DMA concatenates.)
+        // One device command per segment, rung as one all-or-nothing
+        // batch; completion of the *last* segment completes the iocb.
+        // (Files here are contiguous; treat multi-segment as consecutive
+        // commands whose DMA concatenates.)
         let dma = DmaBuffer::alloc(self.mem(), len as usize);
         if write {
             if let AioData::Write(d) = &op.data {
                 dma.write(0, d);
             }
         }
+        let opcode = if write { Opcode::Write } else { Opcode::Read };
+        let mut cmds = Vec::with_capacity(segs.len());
         let mut dma_off = 0usize;
-        let mut last_cid = None;
         for (lba, seglen) in &segs {
-            let lba = lba.ok_or(Errno::Inval)?;
-            let cmd = Command {
-                opcode: if write {
-                    bypassd_ssd::device::Opcode::Write
-                } else {
-                    bypassd_ssd::device::Opcode::Read
-                },
-                addr: BlockAddr::Lba(lba),
+            cmds.push(Command {
+                opcode,
+                addr: BlockAddr::Lba(lba.ok_or(Errno::Inval)?),
                 sectors: (*seglen / SECTOR_SIZE) as u32,
                 dma: Some(&dma),
                 dma_offset: dma_off,
                 chain: None,
-            };
-            let cid = self
-                .device()
-                .submit(aio.queue, cmd, ctx.now())
-                .map_err(|_| Errno::Again)?;
+            });
             dma_off += *seglen as usize;
-            last_cid = Some(cid);
         }
-        let cid = last_cid.ok_or(Errno::Inval)?;
+        let mut cids = Vec::with_capacity(cmds.len());
+        self.device()
+            .submit_batch(aio.queue, cmds, ctx.now(), &mut cids)
+            .map_err(|_| Errno::Again)?;
+        let cid = *cids.last().ok_or(Errno::Inval)?;
         aio.pending.lock().insert(
             cid,
             Pending {
@@ -205,11 +201,11 @@ impl Kernel {
     ) -> Vec<AioEvent> {
         ctx.delay(self.cost().user_to_kernel);
         let mut events = Vec::new();
+        let mut comps = Vec::new();
         loop {
-            for c in self
-                .device()
-                .reap_ready(aio.queue, ctx.now(), max - events.len())
-            {
+            self.device()
+                .reap_ready_into(aio.queue, ctx.now(), max - events.len(), &mut comps);
+            for c in comps.drain(..) {
                 if let Some(p) = aio.pending.lock().remove(&c.cid) {
                     let data = match &p.dma {
                         Some(dma) => {

@@ -321,6 +321,52 @@ fn aio_qd4_overlaps_device_time() {
 }
 
 #[test]
+fn aio_iocb_is_all_or_nothing_on_a_full_context() {
+    // A 2-extent file: one populated block, another file's block after
+    // it, then an appended block that must land in a second extent.
+    let k = kernel();
+    k.fs().populate("/split", 4096, 0x11).unwrap();
+    k.fs().populate("/between", 4096, 0x22).unwrap();
+    run_actor(&k, |ctx, k| {
+        let pid = k.spawn_process(0, 0);
+        let fd = k
+            .sys_open(ctx, pid, "/split", OpenFlags::rdwr_direct(), 0)
+            .unwrap();
+        k.sys_append(ctx, pid, fd, &[0x33; 4096]).unwrap();
+        k.sys_fsync(ctx, pid, fd).unwrap();
+        let ino = k.fs().lookup("/split").unwrap();
+        let (segs, _) = k.fs().resolve(ino, 0, 8192).unwrap();
+        assert_eq!(segs.len(), 2, "file must span two extents: {segs:?}");
+        // Depth 1: the iocb's two segment commands cannot both fit, so
+        // neither may reach the media.
+        let aio = k.io_setup(ctx, 1);
+        let err = k
+            .io_submit(
+                ctx,
+                pid,
+                &aio,
+                vec![AioOp {
+                    fd,
+                    offset: 0,
+                    user_data: 0,
+                    data: AioData::Write(vec![0x77; 8192]),
+                }],
+            )
+            .unwrap_err();
+        assert_eq!(err, Errno::Again);
+        assert_eq!(k.io_pending(&aio), 0);
+        let mut block = vec![0u8; 4096];
+        for ((lba, _), fill) in segs.iter().zip([0x11u8, 0x33]) {
+            k.device().read_raw(lba.unwrap(), &mut block);
+            assert!(
+                block.iter().all(|&b| b == fill),
+                "a rejected iocb changed the block holding {fill:#x}"
+            );
+        }
+    });
+}
+
+#[test]
 fn aio_rejects_append() {
     let k = kernel();
     k.fs().populate("/aio2", 4096, 0).unwrap();

@@ -437,103 +437,112 @@ impl NvmeDevice {
     /// Submits a command at virtual time `now`; returns its command id.
     ///
     /// # Errors
-    /// [`SubmitError::QueueFull`] when `depth` commands are outstanding,
-    /// [`SubmitError::UnknownQueue`] for a deleted queue.
+    /// [`SubmitError::QueueFull`] when `depth` completions wait in the
+    /// CQ, [`SubmitError::UnknownQueue`] for a deleted queue.
     pub fn submit(&self, qid: QueueId, cmd: Command<'_>, now: Nanos) -> Result<u16, SubmitError> {
         let mut state = self.state.lock();
-        self.submit_locked(&mut state, qid, cmd, now)
+        let completion = self.claim_and_run(&mut state, qid, cmd, now)?;
+        Self::post(&mut state, qid, completion);
+        Ok(completion.cid)
     }
 
     /// Submits a batch of commands under a single doorbell ring (one
-    /// state-lock acquisition), appending each accepted command id to
-    /// `cids`.
+    /// state-lock acquisition), appending each command id to `cids`.
+    /// Returns the latest `ready_at` posted (`now` if none was).
     ///
     /// # Errors
-    /// Stops at the first failing command and returns its error;
-    /// commands accepted before it stay submitted (their cids are in
-    /// `cids`). On success returns the number of commands accepted.
-    pub fn submit_batch<'a>(
+    /// All or nothing: [`SubmitError::QueueFull`] when the queue lacks a
+    /// free slot for every command (recorded as one rejected doorbell),
+    /// [`SubmitError::UnknownQueue`] for a deleted queue. Either way no
+    /// command runs.
+    pub fn submit_batch<'a, I>(
         &self,
         qid: QueueId,
-        cmds: impl IntoIterator<Item = Command<'a>>,
+        cmds: I,
         now: Nanos,
         cids: &mut Vec<u16>,
-    ) -> Result<usize, SubmitError> {
+    ) -> Result<Nanos, SubmitError>
+    where
+        I: IntoIterator<Item = Command<'a>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let cmds = cmds.into_iter();
         let mut state = self.state.lock();
-        let mut accepted = 0;
-        for cmd in cmds {
-            let cid = self.submit_locked(&mut state, qid, cmd, now)?;
-            cids.push(cid);
-            accepted += 1;
+        let q = state.queues.get(&qid).ok_or(SubmitError::UnknownQueue)?;
+        if q.inflight() + cmds.len() > q.depth {
+            let tenant = q.pasid.map_or(Tenant::Kernel, Tenant::User);
+            state.qos.record_rejected(tenant);
+            return Err(SubmitError::QueueFull);
         }
-        Ok(accepted)
+        let mut latest = now;
+        for cmd in cmds {
+            let completion = self.claim_and_run(&mut state, qid, cmd, now)?;
+            cids.push(completion.cid);
+            if Self::post(&mut state, qid, completion) {
+                latest = latest.max(completion.ready_at);
+            }
+        }
+        Ok(latest)
     }
 
-    /// One command's submission under an already-held state lock.
-    fn submit_locked(
+    /// The one claim path: takes a cid on `qid` under the held state
+    /// lock, runs the command and sets the QoS depth-pressure bit. The
+    /// completion is returned unposted.
+    fn claim_and_run(
         &self,
         state: &mut DevState,
         qid: QueueId,
         cmd: Command<'_>,
         now: Nanos,
-    ) -> Result<u16, SubmitError> {
+    ) -> Result<Completion, SubmitError> {
         let q = state
             .queues
             .get_mut(&qid)
             .ok_or(SubmitError::UnknownQueue)?;
-        let (pasid, inflight, depth) = (q.pasid, q.inflight, q.depth);
+        let (pasid, inflight, depth) = (q.pasid, q.inflight(), q.depth);
         let tenant = pasid.map_or(Tenant::Kernel, Tenant::User);
-        let cid = match q.claim() {
-            Some(cid) => cid,
-            None => {
-                state.qos.record_rejected(tenant);
-                return Err(SubmitError::QueueFull);
-            }
+        let Some(cid) = q.claim() else {
+            state.qos.record_rejected(tenant);
+            return Err(SubmitError::QueueFull);
         };
         let mut completion = self.process(state, qid, tenant, pasid, cmd, now);
-        // Injected completion loss: the command executed but its CQ entry
-        // never lands. The cid's slot stays claimed — exactly the host-
-        // visible symptom of a lost interrupt + lost CQ write.
-        if state.faults.is_active() && state.faults.take_completion_drop() {
-            return Ok(cid);
-        }
         // Depth pressure: with QoS on, flag completions once the queue
         // pair runs at ≥ 3/4 of its depth so UserLib backs off before
         // hitting hard QueueFull rejections.
         if state.qos.enabled() && (inflight + 1) * 4 >= depth * 3 {
             completion.pressure = true;
         }
+        Ok(Completion { cid, ..completion })
+    }
+
+    /// Posts `completion` to `qid`'s CQ, holding its slot until it is
+    /// reaped; returns false when the fault plane drops it instead.
+    fn post(state: &mut DevState, qid: QueueId, completion: Completion) -> bool {
+        // Injected completion loss: the command executed but its CQ entry
+        // never lands. Its slot is free at once, as after the host's
+        // timeout abort.
+        if state.faults.is_active() && state.faults.take_completion_drop() {
+            return false;
+        }
         state
             .queues
             .get_mut(&qid)
             .expect("queue cannot vanish while the state lock is held")
-            .post(Completion { cid, ..completion });
-        Ok(cid)
+            .post(completion);
+        true
     }
 
-    /// Convenience for synchronous callers: submit, reap, and return the
-    /// full completion. The caller should `wait_until` its `ready_at`
-    /// before acting on the data.
+    /// Convenience for synchronous callers: claim, run and return the
+    /// full completion without posting it, so the synchronous path costs
+    /// one lock round trip. The caller should `wait_until` its
+    /// `ready_at` before acting on the data.
     ///
-    /// The command is claimed, processed and retired in one critical
-    /// section: the completion never sits in the pending map or CQ heap,
-    /// so the synchronous path costs one lock round trip instead of the
-    /// three a submit / ready_time / reap_at sequence pays.
+    /// # Panics
+    /// On an unknown queue, or one whose every slot is held.
     pub fn execute_full(&self, qid: QueueId, cmd: Command<'_>, now: Nanos) -> Completion {
         let mut state = self.state.lock();
-        let q = state
-            .queues
-            .get_mut(&qid)
-            .unwrap_or_else(|| panic!("execute() on unknown queue"));
-        assert!(q.inflight < q.depth, "execute() on a full queue");
-        let (pasid, inflight, depth) = (q.pasid, q.inflight, q.depth);
-        let cid = q.take_cid();
-        let tenant = pasid.map_or(Tenant::Kernel, Tenant::User);
-        let mut completion = self.process(&mut state, qid, tenant, pasid, cmd, now);
-        if state.qos.enabled() && (inflight + 1) * 4 >= depth * 3 {
-            completion.pressure = true;
-        }
-        Completion { cid, ..completion }
+        self.claim_and_run(&mut state, qid, cmd, now)
+            .unwrap_or_else(|e| panic!("execute_full on queue {}: {e}", qid.0))
     }
 
     /// [`NvmeDevice::execute_full`], reduced to status + completion time.
@@ -1173,30 +1182,9 @@ impl NvmeDevice {
         }
     }
 
-    /// Completion time of command `cid` on `qid`, if posted.
-    pub fn ready_time(&self, qid: QueueId, cid: u16) -> Option<Nanos> {
-        self.state.lock().queues.get(&qid)?.ready_time(cid)
-    }
-
-    /// Reaps the completion for `cid` if visible at `now`.
-    pub fn reap_at(&self, qid: QueueId, cid: u16, now: Nanos) -> Option<Completion> {
-        self.state.lock().queues.get_mut(&qid)?.reap(cid, now)
-    }
-
-    /// Reaps up to `max` completions visible at `now`, earliest first.
-    pub fn reap_ready(&self, qid: QueueId, now: Nanos, max: usize) -> Vec<Completion> {
-        self.state
-            .lock()
-            .queues
-            .get_mut(&qid)
-            .map(|q| q.reap_ready(now, max))
-            .unwrap_or_default()
-    }
-
-    /// As [`NvmeDevice::reap_ready`], appending into a caller-provided
-    /// buffer — the batched completion path's allocation-free variant.
-    /// Returns how many completions were appended (0 for an unknown
-    /// queue).
+    /// Reaps up to `max` completions visible at `now` into `out`,
+    /// earliest first. Returns how many completions were appended (0 for
+    /// an unknown queue).
     pub fn reap_ready_into(
         &self,
         qid: QueueId,
@@ -1208,17 +1196,12 @@ impl NvmeDevice {
             .lock()
             .queues
             .get_mut(&qid)
-            .map_or(0, |q| q.reap_ready_into(now, max, out))
+            .map_or(0, |q| q.pop_ready(now, max, out))
     }
 
     /// Earliest pending completion time on `qid`.
     pub fn next_ready_time(&self, qid: QueueId) -> Option<Nanos> {
-        self.state.lock().queues.get_mut(&qid)?.next_ready_time()
-    }
-
-    /// Latest pending completion time on `qid` (flush barrier helper).
-    pub fn last_ready_time(&self, qid: QueueId) -> Option<Nanos> {
-        self.state.lock().queues.get(&qid)?.last_ready_time()
+        self.state.lock().queues.get(&qid)?.next_ready_time()
     }
 
     /// Resets the contention ledger (see [`DeviceTimer::reset`]). Call
@@ -1229,8 +1212,7 @@ impl NvmeDevice {
         state.timer.reset();
         state.qos.reset_clock();
         for q in state.queues.values_mut() {
-            let dropped = q.drop_pending();
-            q.inflight -= dropped.min(q.inflight);
+            q.drop_pending();
         }
     }
 
@@ -1623,26 +1605,41 @@ mod tests {
         let (mem, dev) = setup();
         let q = dev.create_queue(None, 1);
         let dma = DmaBuffer::alloc(&mem, 4096);
-        let cid = dev
-            .submit(
-                q,
-                Command::read(BlockAddr::Lba(Lba(0)), 8, &dma),
-                Nanos::ZERO,
-            )
-            .unwrap();
+        let read = || Command::read(BlockAddr::Lba(Lba(0)), 8, &dma);
+        let cid = dev.submit(q, read(), Nanos::ZERO).unwrap();
+        let err = dev.submit(q, read(), Nanos::ZERO).unwrap_err();
+        assert_eq!(err, SubmitError::QueueFull);
+        let ready = dev.next_ready_time(q).unwrap();
+        let mut comps = Vec::new();
+        assert_eq!(dev.reap_ready_into(q, ready, 4, &mut comps), 1);
+        assert_eq!(comps[0].cid, cid);
+        // A batch larger than the free slots is refused whole: nothing
+        // runs and nothing is posted.
+        let mut cids = Vec::new();
         let err = dev
-            .submit(
-                q,
-                Command::read(BlockAddr::Lba(Lba(0)), 8, &dma),
-                Nanos::ZERO,
-            )
+            .submit_batch(q, [read(), read()], ready, &mut cids)
             .unwrap_err();
         assert_eq!(err, SubmitError::QueueFull);
-        let ready = dev.ready_time(q, cid).unwrap();
-        assert!(dev.reap_at(q, cid, ready).is_some());
-        assert!(dev
-            .submit(q, Command::read(BlockAddr::Lba(Lba(0)), 8, &dma), ready)
-            .is_ok());
+        assert!(cids.is_empty());
+        assert_eq!(dev.next_ready_time(q), None);
+        assert_eq!(dev.stats().reads, 1);
+        assert!(dev.submit(q, read(), ready).is_ok());
+    }
+
+    #[test]
+    fn dropped_completion_frees_its_slot() {
+        let (mem, dev) = setup();
+        let q = dev.create_queue(None, 1);
+        let dma = DmaBuffer::alloc(&mem, 4096);
+        dev.fault_plane().drop_completions(vec![0]);
+        let read = || Command::read(BlockAddr::Lba(Lba(0)), 8, &dma);
+        assert!(dev.submit(q, read(), Nanos::ZERO).is_ok());
+        assert_eq!(dev.next_ready_time(q), None, "dropped entry was posted");
+        let cid = dev.submit(q, read(), Nanos::ZERO).unwrap();
+        let mut comps = Vec::new();
+        dev.reap_ready_into(q, Nanos::MAX, 4, &mut comps);
+        assert_eq!(comps.iter().map(|c| c.cid).collect::<Vec<_>>(), vec![cid]);
+        assert_eq!(dev.fault_plane().stats().completions_dropped, 1);
     }
 
     #[test]
@@ -1969,10 +1966,12 @@ mod tests {
                     .unwrap(),
                 );
             }
-            cids.into_iter().any(|cid| {
-                let ready = dev.ready_time(q, cid).unwrap();
-                dev.reap_at(q, cid, ready).unwrap().pressure
-            })
+            let mut comps = Vec::new();
+            assert_eq!(
+                dev.reap_ready_into(q, Nanos::MAX, 8, &mut comps),
+                cids.len()
+            );
+            comps.iter().any(|c| c.pressure)
         };
         assert!(!run(false), "pressure must never be signalled without QoS");
         assert!(run(true), "deep queue under QoS must signal pressure");
@@ -2004,8 +2003,9 @@ mod tests {
             .submit(q, Command::read(BlockAddr::Vba(vba), 8, &dma), t2)
             .unwrap_err();
         assert_eq!(err, SubmitError::QueueFull);
-        let ready = dev.ready_time(q, c1).unwrap();
-        dev.reap_at(q, c1, ready).unwrap();
+        let mut comps = Vec::new();
+        dev.reap_ready_into(q, Nanos::MAX, 1, &mut comps);
+        assert_eq!(comps[0].cid, c1);
         dev.execute(kq, Command::write(BlockAddr::Lba(Lba(0)), 8, &dma), t2);
 
         let user = dev.tenant_stats(Tenant::User(P)).unwrap();

@@ -189,51 +189,100 @@ fn persistent_media_errors_surface_as_eio() {
     sim.run();
 }
 
+/// One completion-loss scenario: the thread's queue, the submissions
+/// whose CQ entries are swallowed, the batched flights (reads each) and
+/// the sequential `pread`s that follow them.
+struct DropCase {
+    name: &'static str,
+    /// `(queue_depth, dma_len)` for `thread_with`; `None` is the default
+    /// thread.
+    thread: Option<(usize, usize)>,
+    drops: Vec<u64>,
+    flights: &'static [usize],
+    preads: usize,
+}
+
 #[test]
 fn dropped_completion_is_recovered_by_resubmission() {
-    let plane = Arc::new(FaultPlane::new());
-    let sys = System::builder()
-        .capacity(1 << 30)
-        .fault_plane(Arc::clone(&plane))
-        .build();
-    sys.fs().populate("/lossy", 64 * 4096, 0).unwrap();
-    for b in 0..8u64 {
-        let (segs, _) = sys
-            .fs()
-            .resolve(sys.fs().lookup("/lossy").unwrap(), b * 4096, 4096)
-            .unwrap();
-        sys.device()
-            .write_raw(segs[0].0.unwrap(), &[b as u8 + 1; 4096]);
-    }
-    // Swallow the first queue completion after arming.
-    plane.drop_completions(vec![0]);
-    let p = Arc::clone(&plane);
-    let sim = Simulation::new();
-    sim.spawn("app", move |ctx| {
-        let proc = UserProcess::start(&sys, 0, 0);
-        let mut t = proc.thread();
-        let fd = t.open(ctx, "/lossy", false).unwrap();
-        // Batched flight: one CQ entry is lost mid-flight; the flight
-        // must re-issue that request and still return correct data.
-        let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; 4096]; 8];
-        let mut reqs: Vec<bypassd::ReadReq> = bufs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, b)| bypassd::ReadReq {
-                offset: i as u64 * 4096,
-                buf: b.as_mut_slice(),
-            })
-            .collect();
-        let n = t.pread_batch(ctx, fd, &mut reqs).unwrap();
-        assert_eq!(n, 8 * 4096);
-        drop(reqs);
-        for (i, b) in bufs.iter().enumerate() {
-            assert!(
-                b.iter().all(|&x| x == i as u8 + 1),
-                "lost-completion read {i} returned wrong data"
-            );
+    let cases = [
+        // One CQ entry is lost mid-flight; the flight must re-issue that
+        // request and still return correct data.
+        DropCase {
+            name: "one drop in an 8-read flight",
+            thread: None,
+            drops: vec![0],
+            flights: &[8],
+            preads: 0,
+        },
+        // Two drops on a depth-2 queue: a dropped entry must free its
+        // slot, or the later flights and the sequential read find the
+        // queue full.
+        DropCase {
+            name: "two drops on a depth-2 queue",
+            thread: Some((2, 1 << 20)),
+            drops: vec![0, 2],
+            flights: &[2, 2, 2],
+            preads: 1,
+        },
+    ];
+    for case in cases {
+        let blocks = case.flights.iter().sum::<usize>() + case.preads;
+        let plane = Arc::new(FaultPlane::new());
+        let sys = System::builder()
+            .capacity(1 << 30)
+            .fault_plane(Arc::clone(&plane))
+            .build();
+        sys.fs().populate("/lossy", 64 * 4096, 0).unwrap();
+        for b in 0..blocks as u64 {
+            let (segs, _) = sys
+                .fs()
+                .resolve(sys.fs().lookup("/lossy").unwrap(), b * 4096, 4096)
+                .unwrap();
+            sys.device()
+                .write_raw(segs[0].0.unwrap(), &[b as u8 + 1; 4096]);
         }
-        assert_eq!(p.stats().completions_dropped, 1, "drop never fired");
-    });
-    sim.run();
+        plane.drop_completions(case.drops.clone());
+        let p = Arc::clone(&plane);
+        let sim = Simulation::new();
+        sim.spawn("app", move |ctx| {
+            let proc = UserProcess::start(&sys, 0, 0);
+            let mut t = match case.thread {
+                Some((depth, dma)) => proc.thread_with(depth, dma),
+                None => proc.thread(),
+            };
+            let fd = t.open(ctx, "/lossy", false).unwrap();
+            let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; 4096]; blocks];
+            let mut next = 0;
+            for &len in case.flights {
+                let mut reqs: Vec<bypassd::ReadReq> = bufs[next..next + len]
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, b)| bypassd::ReadReq {
+                        offset: (next + i) as u64 * 4096,
+                        buf: b.as_mut_slice(),
+                    })
+                    .collect();
+                let n = t.pread_batch(ctx, fd, &mut reqs).unwrap();
+                assert_eq!(n, len * 4096, "{}", case.name);
+                next += len;
+            }
+            for (i, b) in bufs.iter_mut().enumerate().skip(next) {
+                assert_eq!(t.pread(ctx, fd, b, i as u64 * 4096), Ok(4096));
+            }
+            for (i, b) in bufs.iter().enumerate() {
+                assert!(
+                    b.iter().all(|&x| x == i as u8 + 1),
+                    "{}: lost-completion read {i} returned wrong data",
+                    case.name
+                );
+            }
+            assert_eq!(
+                p.stats().completions_dropped,
+                case.drops.len() as u64,
+                "{}: drops never fired",
+                case.name
+            );
+        });
+        sim.run();
+    }
 }
