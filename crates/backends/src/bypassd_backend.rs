@@ -36,11 +36,6 @@ impl BypassdFactory {
             kind: BackendKind::BypassdOffload,
         }
     }
-
-    /// The underlying UserLib process (for op counters etc.).
-    pub fn user_process(&self) -> &Arc<UserProcess> {
-        &self.proc
-    }
 }
 
 impl BackendFactory for BypassdFactory {

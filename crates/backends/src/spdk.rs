@@ -11,7 +11,6 @@
 //! hole BypassD closes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bypassd::System;
@@ -24,29 +23,18 @@ use bypassd_ssd::queue::QueueId;
 
 use crate::traits::{BackendFactory, BackendKind, Handle, StorageBackend};
 
-/// The process-wide SPDK environment: exclusive claim over the device.
+/// The process-wide SPDK environment: the one process that owns the
+/// device (SPDK does not support device sharing).
 pub struct SpdkEnv {
     system: System,
-    claimed: AtomicBool,
 }
 
 impl SpdkEnv {
-    /// Claims the device. Only one claim per environment; a second
-    /// process cannot attach (SPDK does not support device sharing).
+    /// Creates the environment over `system`'s device.
     pub fn new(system: &System) -> Arc<SpdkEnv> {
         Arc::new(SpdkEnv {
             system: system.clone(),
-            claimed: AtomicBool::new(false),
         })
-    }
-
-    /// Attempts the exclusive claim; `None` if already claimed.
-    pub fn try_claim(self: &Arc<Self>) -> Option<Arc<Self>> {
-        if self.claimed.swap(true, Ordering::SeqCst) {
-            None
-        } else {
-            Some(Arc::clone(self))
-        }
     }
 }
 
@@ -56,11 +44,11 @@ pub struct SpdkFactory {
 }
 
 impl SpdkFactory {
-    /// Creates (and claims) the SPDK environment.
+    /// Creates the SPDK environment.
     pub fn new(system: &System) -> Self {
-        let env = SpdkEnv::new(system);
-        env.claimed.store(true, Ordering::SeqCst);
-        SpdkFactory { env }
+        SpdkFactory {
+            env: SpdkEnv::new(system),
+        }
     }
 }
 

@@ -6,14 +6,19 @@ use std::hint::black_box;
 
 use bypassd_ext4::alloc::BlockAllocator;
 use bypassd_ext4::extent::ExtentTree;
-use bypassd_ext4::layout::Extent;
+use bypassd_ext4::journal::{Journal, Tx, MAX_TX_BLOCKS};
+use bypassd_ext4::layout::{
+    encode_extent_block, mode, DiskInode, Extent, BLOCK_SIZE, EXTENTS_PER_BLOCK, INODES_PER_BLOCK,
+};
 use bypassd_hw::iommu::AccessKind;
 use bypassd_hw::page_table::{walk_raw, AddressSpace};
 use bypassd_hw::pte::Pte;
 use bypassd_hw::types::{DevId, Lba, Pasid, Vba, VirtAddr, PAGE_SIZE};
 use bypassd_hw::{Iommu, PhysMem};
-use bypassd_sim::rng::{Rng, Zipfian};
+use bypassd_sim::rng::{Fnv64, Rng, Zipfian};
 use bypassd_sim::time::Nanos;
+use bypassd_ssd::device::NvmeDevice;
+use bypassd_ssd::timing::MediaTiming;
 use bypassd_trace::Histogram;
 
 fn bench_page_walk(c: &mut Criterion) {
@@ -116,6 +121,68 @@ fn bench_zipfian(c: &mut Criterion) {
     });
 }
 
+/// A full overflow extent block: 16-byte header, then 20-byte records
+/// of small integers, so most bytes are zero.
+fn extent_chain_block() -> Vec<u8> {
+    let extents: Vec<Extent> = (0..EXTENTS_PER_BLOCK as u64)
+        .map(|i| Extent {
+            file_block: i * 2,
+            start_block: 10_000 + i * 3,
+            len: 1 + (i % 2) as u32,
+        })
+        .collect();
+    encode_extent_block(&extents, 0)
+}
+
+/// An inode-table block with every slot in use.
+fn inode_table_block() -> Vec<u8> {
+    let mut block = Vec::with_capacity(BLOCK_SIZE as usize);
+    for i in 0..INODES_PER_BLOCK {
+        let mut inode = DiskInode::new(mode::REG | 0o644, 1000 + i as u32, 1000);
+        inode.size = (i + 1) * 3 * BLOCK_SIZE;
+        block.extend_from_slice(&inode.encode());
+    }
+    block.resize(BLOCK_SIZE as usize, 0);
+    block
+}
+
+/// FNV over one 4 KB block: the journal checksum's per-block kernel.
+fn bench_fnv(c: &mut Criterion) {
+    let mut rng = Rng::new(11);
+    let dense: Vec<u8> = (0..BLOCK_SIZE).map(|_| rng.next_u64() as u8).collect();
+    for (name, block) in [
+        ("fnv_4k_zero", vec![0u8; BLOCK_SIZE as usize]),
+        ("fnv_4k_extent_chain", extent_chain_block()),
+        ("fnv_4k_dense", dense),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut h = Fnv64::new();
+                h.write(black_box(&block));
+                black_box(h.finish());
+            });
+        });
+    }
+}
+
+/// One journal commit of an append-shaped transaction: an inode-table
+/// block, an extent-chain block and a block-bitmap block.
+fn bench_journal_commit(c: &mut Criterion) {
+    let mem = PhysMem::new();
+    let iommu = std::sync::Arc::new(parking_lot::Mutex::new(Iommu::new(&mem)));
+    let dev = NvmeDevice::new(DevId(1), 1 << 16, MediaTiming::default(), iommu);
+    let mut journal = Journal::new(dev, 1, MAX_TX_BLOCKS as u64 + 2);
+    let mut bitmap = vec![0u8; BLOCK_SIZE as usize];
+    bitmap[..512].fill(0xFF);
+    let mut tx = Tx::default();
+    tx.stage(100, inode_table_block());
+    tx.stage(101, extent_chain_block());
+    tx.stage(102, bitmap);
+    c.bench_function("journal_commit_3_blocks", |b| {
+        b.iter(|| black_box(journal.commit(&tx)));
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -127,6 +194,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_page_walk, bench_iommu_translate, bench_extent_resolve,
-              bench_allocator, bench_histogram, bench_zipfian
+              bench_allocator, bench_histogram, bench_zipfian, bench_fnv,
+              bench_journal_commit
 }
 criterion_main!(benches);

@@ -588,7 +588,7 @@ impl FleetBuilder {
         let router = Arc::new(Router {
             sim: sim.clone(),
             machines: build_machines(cfg),
-            control: Mutex::new((0, 0, FNV_OFFSET)),
+            control: Mutex::new((0, 0, Fnv64::new().finish())),
             next_op: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
         });
@@ -664,15 +664,11 @@ impl FleetBuilder {
     }
 }
 
-/// FNV-1a constants for the running pressure-payload fold.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
+/// Folds one pressure-payload word into the running FNV-1a digest `h`.
 fn fnv_fold(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for byte in v.to_le_bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let mut f = Fnv64::resume(h);
+    f.write_u64(v);
+    f.finish()
 }
 
 fn finish_report(router: &Router) -> FleetReport {

@@ -90,11 +90,6 @@ impl BlockAllocator {
         self.free
     }
 
-    /// Total block count.
-    pub fn total_blocks(&self) -> u64 {
-        self.blocks
-    }
-
     fn find_free_from(&self, from: u64) -> Option<u64> {
         let mut w = (from / 64) as usize;
         if w >= self.words.len() {

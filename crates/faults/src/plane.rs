@@ -426,21 +426,6 @@ impl FaultPlane {
         let _ = self.on_write(Lba(0), 0, None, WriteKind::Flush);
     }
 
-    /// Advances the virtual-time high-water mark without a write.
-    pub fn note_time(&self, now: Nanos) {
-        let mut g = self.inner.lock();
-        g.vtime = g.vtime.max(now);
-        if let Some(t) = g.cut_at_time {
-            if g.vtime >= t && !g.powered_off {
-                g.horizon = Some(g.seq);
-                g.fire_cut();
-                g.cut_at_time = None;
-                let seq = g.seq;
-                g.cut = Some(Cut::at_seq(seq));
-            }
-        }
-    }
-
     // --------------------------------------------- media errors and drops
 
     /// Arms transient media errors on the nth, mth, … timed **read**

@@ -78,25 +78,6 @@ pub struct JobSpec {
     pub start_at: Nanos,
 }
 
-impl JobSpec {
-    /// A 4 KB random-read job with sane defaults.
-    pub fn randread_4k(file: &str, file_size: u64) -> Self {
-        JobSpec {
-            name: "randread-4k".into(),
-            mode: RwMode::RandRead,
-            block_size: 4096,
-            file: file.into(),
-            file_size,
-            threads: 1,
-            ops_per_thread: 2000,
-            warmup_ops: 32,
-            per_thread_files: false,
-            seed: 42,
-            start_at: Nanos::ZERO,
-        }
-    }
-}
-
 /// Aggregated result of one job.
 #[derive(Debug)]
 pub struct JobResult {

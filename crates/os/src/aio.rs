@@ -60,6 +60,12 @@ struct Pending {
     dma: Option<DmaBuffer>,
 }
 
+/// Entries in an AIO context's device queue: the NVMe maximum (a 16-bit
+/// command id). A context is sized in iocbs, as Linux sizes it, and an
+/// iocb takes one command per extent, so the queue behind it is never
+/// what refuses an iocb the iocb count admits.
+const QUEUE_ENTRIES: usize = 1 << 16;
+
 /// An AIO context (one per `io_setup`).
 pub struct AioCtx {
     queue: QueueId,
@@ -78,11 +84,11 @@ impl std::fmt::Debug for AioCtx {
 
 impl Kernel {
     /// `io_setup(2)`: creates a context able to hold `depth` in-flight
-    /// operations.
+    /// iocbs, whatever their extent counts.
     pub fn io_setup(&self, ctx: &mut ActorCtx, depth: usize) -> AioCtx {
         ctx.delay(self.cost().syscall() + Nanos(1_000));
         AioCtx {
-            queue: self.device().create_queue(None, depth.max(1)),
+            queue: self.device().create_queue(None, QUEUE_ENTRIES),
             depth: depth.max(1),
             pending: Mutex::new(HashMap::new()),
         }
@@ -90,11 +96,12 @@ impl Kernel {
 
     /// `io_submit(2)`: validates and submits each iocb, charging the
     /// kernel stack serially per operation. Returns the number accepted
-    /// (stops early at `Again` when the context is full).
+    /// (stops early when the context holds `depth` iocbs).
     ///
     /// # Errors
-    /// `BadF`, `Perm`, `Inval` on the *first* op; later failures stop
-    /// submission and report the count so far, as Linux does.
+    /// `Again` (context full), `BadF`, `Perm`, `Inval` on the *first*
+    /// op; later failures stop submission and report the count so far,
+    /// as Linux does.
     pub fn io_submit(
         &self,
         ctx: &mut ActorCtx,
@@ -105,10 +112,11 @@ impl Kernel {
         ctx.delay(self.cost().user_to_kernel);
         let mut accepted = 0usize;
         for op in ops {
-            if aio.pending.lock().len() >= aio.depth {
-                break;
-            }
-            let res = self.submit_one(ctx, pid, aio, op);
+            let res = if aio.pending.lock().len() >= aio.depth {
+                Err(Errno::Again)
+            } else {
+                self.submit_one(ctx, pid, aio, op)
+            };
             match res {
                 Ok(()) => accepted += 1,
                 Err(e) if accepted == 0 => {
@@ -143,6 +151,9 @@ impl Kernel {
             return Err(Errno::Inval); // aio path: no appends (KVell preallocates)
         }
         let (segs, extra) = self.fs().resolve(of.0, op.offset, len)?;
+        if segs.len() > QUEUE_ENTRIES {
+            return Err(Errno::Inval); // more extents than a device queue holds
+        }
         ctx.delay(extra);
         // One device command per segment, rung as one all-or-nothing
         // batch; completion of the *last* segment completes the iocb.

@@ -1,6 +1,6 @@
-//! Kernel support for the offload engine: program load/unload syscalls
-//! (verify-at-load), the per-uid accounting view of device-side chain
-//! hops, and the XRP comparison path executing the *same* IR kernel-side.
+//! Kernel support for the offload engine: the program load syscall
+//! (verify-at-load) and the XRP comparison path executing the *same* IR
+//! kernel-side.
 //!
 //! The trust model mirrors eBPF: userspace hands the kernel an
 //! instruction list, the kernel verifies it **once** at load time
@@ -12,7 +12,6 @@
 use std::sync::Arc;
 
 use bypassd_offload::{run_hop, ChainState, Op, Outcome, ProgHandle, Program, BLOCK, STEP_NS};
-use bypassd_qos::Tenant;
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::time::Nanos;
 
@@ -24,34 +23,29 @@ use crate::process::{Fd, Pid};
 /// small, and paid once per program, never per I/O).
 pub const VERIFY_NS_PER_OP: u64 = 150;
 
-/// One kernel-table entry: the verified program plus its owner (only the
-/// loading process may unload it).
-struct LoadedProg {
-    owner: Pid,
-    prog: Arc<Program>,
-}
-
 /// The kernel's table of loaded offload programs. Handles are allocated
 /// by the device (its table is authoritative — the handle travels in the
-/// chain submission), the kernel mirrors them for ownership checks and
-/// for kernel-side execution (XRP, host-interpretation fallback).
+/// chain submission), the kernel mirrors them for kernel-side execution
+/// (XRP, host-interpretation fallback).
 #[derive(Default)]
 pub(crate) struct ProgTable {
-    entries: std::collections::HashMap<ProgHandle, LoadedProg>,
+    entries: std::collections::HashMap<ProgHandle, Arc<Program>>,
 }
 
 impl Kernel {
     /// `prog_load()`: verifies `ops` and installs the program into the
     /// device program table, returning the handle chain submissions
     /// name. Verification cost is charged in virtual time proportional
-    /// to program length; a rejected program is never installed.
+    /// to program length; a rejected program is never installed. The
+    /// calling process is named as in every syscall, but a program has
+    /// no owner: it stays loaded for the kernel's lifetime.
     ///
     /// # Errors
     /// `Inval` if the verifier rejects the program.
     pub fn sys_prog_load(
         &self,
         ctx: &mut ActorCtx,
-        pid: Pid,
+        _pid: Pid,
         ops: Vec<Op>,
     ) -> SysResult<ProgHandle> {
         let cost = *self.cost();
@@ -64,62 +58,16 @@ impl Kernel {
             }
         };
         let handle = self.device().install_program(Arc::clone(&verified));
-        self.progs.lock().entries.insert(
-            handle,
-            LoadedProg {
-                owner: pid,
-                prog: verified,
-            },
-        );
+        self.progs.lock().entries.insert(handle, verified);
         ctx.delay(cost.kernel_to_user);
         Ok(handle)
-    }
-
-    /// `prog_unload()`: removes a loaded program from both the kernel
-    /// and device tables. Chains already admitted keep their `Arc` and
-    /// finish; new submissions naming the handle fail at the device.
-    ///
-    /// # Errors
-    /// `BadF` for an unknown handle, `Perm` when `pid` is not the owner.
-    pub fn sys_prog_unload(
-        &self,
-        ctx: &mut ActorCtx,
-        pid: Pid,
-        handle: ProgHandle,
-    ) -> SysResult<()> {
-        let cost = *self.cost();
-        ctx.delay(cost.syscall());
-        let mut progs = self.progs.lock();
-        let entry = progs.entries.get(&handle).ok_or(Errno::BadF)?;
-        if entry.owner != pid {
-            return Err(Errno::Perm);
-        }
-        progs.entries.remove(&handle);
-        drop(progs);
-        self.device().remove_program(handle);
-        Ok(())
     }
 
     /// The verified program behind `handle`, if loaded. Untimed — used
     /// by kernel-side executors and by UserLib's host-interpretation
     /// fallback after a revocation.
     pub fn prog_of(&self, handle: ProgHandle) -> Option<Arc<Program>> {
-        self.progs
-            .lock()
-            .entries
-            .get(&handle)
-            .map(|e| Arc::clone(&e.prog))
-    }
-
-    /// Device-side offload hops charged to `pid`'s tenant so far: the
-    /// per-uid QoS view of chain work (resubmitted media reads beyond
-    /// the host-submitted first hop). Zero for processes that never
-    /// bound a user queue.
-    pub fn offload_hops_of(&self, pid: Pid) -> u64 {
-        let pasid = self.pasid_of(pid);
-        self.device()
-            .tenant_stats(Tenant::User(pasid))
-            .map_or(0, |s| s.offload_hops)
+        self.progs.lock().entries.get(&handle).map(Arc::clone)
     }
 
     /// XRP ported onto the real offload engine (§6.5 apples-to-apples):

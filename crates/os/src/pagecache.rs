@@ -98,13 +98,6 @@ impl PageCache {
         evicted
     }
 
-    /// Marks a cached block dirty (no-op if absent).
-    pub fn mark_dirty(&mut self, ino: Ino, block: u64) {
-        if let Some(e) = self.map.get_mut(&(ino.0, block)) {
-            e.dirty = true;
-        }
-    }
-
     /// Takes all dirty blocks of `ino` (clearing their dirty bits).
     pub fn take_dirty(&mut self, ino: Ino) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();

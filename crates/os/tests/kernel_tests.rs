@@ -337,32 +337,48 @@ fn aio_iocb_is_all_or_nothing_on_a_full_context() {
         let ino = k.fs().lookup("/split").unwrap();
         let (segs, _) = k.fs().resolve(ino, 0, 8192).unwrap();
         assert_eq!(segs.len(), 2, "file must span two extents: {segs:?}");
-        // Depth 1: the iocb's two segment commands cannot both fit, so
-        // neither may reach the media.
+        let write = |user_data| AioOp {
+            fd,
+            offset: 0,
+            user_data,
+            data: AioData::Write(vec![0x77; 8192]),
+        };
+        let media = |fills: [u8; 2]| {
+            let mut block = vec![0u8; 4096];
+            for ((lba, _), fill) in segs.iter().zip(fills) {
+                k.device().read_raw(lba.unwrap(), &mut block);
+                assert!(
+                    block.iter().all(|&b| b == fill),
+                    "the block expected to hold {fill:#x} changed"
+                );
+            }
+        };
+        // A one-iocb context, made full by a pending read: the 2-extent
+        // write is refused whole, so neither segment reaches the media.
         let aio = k.io_setup(ctx, 1);
-        let err = k
-            .io_submit(
-                ctx,
-                pid,
-                &aio,
-                vec![AioOp {
-                    fd,
-                    offset: 0,
-                    user_data: 0,
-                    data: AioData::Write(vec![0x77; 8192]),
-                }],
-            )
-            .unwrap_err();
+        let read = AioOp {
+            fd,
+            offset: 0,
+            user_data: 1,
+            data: AioData::Read(4096),
+        };
+        assert_eq!(k.io_submit(ctx, pid, &aio, vec![read]).unwrap(), 1);
+        let err = k.io_submit(ctx, pid, &aio, vec![write(2)]).unwrap_err();
         assert_eq!(err, Errno::Again);
+        assert_eq!(k.io_pending(&aio), 1);
+        media([0x11, 0x33]);
+        // Once the read is reaped, the context is sized in iocbs: the
+        // same 2-extent iocb runs on it, both segments at once.
+        let events = k.io_getevents(ctx, &aio, 1, 1);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].user_data, 1);
+        assert!(events[0].data.iter().all(|&b| b == 0x11));
+        assert_eq!(k.io_submit(ctx, pid, &aio, vec![write(2)]).unwrap(), 1);
+        let events = k.io_getevents(ctx, &aio, 1, 1);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].user_data, 2);
         assert_eq!(k.io_pending(&aio), 0);
-        let mut block = vec![0u8; 4096];
-        for ((lba, _), fill) in segs.iter().zip([0x11u8, 0x33]) {
-            k.device().read_raw(lba.unwrap(), &mut block);
-            assert!(
-                block.iter().all(|&b| b == fill),
-                "a rejected iocb changed the block holding {fill:#x}"
-            );
-        }
+        media([0x77, 0x77]);
     });
 }
 
