@@ -6,10 +6,13 @@ use std::sync::Arc;
 
 use bypassd::{System, UserProcess, UserThread};
 use bypassd_offload::Op;
-use bypassd_os::{Errno, SysResult};
+use bypassd_os::SysResult;
 use bypassd_sim::engine::ActorCtx;
 
-use crate::traits::{BackendFactory, BackendKind, Handle, OffloadProg, StorageBackend};
+use crate::traits::{
+    host_chained_read, BackendFactory, BackendKind, ChainDecider, Handle, OffloadProg,
+    StorageBackend,
+};
 
 /// One simulated process using BypassD (threads share UserLib state but
 /// own private queues and DMA buffers, §4.5.1).
@@ -99,7 +102,7 @@ impl StorageBackend for BypassdBackend {
         if self.kind != BackendKind::BypassdOffload {
             // Plain BypassD has no device engine: verify host-side and
             // interpret chains in userspace at full per-hop cost.
-            return host_verify(ops);
+            return OffloadProg::verify_host(ops);
         }
         let kernel = Arc::clone(self.thread.process().system().kernel());
         let pid = self.thread.process().pid();
@@ -108,52 +111,27 @@ impl StorageBackend for BypassdBackend {
             .map(OffloadProg::Engine)
     }
 
-    fn chained_read_prog(
+    fn chained_read(
         &mut self,
         ctx: &mut ActorCtx,
         h: Handle,
-        start: u64,
-        prog: &OffloadProg,
-        regs: [u64; bypassd_offload::NUM_REGS],
+        offset: u64,
+        len: u64,
+        decide: ChainDecider<'_>,
     ) -> SysResult<Vec<u8>> {
-        match prog {
-            OffloadProg::Engine(handle) => {
-                let mut buf = vec![0u8; bypassd_offload::BLOCK];
-                self.thread
-                    .pread_chain(ctx, h, *handle, regs, start, &mut buf)?;
-                Ok(buf)
-            }
-            OffloadProg::Host(program) => {
-                // Same default loop as the trait, spelled out here to
-                // keep the borrow on `self.thread` direct.
-                let mut st = bypassd_offload::ChainState::new(regs);
-                let mut cur = start;
-                let mut buf = vec![0u8; bypassd_offload::BLOCK];
-                for _ in 0..bypassd_offload::MAX_HOPS {
-                    self.thread.pread(ctx, h, &mut buf, cur)?;
-                    let run = bypassd_offload::run_hop(program, &mut st, &buf);
-                    ctx.delay(bypassd_sim::time::Nanos(
-                        run.steps * bypassd_offload::STEP_NS,
-                    ));
-                    match run.outcome {
-                        bypassd_offload::Outcome::Resubmit { offset } => cur = offset,
-                        bypassd_offload::Outcome::Return => return Ok(buf),
-                        bypassd_offload::Outcome::Fail { .. } => return Err(Errno::Inval),
-                    }
-                }
-                Err(Errno::Inval)
-            }
+        if let ChainDecider::Prog(OffloadProg::Engine(handle), regs) = decide {
+            let mut buf = vec![0u8; len as usize];
+            self.thread
+                .pread_chain(ctx, h, *handle, regs, offset, &mut buf)?;
+            return Ok(buf);
         }
+        let thread = &mut self.thread;
+        host_chained_read(ctx, offset, len, decide, |ctx, buf, off| {
+            thread.pread(ctx, h, buf, off)
+        })
     }
 
     fn sync_completions(&mut self) -> &mut Vec<(u64, Vec<u8>)> {
         &mut self.completions
     }
-}
-
-/// Host-side verify for the engine-less path.
-fn host_verify(ops: &[Op]) -> SysResult<OffloadProg> {
-    bypassd_offload::Program::verify(ops.to_vec())
-        .map(|p| OffloadProg::Host(Arc::new(p)))
-        .map_err(|_| Errno::Inval)
 }

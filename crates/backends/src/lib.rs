@@ -13,10 +13,13 @@
 //! | [`BypassdFactory`] | BypassD UserLib (this paper) |
 //!
 //! A factory holds per-process state and mints per-thread backends (each
-//! simulated workload thread owns one). The trait also exposes
-//! `chained_read` (used by the B-tree/BPF-KV engines): baselines loop
-//! over `pread`, XRP resubmits in the driver, and async `submit`/`poll`
-//! (used by KVell) which only libaio genuinely overlaps.
+//! simulated workload thread owns one). The trait also exposes one
+//! `chained_read` (used by the B-tree/BPF-KV engines), decided by a host
+//! closure or a loaded IR program ([`ChainDecider`]): baselines and plain
+//! BypassD interpret it over `pread`, XRP resubmits from the driver hook,
+//! and BypassD+offload runs the program on the device; every path shares
+//! the offload crate's hop budget. The async `submit`/`poll` pair (used
+//! by KVell) is genuinely overlapped only by libaio.
 
 pub mod aio_backend;
 pub mod bypassd_backend;
@@ -30,7 +33,7 @@ pub use aio_backend::LibaioFactory;
 pub use bypassd_backend::BypassdFactory;
 pub use spdk::{SpdkEnv, SpdkFactory};
 pub use sync_backend::SyncFactory;
-pub use traits::{BackendFactory, BackendKind, OffloadProg, StorageBackend};
+pub use traits::{BackendFactory, BackendKind, ChainDecider, OffloadProg, StorageBackend};
 pub use uring_backend::UringFactory;
 pub use xrp_backend::XrpFactory;
 

@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use bypassd_offload::{run_hop, ChainState, Op, Outcome, ProgHandle, Program, BLOCK, STEP_NS};
+use bypassd_offload::{
+    HopStepper, HostDecide, Op, Outcome, ProgHandle, Program, NUM_REGS, STEP_NS,
+};
 use bypassd_os::{Errno, SysResult};
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::time::Nanos;
@@ -67,6 +69,77 @@ pub enum OffloadProg {
     Host(Arc<Program>),
 }
 
+impl OffloadProg {
+    /// Verifies `ops` host-side for an engine-less path (untimed).
+    ///
+    /// # Errors
+    /// `Inval` if the verifier rejects the program.
+    pub(crate) fn verify_host(ops: &[Op]) -> SysResult<OffloadProg> {
+        Program::verify(ops.to_vec())
+            .map(|p| OffloadProg::Host(Arc::new(p)))
+            .map_err(|_| Errno::Inval)
+    }
+}
+
+/// What decides a [`StorageBackend::chained_read`]'s next hop.
+pub enum ChainDecider<'a> {
+    /// Host code: the next byte offset, or `None` to finish. Costs no
+    /// interpreter steps.
+    Host(HostDecide<'a>),
+    /// A loaded program, seeded with these registers.
+    Prog(&'a OffloadProg, [u64; NUM_REGS]),
+}
+
+impl<'a> ChainDecider<'a> {
+    /// The hop stepper for a chain decided in host code or by a
+    /// host-interpreted program.
+    ///
+    /// # Errors
+    /// `Inval` for an engine handle: only its engine can run it.
+    pub(crate) fn host_stepper(self) -> SysResult<HopStepper<'a>> {
+        match self {
+            ChainDecider::Host(next) => Ok(HopStepper::host(next)),
+            ChainDecider::Prog(OffloadProg::Host(program), regs) => {
+                Ok(HopStepper::program(program, regs))
+            }
+            ChainDecider::Prog(OffloadProg::Engine(_), _) => Err(Errno::Inval),
+        }
+    }
+}
+
+/// Host interpretation of a chained read over `pread`: read `len` bytes
+/// at `offset`, step the decider, charge its interpreter steps at
+/// [`STEP_NS`], and follow the outcome. The one chain loop behind every
+/// backend without its own engine.
+///
+/// # Errors
+/// As [`StorageBackend::chained_read`].
+pub(crate) fn host_chained_read(
+    ctx: &mut ActorCtx,
+    offset: u64,
+    len: u64,
+    decide: ChainDecider<'_>,
+    mut pread: impl FnMut(&mut ActorCtx, &mut [u8], u64) -> SysResult<usize>,
+) -> SysResult<Vec<u8>> {
+    let mut hops = decide.host_stepper()?;
+    let mut buf = vec![0u8; len as usize];
+    let mut cur = offset;
+    loop {
+        pread(ctx, &mut buf, cur)?;
+        let run = hops.step(&buf);
+        // Even a zero delay yields to equal-time actors: a closure hop
+        // (0 steps) must not add a scheduling point.
+        if run.steps > 0 {
+            ctx.delay(Nanos(run.steps * STEP_NS));
+        }
+        match run.outcome {
+            Outcome::Resubmit { offset } => cur = offset,
+            Outcome::Return => return Ok(buf),
+            Outcome::Fail { .. } => return Err(Errno::Inval),
+        }
+    }
+}
+
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -127,82 +200,41 @@ pub trait StorageBackend: Send {
     fn close(&mut self, ctx: &mut ActorCtx, h: Handle) -> SysResult<()>;
 
     /// Chained dependent reads of `len` bytes each: read at `offset`,
-    /// call `next(buffer)`; repeat at the returned offset until `None`.
-    /// Returns the final buffer. Baselines loop over [`Self::pread`];
-    /// XRP overrides with in-driver resubmission.
+    /// let `decide` name the next offset, repeat until it returns the
+    /// block just read. Returns the final buffer.
+    ///
+    /// The default interprets the chain host-side over [`Self::pread`]:
+    /// one full I/O round trip per hop, plus a
+    /// program's exact step cost, so every backend runs *the same
+    /// decision* and differs only in where the engine executes (§6.5
+    /// apples-to-apples). XRP resubmits from the driver hook instead, and
+    /// BypassD+offload runs a loaded program on the device.
     ///
     /// # Errors
-    /// Backend-path errors.
+    /// `Inval` for an engine handle on an engine-less backend, a program
+    /// `Fail`, or an exhausted hop budget; backend-path errors.
     fn chained_read(
         &mut self,
         ctx: &mut ActorCtx,
         h: Handle,
         offset: u64,
         len: u64,
-        next: &mut dyn FnMut(&[u8]) -> Option<u64>,
+        decide: ChainDecider<'_>,
     ) -> SysResult<Vec<u8>> {
-        let mut buf = vec![0u8; len as usize];
-        let mut cur = offset;
-        loop {
-            self.pread(ctx, h, &mut buf, cur)?;
-            match next(&buf) {
-                Some(n) => cur = n,
-                None => return Ok(buf),
-            }
-        }
+        host_chained_read(ctx, offset, len, decide, |ctx, buf, off| {
+            self.pread(ctx, h, buf, off)
+        })
     }
 
-    /// Loads an operation-IR program for [`Self::chained_read_prog`]:
-    /// verify-at-load, then install wherever this backend's engine
-    /// lives. The default has no engine — it verifies host-side and
-    /// returns the program for userspace interpretation.
+    /// Loads an operation-IR program for a [`ChainDecider::Prog`]
+    /// chained read: verify-at-load, then install wherever this
+    /// backend's engine lives. The default has no engine — it verifies
+    /// host-side and returns the program for userspace interpretation.
     ///
     /// # Errors
     /// `Inval` if the verifier rejects the program.
     fn prog_load(&mut self, _ctx: &mut ActorCtx, ops: &[Op]) -> SysResult<OffloadProg> {
-        Program::verify(ops.to_vec())
-            .map(|p| OffloadProg::Host(Arc::new(p)))
-            .map_err(|_| Errno::Inval)
-    }
-
-    /// Chained read driven by a loaded program: starting at `start`
-    /// (sector-aligned), each completed [`BLOCK`]-byte block is fed to
-    /// the program, which either names the next absolute byte offset
-    /// (`Resubmit`) or finishes the chain. Returns the final block.
-    ///
-    /// The default interprets the program host-side over [`Self::pread`]
-    /// — one full I/O round trip per hop plus the interpreter's exact
-    /// step cost — so every backend runs *the same program* and differs
-    /// only in where the engine executes (§6.5 apples-to-apples).
-    ///
-    /// # Errors
-    /// `Inval` for an engine handle on an engine-less backend, a program
-    /// `Fail`, or an exhausted hop budget; backend-path errors.
-    fn chained_read_prog(
-        &mut self,
-        ctx: &mut ActorCtx,
-        h: Handle,
-        start: u64,
-        prog: &OffloadProg,
-        regs: [u64; bypassd_offload::NUM_REGS],
-    ) -> SysResult<Vec<u8>> {
-        let OffloadProg::Host(program) = prog else {
-            return Err(Errno::Inval);
-        };
-        let mut st = ChainState::new(regs);
-        let mut cur = start;
-        let mut buf = vec![0u8; BLOCK];
-        for _ in 0..bypassd_offload::MAX_HOPS {
-            self.pread(ctx, h, &mut buf, cur)?;
-            let run = run_hop(program, &mut st, &buf);
-            ctx.delay(Nanos(run.steps * STEP_NS));
-            match run.outcome {
-                Outcome::Resubmit { offset } => cur = offset,
-                Outcome::Return => return Ok(buf),
-                Outcome::Fail { .. } => return Err(Errno::Inval),
-            }
-        }
-        Err(Errno::Inval)
+        OffloadProg::verify_host(ops)
     }
 
     /// Submits an asynchronous operation; returns a token. The default

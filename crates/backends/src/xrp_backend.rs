@@ -3,11 +3,13 @@
 use std::sync::Arc;
 
 use bypassd::System;
-use bypassd_offload::Op;
-use bypassd_os::{Kernel, OpenFlags, Pid, SysResult};
+use bypassd_offload::{HopStepper, Op};
+use bypassd_os::{Errno, Kernel, OpenFlags, Pid, SysResult};
 use bypassd_sim::engine::ActorCtx;
 
-use crate::traits::{BackendFactory, BackendKind, Handle, OffloadProg, StorageBackend};
+use crate::traits::{
+    BackendFactory, BackendKind, ChainDecider, Handle, OffloadProg, StorageBackend,
+};
 
 /// One simulated process using XRP.
 pub struct XrpFactory {
@@ -86,18 +88,6 @@ impl StorageBackend for XrpBackend {
         self.kernel.sys_close(ctx, self.pid, h)
     }
 
-    fn chained_read(
-        &mut self,
-        ctx: &mut ActorCtx,
-        h: Handle,
-        offset: u64,
-        len: u64,
-        next: &mut dyn FnMut(&[u8]) -> Option<u64>,
-    ) -> SysResult<Vec<u8>> {
-        self.kernel
-            .xrp_chained_read(ctx, self.pid, h, offset, len, next)
-    }
-
     fn prog_load(&mut self, ctx: &mut ActorCtx, ops: &[Op]) -> SysResult<OffloadProg> {
         // XRP loads the same verified IR into the kernel's program
         // table (the eBPF-load analogue); chains execute it at the
@@ -107,20 +97,32 @@ impl StorageBackend for XrpBackend {
             .map(OffloadProg::Engine)
     }
 
-    fn chained_read_prog(
+    fn chained_read(
         &mut self,
         ctx: &mut ActorCtx,
         h: Handle,
-        start: u64,
-        prog: &OffloadProg,
-        regs: [u64; bypassd_offload::NUM_REGS],
+        offset: u64,
+        len: u64,
+        decide: ChainDecider<'_>,
     ) -> SysResult<Vec<u8>> {
-        match prog {
-            OffloadProg::Engine(handle) => self
-                .kernel
-                .xrp_chained_read_offload(ctx, self.pid, h, start, *handle, regs),
-            OffloadProg::Host(_) => Err(bypassd_os::Errno::Inval),
-        }
+        // An engine program runs at the driver hook, resolved by handle
+        // as the hook would.
+        let hops = match decide {
+            ChainDecider::Prog(OffloadProg::Engine(handle), regs) => {
+                let prog = self.kernel.prog_of(*handle).ok_or(Errno::Inval)?;
+                return self.kernel.xrp_chained_read(
+                    ctx,
+                    self.pid,
+                    h,
+                    offset,
+                    len,
+                    HopStepper::program(&prog, regs),
+                );
+            }
+            other => other.host_stepper()?,
+        };
+        self.kernel
+            .xrp_chained_read(ctx, self.pid, h, offset, len, hops)
     }
 
     fn sync_completions(&mut self) -> &mut Vec<(u64, Vec<u8>)> {

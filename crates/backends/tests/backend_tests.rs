@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 
 use bypassd::System;
 use bypassd_backends::spdk::SpdkFactory;
-use bypassd_backends::{make_factory, BackendFactory, BackendKind};
+use bypassd_backends::{make_factory, BackendFactory, BackendKind, ChainDecider};
 use bypassd_hw::types::Lba;
 use bypassd_sim::{Nanos, Simulation};
 
@@ -94,11 +94,12 @@ fn xrp_chained_read_beats_sync_loses_to_bypassd() {
             b.pread(ctx, h, &mut buf, 0).unwrap(); // warm
             let t0 = ctx.now();
             let mut hops = 0;
-            b.chained_read(ctx, h, 0, 512, &mut |_buf| {
+            let mut next = |_: &[u8]| {
                 hops += 1;
                 (hops < 7).then(|| hops * 4096)
-            })
-            .unwrap();
+            };
+            b.chained_read(ctx, h, 0, 512, ChainDecider::Host(&mut next))
+                .unwrap();
             *o2.lock() = ctx.now() - t0;
             // Release the open so later backends can fmap the same file
             // (a lingering kernel-interface open denies fmap, §4.5.2).

@@ -1371,9 +1371,9 @@ impl UserThread {
         scratch: &mut OpScratch,
     ) -> SysResult<usize> {
         let program = self.kernel().prog_of(prog).ok_or(Errno::Inval)?;
-        let mut st = bypassd_offload::ChainState::new(regs);
+        let mut hops = bypassd_offload::HopStepper::program(&program, regs);
         let mut cur = start;
-        for _ in 0..bypassd_offload::MAX_HOPS {
+        loop {
             let hop = DirectOp::Read {
                 buf: &mut buf[..BLOCK],
                 offset: cur,
@@ -1383,7 +1383,7 @@ impl UserThread {
             if n < BLOCK {
                 return Err(Errno::Inval);
             }
-            let run = bypassd_offload::run_hop(&program, &mut st, &buf[..BLOCK]);
+            let run = hops.step(&buf[..BLOCK]);
             let interp = Nanos(run.steps * bypassd_offload::STEP_NS);
             ctx.sleep(interp).await;
             scratch.userlib += interp;
@@ -1393,7 +1393,6 @@ impl UserThread {
                 bypassd_offload::Outcome::Fail { .. } => return Err(Errno::Inval),
             }
         }
-        Err(Errno::Inval)
     }
 
     /// Batched chain submission: up to a submission window of

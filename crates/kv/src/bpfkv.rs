@@ -12,7 +12,7 @@
 //! produces 6 index levels; see DESIGN.md.
 
 use bypassd::System;
-use bypassd_backends::traits::{Handle, StorageBackend};
+use bypassd_backends::traits::{ChainDecider, Handle, OffloadProg, StorageBackend};
 use bypassd_os::{Errno, SysResult};
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::time::Nanos;
@@ -147,7 +147,8 @@ impl BpfKv {
     }
 
     /// Looks up `key`, returning its 64 B value, via `levels + 1`
-    /// dependent reads issued through the backend's chained-read path.
+    /// dependent reads issued through the backend's chained-read path,
+    /// decided host-side at `node_cpu` per node.
     ///
     /// # Errors
     /// `Inval` for out-of-range keys or corrupted nodes.
@@ -158,44 +159,7 @@ impl BpfKv {
         h: Handle,
         key: u64,
     ) -> SysResult<[u8; 64]> {
-        if key >= self.cfg.n {
-            return Err(Errno::Inval);
-        }
-        ctx.delay(self.cfg.op_cpu);
-        let levels = self.cfg.levels;
-        let mut hop = 0usize;
-        let node_cpu = self.cfg.node_cpu;
-        let mut cpu_hops = 0u64;
-        let buf = backend.chained_read(ctx, h, 0, NODE, &mut |buf| {
-            cpu_hops += 1;
-            if hop == levels {
-                return None; // buf is the log object
-            }
-            let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
-            let mut child = None;
-            for i in 0..count {
-                let off = 4 + i * ENTRY;
-                let first = u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-                if first <= key {
-                    child = Some(u64::from_le_bytes(
-                        buf[off + 8..off + 16].try_into().unwrap(),
-                    ));
-                } else {
-                    break;
-                }
-            }
-            hop += 1;
-            child
-        })?;
-        ctx.delay(Nanos(node_cpu.as_nanos() * cpu_hops));
-        // Verify we landed on the right object.
-        let got = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        if got != key {
-            return Err(Errno::Inval);
-        }
-        let mut value = [0u8; 64];
-        value.copy_from_slice(&buf[8..72]);
-        Ok(value)
+        self.lookup(ctx, backend, h, key, None)
     }
 
     /// The operation-IR point-lookup program for this store's geometry:
@@ -223,17 +187,60 @@ impl BpfKv {
         ctx: &mut ActorCtx,
         backend: &mut dyn StorageBackend,
         h: Handle,
-        prog: &bypassd_backends::OffloadProg,
+        prog: &OffloadProg,
         key: u64,
+    ) -> SysResult<[u8; 64]> {
+        self.lookup(ctx, backend, h, key, Some(prog))
+    }
+
+    /// The one lookup behind [`BpfKv::get`] and [`BpfKv::get_offload`]:
+    /// the descent is decided by `prog` when given, else by host code.
+    fn lookup(
+        &self,
+        ctx: &mut ActorCtx,
+        backend: &mut dyn StorageBackend,
+        h: Handle,
+        key: u64,
+        prog: Option<&OffloadProg>,
     ) -> SysResult<[u8; 64]> {
         if key >= self.cfg.n {
             return Err(Errno::Inval);
         }
         ctx.delay(self.cfg.op_cpu);
-        let mut regs = [0u64; bypassd_offload::NUM_REGS];
-        regs[0] = key;
-        regs[1] = self.cfg.levels as u64;
-        let buf = backend.chained_read_prog(ctx, h, 0, prog, regs)?;
+        let buf = if let Some(prog) = prog {
+            let mut regs = [0u64; bypassd_offload::NUM_REGS];
+            regs[0] = key;
+            regs[1] = self.cfg.levels as u64;
+            backend.chained_read(ctx, h, 0, NODE, ChainDecider::Prog(prog, regs))?
+        } else {
+            let levels = self.cfg.levels;
+            let (mut hop, mut decided) = (0usize, 0u64);
+            let mut next = |buf: &[u8]| {
+                decided += 1;
+                if hop == levels {
+                    return None; // buf is the log object
+                }
+                let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
+                let mut child = None;
+                for i in 0..count {
+                    let off = 4 + i * ENTRY;
+                    let first = u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
+                    if first <= key {
+                        child = Some(u64::from_le_bytes(
+                            buf[off + 8..off + 16].try_into().unwrap(),
+                        ));
+                    } else {
+                        break;
+                    }
+                }
+                hop += 1;
+                child
+            };
+            let buf = backend.chained_read(ctx, h, 0, NODE, ChainDecider::Host(&mut next))?;
+            ctx.delay(Nanos(self.cfg.node_cpu.as_nanos() * decided));
+            buf
+        };
+        // Verify we landed on the right object.
         let got = u64::from_le_bytes(buf[..8].try_into().unwrap());
         if got != key {
             return Err(Errno::Inval);

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd::System;
-use bypassd_backends::traits::{Handle, StorageBackend};
+use bypassd_backends::traits::{ChainDecider, Handle, StorageBackend};
 use bypassd_ext4::layout::Ino;
 use bypassd_os::pagecache::PageCache;
 use bypassd_os::{Errno, SysResult};
@@ -250,40 +250,30 @@ impl BtreeStore {
                 continue;
             }
             // Miss: chain dependent reads until a cached page or the leaf.
-            let chain = Mutex::new((page, level, None::<(u64, Vec<u8>)>));
             let shared = &self.shared;
-            let visited = Mutex::new(0u64);
-            let final_buf = backend.chained_read(ctx, h, page * PAGE, PAGE, &mut |buf| {
-                let mut st = chain.lock();
-                let (cur_page, cur_level, _) = *st;
+            let start = page * PAGE;
+            let (mut visited, mut leaf) = (0u64, false);
+            let mut next = |buf: &[u8]| {
                 let _ = shared
                     .lock()
                     .cache
-                    .insert(Ino(1), cur_page, buf.to_vec(), false);
-                *visited.lock() += 1;
-                if cur_level == 0 {
-                    st.2 = Some((cur_page, buf.to_vec()));
+                    .insert(Ino(1), page, buf.to_vec(), false);
+                visited += 1;
+                leaf = level == 0;
+                if leaf {
                     return None;
                 }
-                let child = decode_child(buf, key);
-                st.0 = child;
-                st.1 = cur_level - 1;
+                page = decode_child(buf, key);
+                level -= 1;
                 // Stop the chain when the child is already cached.
-                if shared.lock().cache.get(Ino(1), child).is_some() {
-                    None
-                } else {
-                    Some(child * PAGE)
-                }
-            })?;
-            ctx.delay(Nanos(self.cfg.page_cpu.as_nanos() * *visited.lock()));
-            let (next_page, next_level, leaf) = chain.into_inner();
-            if let Some((leaf_page, bytes)) = leaf {
-                debug_assert_eq!(bytes.len() as u64, PAGE);
-                let _ = final_buf;
-                return Ok((leaf_page, bytes));
+                let cached = shared.lock().cache.get(Ino(1), page).is_some();
+                (!cached).then_some(page * PAGE)
+            };
+            let buf = backend.chained_read(ctx, h, start, PAGE, ChainDecider::Host(&mut next))?;
+            ctx.delay(Nanos(self.cfg.page_cpu.as_nanos() * visited));
+            if leaf {
+                return Ok((page, buf));
             }
-            page = next_page;
-            level = next_level;
         }
     }
 

@@ -1,7 +1,7 @@
-//! Offload IR programs for BPF-KV: the B-tree descent and the verifying
-//! point lookup, expressed in the operation IR so one program drives the
-//! device engine (BypassD+offload), the kernel hook (XRP), and host-side
-//! interpretation (every other backend) identically.
+//! The offload IR program for BPF-KV: the verifying point lookup (a
+//! B-tree descent plus a key check), expressed in the operation IR so one
+//! program drives the device engine (BypassD+offload), the kernel hook
+//! (XRP), and host-side interpretation (every other backend) identically.
 //!
 //! Register conventions (seeded by the host, persistent across hops):
 //!
@@ -26,43 +26,19 @@ use bypassd_offload::{AluOp, Cond, Op, Width};
 /// are 512 B and the cursor never exceeds `4 + fanout·16 ≤ 255` for any
 /// fanout the node layout admits (`fanout ≤ 15` entries after the 4-byte
 /// header would already overflow 255 — see the assert in
-/// [`descent_ops`]), so masking is value-preserving.
+/// [`point_lookup_ops`]), so masking is value-preserving.
 const CURSOR_MASK: u64 = 0xFF;
 
-/// The descent program: while index levels remain (`r1 > 0`), scan the
-/// node's entries for the last `first_key ≤ key`, decrement `r1`, and
-/// resubmit at the chosen child offset. At `r1 == 0` the block is the
-/// log object — return it.
+/// The point-lookup program: while index levels remain (`r1 > 0`), scan
+/// the node's entries for the last `first_key ≤ key`, decrement `r1`, and
+/// resubmit at the chosen child offset. At `r1 == 0` the block is the log
+/// object, verified device-side: its embedded key must equal `r0`, else
+/// the chain fails with [`LOOKUP_MISS`] instead of returning a wrong
+/// block.
 ///
 /// # Panics
 /// Panics if `fanout` entries cannot fit the masked cursor range (the
 /// node layout itself caps fanout well below this).
-pub fn descent_ops(fanout: usize) -> Vec<Op> {
-    assert!(
-        4 + fanout * 16 + 16 <= CURSOR_MASK as usize + 1,
-        "fanout too large for the cursor bounds proof"
-    );
-    let mut ops = vec![
-        // r7 = 0; at the log level (r1 == 0) the block is the result.
-        Op::Imm { dst: 7, imm: 0 },
-        Op::Jmp {
-            cond: Cond::Ne,
-            a: 1,
-            b: 7,
-            skip: 1,
-        },
-        Op::Return,
-    ];
-    ops.extend(scan_and_resubmit(fanout));
-    ops
-}
-
-/// The point-lookup program: the descent plus device-side verification —
-/// at the log level the object's embedded key must equal `r0`, else the
-/// chain fails with [`LOOKUP_MISS`] instead of returning a wrong block.
-///
-/// # Panics
-/// As [`descent_ops`].
 pub fn point_lookup_ops(fanout: usize) -> Vec<Op> {
     assert!(
         4 + fanout * 16 + 16 <= CURSOR_MASK as usize + 1,
@@ -168,7 +144,6 @@ mod tests {
 
     #[test]
     fn descent_verifies() {
-        assert!(Program::verify(descent_ops(8)).is_ok());
         assert!(Program::verify(point_lookup_ops(8)).is_ok());
     }
 
@@ -176,7 +151,7 @@ mod tests {
     fn descent_picks_last_entry_at_most_key() {
         // Program fanout matches the node's entry count — the store
         // builder always fills every entry.
-        let prog = Program::verify(descent_ops(4)).unwrap();
+        let prog = Program::verify(point_lookup_ops(4)).unwrap();
         let mut regs = [0u64; 8];
         regs[0] = 20; // key
         regs[1] = 1; // one index level
@@ -185,8 +160,10 @@ mod tests {
         let run = run_hop(&prog, &mut st, &blk);
         assert_eq!(run.outcome, Outcome::Resubmit { offset: 3000 });
         assert_eq!(st.regs[1], 0, "level budget decremented");
-        // Next hop (r1 == 0): any block returns.
-        let run2 = run_hop(&prog, &mut st, &blk);
+        // Next hop (r1 == 0): the log object carrying the key returns.
+        let mut obj = vec![0u8; 512];
+        obj[..8].copy_from_slice(&20u64.to_le_bytes());
+        let run2 = run_hop(&prog, &mut st, &obj);
         assert_eq!(run2.outcome, Outcome::Return);
     }
 

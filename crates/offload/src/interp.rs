@@ -10,6 +10,12 @@
 //! step budget — but the interpreter re-checks both at run time as
 //! defense in depth and surfaces violations as [`Outcome::Fail`] with a
 //! reserved trap code rather than unwinding inside a device model.
+//!
+//! [`HopStepper`] is the one hop rule every chain executor shares (the
+//! device engine, the kernel's XRP hook, host interpretation in the
+//! backends and UserLib's fallback): it decides each next hop, by a
+//! verified program or a host closure, and owns the [`MAX_HOPS`] budget.
+//! Executors only read blocks and charge their own costs.
 
 use crate::ir::{AluOp, Op, Width, MAX_STEPS, NUM_REGS};
 use crate::verify::Program;
@@ -21,14 +27,18 @@ pub const TRAP_OOB: u16 = 0xFFFF;
 /// Trap code: the runtime step budget was exhausted.
 pub const TRAP_STEPS: u16 = 0xFFFE;
 
-/// Trap code: the chain resubmitted more than [`crate::MAX_HOPS`] times.
-/// Raised by the executing engine, not the interpreter (the hop budget is
+/// Trap code: the chain asked for a read past its [`MAX_HOPS`] budget.
+/// Raised by [`HopStepper`], not the interpreter (the hop budget is
 /// chain state, not program state).
 pub const TRAP_HOPS: u16 = 0xFFFD;
 
-/// Per-chain interpreter state. Registers persist across hops: the
-/// engine keeps one `ChainState` per in-flight chain and re-enters the
-/// program on every completed block.
+/// Maximum media reads per chain (XRP's resubmission budget). A chain
+/// whose last budgeted read still resubmits fails with [`TRAP_HOPS`].
+pub const MAX_HOPS: u32 = 32;
+
+/// Per-chain interpreter state. Registers persist across hops: a
+/// [`HopStepper`] keeps one `ChainState` per in-flight chain and
+/// re-enters the program on every completed block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainState {
     /// The register file.
@@ -167,6 +177,67 @@ pub fn run_hop(prog: &Program, st: &mut ChainState, block: &[u8]) -> HopRun {
                 };
             }
         }
+    }
+}
+
+/// A host decide callback: the next byte offset, or `None` when the
+/// block just read is the chain's result.
+pub type HostDecide<'a> = &'a mut (dyn FnMut(&[u8]) -> Option<u64> + Send);
+
+/// Decides one chain's hops, within the [`MAX_HOPS`] budget. The
+/// executor reads a block, calls [`HopStepper::step`] on it, charges
+/// `steps ×` [`crate::STEP_NS`], and follows the outcome.
+pub struct HopStepper<'a> {
+    decide: Decide<'a>,
+    hops: u32,
+}
+
+enum Decide<'a> {
+    Host(HostDecide<'a>),
+    Program(&'a Program, ChainState),
+}
+
+impl<'a> HopStepper<'a> {
+    /// A chain decided by host code, at 0 interpreter steps per hop.
+    pub fn host(next: HostDecide<'a>) -> HopStepper<'a> {
+        HopStepper {
+            decide: Decide::Host(next),
+            hops: 0,
+        }
+    }
+
+    /// A chain decided by a verified program seeded with `regs`.
+    pub fn program(prog: &'a Program, regs: [u64; NUM_REGS]) -> HopStepper<'a> {
+        HopStepper {
+            decide: Decide::Program(prog, ChainState::new(regs)),
+            hops: 0,
+        }
+    }
+
+    /// Decides the hop after one completed read of `block`. A
+    /// `Resubmit` past the budget becomes `Fail {` [`TRAP_HOPS`] `}`,
+    /// so no executor reads more than [`MAX_HOPS`] blocks per chain.
+    pub fn step(&mut self, block: &[u8]) -> HopRun {
+        self.hops += 1;
+        let run = match &mut self.decide {
+            Decide::Host(next) => HopRun {
+                outcome: next(block).map_or(Outcome::Return, |offset| Outcome::Resubmit { offset }),
+                steps: 0,
+            },
+            Decide::Program(prog, st) => run_hop(prog, st, block),
+        };
+        match run.outcome {
+            Outcome::Resubmit { .. } if self.hops >= MAX_HOPS => HopRun {
+                outcome: Outcome::Fail { code: TRAP_HOPS },
+                steps: run.steps,
+            },
+            _ => run,
+        }
+    }
+
+    /// Blocks decided so far (one per completed read).
+    pub fn hops(&self) -> u32 {
+        self.hops
     }
 }
 
@@ -360,6 +431,43 @@ mod tests {
         let mut st = ChainState::new([0; NUM_REGS]);
         let run = run_hop(&prog, &mut st, &[0u8; 64]);
         assert_eq!(run.outcome, Outcome::Fail { code: TRAP_OOB });
+    }
+
+    #[test]
+    fn stepper_stops_a_cycle_at_the_hop_budget() {
+        let prog =
+            Program::verify(vec![Op::Imm { dst: 0, imm: 0 }, Op::Resubmit { addr: 0 }]).unwrap();
+        let mut calls = 0u32;
+        let mut cycle = |_: &[u8]| {
+            calls += 1;
+            Some(0)
+        };
+        let steppers = [
+            (HopStepper::program(&prog, [0; NUM_REGS]), 2),
+            (HopStepper::host(&mut cycle), 0),
+        ];
+        for (mut hops, steps) in steppers {
+            let resubmit = Outcome::Resubmit { offset: 0 };
+            for _ in 1..MAX_HOPS {
+                assert_eq!(
+                    hops.step(&[0u8; BLOCK]),
+                    HopRun {
+                        outcome: resubmit,
+                        steps
+                    }
+                );
+            }
+            let fail = Outcome::Fail { code: TRAP_HOPS };
+            assert_eq!(
+                hops.step(&[0u8; BLOCK]),
+                HopRun {
+                    outcome: fail,
+                    steps
+                }
+            );
+            assert_eq!(hops.hops(), MAX_HOPS);
+        }
+        assert_eq!(calls, MAX_HOPS);
     }
 
     #[test]

@@ -30,10 +30,6 @@ pub const MAX_OPS: usize = 64;
 /// depth — a verifier bug must not yield an unbounded device-side loop).
 pub const MAX_STEPS: u64 = 4096;
 
-/// Maximum resubmitted hops per chain, enforced by the executing engine
-/// (mirrors XRP's resubmission budget).
-pub const MAX_HOPS: u32 = 32;
-
 /// A register index (`0..NUM_REGS`).
 pub type Reg = u8;
 

@@ -33,10 +33,12 @@ pub mod interp;
 pub mod ir;
 pub mod verify;
 
-pub use interp::{run_hop, ChainState, HopRun, Outcome, TRAP_HOPS, TRAP_OOB, TRAP_STEPS};
+pub use interp::{
+    run_hop, ChainState, HopRun, HopStepper, HostDecide, Outcome, MAX_HOPS, TRAP_HOPS, TRAP_OOB,
+    TRAP_STEPS,
+};
 pub use ir::{
-    AluOp, ChainSpec, Cond, Op, ProgHandle, Reg, Width, BLOCK, MAX_HOPS, MAX_OPS, MAX_STEPS,
-    NUM_REGS,
+    AluOp, ChainSpec, Cond, Op, ProgHandle, Reg, Width, BLOCK, MAX_OPS, MAX_STEPS, NUM_REGS,
 };
 pub use verify::{Program, VerifyError};
 

@@ -15,6 +15,8 @@
 //! * [`aio`] — libaio-style asynchronous contexts (`io_submit` /
 //!   `io_getevents`).
 //! * [`uring`] — io_uring with kernel-side submission-queue polling.
+//! * [`offload`] — the verify-at-load `prog_load()` syscall and XRP's
+//!   chained read, resubmitted from the driver's completion hook.
 //!
 //! ## Locking discipline
 //!
@@ -30,7 +32,6 @@ pub mod offload;
 pub mod pagecache;
 pub mod process;
 pub mod uring;
-pub mod xrp;
 
 pub use cost::CostModel;
 pub use kernel::{Errno, Kernel, OpenFlags, SysResult};

@@ -1,6 +1,7 @@
 //! Kernel support for the offload engine: the program load syscall
-//! (verify-at-load) and the XRP comparison path executing the *same* IR
-//! kernel-side.
+//! (verify-at-load) and the XRP comparison path, which resubmits chained
+//! reads from the driver's completion hook under the same hop rule
+//! ([`HopStepper`]) as every other chain executor.
 //!
 //! The trust model mirrors eBPF: userspace hands the kernel an
 //! instruction list, the kernel verifies it **once** at load time
@@ -11,7 +12,7 @@
 
 use std::sync::Arc;
 
-use bypassd_offload::{run_hop, ChainState, Op, Outcome, ProgHandle, Program, BLOCK, STEP_NS};
+use bypassd_offload::{HopStepper, Op, Outcome, ProgHandle, Program, STEP_NS};
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::time::Nanos;
 
@@ -70,47 +71,48 @@ impl Kernel {
         self.progs.lock().entries.get(&handle).map(Arc::clone)
     }
 
-    /// XRP ported onto the real offload engine (§6.5 apples-to-apples):
-    /// a chained read whose resubmission decisions come from the *same
-    /// verified IR program* a BypassD chain would run at the device —
-    /// executed kernel-side at the driver's completion hook. Each hop
-    /// pays `xrp_resubmit` (driver hook + program execution overhead)
-    /// plus the program's exact interpreter steps at [`STEP_NS`], so XRP
-    /// and BypassD+offload differ only in *where* the engine runs, never
-    /// in what the program computes.
+    /// XRP (\[70\], the paper's kernel-side comparison point): a chained
+    /// read whose resubmissions are issued from the NVMe driver's
+    /// completion hook. The chain crosses the syscall boundary and the
+    /// VFS/block layers **once**; every later hop pays only
+    /// `xrp_resubmit` (driver hook + eBPF) plus device time, which is why
+    /// XRP helps chained I/O but not single I/Os or scans (Figs. 13–15).
     ///
-    /// The chain's window is the file: `Resubmit` offsets are absolute
-    /// byte offsets, sector-aligned, resolved through the file system
-    /// per hop exactly like [`Kernel::xrp_chained_read`]. Returns the
-    /// final 512 B block.
+    /// Each hop reads `len` bytes at a sector-aligned absolute file
+    /// offset, resolved through the file system, and `hops` decides the
+    /// next one: a host closure models a fixed-layout eBPF function at no
+    /// step cost, while a verified program (the *same* IR a BypassD chain
+    /// runs at the device) is charged its exact steps at [`STEP_NS`]. So
+    /// XRP and BypassD+offload differ only in *where* the engine runs.
+    /// Returns the final buffer.
     ///
     /// # Errors
-    /// `BadF`, `Perm`, `Inval` (unknown program, unaligned or
-    /// out-of-file offsets, program `Fail`, or hop budget exhausted).
-    pub fn xrp_chained_read_offload(
+    /// `BadF`, `Perm`, `Inval` (bad `len`, unaligned or out-of-file
+    /// offsets, a program `Fail`, or an exhausted hop budget).
+    pub fn xrp_chained_read(
         &self,
         ctx: &mut ActorCtx,
         pid: Pid,
         fd: Fd,
         offset: u64,
-        handle: ProgHandle,
-        regs: [u64; bypassd_offload::NUM_REGS],
+        len: u64,
+        mut hops: HopStepper<'_>,
     ) -> SysResult<Vec<u8>> {
         let cost = *self.cost();
-        let prog = self.prog_of(handle).ok_or(Errno::Inval)?;
+        if len == 0 || !len.is_multiple_of(512) {
+            return Err(Errno::Inval);
+        }
         let (ino, _w, readable) = self.fd_snapshot(pid, fd)?;
         if !readable {
             return Err(Errno::Perm);
         }
-        let len = BLOCK as u64;
         // One full kernel entry for the first I/O; every later hop
         // starts at the driver's completion hook.
         ctx.delay(cost.user_to_kernel + cost.vfs(len) + cost.block_path());
         let size = self.fs().size_of(ino)?;
-        let mut st = ChainState::new(regs);
         let mut cur = offset;
-        let mut buf = vec![0u8; BLOCK];
-        for _ in 0..bypassd_offload::MAX_HOPS {
+        let mut buf = vec![0u8; len as usize];
+        loop {
             if !cur.is_multiple_of(512) || cur + len > size {
                 ctx.delay(cost.kernel_to_user);
                 return Err(Errno::Inval);
@@ -118,13 +120,16 @@ impl Kernel {
             let (segs, extra) = self.fs().resolve(ino, cur, len)?;
             ctx.delay(extra);
             self.device_read(ctx, &segs, &mut buf)?;
-            let run = run_hop(&prog, &mut st, &buf);
-            ctx.delay(Nanos(run.steps * STEP_NS));
+            let run = hops.step(&buf);
+            // Even a zero delay yields to equal-time actors: a closure
+            // hop (0 steps) must not add a scheduling point.
+            if run.steps > 0 {
+                ctx.delay(Nanos(run.steps * STEP_NS));
+            }
             match run.outcome {
                 Outcome::Resubmit { offset: next } => {
                     // Driver-hook resubmission: no VFS re-entry, no mode
-                    // switch — just the hook plus the program (charged
-                    // above by exact step count).
+                    // switch.
                     ctx.delay(cost.xrp_resubmit);
                     cur = next;
                 }
@@ -138,10 +143,6 @@ impl Kernel {
                 }
             }
         }
-        // Hop budget exhausted — same failure surface as the device
-        // engine's TRAP_HOPS.
-        ctx.delay(cost.kernel_to_user);
-        Err(Errno::Inval)
     }
 }
 

@@ -24,10 +24,7 @@ use parking_lot::Mutex;
 use bypassd_faults::plane::{FaultPlane, WriteKind, WriteVerdict};
 use bypassd_hw::iommu::{AccessKind, Iommu, PageTranslation};
 use bypassd_hw::types::{DevId, Lba, Pasid, Vba, SECTOR_SIZE};
-use bypassd_offload::{
-    run_hop, ChainSpec, ChainState, Outcome, ProgHandle, Program, BLOCK, MAX_HOPS, STEP_NS,
-    TRAP_HOPS,
-};
+use bypassd_offload::{ChainSpec, HopStepper, Outcome, ProgHandle, Program, BLOCK, STEP_NS};
 use bypassd_qos::{QosArbiter, QosConfig, Tenant, TenantShare, TenantStats};
 use bypassd_sim::time::Nanos;
 use bypassd_sim::FixedState;
@@ -63,7 +60,7 @@ pub enum BlockAddr {
 }
 
 /// One I/O command.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct Command<'a> {
     /// Operation.
     pub opcode: Opcode,
@@ -232,7 +229,7 @@ struct DevState {
     /// virtual times.
     recorder: Option<Arc<Recorder>>,
     /// Verified offload programs, installed by the kernel at
-    /// `prog_attach` time. `Arc` so a chain can execute the program
+    /// `prog_load` time. `Arc` so a chain can execute the program
     /// while the table (and the rest of the device state) stays mutable.
     programs: std::collections::HashMap<ProgHandle, Arc<Program>>,
     next_prog: u32,
@@ -255,6 +252,15 @@ struct StageScratch {
     translate: Nanos,
     channel_wait: Nanos,
     service: Nanos,
+}
+
+/// The per-tenant key of the paced bus ledgers and trace records: 0 for
+/// the kernel, PASID + 1 for a user process.
+fn tenant_key(tenant: Tenant) -> u64 {
+    match tenant {
+        Tenant::Kernel => 0,
+        Tenant::User(p) => u64::from(p.0) + 1,
+    }
 }
 
 /// A simulated NVMe SSD.
@@ -411,12 +417,6 @@ impl NvmeDevice {
         handle
     }
 
-    /// Removes an installed program (chains already past admission keep
-    /// their `Arc`). Returns whether the handle existed.
-    pub fn remove_program(&self, handle: ProgHandle) -> bool {
-        self.state.lock().programs.remove(&handle).is_some()
-    }
-
     /// Creates a queue pair. `pasid = Some(..)` makes a user queue bound
     /// to that process (§3.3); `None` makes a kernel/owner queue that may
     /// issue LBA commands.
@@ -566,12 +566,15 @@ impl NvmeDevice {
             return self.process_chain(state, qid, tenant, pasid, cmd, now);
         }
         state.qos.record_submit(tenant);
-        let (opcode, sectors) = (cmd.opcode, cmd.sectors);
         let mut scratch = StageScratch::default();
         let completion = self.process_inner(state, tenant, pasid, cmd, now, &mut scratch);
         let ok = completion.status.is_ok();
-        let bytes = if ok { sectors as u64 * SECTOR_SIZE } else { 0 };
-        let (read_bytes, written_bytes) = match opcode {
+        let bytes = if ok {
+            cmd.sectors as u64 * SECTOR_SIZE
+        } else {
+            0
+        };
+        let (read_bytes, written_bytes) = match cmd.opcode {
             Opcode::Read => (bytes, 0),
             Opcode::Write | Opcode::WriteZeroes => (0, bytes),
             Opcode::Flush => (0, 0),
@@ -583,31 +586,7 @@ impl NvmeDevice {
             read_bytes,
             written_bytes,
         );
-        if let Some(rec) = &state.recorder {
-            rec.record_device(|| DeviceRecord {
-                queue: qid.0,
-                tenant: match tenant {
-                    Tenant::Kernel => 0,
-                    Tenant::User(p) => u64::from(p.0) + 1,
-                },
-                op: match opcode {
-                    Opcode::Read => TraceOp::Read,
-                    Opcode::Write | Opcode::WriteZeroes => TraceOp::Write,
-                    Opcode::Flush => TraceOp::Flush,
-                },
-                bytes: sectors as u64 * SECTOR_SIZE,
-                submit: now,
-                qos_delay: scratch.qos_delay,
-                throttled: scratch.throttled,
-                deferred: scratch.deferred,
-                walk: scratch.walk,
-                translate: scratch.translate,
-                channel_wait: scratch.channel_wait,
-                service: scratch.service,
-                complete: completion.ready_at,
-                ok,
-            });
-        }
+        Self::record_stages(state, qid, tenant, &cmd, now, &scratch, completion);
         completion
     }
 
@@ -653,152 +632,13 @@ impl NvmeDevice {
             };
         }
         let is_write = matches!(cmd.opcode, Opcode::Write | Opcode::WriteZeroes);
-
-        // Transient media-error injection: the command is charged its
-        // media service time but completes with MediaError and moves no
-        // data — a correctable-failure model for the retry paths.
-        if state.faults.is_active() && state.faults.take_io_error(is_write) {
-            let bytes = cmd.sectors as u64 * SECTOR_SIZE;
-            let cost = if cmd.opcode == Opcode::WriteZeroes {
-                state.timer.timing().write_zeroes_cost
-            } else {
-                state.timer.timing().service(is_write, bytes)
-            };
-            scratch.service = cost;
-            return Completion {
-                cid: 0,
-                status: NvmeStatus::MediaError,
-                ready_at: now + cost,
-                pressure: false,
-            };
-        }
-
-        // QoS admission (§3.1 sharing): rate limits and fair-share
-        // pacing delay the command's *effective arrival*; everything
-        // downstream (translation, media scheduling) sees the delayed
-        // time. Skipped entirely when disabled, keeping the default
-        // timing bit-identical.
         let total_bytes = cmd.sectors as u64 * SECTOR_SIZE;
-        let qos_paced = state.qos.enabled();
-        let (now, pressure) = if qos_paced {
-            let timing = state.timer.timing();
-            let service_est = if cmd.opcode == Opcode::WriteZeroes {
-                timing.write_zeroes_cost
-            } else {
-                timing.service(is_write, total_bytes)
-            };
-            let adm = state.qos.admit(tenant, now, service_est, total_bytes);
-            scratch.qos_delay = adm.arrival.saturating_sub(now);
-            scratch.throttled = adm.throttled;
-            scratch.deferred = adm.deferred;
-            (adm.arrival, adm.throttled || adm.deferred)
-        } else {
-            (now, false)
-        };
-
-        // Resolve the address to LBA extents (into the reusable scratch
-        // buffer — the steady-state path performs no allocation).
-        state.io_bufs.extents.clear();
-        let trans_cost: Nanos = match cmd.addr {
-            BlockAddr::Lba(lba) => {
-                if pasid.is_some() {
-                    // Security: user queues may not address raw LBAs.
-                    return Completion {
-                        cid: 0,
-                        status: NvmeStatus::InvalidField,
-                        ready_at: now,
-                        pressure,
-                    };
-                }
-                state.io_bufs.extents.push((lba, cmd.sectors));
-                Nanos::ZERO
-            }
-            BlockAddr::Vba(vba) => {
-                let pasid = match pasid {
-                    Some(p) => p,
-                    None => {
-                        return Completion {
-                            cid: 0,
-                            status: NvmeStatus::InvalidField,
-                            ready_at: now,
-                            pressure,
-                        }
-                    }
-                };
-                let kind = if is_write {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                let len = cmd.sectors as u64 * SECTOR_SIZE;
-                // Device-side ATC first (no PCIe round trip on a hit);
-                // off by default, in which case this is always None.
-                if let Some(cost) =
-                    self.atc
-                        .translate_into(pasid, vba, len, kind, &mut state.io_bufs.extents)
-                {
-                    let cost = if is_write { Nanos::ZERO } else { cost };
-                    scratch.walk = Some(WalkLevel::AtcHit);
-                    scratch.translate = cost;
-                    cost
-                } else {
-                    let atc_on = self.atc.enabled();
-                    let bufs = &mut state.io_bufs;
-                    bufs.pages.clear();
-                    let walked = self.iommu.lock().translate_extents_into(
-                        pasid,
-                        vba,
-                        len,
-                        kind,
-                        self.id,
-                        atc_on.then_some(&mut bufs.pages),
-                        &mut bufs.extents,
-                    );
-                    match walked {
-                        Ok(t) => {
-                            if atc_on {
-                                self.atc.fill(pasid, &state.io_bufs.pages);
-                            }
-                            // Reads serialise translation; writes overlap it
-                            // with the data transfer (§4.3).
-                            let cost = if is_write { Nanos::ZERO } else { t.cost };
-                            scratch.walk = Some(if t.walks == 0 {
-                                WalkLevel::IotlbHit
-                            } else if t.pwc_hit {
-                                WalkLevel::PwcHit
-                            } else {
-                                WalkLevel::FullWalk
-                            });
-                            scratch.translate = cost;
-                            cost
-                        }
-                        Err((fault, cost)) => {
-                            state.stats.translation_faults += 1;
-                            scratch.walk = Some(WalkLevel::Fault);
-                            scratch.translate = cost;
-                            return Completion {
-                                cid: 0,
-                                status: NvmeStatus::TranslationFault(fault),
-                                ready_at: now + cost,
-                                pressure,
-                            };
-                        }
-                    }
-                }
-            }
-        };
-
-        // Range check.
-        for &(lba, sectors) in &state.io_bufs.extents {
-            if !state.store.in_range(lba, sectors as u64) {
-                return Completion {
-                    cid: 0,
-                    status: NvmeStatus::LbaOutOfRange,
-                    ready_at: now,
-                    pressure,
-                };
-            }
+        if let Err(failed) = self.media_front(state, tenant, pasid, &cmd, true, now, scratch) {
+            return failed;
         }
+        let (now, trans_cost) = (now + scratch.qos_delay, scratch.translate);
+        let pressure = scratch.throttled || scratch.deferred;
+        let qos_paced = state.qos.enabled();
 
         // Functional data movement: one copy between media and the DMA
         // frames, which the buffer lends chunk by chunk (memory lock
@@ -896,14 +736,10 @@ impl NvmeDevice {
                 state.timer.schedule_fixed(now + trans_cost, cost)
             }
         } else if qos_paced {
-            let tenant_key = match tenant {
-                Tenant::Kernel => 0,
-                Tenant::User(p) => u64::from(p.0) + 1,
-            };
             scratch.service = state.timer.timing().service(is_write, total_bytes);
             state
                 .timer
-                .schedule_paced(now + trans_cost, is_write, total_bytes, tenant_key)
+                .schedule_paced(now + trans_cost, is_write, total_bytes, tenant_key(tenant))
         } else {
             scratch.service = state.timer.timing().service(is_write, total_bytes);
             state
@@ -923,45 +759,177 @@ impl NvmeDevice {
         }
     }
 
+    /// The stages in front of the media that every data access crosses,
+    /// plain commands and chain hops alike: media-error injection, QoS
+    /// admission (when `admit`), address resolution — the device-side
+    /// ATC first, then an IOMMU walk classified by level — and the range
+    /// check. On success `state.io_bufs.extents` holds the LBA extents
+    /// and `scratch` the admission delay, pressure and serialised
+    /// translation cost; a failure returns the completion to post,
+    /// charged for the stages it crossed.
+    #[allow(clippy::too_many_arguments)]
+    fn media_front(
+        &self,
+        state: &mut DevState,
+        tenant: Tenant,
+        pasid: Option<Pasid>,
+        cmd: &Command<'_>,
+        admit: bool,
+        now: Nanos,
+        scratch: &mut StageScratch,
+    ) -> Result<(), Completion> {
+        let is_write = matches!(cmd.opcode, Opcode::Write | Opcode::WriteZeroes);
+        let total_bytes = u64::from(cmd.sectors) * SECTOR_SIZE;
+        // The media service time, priced only where a stage needs it.
+        let service_est = |timing: MediaTiming| {
+            if cmd.opcode == Opcode::WriteZeroes {
+                timing.write_zeroes_cost
+            } else {
+                timing.service(is_write, total_bytes)
+            }
+        };
+        let fail = |status, ready_at, pressure| Completion {
+            cid: 0,
+            status,
+            ready_at,
+            pressure,
+        };
+
+        // Transient media-error injection: the access is charged its
+        // media service time but completes with MediaError and moves no
+        // data — a correctable-failure model for the retry paths.
+        if state.faults.is_active() && state.faults.take_io_error(is_write) {
+            scratch.service = service_est(state.timer.timing());
+            return Err(fail(NvmeStatus::MediaError, now + scratch.service, false));
+        }
+
+        // QoS admission (§3.1 sharing): rate limits and fair-share
+        // pacing delay the access's *effective arrival*; everything
+        // downstream (translation, media scheduling) sees the delayed
+        // time. Skipped entirely when disabled, keeping the default
+        // timing bit-identical.
+        if admit && state.qos.enabled() {
+            let est = service_est(state.timer.timing());
+            let adm = state.qos.admit(tenant, now, est, total_bytes);
+            scratch.qos_delay = adm.arrival.saturating_sub(now);
+            scratch.throttled = adm.throttled;
+            scratch.deferred = adm.deferred;
+        }
+        let now = now + scratch.qos_delay;
+        let pressure = scratch.throttled || scratch.deferred;
+
+        // Resolve the address to LBA extents (into the reusable scratch
+        // buffer — the steady-state path performs no allocation).
+        state.io_bufs.extents.clear();
+        match (cmd.addr, pasid) {
+            // Security: user queues may not address raw LBAs, and VBAs
+            // need a PASID to translate under.
+            (BlockAddr::Lba(_), Some(_)) | (BlockAddr::Vba(_), None) => {
+                return Err(fail(NvmeStatus::InvalidField, now, pressure));
+            }
+            (BlockAddr::Lba(lba), None) => state.io_bufs.extents.push((lba, cmd.sectors)),
+            (BlockAddr::Vba(vba), Some(pasid)) => {
+                let kind = if is_write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                // Device-side ATC first (no PCIe round trip on a hit);
+                // off by default, in which case this is always None.
+                let bufs = &mut state.io_bufs;
+                let (walked, walk) = if let Some(cost) =
+                    self.atc
+                        .translate_into(pasid, vba, total_bytes, kind, &mut bufs.extents)
+                {
+                    (Ok(cost), WalkLevel::AtcHit)
+                } else {
+                    let atc_on = self.atc.enabled();
+                    bufs.pages.clear();
+                    match self.iommu.lock().translate_extents_into(
+                        pasid,
+                        vba,
+                        total_bytes,
+                        kind,
+                        self.id,
+                        atc_on.then_some(&mut bufs.pages),
+                        &mut bufs.extents,
+                    ) {
+                        Ok(t) => {
+                            if atc_on {
+                                self.atc.fill(pasid, &bufs.pages);
+                            }
+                            let walk = if t.walks == 0 {
+                                WalkLevel::IotlbHit
+                            } else if t.pwc_hit {
+                                WalkLevel::PwcHit
+                            } else {
+                                WalkLevel::FullWalk
+                            };
+                            (Ok(t.cost), walk)
+                        }
+                        Err(failed) => (Err(failed), WalkLevel::Fault),
+                    }
+                };
+                scratch.walk = Some(walk);
+                match walked {
+                    // Reads serialise translation; writes overlap it with
+                    // the data transfer (§4.3).
+                    Ok(cost) => scratch.translate = if is_write { Nanos::ZERO } else { cost },
+                    Err((fault, cost)) => {
+                        state.stats.translation_faults += 1;
+                        scratch.translate = cost;
+                        let status = NvmeStatus::TranslationFault(fault);
+                        return Err(fail(status, now + cost, pressure));
+                    }
+                }
+            }
+        }
+
+        let in_range = state
+            .io_bufs
+            .extents
+            .iter()
+            .all(|&(lba, sectors)| state.store.in_range(lba, u64::from(sectors)));
+        if !in_range {
+            let ready_at = now + scratch.translate;
+            return Err(fail(NvmeStatus::LbaOutOfRange, ready_at, pressure));
+        }
+        Ok(())
+    }
+
     /// Executes one offload chain: repeated single-sector reads driven by
     /// the command's verified program, all inside this one completion.
     ///
-    /// Per hop: the current VBA is translated under the queue's PASID
-    /// (chains never relax the protection model — a `Resubmit` into an
-    /// unmapped or revoked page faults the whole chain exactly like a
-    /// host-submitted read), the block is read on the chain's pinned
-    /// channel, and the program runs over it at [`STEP_NS`] per step of
-    /// pure virtual time. The host sees one doorbell and one completion;
-    /// only the final block is DMA'd. Each hop emits its own
-    /// [`DeviceRecord`] so traces can count device-side work. Chain hops
-    /// go straight to the IOMMU (the device-side ATC ablation does not
-    /// shortcut them).
-    #[allow(clippy::too_many_lines)]
+    /// Every hop crosses [`NvmeDevice::media_front`] like a
+    /// host-submitted read — media-error injection, ATC/IOMMU
+    /// translation under the queue's PASID, range check — so a
+    /// `Resubmit` into an unmapped or revoked page faults the whole chain
+    /// and chains never relax the protection model. Only three things
+    /// differ: QoS admits the chain once, at its first hop; every hop
+    /// reads on the chain's pinned channel into the device's own buffer;
+    /// and only the final block crosses the bus to the host. The program
+    /// runs over each block at [`STEP_NS`] per step of pure virtual time.
+    /// The host sees one doorbell and one completion; each hop emits its
+    /// own [`DeviceRecord`] so traces can count device-side work.
     fn process_chain(
         &self,
         state: &mut DevState,
         qid: QueueId,
         tenant: Tenant,
         pasid: Option<Pasid>,
-        cmd: Command<'_>,
+        mut cmd: Command<'_>,
         now: Nanos,
     ) -> Completion {
         state.qos.record_submit(tenant);
         let spec = cmd.chain.expect("process_chain without a chain");
-        let tenant_id = match tenant {
-            Tenant::Kernel => 0,
-            Tenant::User(p) => u64::from(p.0) + 1,
-        };
 
         // Structural validation: chains are single-sector VBA reads from
         // a user queue, naming an installed program.
         let valid_shape = cmd.opcode == Opcode::Read && cmd.sectors == 1 && cmd.dma.is_some();
-        let first_vba = match cmd.addr {
-            BlockAddr::Vba(v) if valid_shape => Some(v),
-            _ => None,
-        };
         let prog = state.programs.get(&spec.prog).cloned();
-        let (Some(mut vba), Some(prog), Some(pasid)) = (first_vba, prog, pasid) else {
+        let (BlockAddr::Vba(mut vba), true, Some(prog)) =
+            (cmd.addr, valid_shape && pasid.is_some(), prog)
+        else {
             state
                 .qos
                 .record_completion(tenant, Nanos::ZERO, false, 0, 0);
@@ -973,151 +941,79 @@ impl NvmeDevice {
             };
         };
 
-        // QoS admission happens once, for the chain's first hop; later
-        // hops are device-generated work, paced on the tenant's own bus
-        // ledger and surfaced through the offload-hop counters.
         let qos_paced = state.qos.enabled();
-        let (mut t, pressure) = if qos_paced {
-            let est = state.timer.timing().service(false, BLOCK as u64);
-            let adm = state.qos.admit(tenant, now, est, BLOCK as u64);
-            (adm.arrival, adm.throttled || adm.deferred)
-        } else {
-            (now, false)
-        };
-        let channel = state.timer.pick_channel();
-
-        let mut st = ChainState::new(spec.regs);
-        // Completed media reads; the MAX_HOPS budget bounds them.
-        let mut hops: u32 = 0;
+        let mut hops = HopStepper::program(&prog, spec.regs);
+        let mut channel = None;
+        let (mut t, mut pressure) = (now, false);
         let status = loop {
-            if hops == MAX_HOPS {
-                break NvmeStatus::ChainFault(TRAP_HOPS);
-            }
-            let hop_start = t;
-
-            // Translate this hop's VBA (program offsets must stay
-            // sector-aligned; a misaligned `Resubmit` is an OOB trap).
+            // Program offsets must stay sector-aligned; a misaligned
+            // `Resubmit` is an OOB trap.
             if !vba.0.is_multiple_of(SECTOR_SIZE) {
                 break NvmeStatus::ChainFault(bypassd_offload::TRAP_OOB);
             }
-            state.io_bufs.extents.clear();
-            let walked = self.iommu.lock().translate_extents_into(
-                pasid,
-                vba,
-                BLOCK as u64,
-                AccessKind::Read,
-                self.id,
-                None,
-                &mut state.io_bufs.extents,
-            );
-            let (trans_cost, walk) = match walked {
-                Ok(tr) => (
-                    tr.cost,
-                    if tr.walks == 0 {
-                        WalkLevel::IotlbHit
-                    } else if tr.pwc_hit {
-                        WalkLevel::PwcHit
-                    } else {
-                        WalkLevel::FullWalk
-                    },
-                ),
-                Err((fault, cost)) => {
-                    state.stats.translation_faults += 1;
-                    t += cost;
-                    self.record_hop(
-                        state,
-                        qid,
-                        tenant_id,
-                        hop_start,
-                        Some(WalkLevel::Fault),
-                        cost,
-                        Nanos::ZERO,
-                        t,
-                        false,
-                    );
-                    break NvmeStatus::TranslationFault(fault);
-                }
-            };
-            let in_range = state
-                .io_bufs
-                .extents
-                .iter()
-                .all(|&(lba, sectors)| state.store.in_range(lba, u64::from(sectors)));
-            if !in_range {
-                t += trans_cost;
-                self.record_hop(
-                    state,
-                    qid,
-                    tenant_id,
-                    hop_start,
-                    Some(walk),
-                    trans_cost,
-                    Nanos::ZERO,
-                    t,
-                    false,
-                );
-                break NvmeStatus::LbaOutOfRange;
+            let hop_start = t;
+            let mut scratch = StageScratch::default();
+            cmd.addr = BlockAddr::Vba(vba);
+            let admit = hops.hops() == 0;
+            if let Err(failed) =
+                self.media_front(state, tenant, pasid, &cmd, admit, t, &mut scratch)
+            {
+                (t, pressure) = (failed.ready_at, pressure || failed.pressure);
+                Self::record_stages(state, qid, tenant, &cmd, hop_start, &scratch, failed);
+                break failed.status;
             }
+            pressure |= scratch.throttled || scratch.deferred;
+            let arrival = t + scratch.qos_delay + scratch.translate;
 
             // Media read of the block into the device-internal buffer
             // (not DMA'd — only the final block crosses to the host).
-            if state.io_bufs.chain_block.len() < BLOCK {
-                state.io_bufs.chain_block.resize(BLOCK, 0);
-            }
+            let bufs = &mut state.io_bufs;
+            bufs.chain_block.resize(BLOCK, 0);
             let mut off = 0usize;
-            for i in 0..state.io_bufs.extents.len() {
-                let (lba, sectors) = state.io_bufs.extents[i];
+            for &(lba, sectors) in &bufs.extents {
                 let n = (u64::from(sectors) * SECTOR_SIZE) as usize;
-                state
-                    .store
-                    .read(lba, &mut state.io_bufs.chain_block[off..off + n]);
+                state.store.read(lba, &mut bufs.chain_block[off..off + n]);
                 off += n;
             }
             state.stats.reads += 1;
             state.stats.read_bytes += BLOCK as u64;
-            hops += 1;
 
             let media_done = if qos_paced {
                 // Paced lanes priced the chain at admission; hops are
                 // device-internal media reads with no bus crossing.
-                t + trans_cost + state.timer.timing().read_base
+                arrival + state.timer.timing().read_base
             } else {
-                state.timer.schedule_hop(channel, t + trans_cost)
+                let channel = *channel.get_or_insert_with(|| state.timer.pick_channel());
+                state.timer.schedule_hop(channel, arrival)
             };
 
             // Run the program on the device's lightweight core, charged
             // purely in virtual time.
-            let run = run_hop(&prog, &mut st, &state.io_bufs.chain_block[..BLOCK]);
+            let run = hops.step(&state.io_bufs.chain_block);
             t = media_done + Nanos(run.steps * STEP_NS);
-            let service = t.saturating_sub(hop_start + trans_cost);
-            self.record_hop(
-                state,
-                qid,
-                tenant_id,
-                hop_start,
-                Some(walk),
-                trans_cost,
-                service,
-                t,
-                true,
-            );
+            scratch.service = t.saturating_sub(arrival);
+            let hop = Completion {
+                cid: 0,
+                status: NvmeStatus::Success,
+                ready_at: t,
+                pressure,
+            };
+            Self::record_stages(state, qid, tenant, &cmd, hop_start, &scratch, hop);
 
             match run.outcome {
-                Outcome::Resubmit { offset } => {
-                    vba = Vba(spec.base_vba).offset(offset);
-                }
+                Outcome::Resubmit { offset } => vba = Vba(spec.base_vba).offset(offset),
                 Outcome::Return => {
                     // Only the final block crosses to the host: pay its
                     // bus transfer now.
                     t = if qos_paced {
                         state
                             .timer
-                            .chain_return_transfer_paced(t, BLOCK as u64, tenant_id)
+                            .chain_return_transfer_paced(t, BLOCK as u64, tenant_key(tenant))
                     } else {
                         state.timer.chain_return_transfer(t, BLOCK as u64)
                     };
                     let dma = cmd.dma.expect("validated above");
-                    dma.write(cmd.dma_offset, &state.io_bufs.chain_block[..BLOCK]);
+                    dma.write(cmd.dma_offset, &state.io_bufs.chain_block);
                     break NvmeStatus::Success;
                 }
                 Outcome::Fail { code } => break NvmeStatus::ChainFault(code),
@@ -1125,11 +1021,10 @@ impl NvmeDevice {
         };
 
         let ok = status.is_ok();
+        let hops = hops.hops();
         state.stats.chains += 1;
         state.stats.chain_hops += u64::from(hops);
-        if !ok {
-            state.stats.chain_faults += 1;
-        }
+        state.stats.chain_faults += u64::from(!ok);
         state
             .qos
             .record_offload_hops(tenant, u64::from(hops.saturating_sub(1)));
@@ -1148,36 +1043,38 @@ impl NvmeDevice {
         }
     }
 
-    /// Emits one chain hop's [`DeviceRecord`] (passive; no clock).
-    #[allow(clippy::too_many_arguments)]
-    fn record_hop(
-        &self,
+    /// Emits the [`DeviceRecord`] of `cmd` — a plain command or one
+    /// chain hop — from the stages `scratch` recorded (passive; no
+    /// clock).
+    fn record_stages(
         state: &DevState,
         qid: QueueId,
-        tenant_id: u64,
+        tenant: Tenant,
+        cmd: &Command<'_>,
         submit: Nanos,
-        walk: Option<WalkLevel>,
-        translate: Nanos,
-        service: Nanos,
-        complete: Nanos,
-        ok: bool,
+        scratch: &StageScratch,
+        completion: Completion,
     ) {
         if let Some(rec) = &state.recorder {
             rec.record_device(|| DeviceRecord {
                 queue: qid.0,
-                tenant: tenant_id,
-                op: TraceOp::Read,
-                bytes: BLOCK as u64,
+                tenant: tenant_key(tenant),
+                op: match cmd.opcode {
+                    Opcode::Read => TraceOp::Read,
+                    Opcode::Write | Opcode::WriteZeroes => TraceOp::Write,
+                    Opcode::Flush => TraceOp::Flush,
+                },
+                bytes: u64::from(cmd.sectors) * SECTOR_SIZE,
                 submit,
-                qos_delay: Nanos::ZERO,
-                throttled: false,
-                deferred: false,
-                walk,
-                translate,
-                channel_wait: Nanos::ZERO,
-                service,
-                complete,
-                ok,
+                qos_delay: scratch.qos_delay,
+                throttled: scratch.throttled,
+                deferred: scratch.deferred,
+                walk: scratch.walk,
+                translate: scratch.translate,
+                channel_wait: scratch.channel_wait,
+                service: scratch.service,
+                complete: completion.ready_at,
+                ok: completion.status.is_ok(),
             });
         }
     }
@@ -2025,7 +1922,7 @@ mod tests {
 
     // ---- Offload chains (bypassd-offload integration) ----
 
-    use bypassd_offload::{Cond, Op, Width, TRAP_OOB};
+    use bypassd_offload::{Cond, Op, Width, MAX_HOPS, TRAP_HOPS, TRAP_OOB};
 
     /// "Follow the pointer at byte 0; 0 terminates": the minimal chain
     /// program. One load, one compare, one terminator per hop.
@@ -2102,6 +1999,27 @@ mod tests {
         let ts = dev.tenant_stats(Tenant::User(P)).unwrap();
         assert_eq!(ts.offload_hops, 2);
         assert!(ts.accounted());
+    }
+
+    #[test]
+    fn chain_hop_media_error_fails_the_chain() {
+        let (mem, dev, _asid, vba) = setup_with_mapping(1);
+        write_node(&dev, 0, 1024, 10);
+        write_node(&dev, 1024, 3584, 12);
+        write_node(&dev, 3584, 0, 17);
+        let spec = chain_spec(&dev, vba);
+        let q = dev.create_queue(Some(P), 32);
+        let dma = DmaBuffer::alloc(&mem, 4096);
+        // The third hop's read fails on the media, like a plain read would.
+        dev.fault_plane().fail_reads(vec![2]);
+        let comp = dev.execute_full(q, Command::chain_read(vba, &dma, spec), Nanos::ZERO);
+        assert_eq!(comp.status, NvmeStatus::MediaError);
+        let s = dev.stats();
+        assert_eq!((s.chains, s.chain_hops, s.chain_faults), (1, 2, 1));
+        // The plan is spent: a resubmitted chain completes.
+        let comp = dev.execute_full(q, Command::chain_read(vba, &dma, spec), comp.ready_at);
+        assert!(comp.status.is_ok());
+        assert_eq!(dev.stats().chain_hops, 5);
     }
 
     #[test]
@@ -2206,10 +2124,6 @@ mod tests {
             ..spec
         };
         let comp = dev.execute_full(q, Command::chain_read(vba, &dma, bogus), Nanos::ZERO);
-        assert_eq!(comp.status, NvmeStatus::InvalidField);
-        // Removing the program invalidates the handle.
-        assert!(dev.remove_program(spec.prog));
-        let comp = dev.execute_full(q, Command::chain_read(vba, &dma, spec), Nanos::ZERO);
         assert_eq!(comp.status, NvmeStatus::InvalidField);
     }
 

@@ -197,8 +197,8 @@ fn batched_chains_match_sequential_chains() {
 /// time: a mapping revoked after the flight was planned (every slot
 /// demotes to the host-interpreted fallback), one lost CQ entry (the
 /// slot is re-issued), and media errors — transient ones retried, a
-/// persistent one surfacing as `EIO`. The device engine does not inject
-/// media errors into chains, so they reach chains through the fallback's
+/// persistent one surfacing as `EIO` — injected into the device
+/// engine's chain hops and, after a revocation, into the fallback's
 /// kernel reads. Values and op counts must match sequential
 /// `pread_chain`; virtual time is not compared.
 #[test]
@@ -208,12 +208,20 @@ fn batched_chains_under_faults_match_sequential_chains() {
     use bypassd_os::Errno;
 
     type Arm = fn(&FaultPlane, &System, &str);
-    let scenarios: [(&str, Arm); 4] = [
+    let scenarios: [(&str, Arm); 6] = [
         ("revoked", |_, sys, file| {
             sys.kernel().revoke_path(file).unwrap();
         }),
         ("dropped completion", |plane, _, _| {
             plane.drop_completions(vec![3]);
+        }),
+        // Spaced so that no chain fails twice in either mode: the retry
+        // budget (`IoPolicy::max_attempts`) allows one media retry.
+        ("transient hop media errors", |plane, _, _| {
+            plane.fail_reads(vec![3, 30, 60]);
+        }),
+        ("persistent hop media error", |plane, _, _| {
+            plane.fail_reads((0..1024).collect());
         }),
         ("transient media errors", |plane, sys, file| {
             sys.kernel().revoke_path(file).unwrap();
@@ -271,7 +279,9 @@ fn batched_chains_under_faults_match_sequential_chains() {
         assert_eq!(batched, sequential, "{name}: batched values diverged");
         assert_eq!(batched_ops, sequential_ops, "{name}: op counts diverged");
         match name {
-            "persistent media error" => assert_eq!(batched, Err(Errno::Io)),
+            "persistent media error" | "persistent hop media error" => {
+                assert_eq!(batched, Err(Errno::Io), "{name}");
+            }
             _ => {
                 let values = batched.unwrap();
                 for (v, &k) in values.iter().zip(&keys) {
@@ -280,18 +290,105 @@ fn batched_chains_under_faults_match_sequential_chains() {
             }
         }
         let (direct, fallback) = batched_ops;
-        if name == "dropped completion" {
-            assert_eq!(stats.completions_dropped, 1, "drop never fired");
-            assert_eq!((direct, fallback), (keys.len() as u64, 0));
-        } else {
-            assert_eq!(
-                direct, 0,
-                "{name}: a revoked mapping serves no chain directly"
-            );
-            assert!(fallback > 0, "{name}: chains never fell back");
+        match name {
+            "dropped completion" | "transient hop media errors" => {
+                assert_eq!((direct, fallback), (keys.len() as u64, 0), "{name}");
+            }
+            // Media errors are injected ahead of translation, as for a
+            // plain read: a persistent plan fails the chain with EIO on
+            // the device before a revocation's translation fault could
+            // send it to the fallback.
+            "persistent media error" | "persistent hop media error" => {
+                assert_eq!((direct, fallback), (0, 0), "{name}");
+            }
+            _ => {
+                assert_eq!(
+                    direct, 0,
+                    "{name}: a revoked mapping serves no chain directly"
+                );
+                assert!(fallback > 0, "{name}: chains never fell back");
+            }
         }
-        if name == "transient media errors" {
-            assert_eq!(stats.read_errors, 3, "injected media errors never fired");
+        match name {
+            "dropped completion" => assert_eq!(stats.completions_dropped, 1, "drop never fired"),
+            "transient media errors" | "transient hop media errors" => {
+                assert_eq!(stats.read_errors, 3, "{name}: injected errors never fired");
+            }
+            _ => {}
         }
     }
+}
+
+/// The one hop rule: a chain that never stops is cut at the hop budget by
+/// every executor — the closure decider on sync and XRP, a program on
+/// the device engine (BypassD+offload), the kernel hook (XRP) and host
+/// interpretation (BypassD), and UserLib's fallback after a revocation.
+/// Each reads exactly `MAX_HOPS` blocks and fails with `Inval`. The
+/// closure panics past `MAX_HOPS + 1` calls, so a missing budget fails
+/// the test instead of hanging it.
+#[test]
+fn cyclic_chains_stop_at_the_hop_budget_on_every_executor() {
+    use bypassd_backends::ChainDecider;
+    use bypassd_offload::{Op, MAX_HOPS, NUM_REGS};
+    use bypassd_os::Errno;
+
+    let budget = u64::from(MAX_HOPS);
+    // Resubmit to offset 0 forever.
+    let cycle = vec![Op::Imm { dst: 0, imm: 0 }, Op::Resubmit { addr: 0 }];
+    let sys = System::builder().build();
+    sys.fs().populate("/cycle", 1 << 20, 0).unwrap();
+
+    let cases = [
+        (BackendKind::Sync, false),
+        (BackendKind::Xrp, false),
+        (BackendKind::BypassdOffload, true),
+        (BackendKind::Xrp, true),
+        (BackendKind::Bypassd, true),
+    ];
+    for (kind, by_program) in cases {
+        let factory = make_factory(kind, &sys, 0, 0);
+        let ops = cycle.clone();
+        let (result, calls, reads) = run(&sys, move |ctx, sys| {
+            let mut b = factory.make_thread();
+            let h = b.open(ctx, "/cycle", false).unwrap();
+            let prog = b.prog_load(ctx, &ops).unwrap();
+            let mut calls = 0u64;
+            let mut next = |_: &[u8]| {
+                calls += 1;
+                assert!(calls <= budget + 1, "{kind}: chain ran past the hop budget");
+                Some(0)
+            };
+            let decide = if by_program {
+                ChainDecider::Prog(&prog, [0; NUM_REGS])
+            } else {
+                ChainDecider::Host(&mut next)
+            };
+            let before = sys.device().stats().reads;
+            let result = b.chained_read(ctx, h, 0, 512, decide);
+            let reads = sys.device().stats().reads - before;
+            // Release the open so later backends can fmap the file.
+            b.close(ctx, h).unwrap();
+            (result.err(), calls, reads)
+        });
+        let label = if by_program { "program" } else { "closure" };
+        assert_eq!(result, Some(Errno::Inval), "{kind} {label}");
+        assert_eq!(reads, budget, "{kind} {label}: device reads");
+        if !by_program {
+            assert_eq!(calls, budget, "{kind}: closure calls");
+        }
+    }
+
+    // UserLib's host-interpreted fallback after a revocation.
+    let (result, fallback) = run(&sys, move |ctx, sys| {
+        let proc = UserProcess::start(sys, 0, 0);
+        let mut t = proc.thread();
+        let fd = t.open(ctx, "/cycle", false).unwrap();
+        let handle = sys.kernel().sys_prog_load(ctx, proc.pid(), cycle).unwrap();
+        sys.kernel().revoke_path("/cycle").unwrap();
+        let mut buf = vec![0u8; 512];
+        let result = t.pread_chain(ctx, fd, handle, [0; NUM_REGS], 0, &mut buf);
+        (result, proc.op_counts().1)
+    });
+    assert_eq!(result, Err(Errno::Inval), "fallback");
+    assert_eq!(fallback, budget, "fallback: one kernel read per hop");
 }
