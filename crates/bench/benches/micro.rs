@@ -15,6 +15,7 @@ use bypassd_hw::page_table::{walk_raw, AddressSpace};
 use bypassd_hw::pte::Pte;
 use bypassd_hw::types::{DevId, Lba, Pasid, Vba, VirtAddr, PAGE_SIZE};
 use bypassd_hw::{Iommu, PhysMem};
+use bypassd_qos::{QosArbiter, QosConfig, Tenant, TenantShare};
 use bypassd_sim::rng::{Fnv64, Rng, Zipfian};
 use bypassd_sim::time::Nanos;
 use bypassd_ssd::device::NvmeDevice;
@@ -183,6 +184,54 @@ fn bench_journal_commit(c: &mut Criterion) {
     });
 }
 
+/// One QoS admission on a device with `n` registered tenants, weighted
+/// 1..4 as the fleet registers them. Tenants take turns submitting a
+/// batch of 4 commands (the fleet's batch), 500 ns apart with 4 µs of
+/// media each, so with 251 or more tenants every batch opens one
+/// activity window and closes another.
+fn bench_qos_admit(c: &mut Criterion) {
+    for n in [8u32, 251, 1_250] {
+        let mut arb = QosArbiter::new(QosConfig::enabled(), 8);
+        let tenants: Vec<Tenant> = (0..n).map(|p| Tenant::User(Pasid(p + 1))).collect();
+        for (i, t) in tenants.iter().enumerate() {
+            arb.register(*t, TenantShare::weight(1 + i as u32 % 4));
+        }
+        let (mut i, mut now) = (0usize, Nanos::ZERO);
+        c.bench_function(&format!("qos_admit_{n}_tenants"), |b| {
+            b.iter(|| {
+                i = (i + 1) % (4 * tenants.len());
+                now += Nanos(500);
+                black_box(arb.admit(tenants[i / 4], now, Nanos(4_000), 4096));
+            });
+        });
+    }
+}
+
+/// The media fingerprint of one fleet machine's device: eight 4 MB
+/// tenant files of 0x42 blocks, plus blocks in the fill bytes the
+/// fleet's writes use.
+fn bench_media_fingerprint(c: &mut Criterion) {
+    let system = bypassd::System::builder().build();
+    for t in 0..8 {
+        system
+            .fs()
+            .populate(&format!("/tenant{t}"), 4 << 20, 0x42)
+            .expect("populate tenant file");
+    }
+    for round in 0..3u8 {
+        for idx in 0..8u8 {
+            system
+                .fs()
+                .populate(&format!("/w{round}_{idx}"), BLOCK_SIZE, round ^ idx ^ 0xA5)
+                .expect("populate written block");
+        }
+    }
+    let dev = system.device();
+    c.bench_function("media_fingerprint_machine", |b| {
+        b.iter(|| black_box(dev.media_fingerprint()));
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -195,6 +244,6 @@ criterion_group! {
     config = config();
     targets = bench_page_walk, bench_iommu_translate, bench_extent_resolve,
               bench_allocator, bench_histogram, bench_zipfian, bench_fnv,
-              bench_journal_commit
+              bench_journal_commit, bench_qos_admit, bench_media_fingerprint
 }
 criterion_main!(benches);

@@ -178,7 +178,17 @@ pub struct Kernel {
     /// Flight recorder, wired once by the system builder. Syscall-layer
     /// reads/writes stamp an [`OpRecord`] with `path = Kernel`.
     recorder: OnceLock<Arc<Recorder>>,
+    /// Free pinned buffers for the block layer's device commands: each
+    /// segment in flight borrows one ([`Kernel::take_dma`]) and returns
+    /// it after its copy, so steady-state kernel I/O allocates no frames.
+    dma_pool: Mutex<Vec<DmaBuffer>>,
 }
+
+/// Largest buffer the kernel's DMA pool keeps (16 pages); a larger one
+/// is freed after its command.
+const DMA_POOL_MAX_LEN: usize = 64 * 1024;
+/// Most buffers the kernel's DMA pool keeps; a surplus one is freed.
+const DMA_POOL_MAX_BUFFERS: usize = 32;
 
 impl Kernel {
     /// Boots a kernel over a mounted file system. `cache_blocks` sizes
@@ -201,6 +211,7 @@ impl Kernel {
             uring_jobs: Arc::new(AtomicU32::new(0)),
             progs: Mutex::new(crate::offload::ProgTable::default()),
             recorder: OnceLock::new(),
+            dma_pool: Mutex::new(Vec::new()),
         })
     }
 
@@ -557,6 +568,26 @@ impl Kernel {
 
     // ---- data path helpers ----
 
+    /// A pinned buffer of at least `len` bytes, from the pool if one fits.
+    fn take_dma(&self, len: usize) -> DmaBuffer {
+        let pooled = {
+            let mut pool = self.dma_pool.lock();
+            let fit = pool.iter().rposition(|b| b.len() >= len);
+            fit.map(|i| pool.swap_remove(i))
+        };
+        pooled.unwrap_or_else(|| DmaBuffer::alloc(&self.mem, len))
+    }
+
+    /// Returns a buffer from [`Kernel::take_dma`] to the pool.
+    fn give_dma(&self, dma: DmaBuffer) {
+        if dma.len() <= DMA_POOL_MAX_LEN {
+            let mut pool = self.dma_pool.lock();
+            if pool.len() < DMA_POOL_MAX_BUFFERS {
+                pool.push(dma);
+            }
+        }
+    }
+
     /// Issues device reads for resolved segments, filling `buf`
     /// (holes read as zeros). Waits for all completions.
     pub(crate) fn device_read(
@@ -586,7 +617,7 @@ impl Kernel {
                     if *len % SECTOR_SIZE != 0 {
                         return Err(Errno::Inval);
                     }
-                    let dma = DmaBuffer::alloc(&self.mem, *len as usize);
+                    let dma = self.take_dma(*len as usize);
                     let (mut st, mut ready) = self.dev.execute(
                         self.kq,
                         Command::read(BlockAddr::Lba(*lba), (*len / SECTOR_SIZE) as u32, &dma),
@@ -623,6 +654,7 @@ impl Kernel {
         ctx.sleep_until(latest).await;
         for (_, chunk, dma) in pending {
             dma.read(0, chunk);
+            self.give_dma(dma);
         }
         Ok(())
     }
@@ -644,7 +676,7 @@ impl Kernel {
             if *len % SECTOR_SIZE != 0 {
                 return Err(Errno::Inval);
             }
-            let dma = DmaBuffer::alloc(&self.mem, chunk.len());
+            let dma = self.take_dma(chunk.len());
             dma.write(0, chunk);
             let (mut st, mut ready) = self.dev.execute(
                 self.kq,
@@ -668,6 +700,7 @@ impl Kernel {
                 }
                 _ => return Err(Errno::Inval),
             }
+            self.give_dma(dma);
             latest = latest.max(ready);
         }
         ctx.sleep_until(latest).await;

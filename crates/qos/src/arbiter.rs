@@ -24,12 +24,17 @@
 //! ledger, so a QD1 neighbor's commands find a free channel at `now`.
 //! The active-set test (any media activity within `active_grace`) keeps
 //! the scheme work-conserving at coarse grain: a tenant alone on the
-//! device gets every lane, hence full throughput.
+//! device gets every lane, hence full throughput. The active set's
+//! weight is maintained incrementally (`ActiveSet`), so admission
+//! costs O(log tenants), not a walk over every registered tenant.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap};
 
 use bypassd_hw::types::Pasid;
 use bypassd_sim::time::Nanos;
+use bypassd_sim::FixedState;
 
 use crate::bucket::RateLimiter;
 use crate::config::{QosConfig, TenantShare};
@@ -67,6 +72,7 @@ pub struct Admission {
 
 #[derive(Debug)]
 struct TenantState {
+    tenant: Tenant,
     share: TenantShare,
     limiter: Option<RateLimiter>,
     /// Virtual per-tenant channel ledger (`free-at` times); only the
@@ -78,8 +84,9 @@ struct TenantState {
 }
 
 impl TenantState {
-    fn new(share: TenantShare, channels: usize) -> Self {
+    fn new(tenant: Tenant, share: TenantShare, channels: usize) -> Self {
         TenantState {
+            tenant,
             limiter: share.limit.as_ref().and_then(RateLimiter::from_limit),
             share,
             lanes: vec![Nanos::ZERO; channels],
@@ -89,25 +96,157 @@ impl TenantState {
     }
 }
 
+/// One tenant's entry in the [`ActiveSet`], kept apart from its
+/// [`TenantState`] so that closing a window touches 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    /// End of the activity window: `busy_until + grace`.
+    end: Nanos,
+    weight: u64,
+    /// Counted in [`ActiveSet::weight`]: `end > clock`.
+    active: bool,
+}
+
+/// The tenants active at `clock` (activity window `busy_until + grace`
+/// still open) and their summed weight, maintained incrementally.
+///
+/// Every active tenant has exactly one `ends` entry, keyed at or before
+/// its window's end (a window only grows while it is open, and the
+/// entry is re-keyed when it surfaces); inactive tenants have none.
+/// Moving the clock forward pops the entries that have come due:
+/// O(log tenants) per tenant whose window closes. A clock moved
+/// backward rebuilds the set by a scan, so the weight is exact for any
+/// call order.
+#[derive(Debug)]
+struct ActiveSet {
+    grace: Nanos,
+    clock: Nanos,
+    weight: u64,
+    /// By tenant slot (index into [`QosArbiter::states`]).
+    members: Vec<Member>,
+    ends: BinaryHeap<Reverse<(Nanos, usize)>>,
+}
+
+impl ActiveSet {
+    fn new(grace: Nanos) -> Self {
+        ActiveSet {
+            grace,
+            clock: Nanos::ZERO,
+            weight: 0,
+            members: Vec::new(),
+            ends: BinaryHeap::new(),
+        }
+    }
+
+    /// Adds a tenant with no media activity yet, returning its slot.
+    fn add(&mut self, weight: u64) -> usize {
+        let slot = self.members.len();
+        self.members.push(Member {
+            end: self.grace,
+            weight,
+            active: false,
+        });
+        self.file(slot);
+        slot
+    }
+
+    fn counts(&self, slot: usize) -> bool {
+        self.members[slot].active
+    }
+
+    /// Records that the tenant's `busy_until` grew.
+    fn extend(&mut self, slot: usize, busy_until: Nanos) {
+        self.members[slot].end = busy_until.saturating_add(self.grace);
+        self.file(slot);
+    }
+
+    fn set_weight(&mut self, slot: usize, weight: u64) {
+        let m = &mut self.members[slot];
+        if m.active {
+            self.weight = self.weight - m.weight + weight;
+        }
+        m.weight = weight;
+    }
+
+    /// Counts the tenant if its window is open at the clock.
+    fn file(&mut self, slot: usize) {
+        let m = &mut self.members[slot];
+        if !m.active && m.end > self.clock {
+            m.active = true;
+            self.weight += m.weight;
+            self.ends.push(Reverse((m.end, slot)));
+        }
+    }
+
+    /// Moves the clock to `now`, dropping tenants whose window closed.
+    fn advance(&mut self, now: Nanos) {
+        if now < self.clock {
+            self.rebuild(now);
+            return;
+        }
+        self.clock = now;
+        while let Some(mut top) = self.ends.peek_mut() {
+            let Reverse((key, slot)) = *top;
+            if key > now {
+                break;
+            }
+            let m = &mut self.members[slot];
+            if m.end > now {
+                *top = Reverse((m.end, slot));
+            } else {
+                m.active = false;
+                self.weight -= m.weight;
+                PeekMut::pop(top);
+            }
+        }
+    }
+
+    /// Recomputes the set at `clock` from every tenant's window.
+    fn rebuild(&mut self, clock: Nanos) {
+        self.clock = clock;
+        self.weight = 0;
+        self.ends.clear();
+        for slot in 0..self.members.len() {
+            self.members[slot].active = false;
+            self.file(slot);
+        }
+    }
+
+    /// Forgets all activity: every `busy_until` is back to zero.
+    fn reset(&mut self) {
+        for m in &mut self.members {
+            m.end = self.grace;
+        }
+        self.rebuild(Nanos::ZERO);
+    }
+}
+
 /// Per-device QoS enforcement state. The owning device serialises calls
 /// under its own lock; the arbiter itself is plain mutable state.
 #[derive(Debug)]
 pub struct QosArbiter {
     config: QosConfig,
     channels: usize,
-    /// Ordered map: `active_weight`/`horizon`/`totals` iterate it, and
-    /// their results flow into admission arrivals and `Nanos` delays —
-    /// iteration order must not vary run to run.
-    tenants: BTreeMap<Tenant, TenantState>,
+    /// Tenant → slot in `states` and the active set; lookups only (the
+    /// reports walk `states`, which does not depend on hashing).
+    slots: HashMap<Tenant, usize, FixedState>,
+    /// By slot, in order of first sight.
+    states: Vec<TenantState>,
+    active: ActiveSet,
+    /// Latest `busy_until` over all tenants.
+    horizon: Nanos,
 }
 
 impl QosArbiter {
     /// An arbiter for a device with `channels` media channels.
     pub fn new(config: QosConfig, channels: usize) -> Self {
         QosArbiter {
+            active: ActiveSet::new(config.active_grace),
             config,
             channels: channels.max(1),
-            tenants: BTreeMap::new(),
+            slots: HashMap::default(),
+            states: Vec::new(),
+            horizon: Nanos::ZERO,
         }
     }
 
@@ -131,33 +270,26 @@ impl QosArbiter {
     /// Registers (or updates) `tenant`'s share. Called by the kernel at
     /// queue-pair bind time; accounting history is preserved.
     pub fn register(&mut self, tenant: Tenant, share: TenantShare) {
-        let channels = self.channels;
-        let st = self
-            .tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantState::new(share, channels));
+        let slot = self.slot(tenant);
+        let st = &mut self.states[slot];
         st.share = share;
         st.limiter = share.limit.as_ref().and_then(RateLimiter::from_limit);
+        self.active.set_weight(slot, u64::from(share.weight));
+    }
+
+    /// `tenant`'s slot, created with the default share on first sight.
+    fn slot(&mut self, tenant: Tenant) -> usize {
+        let (share, channels) = (self.config.default_share, self.channels);
+        let (states, active) = (&mut self.states, &mut self.active);
+        *self.slots.entry(tenant).or_insert_with(|| {
+            states.push(TenantState::new(tenant, share, channels));
+            active.add(u64::from(share.weight))
+        })
     }
 
     fn ensure(&mut self, tenant: Tenant) -> &mut TenantState {
-        let share = self.config.default_share;
-        let channels = self.channels;
-        self.tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantState::new(share, channels))
-    }
-
-    /// Sum of weights over tenants active at `now` (always counts
-    /// `tenant` itself).
-    fn active_weight(&self, tenant: Tenant, now: Nanos) -> u64 {
-        let grace = self.config.active_grace;
-        self.tenants
-            .iter()
-            .filter(|(t, st)| **t == tenant || st.busy_until + grace > now)
-            .map(|(_, st)| u64::from(st.share.weight))
-            .sum::<u64>()
-            .max(1)
+        let slot = self.slot(tenant);
+        &mut self.states[slot]
     }
 
     /// Admits one command submitted at `now` whose media service is
@@ -170,10 +302,15 @@ impl QosArbiter {
         service_est: Nanos,
         bytes: u64,
     ) -> Admission {
-        self.ensure(tenant);
-        let active_weight = self.active_weight(tenant, now);
+        self.active.advance(now);
+        let slot = self.slot(tenant);
+        let st = &mut self.states[slot];
+        // Sum of weights over tenants active at `now`, always counting
+        // `tenant` itself.
+        let weight = u64::from(st.share.weight);
+        let own = if self.active.counts(slot) { 0 } else { weight };
+        let active_weight = (self.active.weight + own).max(1);
         let channels = self.channels as u64;
-        let st = self.tenants.get_mut(&tenant).expect("ensured above");
 
         let mut eligible = now;
         let mut throttled = false;
@@ -187,7 +324,6 @@ impl QosArbiter {
 
         // Lane allocation: this tenant's share of the device's internal
         // parallelism given who else is currently active.
-        let weight = u64::from(st.share.weight);
         let k = (channels * weight / active_weight).clamp(1, channels) as usize;
         let (idx, &free) = st.lanes[..k]
             .iter()
@@ -198,6 +334,8 @@ impl QosArbiter {
         let deferred = arrival > eligible;
         st.lanes[idx] = arrival + service_est;
         st.busy_until = st.busy_until.max(st.lanes[idx]);
+        self.horizon = self.horizon.max(st.busy_until);
+        self.active.extend(slot, st.busy_until);
 
         if throttled {
             st.stats.throttled += 1;
@@ -216,10 +354,7 @@ impl QosArbiter {
     /// flush barrier drains to this horizon when QoS pacing (which
     /// bypasses the shared channel ledger) is in force.
     pub fn horizon(&self) -> Nanos {
-        self.tenants
-            .values()
-            .map(|st| st.busy_until)
-            .fold(Nanos::ZERO, Nanos::max)
+        self.horizon
     }
 
     /// Accounts a command accepted into a queue pair.
@@ -262,22 +397,26 @@ impl QosArbiter {
 
     /// Aggregate (throttled, deferred) across tenants.
     pub fn totals(&self) -> (u64, u64) {
-        self.tenants.values().fold((0, 0), |(t, d), st| {
+        self.states.iter().fold((0, 0), |(t, d), st| {
             (t + st.stats.throttled, d + st.stats.deferred)
         })
     }
 
     /// One tenant's accounting.
     pub fn tenant_stats(&self, tenant: Tenant) -> Option<TenantStats> {
-        self.tenants.get(&tenant).map(|st| st.stats.clone())
+        let slot = *self.slots.get(&tenant)?;
+        Some(self.states[slot].stats.clone())
     }
 
     /// All tenants' accounting, ordered by tenant for determinism.
     pub fn snapshot(&self) -> Vec<(Tenant, TenantStats)> {
-        self.tenants
+        let mut all: Vec<(Tenant, TenantStats)> = self
+            .states
             .iter()
-            .map(|(t, st)| (*t, st.stats.clone()))
-            .collect()
+            .map(|st| (st.tenant, st.stats.clone()))
+            .collect();
+        all.sort_unstable_by_key(|(t, _)| *t);
+        all
     }
 
     /// Forgets absolute time (lane ledgers, activity marks, bucket
@@ -285,13 +424,15 @@ impl QosArbiter {
     /// backlog. Accounting is preserved, mirroring `DeviceStats` across
     /// `reset_timing`.
     pub fn reset_clock(&mut self) {
-        for st in self.tenants.values_mut() {
+        for st in &mut self.states {
             st.lanes.fill(Nanos::ZERO);
             st.busy_until = Nanos::ZERO;
             if let Some(l) = &mut st.limiter {
                 l.reset();
             }
         }
+        self.horizon = Nanos::ZERO;
+        self.active.reset();
     }
 }
 

@@ -2,8 +2,10 @@
 //! taint pass: `QosArbiter` iterated its tenant table as a `HashMap`,
 //! and `active_weight` / `snapshot` / `totals` results flow into
 //! admission arrivals, `Nanos` delays and (through the fleet report)
-//! FNV fingerprints. The table is a `BTreeMap` now; these tests pin the
-//! observable contract so the container type cannot silently regress.
+//! FNV fingerprints. The arbiter now looks tenants up in a hash map
+//! but never iterates it: its reports walk a slot vector and `snapshot`
+//! sorts by tenant. These tests pin the observable contract so the
+//! container types cannot silently regress.
 
 use bypassd_hw::types::Pasid;
 use bypassd_qos::{QosArbiter, QosConfig, Tenant, TenantShare};

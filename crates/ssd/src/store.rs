@@ -211,12 +211,22 @@ fn uniform_fill(data: &[u8]) -> Option<u8> {
         .then_some(first)
 }
 
-/// FNV absorption of uniform 4 KB blocks in O(1). Absorbing a fixed
-/// block from state `s` yields `s·P^4096 + c(s mod 256)` (see
+/// FNV absorption of uniform 4 KB blocks in O(1). Absorbing a block of
+/// n = 4096 fill bytes from state `s` yields `s·P^n + c(s mod 256)` (see
 /// [`Fnv64::prime_pow`]), so `c` is computed once per (fill byte, low
 /// byte) and reused. Populated files and fleet writes are uniform
 /// blocks, which makes hashing a whole device a multiply-add per block.
+///
+/// A byte step moves the state's low byte `l` to `((l ^ fill)·P) mod
+/// 256`. Bit k of the result depends only on bits ≤ k of `l`, so this
+/// permutation's cycles have power-of-two lengths, which divide n: a
+/// block leaves the low byte where it found it. With `δ(l) = (l ^ fill)
+/// − l`, `c(l) = Σ_{i<n} δ(l_i)·P^(n−i)` over the low bytes `l_i` the
+/// block passes through, so the next low byte's constant is
+/// `c(l') = P·(c(l) − δ(l)·(P^n − 1))`, and one block pass fills a whole
+/// cycle of the table.
 struct UniformBlocks {
+    prime: u64,
     pow: u64,
     /// `c` by fill byte, then by the state's low byte.
     memo: Vec<Option<Box<[Option<u64>; 256]>>>,
@@ -225,6 +235,7 @@ struct UniformBlocks {
 impl UniformBlocks {
     fn new() -> Self {
         UniformBlocks {
+            prime: Fnv64::prime_pow(1),
             pow: Fnv64::prime_pow(PAGE_SIZE),
             memo: vec![None; 256],
         }
@@ -232,14 +243,33 @@ impl UniformBlocks {
 
     /// The FNV state after absorbing a block of `fill` bytes from `state`.
     fn absorb(&mut self, state: u64, fill: u8) -> u64 {
-        let pow = self.pow;
+        let (prime, pow) = (self.prime, self.pow);
         let table = self.memo[usize::from(fill)].get_or_insert_with(|| Box::new([None; 256]));
         let low = state & 0xFF;
-        let c = *table[low as usize].get_or_insert_with(|| {
-            let mut h = Fnv64::resume(low);
-            h.write(&[fill; PAGE_SIZE as usize]);
-            h.finish().wrapping_sub(low.wrapping_mul(pow))
-        });
+        let c = match table[low as usize] {
+            Some(c) => c,
+            None => {
+                let fill = u64::from(fill);
+                let delta = |l: u64| (l ^ fill).wrapping_sub(l);
+                let step = |l: u64| (l ^ fill).wrapping_mul(prime) & 0xFF;
+                let mut h = Fnv64::resume(low);
+                h.write(&[fill as u8; PAGE_SIZE as usize]);
+                let end = h.finish();
+                debug_assert_eq!(end & 0xFF, low, "a block returns to its low byte");
+                let first = end.wrapping_sub(low.wrapping_mul(pow));
+                let (mut l, mut c) = (low, first);
+                loop {
+                    table[l as usize] = Some(c);
+                    c = c
+                        .wrapping_sub(delta(l).wrapping_mul(pow.wrapping_sub(1)))
+                        .wrapping_mul(prime);
+                    l = step(l);
+                    if l == low {
+                        break first;
+                    }
+                }
+            }
+        };
         state.wrapping_mul(pow).wrapping_add(c)
     }
 }
@@ -295,6 +325,30 @@ mod tests {
         }
         s.write_zeroes(Lba(10 * SECTORS_PER_PAGE), 8);
         assert_eq!(s.fingerprint(), naive_fingerprint(&s));
+    }
+
+    #[test]
+    fn uniform_block_table_matches_a_direct_block_hash() {
+        use bypassd_sim::rng::fnv1a_64;
+        let mut u = UniformBlocks::new();
+        let fills = [
+            0x00, 0x01, 0x02, 0x0F, 0x10, 0x33, 0x42, 0x55, 0x5A, 0x7F, 0x80, 0x99, 0xA5, 0xC3,
+            0xF0, 0xFE, 0xFF,
+        ];
+        for fill in fills {
+            let block = [fill; PAGE_SIZE as usize];
+            for low in 0..256u64 {
+                // The high bytes must not matter; vary them per low byte.
+                let state = low | fnv1a_64(low ^ u64::from(fill)) << 8;
+                let mut h = Fnv64::resume(state);
+                h.write(&block);
+                assert_eq!(
+                    u.absorb(state, fill),
+                    h.finish(),
+                    "fill {fill:#04x}, low {low:#04x}"
+                );
+            }
+        }
     }
 
     fn store() -> SectorStore {
