@@ -10,6 +10,7 @@ use bypassd_ext4::journal::{Journal, Tx, MAX_TX_BLOCKS};
 use bypassd_ext4::layout::{
     encode_extent_block, mode, DiskInode, Extent, BLOCK_SIZE, EXTENTS_PER_BLOCK, INODES_PER_BLOCK,
 };
+use bypassd_ext4::{Ext4, Ext4Options, Ino};
 use bypassd_hw::iommu::AccessKind;
 use bypassd_hw::page_table::{walk_raw, AddressSpace};
 use bypassd_hw::pte::Pte;
@@ -184,6 +185,42 @@ fn bench_journal_commit(c: &mut Criterion) {
     });
 }
 
+/// One kernel append (`allocate_keep_size` + `set_size`, two journal
+/// commits) on `Ext4` directly, round-robin over 8 logs so that every
+/// append starts a new extent. Each log grows to 500 extents, is
+/// truncated to empty and grows again, so the row averages appends over
+/// 0–500 extents (one truncate per 500 appends, and one sync point per
+/// 4,000 to release the freed blocks, are timed with them).
+fn bench_ext4_append(c: &mut Criterion) {
+    const LOGS: usize = 8;
+    const EXTENTS: u64 = 500;
+    let mem = PhysMem::new();
+    let iommu = std::sync::Arc::new(parking_lot::Mutex::new(Iommu::new(&mem)));
+    let dev = NvmeDevice::new(DevId(1), 1 << 20, MediaTiming::default(), iommu);
+    let fs = Ext4::format(&dev, &mem, Ext4Options::default());
+    let logs: Vec<Ino> = (0..LOGS)
+        .map(|l| fs.create(&format!("/log{l}"), 0o644, 0, 0).unwrap())
+        .collect();
+    let mut next = 0usize;
+    c.bench_function("ext4_append_8_logs", |b| {
+        b.iter(|| {
+            let log = next % LOGS;
+            next += 1;
+            let ino = logs[log];
+            let mut size = fs.size_of(ino).unwrap();
+            if size == EXTENTS * BLOCK_SIZE {
+                fs.truncate(ino, 0).unwrap();
+                if log == LOGS - 1 {
+                    fs.sync_point();
+                }
+                size = 0;
+            }
+            fs.allocate_keep_size(ino, size, BLOCK_SIZE).unwrap();
+            fs.set_size(ino, size + BLOCK_SIZE).unwrap();
+        });
+    });
+}
+
 /// One QoS admission on a device with `n` registered tenants, weighted
 /// 1..4 as the fleet registers them. Tenants take turns submitting a
 /// batch of 4 commands (the fleet's batch), 500 ns apart with 4 µs of
@@ -244,6 +281,7 @@ criterion_group! {
     config = config();
     targets = bench_page_walk, bench_iommu_translate, bench_extent_resolve,
               bench_allocator, bench_histogram, bench_zipfian, bench_fnv,
-              bench_journal_commit, bench_qos_admit, bench_media_fingerprint
+              bench_journal_commit, bench_ext4_append, bench_qos_admit,
+              bench_media_fingerprint
 }
 criterion_main!(benches);

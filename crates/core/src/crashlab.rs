@@ -19,15 +19,17 @@
 //!    allocator's pre-zeroing — never anything else, which is also what
 //!    makes the checker a confidentiality probe).
 //!
-//! Two workloads ship: an **append** log (the fsync-heavy pattern the
-//! paper's RocksDB runs stress) and a seeded **overwrite** pattern over a
-//! fixed region (torn in-place updates).
+//! Three workloads ship: an **append** log (the fsync-heavy pattern the
+//! paper's RocksDB runs stress), a seeded **overwrite** pattern over a
+//! fixed region (torn in-place updates), and **interleaved** appends to
+//! several logs, which fragment every log into one extent per append so
+//! power is cut while inodes carry overflow extent chains.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use bypassd_ext4::layout::BLOCK_SIZE;
+use bypassd_ext4::layout::{BLOCK_SIZE, EXTENTS_PER_BLOCK, INLINE_EXTENTS};
 use bypassd_ext4::{Ext4, Ext4Options, MountOptions};
 use bypassd_faults::campaign::{run_campaign, CampaignConfig, CampaignReport, FaultHarness};
 use bypassd_faults::plane::FaultPlane;
@@ -58,16 +60,36 @@ pub enum CrashWorkload {
         /// Region length in blocks.
         region_blocks: u64,
     },
+    /// Round-robin appends to three logs: step `i` appends one block to
+    /// log `i % 3`, then fsyncs, until every log passes
+    /// `INLINE_EXTENTS + EXTENTS_PER_BLOCK` extents. Each append lands
+    /// right after another log's, so it starts a new extent, and every
+    /// log grows an overflow extent chain of two blocks.
+    Interleaved,
 }
 
 impl CrashWorkload {
-    fn path(&self) -> &'static str {
+    /// Paths of the workload's files.
+    fn paths(&self) -> Vec<String> {
         match self {
-            CrashWorkload::Append { .. } => "/wal",
-            CrashWorkload::Overwrite { .. } => "/db",
+            CrashWorkload::Append { .. } => vec!["/wal".to_string()],
+            CrashWorkload::Overwrite { .. } => vec!["/db".to_string()],
+            CrashWorkload::Interleaved => {
+                (0..INTERLEAVED_LOGS).map(|l| format!("/log{l}")).collect()
+            }
         }
     }
 }
+
+/// Logs of a [`CrashWorkload::Interleaved`] run. At least 2, or every
+/// append would be contiguous with its log's last one.
+const INTERLEAVED_LOGS: usize = 3;
+
+/// Steps of a [`CrashWorkload::Interleaved`] run:
+/// `INLINE_EXTENTS + EXTENTS_PER_BLOCK + 2` appends per log, so each log
+/// passes `INLINE_EXTENTS + EXTENTS_PER_BLOCK` extents even though its
+/// first append lands in the block `populate` preallocated.
+const INTERLEAVED_STEPS: usize = INTERLEAVED_LOGS * (INLINE_EXTENTS + EXTENTS_PER_BLOCK + 2);
 
 /// Deterministic, non-zero fill byte for (step, file block). Zero is
 /// reserved for "never written / dropped write over a pre-zeroed block".
@@ -119,10 +141,10 @@ impl CrashLab {
 
     /// Reads the whole file back through the recovered mount's extent
     /// map (holes read zero), rounded up to a block multiple.
-    fn read_back(&self, sys: &System, fs: &Ext4) -> Result<Vec<u8>, String> {
+    fn read_back(&self, sys: &System, fs: &Ext4, path: &str) -> Result<Vec<u8>, String> {
         let ino = fs
-            .lookup(self.workload.path())
-            .map_err(|e| format!("recovered fs lost {}: {e}", self.workload.path()))?;
+            .lookup(path)
+            .map_err(|e| format!("recovered fs lost {path}: {e}"))?;
         let size = fs.size_of(ino).map_err(|e| e.to_string())?;
         let aligned = size.div_ceil(BLOCK_SIZE) * BLOCK_SIZE;
         let mut out = Vec::with_capacity(aligned as usize);
@@ -146,12 +168,14 @@ impl CrashLab {
     /// Append invariants: size is a whole number of steps, covers every
     /// durable step, and each 512 B sector holds either its step's
     /// pattern (mandatory at or below the durable horizon) or zeroes
-    /// (allocator pre-zeroing, only above it).
+    /// (allocator pre-zeroing, only above it). The file's `n`-th append
+    /// is workload step `step_of(n)`.
     fn check_append(
         &self,
         content: &[u8],
         durable: Option<u64>,
         blocks_per_step: u64,
+        step_of: impl Fn(u64) -> u64,
     ) -> Result<(), String> {
         let step_bytes = blocks_per_step * BLOCK_SIZE;
         let size = content.len() as u64;
@@ -160,16 +184,17 @@ impl CrashLab {
         }
         let persisted_steps = size / step_bytes;
         if let Some(k) = durable {
-            if persisted_steps <= k {
+            if step_of(persisted_steps) <= k {
                 return Err(format!(
                     "fsync #{k} was durable but only {persisted_steps} steps persisted"
                 ));
             }
         }
-        for step in 0..persisted_steps {
+        for n in 0..persisted_steps {
+            let step = step_of(n);
             let required = durable.is_some_and(|k| step <= k);
             for j in 0..blocks_per_step {
-                let block = step * blocks_per_step + j;
+                let block = n * blocks_per_step + j;
                 let want = pattern(step as usize, block);
                 let base = (block * BLOCK_SIZE) as usize;
                 for s in 0..(BLOCK_SIZE / SECTOR_SIZE) {
@@ -257,17 +282,15 @@ impl FaultHarness for CrashLab {
                 max_run: None,
             })
             .build();
-        match self.workload {
-            CrashWorkload::Append { .. } => {
-                // Size 0: every byte of the file is workload-written, so
-                // the checker can demand size % step_bytes == 0.
-                sys.fs().populate(self.workload.path(), 0, 0).unwrap();
-            }
-            CrashWorkload::Overwrite { region_blocks, .. } => {
-                sys.fs()
-                    .populate(self.workload.path(), region_blocks * BLOCK_SIZE, 0)
-                    .unwrap();
-            }
+        // Appended files start at size 0: every byte of them is
+        // workload-written, so the checker can demand size % step_bytes
+        // == 0.
+        let size = match self.workload {
+            CrashWorkload::Overwrite { region_blocks, .. } => region_blocks * BLOCK_SIZE,
+            CrashWorkload::Append { .. } | CrashWorkload::Interleaved => 0,
+        };
+        for path in self.workload.paths() {
+            sys.fs().populate(&path, size, 0).unwrap();
         }
         *self.state.lock() = Some(sys);
     }
@@ -279,13 +302,17 @@ impl FaultHarness for CrashLab {
             .clone()
             .expect("prepare builds the system");
         let workload = self.workload;
-        let path = workload.path();
+        let paths = workload.paths();
         let plane = Arc::clone(plane);
         let sim = Simulation::new();
         sim.spawn("crashlab", move |ctx| {
             let proc = UserProcess::start(&sys, 0, 0);
             let mut t = proc.thread();
-            let fd = t.open(ctx, path, true).unwrap();
+            let fds: Vec<_> = paths
+                .iter()
+                .map(|path| t.open(ctx, path, true).unwrap())
+                .collect();
+            let fd = fds[0];
             match workload {
                 CrashWorkload::Append {
                     steps,
@@ -315,6 +342,21 @@ impl FaultHarness for CrashLab {
                                 data.len()
                             );
                         }
+                        t.fsync(ctx, fd).unwrap();
+                        plane.mark(step as u64);
+                    }
+                }
+                CrashWorkload::Interleaved => {
+                    for step in 0..INTERLEAVED_STEPS {
+                        let (fd, block) = (
+                            fds[step % INTERLEAVED_LOGS],
+                            (step / INTERLEAVED_LOGS) as u64,
+                        );
+                        let data = vec![pattern(step, block); BLOCK_SIZE as usize];
+                        assert_eq!(
+                            t.pwrite(ctx, fd, &data, block * BLOCK_SIZE).unwrap(),
+                            data.len()
+                        );
                         t.fsync(ctx, fd).unwrap();
                         plane.mark(step as u64);
                     }
@@ -351,15 +393,30 @@ impl FaultHarness for CrashLab {
         }
         // 4. Data integrity against the durable-mark horizon.
         let durable = plane.durable_marks().into_iter().max();
-        let content = self.read_back(&sys, &fs)?;
+        let paths = self.workload.paths();
         match self.workload {
             CrashWorkload::Append {
                 blocks_per_step, ..
-            } => self.check_append(&content, durable, blocks_per_step),
+            } => {
+                let content = self.read_back(&sys, &fs, &paths[0])?;
+                self.check_append(&content, durable, blocks_per_step, |n| n)
+            }
             CrashWorkload::Overwrite {
                 steps,
                 region_blocks,
-            } => self.check_overwrite(&content, durable, steps, region_blocks),
+            } => {
+                let content = self.read_back(&sys, &fs, &paths[0])?;
+                self.check_overwrite(&content, durable, steps, region_blocks)
+            }
+            CrashWorkload::Interleaved => {
+                for (log, path) in paths.iter().enumerate() {
+                    let content = self.read_back(&sys, &fs, path)?;
+                    let step_of = |n: u64| n * INTERLEAVED_LOGS as u64 + log as u64;
+                    self.check_append(&content, durable, 1, step_of)
+                        .map_err(|e| format!("{path}: {e}"))?;
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -386,6 +443,30 @@ mod tests {
         assert!(report.passed(), "{}", report.summary());
         assert_eq!(report.points_run, 16);
         assert!(report.clean_points > 0 && report.torn_points > 0);
+    }
+
+    #[test]
+    fn interleaved_workload_grows_overflow_chains() {
+        let lab = CrashLab::new(CrashWorkload::Interleaved);
+        let plane = Arc::clone(lab.plane());
+        lab.prepare(&plane);
+        lab.run(&plane);
+        {
+            let state = lab.state.lock();
+            let fs = state.as_ref().unwrap().fs();
+            for path in lab.workload.paths() {
+                let ino = fs.lookup(&path).unwrap();
+                let size = fs.size_of(ino).unwrap();
+                // Interleaved appends are never device-contiguous, so
+                // every run is an extent.
+                let extents = fs.resolve(ino, 0, size).unwrap().0.len();
+                assert!(
+                    extents > INLINE_EXTENTS + EXTENTS_PER_BLOCK,
+                    "{path}: {extents} extents"
+                );
+            }
+        }
+        lab.recover_and_check(&plane).unwrap();
     }
 
     #[test]

@@ -6,15 +6,19 @@
 //! cold tree reads the inode's overflow extent blocks from the device —
 //! the I/O cost the paper attributes to cold `fmap()` on unmapped files.
 
-use std::collections::BTreeMap;
-
 use crate::layout::{Extent, BLOCK_SIZE};
 use bypassd_hw::types::Lba;
 
-/// An in-memory extent map keyed by first file block.
+/// An in-memory extent map: non-overlapping extents sorted by first
+/// file block.
+///
+/// A sorted `Vec` rather than an ordered map: lookups are a binary
+/// search, appends push at the end, and [`ExtentTree::as_slice`] hands
+/// the extents out in file order with no walk, so an inode flush can
+/// compare overflow-block-sized chunks against what it last staged.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExtentTree {
-    map: BTreeMap<u64, Extent>,
+    extents: Vec<Extent>,
 }
 
 impl ExtentTree {
@@ -34,18 +38,29 @@ impl ExtentTree {
 
     /// Number of extents.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.extents.len()
     }
 
     /// True if no extents.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.extents.is_empty()
+    }
+
+    /// The extents in file-block order.
+    pub fn as_slice(&self) -> &[Extent] {
+        &self.extents
+    }
+
+    /// Index of the first extent starting at or after file block `fb`.
+    fn first_at_or_after(&self, fb: u64) -> usize {
+        self.extents.partition_point(|e| e.file_block < fb)
     }
 
     /// The extent containing file block `fb`, if mapped.
     pub fn lookup(&self, fb: u64) -> Option<Extent> {
-        let (_, e) = self.map.range(..=fb).next_back()?;
-        (fb < e.end()).then_some(*e)
+        let i = self.extents.partition_point(|e| e.file_block <= fb);
+        let e = *self.extents.get(i.checked_sub(1)?)?;
+        (fb < e.end()).then_some(e)
     }
 
     /// Device LBA of file block `fb`, if mapped.
@@ -55,7 +70,7 @@ impl ExtentTree {
 
     /// One past the last mapped file block.
     pub fn end_block(&self) -> u64 {
-        self.map.values().next_back().map_or(0, |e| e.end())
+        self.extents.last().map_or(0, |e| e.end())
     }
 
     /// Inserts an extent, merging with a physically-contiguous
@@ -69,74 +84,55 @@ impl ExtentTree {
         if let Some(prev) = self.lookup(e.file_block) {
             panic!("extent overlaps existing mapping {prev:?}");
         }
-        if let Some(next) = self.map.range(e.file_block..).next() {
-            assert!(e.end() <= *next.0, "extent overlaps successor");
+        let i = self.first_at_or_after(e.file_block);
+        if let Some(next) = self.extents.get(i) {
+            assert!(e.end() <= next.file_block, "extent overlaps successor");
         }
         // Merge with predecessor if file- and device-contiguous.
-        if let Some((&k, &prev)) = self.map.range(..e.file_block).next_back() {
+        if let Some(prev) = i.checked_sub(1).map(|p| &mut self.extents[p]) {
             if prev.end() == e.file_block
                 && prev.start_block + prev.len as u64 == e.start_block
                 && prev.len as u64 + e.len as u64 <= u32::MAX as u64
             {
-                let merged = Extent {
-                    file_block: prev.file_block,
-                    start_block: prev.start_block,
-                    len: prev.len + e.len,
-                };
-                self.map.insert(k, merged);
+                prev.len += e.len;
                 return;
             }
         }
-        self.map.insert(e.file_block, e);
+        self.extents.insert(i, e);
     }
 
     /// Removes all extents at or beyond file block `from`, splitting the
     /// straddling extent if needed. Returns the freed device runs.
     pub fn truncate(&mut self, from: u64) -> Vec<(u64, u64)> {
         let mut freed = Vec::new();
+        let i = self.first_at_or_after(from);
         // Split a straddling extent.
-        if let Some(e) = self.lookup(from) {
-            if e.file_block < from {
+        if let Some(e) = i.checked_sub(1).map(|p| &mut self.extents[p]) {
+            if from < e.end() {
                 let keep = (from - e.file_block) as u32;
-                let drop_len = e.len - keep;
-                self.map.insert(
-                    e.file_block,
-                    Extent {
-                        file_block: e.file_block,
-                        start_block: e.start_block,
-                        len: keep,
-                    },
-                );
-                freed.push((e.start_block + keep as u64, drop_len as u64));
+                freed.push((e.start_block + keep as u64, (e.len - keep) as u64));
+                e.len = keep;
             }
         }
-        let to_remove: Vec<u64> = self.map.range(from..).map(|(k, _)| *k).collect();
-        for k in to_remove {
-            let e = self.map.remove(&k).unwrap();
-            freed.push((e.start_block, e.len as u64));
-        }
+        freed.extend(
+            self.extents
+                .drain(i..)
+                .map(|e| (e.start_block, e.len as u64)),
+        );
         freed
     }
 
     /// Iterates extents in file-block order.
     pub fn iter(&self) -> impl Iterator<Item = &Extent> {
-        self.map.values()
+        self.extents.iter()
     }
 
     /// Extents intersecting file blocks `[from, to)`.
-    pub fn range(&self, from: u64, to: u64) -> Vec<Extent> {
-        let mut out = Vec::new();
-        // Possibly a straddling predecessor.
-        if let Some(e) = self.lookup(from) {
-            out.push(e);
-        }
-        for (_, e) in self.map.range(from..to) {
-            if out.last() != Some(e) {
-                out.push(*e);
-            }
-        }
-        out.retain(|e| e.end() > from && e.file_block < to);
-        out
+    pub fn range(&self, from: u64, to: u64) -> &[Extent] {
+        // Ends ascend too: the extents are sorted and non-overlapping.
+        let lo = self.extents.partition_point(|e| e.end() <= from);
+        let hi = lo + self.extents[lo..].partition_point(|e| e.file_block < to);
+        &self.extents[lo..hi]
     }
 
     /// Resolves a byte range to `(Lba, bytes)` segments, coalescing
@@ -241,9 +237,9 @@ mod tests {
     fn range_query() {
         let t = ExtentTree::from_extents([e(0, 100, 4), e(4, 300, 4), e(8, 500, 4)]);
         let r = t.range(2, 9);
-        assert_eq!(r, vec![e(0, 100, 4), e(4, 300, 4), e(8, 500, 4)]);
+        assert_eq!(r, [e(0, 100, 4), e(4, 300, 4), e(8, 500, 4)]);
         let r = t.range(4, 8);
-        assert_eq!(r, vec![e(4, 300, 4)]);
+        assert_eq!(r, [e(4, 300, 4)]);
     }
 
     #[test]

@@ -168,15 +168,15 @@ impl Default for FsTiming {
     }
 }
 
-/// One block of an inode's overflow extent chain, with the image last
-/// staged there and the extents and next pointer that image encodes.
-/// `image` is empty for a block read off the device and not yet staged
-/// by this mount.
+/// One block of an inode's overflow extent chain, with the extents and
+/// next pointer this mount last staged there. `staged` is false for a
+/// block read off the device or freshly allocated and not yet staged by
+/// this mount, so the first flush after a cold load rewrites it.
 pub(crate) struct ChainBlock {
     block: u64,
     extents: Vec<Extent>,
     next: u64,
-    image: Vec<u8>,
+    staged: bool,
 }
 
 impl ChainBlock {
@@ -185,7 +185,7 @@ impl ChainBlock {
             block,
             extents: Vec::new(),
             next: 0,
-            image: Vec::new(),
+            staged: false,
         }
     }
 }
@@ -381,6 +381,13 @@ impl Ext4 {
         self.inner.lock().timing
     }
 
+    /// The journal's `(commits, blocks logged)` counters since mount.
+    /// Each commit logs its staged blocks plus a descriptor and a commit
+    /// record.
+    pub fn journal_stats(&self) -> (u64, u64) {
+        self.inner.lock().journal.stats()
+    }
+
     /// Schedules a *full* power cut at virtual time `t` (on the device's
     /// fault plane): every write observed at or after that instant — data,
     /// journal, everything — is lost. Remount with [`Ext4::mount`] to
@@ -437,8 +444,12 @@ impl Ext4 {
 
     /// Rewrites the inode's extent representation: first
     /// [`INLINE_EXTENTS`] inline, the rest in a chain of overflow blocks.
-    /// Every chain block is staged; one is re-encoded only when its
-    /// extents or next pointer changed since it was last staged.
+    /// A chain block is staged only when its extents or next pointer
+    /// changed since this mount last staged it, so an append journals the
+    /// one block it touched, not the whole chain. An unchanged block
+    /// needs no new copy: its last staging was committed and written
+    /// home, and `commit_meta`'s barrier before every later checkpoint
+    /// made that home write durable.
     fn flush_extents_to_disk(&self, inner: &mut FsInner, ino: Ino, tx: &mut Tx) {
         let Some(ci) = inner.icache.get_mut(&ino.0) else {
             return;
@@ -446,8 +457,11 @@ impl Ext4 {
         let Some(tree) = &ci.extents else {
             return;
         };
-        ci.disk.extent_count = tree.len() as u32;
-        ci.disk.inline = tree.iter().take(INLINE_EXTENTS).copied().collect();
+        let extents = tree.as_slice();
+        let (inline, overflow) = extents.split_at(extents.len().min(INLINE_EXTENTS));
+        ci.disk.extent_count = extents.len() as u32;
+        ci.disk.inline.clear();
+        ci.disk.inline.extend_from_slice(inline);
         if ci.disk.overflow_block == 0 {
             // `unlink` detaches the chain without freeing its blocks.
             ci.chain.clear();
@@ -456,7 +470,7 @@ impl Ext4 {
             ci.chain.first().map_or(0, |c| c.block),
             ci.disk.overflow_block
         );
-        let needed = (tree.len().saturating_sub(INLINE_EXTENTS)).div_ceil(EXTENTS_PER_BLOCK);
+        let needed = overflow.len().div_ceil(EXTENTS_PER_BLOCK);
         while ci.chain.len() < needed {
             let blk = match inner.alloc.alloc_one() {
                 Some(b) => b,
@@ -468,17 +482,17 @@ impl Ext4 {
             inner.alloc.free_run(c.block, 1);
         }
         ci.disk.overflow_block = ci.chain.first().map_or(0, |c| c.block);
-        let mut overflow = tree.iter().skip(INLINE_EXTENTS).copied();
-        for i in 0..needed {
+        for (i, chunk) in overflow.chunks(EXTENTS_PER_BLOCK).enumerate() {
             let next = ci.chain.get(i + 1).map_or(0, |c| c.block);
-            let extents: Vec<Extent> = overflow.by_ref().take(EXTENTS_PER_BLOCK).collect();
             let c = &mut ci.chain[i];
-            if c.image.is_empty() || c.next != next || c.extents != extents {
-                c.image = encode_extent_block(&extents, next);
-                c.extents = extents;
-                c.next = next;
+            if c.staged && c.next == next && c.extents == chunk {
+                continue;
             }
-            tx.stage(c.block, c.image.clone());
+            tx.stage(c.block, encode_extent_block(chunk, next));
+            c.extents.clear();
+            c.extents.extend_from_slice(chunk);
+            c.next = next;
+            c.staged = true;
         }
     }
 

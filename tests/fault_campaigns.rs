@@ -59,6 +59,27 @@ fn overwrite_campaign_sweeps_crash_points() {
     assert!(report.clean_points > 0 && report.torn_points > 0);
 }
 
+/// Crash points while inodes carry overflow extent chains: three logs
+/// appended round-robin until each passes its first overflow block. The
+/// default budget keeps a debug run short; CI's release step sweeps 400.
+#[test]
+fn interleaved_chain_campaign_sweeps_crash_points() {
+    let lab = CrashLab::new(CrashWorkload::Interleaved);
+    let report = lab.campaign(&cfg(budget(6)));
+    println!("{}", report.summary());
+    assert!(report.passed(), "{}", report.summary());
+    assert_eq!(report.points_run, budget(6).min(report.points_enumerated));
+    assert!(report.clean_points > 0, "no clean cuts ran");
+    // An unchanged chain block stays out of later transactions because
+    // its earlier home write is durable past the next commit's barrier;
+    // reorder and torn cuts are what test that, so budgets large enough
+    // to reach them must run some.
+    if budget(6) >= 40 {
+        assert!(report.torn_points > 0, "no mid-write tears ran");
+        assert!(report.reorder_points > 0, "no reorder cuts ran");
+    }
+}
+
 #[test]
 fn combined_sweep_meets_acceptance_budget() {
     // ≥ 200 distinct crash points across the two workloads (the ISSUE
@@ -122,7 +143,9 @@ fn broken_recovery_trusting_torn_commits_is_caught() {
         blocks_per_step: 3,
     });
     lab.set_validate_journal_checksums(false);
-    let report = lab.campaign(&cfg(budget(120)));
+    // A fixed budget: the 40-point CI sweep samples no cut that catches
+    // this mutant, so the override would take the test's teeth out.
+    let report = lab.campaign(&cfg(120));
     println!("{}", report.summary());
     assert!(
         !report.passed(),
