@@ -175,7 +175,8 @@ fn main() {
     let trace_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../target/trace/fairness_trace.json");
     write_chrome_trace(&trace_path, &device, &op_recs).expect("write chrome trace");
-    println!("chrome trace: {}", trace_path.display());
+    // Workspace-relative, so the golden stdout is the same in any checkout.
+    println!("chrome trace: target/trace/fairness_trace.json");
 
     let no_qos = &outcomes[0].1;
     let fair = &outcomes[1].1;

@@ -203,6 +203,7 @@ fn main() {
     let trace_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../target/trace/fig11_trace.json");
     write_chrome_trace(&trace_path, &device, &op_recs).expect("write chrome trace");
-    println!("chrome trace: {}", trace_path.display());
+    // Workspace-relative, so the golden stdout is the same in any checkout.
+    println!("chrome trace: target/trace/fig11_trace.json");
     println!("OK: Figure 11 shape reproduced (bypassd < sync at every load)");
 }

@@ -110,8 +110,8 @@ fn main() {
 
     let mut json = String::from(
         "{\n  \"workload\": \"fleet on one simulation timeline: every machine, driver and \
-         control actor is a task; cross-machine messages land after their port's delay \
-         (PCIe RTT); mixed read/write + cross-machine remote reads + QoS pressure epochs + \
+         control actor is a task; cross-machine messages land one PCIe round trip \
+         later; mixed read/write + cross-machine remote reads + QoS pressure epochs + \
          revocations\",\n  \"units\": \"wall-clock seconds per full scenario (median of \
          the runs)\",\n  ",
     );

@@ -6,39 +6,36 @@
 //! (each a full [`System`]: memory, IOMMU, Optane-class SSD, ext4,
 //! kernel) plus a control plane. Each machine runs its own driver
 //! actors multiplexing hundreds of processes over `pread_batch` on
-//! per-tenant shared files; the only messages that cross machine
-//! boundaries travel over the four declared ports, and each hop takes
-//! its port's declared delay (`Port::lookahead`):
+//! per-tenant shared files. Four kinds of message cross machine
+//! boundaries, and each hop takes the modeled PCIe round trip
+//! ([`bypassd_hw::iommu::PCIE_RTT`], the IOMMU timing model's link
+//! delay):
 //!
-//! * **doorbell** (`bypassd_ssd::ports::DOORBELL`) — a driver on one
-//!   machine rings a remote machine's gateway queue (peer-to-peer NVMe
-//!   over the fabric),
-//! * **completion** (`bypassd_ssd::ports::COMPLETION`) — the remote
-//!   machine posts the completion back,
-//! * **shootdown** (`bypassd_hw::ports::SHOOTDOWN`) — the control plane
-//!   revokes a shared file's direct mappings on a machine (Fig. 12's
-//!   permission-revocation path, fleet-wide),
-//! * **pressure** (`bypassd_qos::ports::PRESSURE`) — machines publish
-//!   periodic QoS summaries to the control plane.
+//! * **doorbell** — a driver on one machine rings a remote machine's
+//!   gateway queue (peer-to-peer NVMe over the fabric),
+//! * **completion** — the remote machine posts the completion back,
+//! * **shootdown** — the control plane revokes a shared file's direct
+//!   mappings on a machine (Fig. 12's permission-revocation path,
+//!   fleet-wide),
+//! * **pressure** — machines publish periodic QoS summaries to the
+//!   control plane.
 //!
 //! [`FleetBuilder::run_monolithic`] runs every driver, remote read and
 //! control action as a task on one shared timeline. `Router` delivers
-//! each cross-machine message after its port's delay and counts it in
-//! [`FleetReport::delivered`]. Equal configs give bit-identical
-//! [`FleetReport`]s.
+//! each cross-machine message one PCIe round trip after it is sent and
+//! counts it in [`FleetReport::delivered`]. Equal configs give
+//! bit-identical [`FleetReport`]s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use bypassd_hw::ports::SHOOTDOWN;
+use bypassd_hw::iommu::PCIE_RTT;
 use bypassd_hw::types::Lba;
-use bypassd_qos::ports::PRESSURE;
 use bypassd_sim::rng::{Fnv64, Rng};
-use bypassd_sim::{ActorCtx, Nanos, Port, SimStats, Simulation};
+use bypassd_sim::{ActorCtx, Nanos, SimStats, Simulation};
 use bypassd_ssd::device::BlockAddr;
-use bypassd_ssd::ports::{COMPLETION, DOORBELL};
 use bypassd_ssd::{Command, DmaBuffer, QueueId};
 
 use crate::userlib::ReadReq;
@@ -84,8 +81,9 @@ pub struct FleetConfig {
     pub revoke_gap: Nanos,
     /// QoS pressure summaries each machine publishes.
     pub pressure_epochs: u32,
-    /// Pressure epoch length; must be at least
-    /// [`bypassd_qos::ports::PRESSURE_EPOCH_FLOOR`].
+    /// Pressure epoch length; must be at least the QoS arbiter's
+    /// `active_grace`: sampling tenant activity faster than the
+    /// activity window itself just reports the same state twice.
     pub pressure_epoch: Nanos,
     /// Enable the QoS arbiter with weighted tenant shares.
     pub qos: bool,
@@ -184,11 +182,11 @@ impl FleetConfig {
         assert!(self.lanes >= 1, "a fleet needs at least one machine");
         assert!(self.tenants >= 1 && self.drivers_per_lane >= 1);
         assert!(self.batch >= 1 && self.queue_depth >= 1);
+        let floor = qos_config(self).active_grace;
         assert!(
-            self.pressure_epoch >= bypassd_qos::ports::PRESSURE_EPOCH_FLOOR,
-            "pressure epoch {} undercuts the {} floor",
+            self.pressure_epoch >= floor,
+            "pressure epoch {} undercuts the {floor} floor",
             self.pressure_epoch,
-            bypassd_qos::ports::PRESSURE_EPOCH_FLOOR,
         );
         assert!(
             self.file_len >= BLOCK && self.file_len.is_multiple_of(BLOCK),
@@ -404,7 +402,7 @@ fn build_machines(cfg: &FleetConfig) -> Vec<Machine> {
 
 /// The fleet's machines and its cross-machine links on one timeline.
 /// Every message that crosses a machine boundary goes through
-/// [`Router::hop`], which delays it by its port's lookahead and counts
+/// [`Router::hop`], which delays it by one PCIe round trip and counts
 /// it.
 struct Router {
     sim: Simulation,
@@ -417,12 +415,12 @@ struct Router {
 }
 
 impl Router {
-    /// Books one message sent over `port` at `sent`; returns when it
+    /// Books one cross-machine message sent at `sent`; returns when it
     /// arrives.
-    fn hop(&self, sent: Nanos, port: Port) -> Nanos {
+    fn hop(&self, sent: Nanos) -> Nanos {
         // ordering: Relaxed — a tally read after the run.
         self.delivered.fetch_add(1, Ordering::Relaxed);
-        sent.saturating_add(port.lookahead)
+        sent.saturating_add(PCIE_RTT)
     }
 
     /// Machine `src` rings machine `dst`'s gateway doorbell at `now`.
@@ -435,7 +433,7 @@ impl Router {
         let op = self.next_op.fetch_add(1, Ordering::Relaxed);
         let router = Arc::clone(self);
         self.sim.spawn_task_at(
-            self.hop(now, DOORBELL),
+            self.hop(now),
             &format!("remote-{op}"),
             move |ctx| async move {
                 let m = &router.machines[dst as usize];
@@ -449,7 +447,7 @@ impl Router {
                     ctx.now(),
                 );
                 m.counters.lock().remote_served += 1;
-                let lat = router.hop(comp.ready_at, COMPLETION).0 - now.0;
+                let lat = router.hop(comp.ready_at).0 - now.0;
                 let mut c = router.machines[src as usize].counters.lock();
                 c.remote_done += 1;
                 c.remote_ok += u64::from(comp.status.is_ok());
@@ -619,7 +617,7 @@ impl FleetBuilder {
                         .saturating_add(Nanos(cfg2.revoke_gap.0 * u64::from(idx)));
                     ctx.sleep_until(fire).await;
                     router.control.lock().1 += 1;
-                    ctx.sleep_until(router.hop(fire, SHOOTDOWN)).await;
+                    ctx.sleep_until(router.hop(fire)).await;
                     let m = &router.machines[(idx % cfg2.lanes) as usize];
                     let pids = m
                         .system
@@ -643,7 +641,7 @@ impl FleetBuilder {
                             .await;
                         let stats = m.system.device().stats();
                         m.counters.lock().pressure_sent += 1;
-                        let t = router.hop(ctx.now(), PRESSURE);
+                        let t = router.hop(ctx.now());
                         ctx.sleep_until(t).await;
                         let mut c = router.control.lock();
                         c.0 += 1;
@@ -745,7 +743,7 @@ mod tests {
             2 * issued + r.revokes_issued + r.pressure_received,
             "one delivery per doorbell, completion, shootdown and summary"
         );
-        let lat_floor = DOORBELL.lookahead.0 + COMPLETION.lookahead.0;
+        let lat_floor = 2 * PCIE_RTT.0;
         for l in &r.lanes {
             if let Some(mean) = l.remote_lat_sum.checked_div(l.remote_done) {
                 assert!(

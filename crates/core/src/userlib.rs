@@ -41,36 +41,18 @@ use bypassd_trace::{IoPath, OpRecord, Recorder};
 
 use crate::system::System;
 
-/// Retry and backpressure knobs for the direct data path.
-///
-/// The defaults reproduce the historical behaviour exactly: two fault
-/// attempts before falling back to the kernel, no backoff, and no
-/// depth adaptation (the device only reports congestion pressure when
-/// the QoS subsystem is enabled, so with QoS off the adaptive state
-/// never engages).
-#[derive(Debug, Clone, Copy)]
-pub struct IoPolicy {
-    /// Direct attempts per op before falling back to the kernel path.
-    pub max_attempts: u32,
-    /// Delay inserted before re-trying a faulted direct op.
-    pub retry_backoff: Nanos,
-    /// Floor for the adaptive effective queue depth.
-    pub min_depth: usize,
-    /// Pressure-free completions required to grow the effective depth
-    /// back by one slot (the additive half of AIMD).
-    pub recover_after: u32,
-}
+/// Direct attempts per op (faults, or transient media errors) before
+/// the op falls back to the kernel path or fails with EIO.
+const MAX_ATTEMPTS: u32 = 2;
 
-impl Default for IoPolicy {
-    fn default() -> Self {
-        IoPolicy {
-            max_attempts: 2,
-            retry_backoff: Nanos::ZERO,
-            min_depth: 1,
-            recover_after: 16,
-        }
-    }
-}
+/// Floor for the adaptive effective queue depth. The device reports
+/// congestion pressure only when QoS is enabled, so with QoS off the
+/// window never moves.
+const MIN_DEPTH: usize = 1;
+
+/// Pressure-free completions required to grow the effective depth back
+/// by one slot (the additive half of AIMD).
+const RECOVER_AFTER: u32 = 16;
 
 /// Per-open state tracked by UserLib (flags, offset, size, starting VBA —
 /// §3.2). Plain scalars: reading it is a copy, not a clone.
@@ -192,7 +174,6 @@ pub struct UserProcess {
     /// fd → entry. Read-locked (shared) on the data path; write-locked
     /// only by open/close.
     files: RwLock<HashMap<Fd, Arc<FileEntry>>>,
-    io_policy: Mutex<IoPolicy>,
     direct_ops: AtomicU64,
     fallback_ops: AtomicU64,
     recorder: Arc<Recorder>,
@@ -227,7 +208,6 @@ impl UserProcess {
             system: system.clone(),
             pid,
             files: RwLock::new(HashMap::new()),
-            io_policy: Mutex::new(IoPolicy::default()),
             direct_ops: AtomicU64::new(0),
             fallback_ops: AtomicU64::new(0),
             recorder: Arc::clone(system.recorder()),
@@ -274,17 +254,6 @@ impl UserProcess {
             cached_fd: None,
             batch: BatchScratch::with_capacity(queue_depth),
         }
-    }
-
-    /// Overrides the retry/backpressure policy for all of this process's
-    /// threads.
-    pub fn set_io_policy(&self, policy: IoPolicy) {
-        *self.io_policy.lock() = policy;
-    }
-
-    /// The retry/backpressure policy in force.
-    pub fn io_policy(&self) -> IoPolicy {
-        *self.io_policy.lock()
     }
 
     /// (direct I/Os, kernel-fallback I/Os) completed so far.
@@ -567,18 +536,17 @@ impl UserThread {
     }
 
     /// AIMD reaction to the device's congestion bit: halve the window on
-    /// pressure, creep back one slot per `recover_after` clean
+    /// pressure, creep back one slot per [`RECOVER_AFTER`] clean
     /// completions. A no-op while the window is full and pressure never
     /// arrives (QoS disabled), keeping the default path untouched.
     fn note_pressure(&mut self, pressure: bool) {
         if pressure {
-            let policy = self.proc.io_policy();
             self.pressure_events += 1;
-            self.effective_depth = (self.effective_depth / 2).max(policy.min_depth);
+            self.effective_depth = (self.effective_depth / 2).max(MIN_DEPTH);
             self.clean_streak = 0;
         } else if self.effective_depth < self.queue_depth {
             self.clean_streak += 1;
-            if self.clean_streak >= self.proc.io_policy().recover_after {
+            if self.clean_streak >= RECOVER_AFTER {
                 self.effective_depth += 1;
                 self.clean_streak = 0;
             }
@@ -758,14 +726,10 @@ impl UserThread {
                 NvmeStatus::MediaError => {
                     // Transient media errors are retried in place (the
                     // kernel never sees them on the direct path); after
-                    // `max_attempts` the op fails with EIO.
+                    // `MAX_ATTEMPTS` the op fails with EIO.
                     media_retries += 1;
-                    let policy = self.proc.io_policy();
-                    if media_retries >= policy.max_attempts {
+                    if media_retries >= MAX_ATTEMPTS {
                         return Err(Errno::Io);
-                    }
-                    if policy.retry_backoff > Nanos::ZERO {
-                        ctx.sleep(policy.retry_backoff).await;
                     }
                 }
                 // A chain's program `Fail` or engine trap, or an invalid
@@ -781,8 +745,8 @@ impl UserThread {
     /// chunk, and the one fault/retry tail. A write chunk the op covers
     /// only in part is read first and patched (the read-modify-write of
     /// §4.5.1; callers serialise overlapping ones). After a translation
-    /// fault it picks up the re-fmapped VBA, backs off and retries the
-    /// op, up to `max_attempts`; after revocation or the last attempt it
+    /// fault it picks up the re-fmapped VBA and retries the op, up to
+    /// [`MAX_ATTEMPTS`]; after revocation or the last attempt it
     /// serves the op on its fallback path.
     async fn direct_fut(
         &mut self,
@@ -828,8 +792,7 @@ impl UserThread {
                     DirectIo::Revoked => break 'attempt,
                     DirectIo::Fault => {
                         attempts += 1;
-                        let policy = self.proc.io_policy();
-                        if attempts >= policy.max_attempts {
+                        if attempts >= MAX_ATTEMPTS {
                             // Persistent fault (e.g. a hole): the
                             // fallback path handles this one op.
                             break 'attempt;
@@ -844,9 +807,6 @@ impl UserThread {
                             break 'attempt;
                         };
                         vba = fresh;
-                        if policy.retry_backoff > Nanos::ZERO {
-                            ctx.sleep(policy.retry_backoff).await;
-                        }
                         continue 'attempt;
                     }
                 }

@@ -78,15 +78,12 @@ fn direct_pread_future_stays_small() {
         let (k, pid) = (s2.kernel(), proc.pid());
         assert_send(&k.sys_pread_fut(ctx, pid, fd, &mut buf, 0));
         assert_send(&k.sys_pwrite_fut(ctx, pid, fd, &[0u8; 512], 0));
-        assert_send(&k.sys_read_fut(ctx, pid, fd, &mut buf));
-        assert_send(&k.sys_write_fut(ctx, pid, fd, &[0u8; 512]));
         assert_send(&k.sys_append_fut(ctx, pid, fd, &[0u8; 512]));
         assert_send(&k.sys_fsync_fut(ctx, pid, fd));
         assert_send(&k.sys_fallocate_fut(ctx, pid, fd, 0, 4096));
         assert_send(&k.sys_fallocate_keep_fut(ctx, pid, fd, 0, 4096));
         assert_send(&k.sys_ftruncate_fut(ctx, pid, fd, 0));
         assert_send(&k.sys_set_size_fut(ctx, pid, fd, 0));
-        assert_send(&k.sys_create_user_queue_fut(ctx, pid, 4));
     });
     sim.run();
     let sizes = sizes.lock();

@@ -529,25 +529,6 @@ fn no_pressure_signals_without_qos() {
 }
 
 #[test]
-fn io_policy_knobs_apply() {
-    // retry_backoff and max_attempts are visible through the policy;
-    // the default must match the historical constants.
-    let sys = system();
-    let proc = UserProcess::start(&sys, 0, 0);
-    let p = proc.io_policy();
-    assert_eq!(p.max_attempts, 2);
-    assert_eq!(p.retry_backoff, Nanos::ZERO);
-    proc.set_io_policy(bypassd::IoPolicy {
-        max_attempts: 4,
-        retry_backoff: Nanos(500),
-        min_depth: 2,
-        recover_after: 8,
-    });
-    assert_eq!(proc.io_policy().max_attempts, 4);
-    assert_eq!(proc.io_policy().min_depth, 2);
-}
-
-#[test]
 fn batch_mid_flight_fault_demotes_only_faulted_slots() {
     // A sparse file: the first 256 KB is written, the second 256 KB is a
     // hole (truncate up). fmap maps only allocated extents, so batch

@@ -125,6 +125,11 @@ pub struct PageTranslation {
     pub writable: bool,
 }
 
+/// The modeled PCIe round trip between host and device/IOMMU: the
+/// default [`IommuTiming::pcie_rtt`], and the delay of every
+/// cross-machine hop in the fleet harness.
+pub const PCIE_RTT: Nanos = Nanos(345);
+
 /// Timing constants of the translation path (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IommuTiming {
@@ -145,7 +150,7 @@ pub struct IommuTiming {
 impl Default for IommuTiming {
     fn default() -> Self {
         IommuTiming {
-            pcie_rtt: crate::ports::PCIE_RTT,
+            pcie_rtt: PCIE_RTT,
             iotlb_hit: Nanos(14),
             walk_miss: Nanos(183),
             multi_translation: Nanos(25),

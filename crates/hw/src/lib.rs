@@ -23,7 +23,6 @@ pub mod iommu;
 pub mod lru;
 pub mod mem;
 pub mod page_table;
-pub mod ports;
 pub mod pte;
 pub mod types;
 

@@ -140,10 +140,10 @@ mod tests {
     fn diff_reports_only_new_findings_and_counts_stale() {
         let old = vec![diag("R5", 1, "old finding")];
         let baseline = compute(&old);
-        let now = vec![diag("R5", 3, "old finding"), diag("R6", 4, "brand new")];
+        let now = vec![diag("R5", 3, "old finding"), diag("R4", 4, "brand new")];
         let (new, stale) = diff(&now, &baseline);
         assert_eq!(new.len(), 1);
-        assert_eq!(new[0].rule, "R6");
+        assert_eq!(new[0].rule, "R4");
         assert_eq!(stale, 0);
         let (new2, stale2) = diff(&[], &baseline);
         assert!(new2.is_empty());

@@ -3,8 +3,9 @@
 use crate::config::{AllowEntry, Config};
 
 /// Stable rule catalog: IDs never change once shipped (baselines and
-/// SARIF consumers key on them). `(id, name, short description)`.
-pub const RULES: [(&str, &str, &str); 6] = [
+/// SARIF consumers key on them), and a retired ID is never reused (R6
+/// is retired). `(id, name, short description)`.
+pub const RULES: [(&str, &str, &str); 5] = [
     (
         "R1",
         "wall-clock-free",
@@ -29,11 +30,6 @@ pub const RULES: [(&str, &str, &str); 6] = [
         "R5",
         "determinism-taint",
         "Nondeterministic values must not flow into fingerprints, virtual time or deadlines",
-    ),
-    (
-        "R6",
-        "fleet-port-contract",
-        "Cross-lane channels must use declared `ports` constants, not inline ports",
     ),
 ];
 
@@ -186,7 +182,7 @@ mod tests {
 
     #[test]
     fn every_rule_has_stable_metadata() {
-        for id in ["R1", "R2", "R3", "R4", "R5", "R6"] {
+        for id in ["R1", "R2", "R3", "R4", "R5"] {
             assert!(rule_meta(id).is_some(), "missing metadata for {id}");
         }
         assert_eq!(rule_meta("R5").unwrap().0, "determinism-taint");

@@ -14,7 +14,6 @@
 //! | R3 | atomic-ordering justification (`// ordering:` comments) | `crates/*/src`, non-test code |
 //! | R4 | no `.unwrap()` on lock results (poisoning policy) | `crates/*/src`, non-test code |
 //! | R5 | determinism taint (no nondeterministic value reaches a fingerprint/deadline sink) | `crates/*/src`, interprocedural |
-//! | R6 | fleet port contract (channels use declared `ports` constants) | `crates/*/src`, non-test code |
 //!
 //! R2 and R5 are *interprocedural*: all scanned library sources are
 //! parsed once into a [`syntax`] model, joined by a workspace
@@ -42,7 +41,6 @@ pub mod diag;
 pub mod lexer;
 pub mod lockgraph;
 pub mod model;
-pub mod portcheck;
 pub mod rules;
 pub mod sarif;
 pub mod syntax;
@@ -104,9 +102,6 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
             }
             if !cfg.is_exempt("R4", &file.path) {
                 diags.extend(rules::r4(file));
-            }
-            if !cfg.is_exempt("R6", &file.path) {
-                diags.extend(portcheck::r6(file));
             }
         }
     }

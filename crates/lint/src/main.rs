@@ -1,7 +1,7 @@
 //! The `xtask` binary: correctness-tooling entry points.
 //!
 //! ```text
-//! cargo xtask lint                  # R1–R6 workspace invariant checks
+//! cargo xtask lint                  # R1–R5 workspace invariant checks
 //! cargo xtask lint --strict         # also fail on unused allow entries
 //! cargo xtask lint --baseline       # fail only on findings not in lint.baseline
 //! cargo xtask lint --write-baseline # accept current findings as the baseline

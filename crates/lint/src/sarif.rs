@@ -3,9 +3,10 @@
 //! shapes are small enough that string assembly with proper escaping is
 //! simpler than a serializer.
 //!
-//! Stability contract: rule IDs (`R1`..`R6`) and the field names
+//! Stability contract: rule IDs (`R1`..`R5`) and the field names
 //! emitted here are part of the tool's interface — CI artifact
-//! consumers and the baseline file key on them. Never renumber.
+//! consumers and the baseline file key on them. Never renumber; R6 is
+//! retired and never reused.
 
 use crate::diag::{Diagnostic, RULES};
 
@@ -136,10 +137,11 @@ mod tests {
         let s = to_sarif(&[diag(), diag()]);
         assert!(s.contains(r#""version":"2.1.0""#));
         assert!(s.contains(r#""name":"bypassd-lint""#));
-        // All six stable rule descriptors present.
-        for id in ["R1", "R2", "R3", "R4", "R5", "R6"] {
+        // All five stable rule descriptors present, and no retired one.
+        for id in ["R1", "R2", "R3", "R4", "R5"] {
             assert!(s.contains(&format!(r#""id":"{id}""#)), "{id} missing");
         }
+        assert!(!s.contains(r#""id":"R6""#));
         assert_eq!(s.matches(r#""ruleId":"R5""#).count(), 2);
         assert!(s.contains(r#""startLine":4,"startColumn":9,"endColumn":18"#));
     }

@@ -8,8 +8,8 @@ use bypassd_lint::callgraph::CallGraph;
 use bypassd_lint::diag::Diagnostic;
 use bypassd_lint::lockgraph::LockGraph;
 use bypassd_lint::rules::{self, SourceFile};
+use bypassd_lint::sarif;
 use bypassd_lint::taint::TaintPass;
-use bypassd_lint::{portcheck, sarif};
 
 fn fixture(name: &str) -> SourceFile {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -127,64 +127,6 @@ fn r4_good_is_clean() {
     assert_eq!(rules::r4(&fixture("r4_good.rs")), vec![]);
 }
 
-/// Fleet executor idiom, wrong on both axes: a worker loop that reads
-/// the host clock (which would make virtual-time results depend on the
-/// worker count) and a sched/model lock inversion between the step and
-/// quiesce paths (the exact two-thread deadlock a sharded scheduler
-/// risks).
-#[test]
-fn fleet_bad_reports_wall_clock_and_lock_inversion() {
-    let diags = rules::r1(&fixture("fleet_bad.rs"));
-    assert_eq!(lines(&diags, "R1"), vec![13], "{diags:#?}");
-    assert!(diags[0].message.contains("Instant::now"));
-
-    let mut graph = LockGraph::default();
-    graph.scan_file(&fixture("fleet_bad.rs"), "fleet");
-    let cycles = graph.cycles();
-    assert_eq!(cycles.len(), 1, "{cycles:#?}");
-    assert_eq!(
-        cycles[0].edge.as_deref(),
-        Some("fleet::model -> fleet::sched -> fleet::model")
-    );
-    assert!(
-        cycles[0].message.contains("fn quiesce"),
-        "{}",
-        cycles[0].message
-    );
-}
-
-/// The real lane-step idiom: envelope-driven virtual time, per-driver
-/// seeded rngs, and one global sched-before-model lock order.
-#[test]
-fn fleet_good_is_clean_under_r1_and_r2() {
-    assert_eq!(rules::r1(&fixture("fleet_good.rs")), vec![]);
-    let mut graph = LockGraph::default();
-    graph.scan_file(&fixture("fleet_good.rs"), "fleet");
-    assert!(
-        graph
-            .edges
-            .contains_key(&("fleet::sched".into(), "fleet::model".into())),
-        "the sched -> model edge should be recorded: {:?}",
-        graph.edges
-    );
-    assert_eq!(graph.cycles(), vec![]);
-}
-
-/// R6 on the fleet fixtures: the bad variant wires a raw (non-port)
-/// cross-lane channel, the good variant references a declared constant.
-#[test]
-fn fleet_bad_reports_raw_cross_lane_channel() {
-    let diags = portcheck::r6(&fixture("fleet_bad.rs"));
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!((diags[0].rule, diags[0].line, diags[0].col), ("R6", 29, 7));
-    assert!(diags[0].message.contains("undeclared port"));
-}
-
-#[test]
-fn fleet_good_channel_references_a_declared_port() {
-    assert_eq!(portcheck::r6(&fixture("fleet_good.rs")), vec![]);
-}
-
 /// R5 positive fixture: three planted flows, each asserted at its exact
 /// file:line:col span. The two line-19 findings are the laundered
 /// wall-clock deadline (`spawn_at` + the `Nanos` construction inside
@@ -253,23 +195,6 @@ fn r5_good_sorted_drain_and_seeded_deadline_are_clean() {
     assert_eq!(taint_diags("r5_good.rs"), vec![]);
 }
 
-/// R6 positive fixture: an inline `Port::new` and an opaque port
-/// variable, each at its exact span.
-#[test]
-fn r6_bad_reports_inline_port_and_undeclared_channel() {
-    let diags = portcheck::r6(&fixture("r6_bad.rs"));
-    let spans: Vec<(usize, usize, usize)> =
-        diags.iter().map(|d| (d.line, d.col, d.end_col)).collect();
-    assert_eq!(spans, vec![(6, 41, 44), (7, 7, 18)], "{diags:#?}");
-    assert!(diags[0].message.contains("inline `Port::new`"));
-    assert!(diags[1].message.contains("undeclared port"));
-}
-
-#[test]
-fn r6_good_declared_port_constants_are_clean() {
-    assert_eq!(portcheck::r6(&fixture("r6_good.rs")), vec![]);
-}
-
 /// Interprocedural R2 positive fixture: four one-lock functions whose
 /// inversion exists only through the call graph.
 #[test]
@@ -305,23 +230,22 @@ fn r2i_good_guard_dropped_before_call_is_clean() {
 }
 
 /// SARIF export over real fixture findings: schema pointer, driver
-/// identity, all six rule descriptors, and a region per finding.
+/// identity, the five rule descriptors, and a region per finding.
 #[test]
 fn sarif_shape_over_fixture_findings() {
-    let mut diags = taint_diags("r5_bad.rs");
-    diags.extend(portcheck::r6(&fixture("r6_bad.rs")));
+    let diags = taint_diags("r5_bad.rs");
     let s = sarif::to_sarif(&diags);
     assert!(s.contains(r#""$schema":"https://json.schemastore.org/sarif-2.1.0.json""#));
     assert!(s.contains(r#""version":"2.1.0""#));
     assert!(s.contains(r#""name":"bypassd-lint""#));
-    for id in ["R1", "R2", "R3", "R4", "R5", "R6"] {
+    for id in ["R1", "R2", "R3", "R4", "R5"] {
         assert!(
             s.contains(&format!(r#""id":"{id}""#)),
             "{id} descriptor missing"
         );
     }
+    assert!(!s.contains(r#""id":"R6""#), "retired R6 descriptor: {s}");
     assert_eq!(s.matches(r#""ruleId":"R5""#).count(), 3, "{s}");
-    assert_eq!(s.matches(r#""ruleId":"R6""#).count(), 2, "{s}");
     // Exact region for the fingerprint-fold finding.
     assert!(
         s.contains(r#""region":{"startLine":29,"startColumn":15,"endColumn":24}"#),

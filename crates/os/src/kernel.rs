@@ -397,7 +397,6 @@ impl Kernel {
                 read: flags.read,
                 write: flags.write,
                 direct: flags.direct,
-                offset: 0,
                 counted_kernel,
                 mapped_vba: None,
                 did_read: false,
@@ -493,23 +492,6 @@ impl Kernel {
         Ok(outcome.vba)
     }
 
-    /// Driver ioctl: creates a user submission/completion queue pair
-    /// bound to the process PASID and mapped into userspace (§3.3).
-    pub fn sys_create_user_queue(&self, ctx: &mut ActorCtx, pid: Pid, depth: usize) -> QueueId {
-        block_on(self.sys_create_user_queue_fut(ctx, pid, depth))
-    }
-
-    /// The async body of [`Kernel::sys_create_user_queue`].
-    pub async fn sys_create_user_queue_fut(
-        &self,
-        ctx: &mut ActorCtx,
-        pid: Pid,
-        depth: usize,
-    ) -> QueueId {
-        ctx.sleep(self.cost.syscall() + Nanos(2_000)).await;
-        self.bind_user_queue(pid, depth)
-    }
-
     /// Sets the QoS share applied to queue pairs bound by processes of
     /// `uid` from now on (administrative policy; cgroup-style). Takes
     /// effect at the next [`Kernel::bind_user_queue`].
@@ -517,9 +499,9 @@ impl Kernel {
         self.qos_shares.lock().insert(uid, share);
     }
 
-    /// Binds a user queue pair for `pid`, registering the process's
-    /// tenant share with the device arbiter first. Untimed: the
-    /// syscall-shaped wrapper is [`Kernel::sys_create_user_queue`].
+    /// Binds a user submission/completion queue pair for `pid` to the
+    /// process PASID (§3.3), registering the process's tenant share
+    /// with the device arbiter first. Untimed.
     pub fn bind_user_queue(&self, pid: Pid, depth: usize) -> QueueId {
         let (pasid, uid) = {
             let state = self.state.lock();
@@ -606,7 +588,6 @@ impl Kernel {
         segs: &[(Option<Lba>, u64)],
         buf: &mut [u8],
     ) -> SysResult<()> {
-        let mut offset = 0usize;
         let mut pending: Vec<(Nanos, &mut [u8], DmaBuffer)> = Vec::new();
         let mut rest = buf;
         for (lba, len) in segs {
@@ -644,9 +625,7 @@ impl Kernel {
                 }
                 None => chunk.fill(0),
             }
-            offset += *len as usize;
         }
-        let _ = offset;
         let latest = pending
             .iter()
             .map(|(t, _, _)| *t)
@@ -984,64 +963,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Convenience `read(2)`/`write(2)` using the fd offset.
-    ///
-    /// # Errors
-    /// As [`Kernel::sys_pread`].
-    pub fn sys_read(
-        &self,
-        ctx: &mut ActorCtx,
-        pid: Pid,
-        fd: Fd,
-        buf: &mut [u8],
-    ) -> SysResult<usize> {
-        block_on(self.sys_read_fut(ctx, pid, fd, buf))
-    }
-
-    /// The async body of [`Kernel::sys_read`].
-    pub async fn sys_read_fut(
-        &self,
-        ctx: &mut ActorCtx,
-        pid: Pid,
-        fd: Fd,
-        buf: &mut [u8],
-    ) -> SysResult<usize> {
-        let off = self.fd_info(pid, fd)?.offset;
-        let n = self.sys_pread_fut(ctx, pid, fd, buf, off).await?;
-        self.with_proc(pid, |p| {
-            if let Some(f) = p.fd_mut(fd) {
-                f.offset += n as u64;
-            }
-        });
-        Ok(n)
-    }
-
-    /// Convenience positional-free write.
-    ///
-    /// # Errors
-    /// As [`Kernel::sys_pwrite`].
-    pub fn sys_write(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd, data: &[u8]) -> SysResult<usize> {
-        block_on(self.sys_write_fut(ctx, pid, fd, data))
-    }
-
-    /// The async body of [`Kernel::sys_write`].
-    pub async fn sys_write_fut(
-        &self,
-        ctx: &mut ActorCtx,
-        pid: Pid,
-        fd: Fd,
-        data: &[u8],
-    ) -> SysResult<usize> {
-        let off = self.fd_info(pid, fd)?.offset;
-        let n = self.sys_pwrite_fut(ctx, pid, fd, data, off).await?;
-        self.with_proc(pid, |p| {
-            if let Some(f) = p.fd_mut(fd) {
-                f.offset += n as u64;
-            }
-        });
-        Ok(n)
-    }
-
     /// Append via the kernel (UserLib routes appends here, Table 3):
     /// allocates new blocks, writes the data directly to the device
     /// without page-cache buffering, updates metadata.
@@ -1099,7 +1020,6 @@ impl Kernel {
         self.with_proc(pid, |p| {
             if let Some(f) = p.fd_mut(fd) {
                 f.did_write = true;
-                f.offset = size + len;
             }
         });
         ctx.sleep(self.cost.kernel_to_user).await;
@@ -1172,18 +1092,6 @@ impl Kernel {
     ///
     /// # Errors
     /// `BadF`, `Perm`, `NoSpc`.
-    pub fn sys_fallocate_keep(
-        &self,
-        ctx: &mut ActorCtx,
-        pid: Pid,
-        fd: Fd,
-        offset: u64,
-        len: u64,
-    ) -> SysResult<()> {
-        block_on(self.sys_fallocate_keep_fut(ctx, pid, fd, offset, len))
-    }
-
-    /// The async body of [`Kernel::sys_fallocate_keep`].
     pub async fn sys_fallocate_keep_fut(
         &self,
         ctx: &mut ActorCtx,
@@ -1209,11 +1117,6 @@ impl Kernel {
     ///
     /// # Errors
     /// `BadF`, `Perm`.
-    pub fn sys_set_size(&self, ctx: &mut ActorCtx, pid: Pid, fd: Fd, size: u64) -> SysResult<()> {
-        block_on(self.sys_set_size_fut(ctx, pid, fd, size))
-    }
-
-    /// The async body of [`Kernel::sys_set_size`].
     pub async fn sys_set_size_fut(
         &self,
         ctx: &mut ActorCtx,

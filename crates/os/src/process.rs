@@ -26,8 +26,6 @@ pub struct OpenFile {
     pub write: bool,
     /// O_DIRECT.
     pub direct: bool,
-    /// Current file offset (for non-positional read/write).
-    pub offset: u64,
     /// This open was counted as a kernel-interface open in the FS
     /// (affects the sharing policy, §4.5.2).
     pub counted_kernel: bool,
@@ -125,7 +123,6 @@ mod tests {
             read: true,
             write: false,
             direct: true,
-            offset: 0,
             counted_kernel: false,
             mapped_vba: None,
             did_read: false,
@@ -145,8 +142,8 @@ mod tests {
         let mut p = proc();
         let fd = p.install_fd(open_file());
         assert!(p.fd(fd).is_some());
-        p.fd_mut(fd).unwrap().offset = 42;
-        assert_eq!(p.fd(fd).unwrap().offset, 42);
+        p.fd_mut(fd).unwrap().did_read = true;
+        assert!(p.fd(fd).unwrap().did_read);
         assert!(p.remove_fd(fd).is_some());
         assert!(p.fd(fd).is_none());
     }

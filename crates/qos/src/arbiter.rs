@@ -3,7 +3,7 @@
 //! The simulated device computes every command's completion time at
 //! submission (the eager ledger in `bypassd-ssd::timing`), so a
 //! queue-based scheduler cannot reorder dispatch after the fact. The
-//! arbiter therefore enforces the DRR shares *at admission*, in two
+//! arbiter therefore enforces weighted fair shares *at admission*, in two
 //! composable steps:
 //!
 //! 1. **Token buckets** ([`crate::bucket`]) push the command's
@@ -17,9 +17,9 @@
 //!    tenant's current allocation, which delays its effective arrival
 //!    while the allocation is saturated (`deferred`).
 //!
-//! This is exactly the allocation the reference [`crate::drr`]
-//! scheduler converges to when every tenant is backlogged (service
-//! ∝ weight), but expressed as arrival pacing: a deep-queue tenant's
+//! This is the allocation a deficit-round-robin scheduler converges to
+//! when every tenant is backlogged (service ∝ weight), but expressed as
+//! arrival pacing: a deep-queue tenant's
 //! backlog parks on its own future lanes instead of the shared channel
 //! ledger, so a QD1 neighbor's commands find a free channel at `now`.
 //! The active-set test (any media activity within `active_grace`) keeps

@@ -90,9 +90,6 @@ pub struct QosConfig {
     pub enabled: bool,
     /// Share applied to tenants without an explicit registration.
     pub default_share: TenantShare,
-    /// DRR quantum in bytes (credit granted per round per unit weight in
-    /// the reference scheduler; also the arbiter's accounting grain).
-    pub quantum_bytes: u64,
     /// How long after its last scheduled media activity a tenant still
     /// counts as active for share scaling. Covers the host-side gap
     /// between a completion and the tenant's next submission, so a
@@ -109,7 +106,6 @@ impl Default for QosConfig {
         QosConfig {
             enabled: false,
             default_share: TenantShare::default(),
-            quantum_bytes: 64 * 1024,
             active_grace: Nanos(20_000),
             uid_shares: Vec::new(),
         }

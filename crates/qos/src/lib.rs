@@ -5,17 +5,13 @@
 //! queue from starving a latency-sensitive neighbor. This crate is the
 //! missing policy layer:
 //!
-//! * [`drr`] — a classic deficit-round-robin weighted fair scheduler.
-//!   It is the reference model for the share math: property tests prove
-//!   it never starves a backlogged queue and that long-run byte shares
-//!   converge to the configured weights.
 //! * [`bucket`] — token buckets in virtual time, for per-tenant IOPS
 //!   and bytes/s rate limits enforced at submission.
 //! * [`arbiter`] — the device-facing [`arbiter::QosArbiter`]: it
-//!   realises the DRR shares under the simulator's eager completion
-//!   model by capping each tenant's share-scaled media parallelism and
-//!   pacing arrivals, and keeps per-tenant counters and latency
-//!   histograms (always on; pacing only when enabled).
+//!   realises weighted fair shares under the simulator's eager
+//!   completion model by capping each tenant's share-scaled media
+//!   parallelism and pacing arrivals, and keeps per-tenant counters and
+//!   latency histograms (always on; pacing only when enabled).
 //! * [`config`] — [`config::QosConfig`] wired through
 //!   `SystemBuilder::qos(..)`. The default (`enabled = false`) skips
 //!   the admission logic entirely, so all paper figures stay
@@ -28,13 +24,10 @@
 pub mod arbiter;
 pub mod bucket;
 pub mod config;
-pub mod drr;
-pub mod ports;
 pub mod stats;
 
 pub use arbiter::{Admission, QosArbiter, Tenant};
 pub use bucket::{RateLimiter, TokenBucket};
 pub use bypassd_trace::Histogram;
 pub use config::{QosConfig, RateLimit, TenantShare};
-pub use drr::DrrScheduler;
 pub use stats::TenantStats;

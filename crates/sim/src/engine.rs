@@ -106,19 +106,6 @@ pub struct SimStats {
     pub task_spawns: u64,
 }
 
-impl std::ops::AddAssign for SimStats {
-    fn add_assign(&mut self, o: SimStats) {
-        self.events += o.events;
-        self.inplace += o.inplace;
-        self.handoffs += o.handoffs;
-        self.spun += o.spun;
-        self.parked += o.parked;
-        self.task_polls += o.task_polls;
-        self.thread_spawns += o.thread_spawns;
-        self.task_spawns += o.task_spawns;
-    }
-}
-
 struct SimState {
     /// Current virtual time.
     now: Nanos,

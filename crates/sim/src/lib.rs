@@ -16,8 +16,6 @@
 //! * [`rng`] — seedable PRNG plus the YCSB zipfian/latest distributions.
 //! * [`stats`] — log-bucketed latency histograms and throughput counters.
 //! * [`report`] — plain-text table formatting for the benchmark harnesses.
-//! * [`port`] — named cross-machine links with their declared delay,
-//!   which the fleet harness routes each hop through.
 //!
 //! ## Example
 //!
@@ -38,7 +36,6 @@ pub mod engine;
 #[cfg(test)]
 mod handoff_tests;
 pub mod hash;
-pub mod port;
 pub mod report;
 pub mod rng;
 pub mod stats;
@@ -46,5 +43,4 @@ pub mod time;
 
 pub use engine::{block_on, ActorCtx, SimStats, Simulation, Sleep};
 pub use hash::FixedState;
-pub use port::Port;
 pub use time::Nanos;

@@ -429,16 +429,11 @@ impl NvmeDevice {
         qid
     }
 
-    /// Deletes a queue pair; outstanding completions are dropped.
-    pub fn delete_queue(&self, qid: QueueId) {
-        self.state.lock().queues.remove(&qid);
-    }
-
     /// Submits a command at virtual time `now`; returns its command id.
     ///
     /// # Errors
     /// [`SubmitError::QueueFull`] when `depth` completions wait in the
-    /// CQ, [`SubmitError::UnknownQueue`] for a deleted queue.
+    /// CQ, [`SubmitError::UnknownQueue`] for an unknown queue.
     pub fn submit(&self, qid: QueueId, cmd: Command<'_>, now: Nanos) -> Result<u16, SubmitError> {
         let mut state = self.state.lock();
         let completion = self.claim_and_run(&mut state, qid, cmd, now)?;
@@ -453,7 +448,7 @@ impl NvmeDevice {
     /// # Errors
     /// All or nothing: [`SubmitError::QueueFull`] when the queue lacks a
     /// free slot for every command (recorded as one rejected doorbell),
-    /// [`SubmitError::UnknownQueue`] for a deleted queue. Either way no
+    /// [`SubmitError::UnknownQueue`] for an unknown queue. Either way no
     /// command runs.
     pub fn submit_batch<'a, I>(
         &self,

@@ -20,7 +20,6 @@
 pub mod atc;
 pub mod device;
 pub mod dma;
-pub mod ports;
 pub mod queue;
 pub mod store;
 pub mod timing;

@@ -1,6 +1,6 @@
 //! Fleet determinism: the same seed must produce the bit-identical
 //! virtual-time fingerprint and message count on every run. Two
-//! scenario flavors exercise the cross-machine ports from both sides
+//! scenario flavors exercise the cross-machine hops from both sides
 //! (fairness: QoS pressure dominates; revocation: shootdowns dominate),
 //! plus the benchmark's 1,000-process fleet, and the crash-campaign
 //! fingerprint rides along to pin down that the fault plane stayed
@@ -53,7 +53,7 @@ fn rerun(cfg: FleetConfig) -> FleetReport {
 }
 
 /// Fairness flavor: QoS on with weighted tenants, pressure epochs on
-/// the control plane, enough remote traffic that completion ports
+/// the control plane, enough remote traffic that completion hops
 /// carry real load.
 #[test]
 fn smoke_fleet_fingerprint_is_pinned() {

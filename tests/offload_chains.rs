@@ -216,7 +216,7 @@ fn batched_chains_under_faults_match_sequential_chains() {
             plane.drop_completions(vec![3]);
         }),
         // Spaced so that no chain fails twice in either mode: the retry
-        // budget (`IoPolicy::max_attempts`) allows one media retry.
+        // budget (UserLib's two attempts per op) allows one media retry.
         ("transient hop media errors", |plane, _, _| {
             plane.fail_reads(vec![3, 30, 60]);
         }),
