@@ -1,60 +1,89 @@
 //! # bypassd-backends
 //!
-//! A uniform [`StorageBackend`] interface over the six I/O paths the
-//! paper's evaluation compares (§6.3):
+//! One closed [`Backend`] type over the six I/O paths the paper's
+//! evaluation compares (§6.3), picked by a [`BackendKind`] value:
 //!
-//! | backend | path |
+//! | kind | path |
 //! |---|---|
-//! | [`SyncFactory`] | baseline Linux synchronous syscalls |
-//! | [`LibaioFactory`] | Linux native AIO (`io_submit`/`io_getevents`) |
-//! | [`UringFactory`] | io_uring with SQPOLL and fixed buffers |
-//! | [`SpdkFactory`] | userspace driver, no file system, **no sharing** |
-//! | [`XrpFactory`] | eBPF resubmission from the NVMe driver |
-//! | [`BypassdFactory`] | BypassD UserLib (this paper) |
+//! | `Sync` | baseline Linux synchronous syscalls |
+//! | `Libaio` | Linux native AIO (`io_submit`/`io_getevents`) |
+//! | `IoUring` | io_uring with SQPOLL and fixed buffers |
+//! | `Spdk` | userspace driver ([`SpdkBackend`]), no file system, **no sharing** |
+//! | `Xrp` | eBPF resubmission from the NVMe driver |
+//! | `Bypassd` | BypassD UserLib (this paper) |
+//! | `BypassdOffload` | BypassD with device-side chain offload |
 //!
-//! A factory holds per-process state and mints per-thread backends (each
-//! simulated workload thread owns one). The trait also exposes one
-//! `chained_read` (used by the B-tree/BPF-KV engines), decided by a host
-//! closure or a loaded IR program ([`ChainDecider`]): baselines and plain
-//! BypassD interpret it over `pread`, XRP resubmits from the driver hook,
-//! and BypassD+offload runs the program on the device; every path shares
-//! the offload crate's hop budget. The async `submit`/`poll` pair (used
-//! by KVell) is genuinely overlapped only by libaio.
+//! A [`BackendProcess`] is one simulated process on one path; each
+//! simulated workload thread owns the [`Backend`] it mints. Every
+//! backend also has one `chained_read` (used by the B-tree/BPF-KV
+//! engines), decided by a host closure or a loaded IR program
+//! ([`ChainDecider`]): baselines and plain BypassD interpret it over
+//! `pread`, XRP resubmits from the driver hook, and BypassD+offload runs
+//! the program on the device; every path shares the offload crate's hop
+//! budget. The `submit`/`poll` pair (used by KVell) is genuinely
+//! overlapped only by libaio.
 
-pub mod aio_backend;
-pub mod bypassd_backend;
-pub mod spdk;
-pub mod sync_backend;
-pub mod traits;
-pub mod uring_backend;
-pub mod xrp_backend;
+mod backend;
+mod chain;
+mod spdk;
 
-pub use aio_backend::LibaioFactory;
-pub use bypassd_backend::BypassdFactory;
-pub use spdk::{SpdkEnv, SpdkFactory};
-pub use sync_backend::SyncFactory;
-pub use traits::{BackendFactory, BackendKind, ChainDecider, OffloadProg, StorageBackend};
-pub use uring_backend::UringFactory;
-pub use xrp_backend::XrpFactory;
+pub use backend::{Backend, BackendProcess};
+pub use chain::{ChainDecider, OffloadProg};
+pub use spdk::SpdkBackend;
 
-use bypassd::System;
-use std::sync::Arc;
+/// A file handle within a backend.
+pub type Handle = i32;
 
-/// Builds a factory for `kind` over `system`, as user `uid`/`gid`.
-/// Each factory models one *process*; call it once per simulated process.
-pub fn make_factory(
-    kind: BackendKind,
-    system: &System,
-    uid: u32,
-    gid: u32,
-) -> Arc<dyn BackendFactory> {
-    match kind {
-        BackendKind::Sync => Arc::new(SyncFactory::new(system, uid, gid)),
-        BackendKind::Libaio => Arc::new(LibaioFactory::new(system, uid, gid, 1)),
-        BackendKind::IoUring => Arc::new(UringFactory::new(system, uid, gid)),
-        BackendKind::Spdk => Arc::new(SpdkFactory::new(system)),
-        BackendKind::Xrp => Arc::new(XrpFactory::new(system, uid, gid)),
-        BackendKind::Bypassd => Arc::new(BypassdFactory::new(system, uid, gid)),
-        BackendKind::BypassdOffload => Arc::new(BypassdFactory::new_offload(system, uid, gid)),
+/// Selects one of the compared I/O paths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BackendKind {
+    /// Baseline Linux synchronous syscalls.
+    Sync,
+    /// Linux native AIO.
+    Libaio,
+    /// io_uring with SQPOLL.
+    IoUring,
+    /// SPDK-style userspace driver (no FS, exclusive device).
+    Spdk,
+    /// XRP (eBPF resubmission in the driver).
+    Xrp,
+    /// BypassD (this paper).
+    Bypassd,
+    /// BypassD with device-side chain offload (one submission per
+    /// chain, the device follows `Resubmit` offsets itself).
+    BypassdOffload,
+}
+
+impl BackendKind {
+    /// Display name matching the paper's figure legends.
+    pub fn label(self) -> &'static str {
+        match self {
+            BackendKind::Sync => "sync",
+            BackendKind::Libaio => "libaio",
+            BackendKind::IoUring => "io_uring",
+            BackendKind::Spdk => "spdk",
+            BackendKind::Xrp => "xrp",
+            BackendKind::Bypassd => "bypassd",
+            BackendKind::BypassdOffload => "bypassd+offload",
+        }
+    }
+
+    /// All kinds, in the paper's usual legend order.
+    pub fn all() -> [BackendKind; 7] {
+        [
+            BackendKind::Sync,
+            BackendKind::Libaio,
+            BackendKind::IoUring,
+            BackendKind::Spdk,
+            BackendKind::Xrp,
+            BackendKind::Bypassd,
+            BackendKind::BypassdOffload,
+        ]
+    }
+}
+
+impl std::fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }

@@ -17,69 +17,12 @@ use bypassd::System;
 use bypassd_hw::types::{Lba, SECTOR_SIZE};
 use bypassd_os::{Errno, SysResult};
 use bypassd_sim::engine::ActorCtx;
-use bypassd_ssd::device::{BlockAddr, Command, NvmeDevice};
+use bypassd_sim::Nanos;
+use bypassd_ssd::device::{BlockAddr, Command, NvmeDevice, Opcode};
 use bypassd_ssd::dma::DmaBuffer;
-use bypassd_ssd::queue::QueueId;
+use bypassd_ssd::queue::{NvmeStatus, QueueId};
 
-use crate::traits::{BackendFactory, BackendKind, Handle, StorageBackend};
-
-/// The process-wide SPDK environment: the one process that owns the
-/// device (SPDK does not support device sharing).
-pub struct SpdkEnv {
-    system: System,
-}
-
-impl SpdkEnv {
-    /// Creates the environment over `system`'s device.
-    pub fn new(system: &System) -> Arc<SpdkEnv> {
-        Arc::new(SpdkEnv {
-            system: system.clone(),
-        })
-    }
-}
-
-/// Factory for SPDK thread contexts.
-pub struct SpdkFactory {
-    env: Arc<SpdkEnv>,
-}
-
-impl SpdkFactory {
-    /// Creates the SPDK environment.
-    pub fn new(system: &System) -> Self {
-        SpdkFactory {
-            env: SpdkEnv::new(system),
-        }
-    }
-}
-
-impl SpdkFactory {
-    /// Creates a concretely-typed thread backend (exposes
-    /// [`SpdkBackend::read_lba`] for the protection demonstration).
-    pub fn make_typed_thread(&self) -> SpdkBackend {
-        let dev = Arc::clone(self.env.system.device());
-        let qid = dev.create_queue(None, 64);
-        let dma = DmaBuffer::alloc(self.env.system.mem(), 1 << 20);
-        SpdkBackend {
-            system: self.env.system.clone(),
-            dev,
-            qid,
-            dma,
-            files: HashMap::new(),
-            next_handle: 3,
-            completions: Vec::new(),
-        }
-    }
-}
-
-impl BackendFactory for SpdkFactory {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Spdk
-    }
-
-    fn make_thread(&self) -> Box<dyn StorageBackend> {
-        Box::new(self.make_typed_thread())
-    }
-}
+use crate::Handle;
 
 struct SpdkFile {
     /// Userspace extent map: (file byte offset, device LBA, byte length).
@@ -106,7 +49,9 @@ impl SpdkFile {
     }
 }
 
-/// One SPDK thread: private queue, DMA buffer, userspace file map.
+/// One SPDK thread: private queue, DMA buffer, userspace file map. The
+/// process is the one that owns the device (SPDK does not support
+/// device sharing).
 pub struct SpdkBackend {
     system: System,
     dev: Arc<NvmeDevice>,
@@ -114,18 +59,46 @@ pub struct SpdkBackend {
     dma: DmaBuffer,
     files: HashMap<Handle, SpdkFile>,
     next_handle: Handle,
-    completions: Vec<(u64, Vec<u8>)>,
+}
+
+/// The outcome of a command that completed with `st` at `ready`: a
+/// media error surfaces as `Io` once the completion has landed.
+fn check(ctx: &mut ActorCtx, st: NvmeStatus, ready: Nanos) -> SysResult<()> {
+    match st {
+        s if s.is_ok() => Ok(()),
+        NvmeStatus::MediaError => {
+            ctx.wait_until(ready);
+            Err(Errno::Io)
+        }
+        _ => Err(Errno::Inval),
+    }
 }
 
 impl SpdkBackend {
-    fn overhead(&self) -> bypassd_sim::Nanos {
+    /// A thread context over `system`'s device: its own queue and DMA
+    /// buffer (untimed setup).
+    pub fn new(system: &System) -> SpdkBackend {
+        let dev = Arc::clone(system.device());
+        let qid = dev.create_queue(None, 64);
+        let dma = DmaBuffer::alloc(system.mem(), 1 << 20);
+        SpdkBackend {
+            system: system.clone(),
+            dev,
+            qid,
+            dma,
+            files: HashMap::new(),
+            next_handle: 3,
+        }
+    }
+
+    fn overhead(&self) -> Nanos {
         self.system.kernel().cost().spdk_overhead
     }
 
     /// The security hole: read any sector on the device, no checks.
     ///
     /// # Errors
-    /// `Inval` if out of range.
+    /// `Inval` if out of range; `Io` on a media error.
     pub fn read_lba(
         &mut self,
         ctx: &mut ActorCtx,
@@ -138,9 +111,7 @@ impl SpdkBackend {
             Command::read(BlockAddr::Lba(lba), sectors, &self.dma),
             ctx.now(),
         );
-        if !st.is_ok() {
-            return Err(Errno::Inval);
-        }
+        check(ctx, st, ready)?;
         ctx.wait_until(ready);
         self.dma.read(0, out);
         Ok(())
@@ -153,7 +124,7 @@ impl SpdkBackend {
         offset: u64,
         len: u64,
         write: bool,
-    ) -> SysResult<Vec<(Lba, u64)>> {
+    ) -> SysResult<()> {
         if !offset.is_multiple_of(SECTOR_SIZE) || !len.is_multiple_of(SECTOR_SIZE) || len == 0 {
             return Err(Errno::Inval);
         }
@@ -165,40 +136,31 @@ impl SpdkBackend {
         ctx.delay(self.overhead());
         let mut latest = ctx.now();
         let mut dma_off = 0usize;
-        for (lba, n) in &segs {
+        for (lba, n) in segs {
             let cmd = Command {
-                opcode: if write {
-                    bypassd_ssd::device::Opcode::Write
-                } else {
-                    bypassd_ssd::device::Opcode::Read
-                },
-                addr: BlockAddr::Lba(*lba),
-                sectors: (*n / SECTOR_SIZE) as u32,
+                opcode: if write { Opcode::Write } else { Opcode::Read },
+                addr: BlockAddr::Lba(lba),
+                sectors: (n / SECTOR_SIZE) as u32,
                 dma: Some(&self.dma),
                 dma_offset: dma_off,
                 chain: None,
             };
             let (st, ready) = self.dev.execute(self.qid, cmd, ctx.now());
-            if !st.is_ok() {
-                return Err(Errno::Inval);
-            }
-            dma_off += *n as usize;
+            check(ctx, st, ready)?;
+            dma_off += n as usize;
             latest = latest.max(ready);
         }
         ctx.wait_until(latest);
-        Ok(segs)
-    }
-}
-
-impl StorageBackend for SpdkBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Spdk
+        Ok(())
     }
 
     /// "Opens" a file by snapshotting its extent layout into the
     /// userspace map (no kernel involvement at I/O time, no permission
     /// checks possible).
-    fn open(&mut self, _ctx: &mut ActorCtx, path: &str, _writable: bool) -> SysResult<Handle> {
+    ///
+    /// # Errors
+    /// Path errors from the file system.
+    pub fn open(&mut self, path: &str) -> SysResult<Handle> {
         let fs = self.system.fs();
         let ino = fs.lookup(path)?;
         let size = fs.size_of(ino)?;
@@ -224,7 +186,12 @@ impl StorageBackend for SpdkBackend {
         Ok(h)
     }
 
-    fn pread(
+    /// Reads `buf.len()` bytes at `offset` of file `h`.
+    ///
+    /// # Errors
+    /// `BadF`, `Inval` (unaligned or past the end); `Io` on a media
+    /// error.
+    pub fn pread(
         &mut self,
         ctx: &mut ActorCtx,
         h: Handle,
@@ -238,7 +205,11 @@ impl StorageBackend for SpdkBackend {
         Ok(buf.len())
     }
 
-    fn pwrite(
+    /// Writes `data` at `offset` of file `h` (no appends).
+    ///
+    /// # Errors
+    /// As [`SpdkBackend::pread`].
+    pub fn pwrite(
         &mut self,
         ctx: &mut ActorCtx,
         h: Handle,
@@ -251,18 +222,18 @@ impl StorageBackend for SpdkBackend {
         Ok(data.len())
     }
 
-    fn fsync(&mut self, ctx: &mut ActorCtx, _h: Handle) -> SysResult<()> {
+    /// Flushes the device's volatile cache.
+    pub fn fsync(&mut self, ctx: &mut ActorCtx) {
         let (st, ready) = self.dev.execute(self.qid, Command::flush(), ctx.now());
         debug_assert!(st.is_ok());
         ctx.wait_until(ready);
-        Ok(())
     }
 
-    fn close(&mut self, _ctx: &mut ActorCtx, h: Handle) -> SysResult<()> {
+    /// Drops file `h` from the userspace map.
+    ///
+    /// # Errors
+    /// `BadF` for an unknown handle.
+    pub fn close(&mut self, h: Handle) -> SysResult<()> {
         self.files.remove(&h).map(|_| ()).ok_or(Errno::BadF)
-    }
-
-    fn sync_completions(&mut self) -> &mut Vec<(u64, Vec<u8>)> {
-        &mut self.completions
     }
 }

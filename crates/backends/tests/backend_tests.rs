@@ -1,4 +1,5 @@
-//! Cross-backend behaviour: latency ordering (the heart of Fig. 6),
+//! Cross-backend behaviour: bytes round-trip on every path, media
+//! errors surface as `EIO`, latency ordering (the heart of Fig. 6),
 //! chained-read advantage (XRP), async overlap (libaio), and the
 //! SPDK-vs-BypassD protection story.
 
@@ -7,9 +8,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd::System;
-use bypassd_backends::spdk::SpdkFactory;
-use bypassd_backends::{make_factory, BackendFactory, BackendKind, ChainDecider};
+use bypassd_backends::{BackendKind, BackendProcess, ChainDecider, OffloadProg, SpdkBackend};
 use bypassd_hw::types::Lba;
+use bypassd_offload::{Cond, Op, Width, NUM_REGS};
+use bypassd_os::Errno;
 use bypassd_sim::{Nanos, Simulation};
 
 fn system() -> System {
@@ -18,12 +20,12 @@ fn system() -> System {
 
 fn measure_4k_read(sys: &System, kind: BackendKind) -> Nanos {
     sys.fs().populate("/bench", 1 << 20, 0x42).unwrap();
-    let factory = make_factory(kind, sys, 0, 0);
+    let proc = BackendProcess::new(kind, sys, 0, 0);
     let out = Arc::new(Mutex::new(Nanos::ZERO));
     let o2 = Arc::clone(&out);
     let sim = Simulation::new();
     sim.spawn("t", move |ctx| {
-        let mut b = factory.make_thread();
+        let mut b = proc.thread();
         let h = b.open(ctx, "/bench", false).unwrap();
         let mut buf = vec![0u8; 4096];
         b.pread(ctx, h, &mut buf, 0).unwrap(); // warm
@@ -35,6 +37,143 @@ fn measure_4k_read(sys: &System, kind: BackendKind) -> Nanos {
     sim.run();
     let v = *out.lock();
     v
+}
+
+/// A 3-block chain image: block 0 points at block 2, block 2 at block
+/// 1, and block 1 ends the chain. Each block's first 8 bytes hold the
+/// next offset (`u64::MAX` for none); the rest is the block's index.
+fn chain_image() -> Vec<u8> {
+    let mut image = vec![0u8; 3 * 4096];
+    for (block, next) in [(0, 8192u64), (1, u64::MAX), (2, 4096)] {
+        let b = &mut image[block * 4096..(block + 1) * 4096];
+        b.fill(block as u8 + 1);
+        b[..8].copy_from_slice(&next.to_le_bytes());
+    }
+    image
+}
+
+/// The chain rule of [`chain_image`] as an IR program.
+fn chain_ops() -> Vec<Op> {
+    vec![
+        Op::Imm { dst: 1, imm: 0 },
+        Op::Load {
+            dst: 0,
+            width: Width::U64,
+            base: 1,
+            disp: 0,
+        },
+        Op::Imm {
+            dst: 2,
+            imm: u64::MAX,
+        },
+        Op::Jmp {
+            cond: Cond::Eq,
+            a: 0,
+            b: 2,
+            skip: 1,
+        },
+        Op::Resubmit { addr: 0 },
+        Op::Return,
+    ]
+}
+
+/// Every kind through the one `Backend` type: open → pwrite → pread of
+/// the same bytes → fsync → a 3-hop chained read decided by a closure
+/// and by a loaded program → close. An engine handle runs only on XRP's
+/// driver hook and BypassD+offload's device; elsewhere it is `Inval`.
+#[test]
+fn every_kind_round_trips_bytes_and_chains() {
+    let sys = system();
+    let image = chain_image();
+    let last_block = image[4096..4096 + 512].to_vec();
+    let engines = [BackendKind::Xrp, BackendKind::BypassdOffload];
+    for (i, kind) in BackendKind::all().into_iter().enumerate() {
+        let path = format!("/rt{i}");
+        sys.fs().populate(&path, 4 * 4096, 0).unwrap();
+        let proc = BackendProcess::new(kind, &sys, 0, 0);
+        let (image, last_block) = (image.clone(), last_block.clone());
+        let sim = Simulation::new();
+        let sys2 = sys.clone();
+        sim.spawn("t", move |ctx| {
+            let mut b = proc.thread();
+            let h = b.open(ctx, &path, true).unwrap();
+            assert_eq!(b.pwrite(ctx, h, &image, 0), Ok(image.len()), "{kind}");
+            let mut back = vec![0u8; image.len()];
+            assert_eq!(b.pread(ctx, h, &mut back, 0), Ok(image.len()), "{kind}");
+            assert!(back == image, "{kind}: pread returned other bytes");
+            b.fsync(ctx, h).unwrap();
+
+            let mut hops = 0;
+            let mut next = |block: &[u8]| {
+                hops += 1;
+                let next = u64::from_le_bytes(block[..8].try_into().unwrap());
+                (next != u64::MAX).then_some(next)
+            };
+            let got = b.chained_read(ctx, h, 0, 512, ChainDecider::Host(&mut next));
+            assert_eq!(got.as_ref(), Ok(&last_block), "{kind}: closure chain");
+            assert_eq!(hops, 3, "{kind}: closure chain hops");
+
+            let prog = b.prog_load(ctx, &chain_ops()).unwrap();
+            let has_engine = matches!(prog, OffloadProg::Engine(_));
+            assert_eq!(has_engine, engines.contains(&kind), "{kind}: prog_load");
+            let regs = [0u64; NUM_REGS];
+            let got = b.chained_read(ctx, h, 0, 512, ChainDecider::Prog(&prog, regs));
+            assert_eq!(got.as_ref(), Ok(&last_block), "{kind}: program chain");
+            if !has_engine {
+                let pid = sys2.kernel().spawn_process(0, 0);
+                let handle = sys2.kernel().sys_prog_load(ctx, pid, chain_ops()).unwrap();
+                let engine = OffloadProg::Engine(handle);
+                let got = b.chained_read(ctx, h, 0, 512, ChainDecider::Prog(&engine, regs));
+                assert_eq!(got, Err(Errno::Inval), "{kind}: engine handle");
+            }
+            b.close(ctx, h).unwrap();
+        });
+        sim.run();
+    }
+}
+
+/// Under a plan that fails reads 0 and 1 (so a path that retries once
+/// still fails) and drops the third queue completion, every read returns
+/// the file's true bytes or `Io`: never other bytes, and no panic.
+#[test]
+fn media_errors_surface_as_eio_on_every_path() {
+    for kind in BackendKind::all() {
+        let sys = system();
+        sys.fs().populate("/m", 16 * 4096, 0x5A).unwrap();
+        let proc = BackendProcess::new(kind, &sys, 0, 0);
+        let plane = sys.device().fault_plane();
+        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let out = Arc::clone(&outcomes);
+        let sim = Simulation::new();
+        sim.spawn("t", move |ctx| {
+            let mut b = proc.thread();
+            let h = b.open(ctx, "/m", false).unwrap();
+            plane.fail_reads(vec![0, 1, 4, 9]);
+            plane.drop_completions(vec![2]);
+            for i in 0..8u64 {
+                let mut buf = vec![0u8; 4096];
+                let res = b.pread(ctx, h, &mut buf, i * 4096);
+                if res.is_ok() {
+                    assert!(
+                        buf.iter().all(|&x| x == 0x5A),
+                        "{kind}: read {i} wrong bytes"
+                    );
+                }
+                out.lock().push(res);
+            }
+            assert!(
+                plane.stats().read_errors > 0,
+                "{kind}: the plan never fired"
+            );
+        });
+        sim.run();
+        for (i, res) in outcomes.lock().iter().enumerate() {
+            assert!(
+                matches!(res, Ok(4096) | Err(Errno::Io)),
+                "{kind}: read {i} returned {res:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -83,12 +222,12 @@ fn xrp_chained_read_beats_sync_loses_to_bypassd() {
     sys.fs().populate("/chain", 1 << 20, 0).unwrap();
     let chain_time = |kind: BackendKind| {
         sys.reset_virtual_time();
-        let factory = make_factory(kind, &sys, 0, 0);
+        let proc = BackendProcess::new(kind, &sys, 0, 0);
         let out = Arc::new(Mutex::new(Nanos::ZERO));
         let o2 = Arc::clone(&out);
         let sim = Simulation::new();
         sim.spawn("t", move |ctx| {
-            let mut b = factory.make_thread();
+            let mut b = proc.thread();
             let h = b.open(ctx, "/chain", false).unwrap();
             let mut buf = vec![0u8; 512];
             b.pread(ctx, h, &mut buf, 0).unwrap(); // warm
@@ -128,12 +267,12 @@ fn xrp_chained_read_beats_sync_loses_to_bypassd() {
 fn libaio_overlaps_with_submit_poll() {
     let sys = system();
     sys.fs().populate("/a", 1 << 20, 1).unwrap();
-    let factory = bypassd_backends::LibaioFactory::new(&sys, 0, 0, 64);
+    let proc = bypassd_backends::BackendProcess::libaio(&sys, 0, 0, 64);
     let out = Arc::new(Mutex::new((Nanos::ZERO, Nanos::ZERO)));
     let o2 = Arc::clone(&out);
     let sim = Simulation::new();
     sim.spawn("t", move |ctx| {
-        let mut b = factory.make_thread();
+        let mut b = proc.thread();
         let h = b.open(ctx, "/a", false).unwrap();
         // Sequential: 8 preads.
         let t0 = ctx.now();
@@ -176,10 +315,10 @@ fn libaio_overlaps_with_submit_poll() {
 fn default_submit_poll_is_synchronous_but_correct() {
     let sys = system();
     sys.fs().populate("/s", 64 * 1024, 9).unwrap();
-    let factory = make_factory(BackendKind::Bypassd, &sys, 0, 0);
+    let proc = BackendProcess::new(BackendKind::Bypassd, &sys, 0, 0);
     let sim = Simulation::new();
     sim.spawn("t", move |ctx| {
-        let mut b = factory.make_thread();
+        let mut b = proc.thread();
         let h = b.open(ctx, "/s", false).unwrap();
         for i in 0..4u64 {
             b.submit(ctx, h, false, i * 4096, Ok(4096), 100 + i)
@@ -214,8 +353,7 @@ fn spdk_reads_foreign_blocks_bypassd_cannot() {
     let sim = Simulation::new();
     let sys2 = sys.clone();
     sim.spawn("spdk", move |ctx| {
-        let factory = SpdkFactory::new(&sys2);
-        let mut raw = factory.make_typed_thread();
+        let mut raw = SpdkBackend::new(&sys2);
         let mut out = vec![0u8; 4096];
         raw.read_lba(ctx, secret_lba, 8, &mut out).unwrap();
         assert!(

@@ -13,7 +13,7 @@
 //!    layout stresses both.
 
 use bypassd::{System, UserProcess};
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{ops, run_one, us};
 use bypassd_ext4::Ext4Options;
 use bypassd_fio::{run_job, JobSpec, RwMode};
@@ -24,7 +24,7 @@ use bypassd_sim::time::Nanos;
 fn mean_4k_read(system: &System, n_ops: u64) -> Nanos {
     let r = run_job(
         system,
-        make_factory(BackendKind::Bypassd, system, 0, 0),
+        BackendProcess::new(BackendKind::Bypassd, system, 0, 0),
         JobSpec {
             name: "abl".into(),
             mode: RwMode::RandRead,
@@ -159,7 +159,7 @@ fn main() {
         let system = System::builder().capacity(4 << 30).fs_options(opts).build();
         let r = run_job(
             &system,
-            make_factory(BackendKind::Bypassd, &system, 0, 0),
+            BackendProcess::new(BackendKind::Bypassd, &system, 0, 0),
             JobSpec {
                 name: "frag".into(),
                 mode: RwMode::RandRead,
@@ -201,7 +201,7 @@ fn main() {
             .build();
         let r = run_job(
             &system,
-            make_factory(BackendKind::Bypassd, &system, 0, 0),
+            BackendProcess::new(BackendKind::Bypassd, &system, 0, 0),
             JobSpec {
                 name: "pwc".into(),
                 mode: RwMode::RandRead,
@@ -287,7 +287,7 @@ fn main() {
             .build();
         let r = run_job(
             &system,
-            make_factory(BackendKind::Bypassd, &system, 0, 0),
+            BackendProcess::new(BackendKind::Bypassd, &system, 0, 0),
             JobSpec {
                 name: "atc".into(),
                 mode: RwMode::RandRead,
@@ -345,7 +345,7 @@ fn main() {
             &system,
             vec![
                 (
-                    make_factory(BackendKind::Bypassd, &system, 1000, 1000),
+                    BackendProcess::new(BackendKind::Bypassd, &system, 1000, 1000),
                     JobSpec {
                         name: "fg".into(),
                         mode: RwMode::RandRead,
@@ -361,7 +361,7 @@ fn main() {
                     },
                 ),
                 (
-                    make_factory(BackendKind::Bypassd, &system, 2000, 2000),
+                    BackendProcess::new(BackendKind::Bypassd, &system, 2000, 2000),
                     JobSpec {
                         name: "antagonist".into(),
                         mode: RwMode::RandRead,

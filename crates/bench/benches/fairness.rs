@@ -14,7 +14,7 @@
 use bypassd::{
     write_chrome_trace, Breakdown, QosConfig, RateLimit, System, TenantShare, TraceConfig,
 };
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_fio::{run_jobs, JobSpec, RwMode};
 use bypassd_sim::report::{f, Table};
 use bypassd_sim::time::Nanos;
@@ -43,7 +43,7 @@ fn run_scenario(qos: Option<QosConfig>, fg_ops: u64) -> (Outcome, System) {
     let system = builder.build();
     let jobs = vec![
         (
-            make_factory(BackendKind::Bypassd, &system, FG_UID, FG_UID),
+            BackendProcess::new(BackendKind::Bypassd, &system, FG_UID, FG_UID),
             JobSpec {
                 name: "fg".into(),
                 mode: RwMode::RandRead,
@@ -59,7 +59,7 @@ fn run_scenario(qos: Option<QosConfig>, fg_ops: u64) -> (Outcome, System) {
             },
         ),
         (
-            make_factory(BackendKind::Bypassd, &system, BG_UID, BG_UID),
+            BackendProcess::new(BackendKind::Bypassd, &system, BG_UID, BG_UID),
             JobSpec {
                 name: "antagonist".into(),
                 mode: RwMode::RandRead,

@@ -2,7 +2,7 @@
 //! between multiple writer *processes*, each writing a private file.
 //! SPDK has no bars in the paper — it cannot share the device at all.
 
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{f1, ops, std_system};
 use bypassd_fio::{run_jobs, JobSpec, RwMode};
 use bypassd_sim::report::Table;
@@ -28,13 +28,13 @@ fn main() {
         let mut cells = vec![n.to_string()];
         for kind in systems {
             let system = std_system();
-            // One factory per *process*, each with a private file.
+            // One `BackendProcess` per *process*, each with a private file.
             let jobs = (0..n)
                 .map(|p| {
                     (
                         // All files are created root-owned by the
                         // populate step; run the writers as root too.
-                        make_factory(kind, &system, 0, 0),
+                        BackendProcess::new(kind, &system, 0, 0),
                         JobSpec {
                             name: format!("w{p}"),
                             mode: RwMode::RandWrite,

@@ -4,7 +4,7 @@
 //! instead of a kernel I/O scheduler, and still beats the baseline.
 
 use bypassd::{direct_read_check, write_chrome_trace, Breakdown, System, TraceConfig};
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{ops, std_system, us};
 use bypassd_fio::{run_jobs, JobSpec, RwMode};
 use bypassd_sim::report::{f, Table};
@@ -33,7 +33,7 @@ fn main() {
         for kind in [BackendKind::Sync, BackendKind::Bypassd] {
             let system = std_system();
             let mut jobs = vec![(
-                make_factory(kind, &system, 1000, 1000),
+                BackendProcess::new(kind, &system, 1000, 1000),
                 JobSpec {
                     name: "fg".into(),
                     mode: RwMode::RandRead,
@@ -52,7 +52,7 @@ fn main() {
                 jobs.push((
                     // Background readers always use the same (bypassd)
                     // interface so only the foreground path varies.
-                    make_factory(BackendKind::Bypassd, &system, 2000 + b as u32, 2000),
+                    BackendProcess::new(BackendKind::Bypassd, &system, 2000 + b as u32, 2000),
                     JobSpec {
                         name: format!("bg{b}"),
                         mode: RwMode::RandRead,
@@ -107,7 +107,7 @@ fn main() {
         &system,
         vec![
             (
-                make_factory(BackendKind::Bypassd, &system, 1000, 1000),
+                BackendProcess::new(BackendKind::Bypassd, &system, 1000, 1000),
                 JobSpec {
                     name: "fg".into(),
                     mode: RwMode::RandRead,
@@ -123,7 +123,7 @@ fn main() {
                 },
             ),
             (
-                make_factory(BackendKind::Bypassd, &system, 2000, 2000),
+                BackendProcess::new(BackendKind::Bypassd, &system, 2000, 2000),
                 JobSpec {
                     name: "antagonist".into(),
                     mode: RwMode::RandRead,
@@ -163,7 +163,7 @@ fn main() {
     run_jobs(
         &system,
         vec![(
-            make_factory(BackendKind::Bypassd, &system, 1000, 1000),
+            BackendProcess::new(BackendKind::Bypassd, &system, 1000, 1000),
             JobSpec {
                 name: "fg".into(),
                 mode: RwMode::RandRead,

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{ops, std_system, us};
 use bypassd_kv::{BpfKv, BpfKvConfig, YcsbGen, YcsbOp, YcsbWorkload};
 use bypassd_sim::report::Table;
@@ -38,15 +38,15 @@ fn main() {
         let mut cells = vec![nt.to_string()];
         for kind in systems {
             system.reset_virtual_time();
-            let factory = make_factory(kind, &system, 0, 0);
+            let proc = BackendProcess::new(kind, &system, 0, 0);
             let sink: Arc<Mutex<Histogram>> = Arc::new(Mutex::new(Histogram::new()));
             let sim = Simulation::new();
             for tid in 0..nt {
-                let factory = Arc::clone(&factory);
+                let proc = proc.clone();
                 let store = Arc::clone(&store);
                 let sink = Arc::clone(&sink);
                 sim.spawn(&format!("l{tid}"), move |ctx| {
-                    let mut b = factory.make_thread();
+                    let mut b = proc.thread();
                     let h = b.open(ctx, store.file(), false).expect("open");
                     let mut gen = YcsbGen::new(YcsbWorkload::C, n, n, 13 + tid as u64);
                     let mut hist = Histogram::new();
@@ -56,7 +56,7 @@ fn main() {
                             _ => unreachable!("workload C is read-only"),
                         };
                         let t0 = ctx.now();
-                        store.get(ctx, &mut *b, h, key).expect("lookup");
+                        store.get(ctx, &mut b, h, key).expect("lookup");
                         hist.record(ctx.now() - t0);
                     }
                     let _ = b.close(ctx, h);

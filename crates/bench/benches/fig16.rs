@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use bypassd_backends::{make_factory, BackendFactory, BackendKind, LibaioFactory};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{f1, ops, std_system, us};
 use bypassd_kv::{Kvell, KvellConfig, YcsbGen, YcsbWorkload};
 use bypassd_sim::report::Table;
@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 fn run_variant(
     system: &bypassd::System,
     store: &Arc<Kvell>,
-    factory: Arc<dyn BackendFactory>,
+    proc: BackendProcess,
     w: YcsbWorkload,
     n: u64,
     threads: usize,
@@ -35,15 +35,15 @@ fn run_variant(
     )));
     let sim = Simulation::new();
     for tid in 0..threads {
-        let factory = Arc::clone(&factory);
+        let proc = proc.clone();
         let store = Arc::clone(store);
         let sink = Arc::clone(&sink);
         sim.spawn(&format!("kv{tid}"), move |ctx| {
-            let mut b = factory.make_thread();
+            let mut b = proc.thread();
             let h = b.open(ctx, store.file(), true).expect("open slab");
             let mut gen = YcsbGen::new(w, n, n, 19 + tid as u64);
             let r = store
-                .run_ycsb(ctx, &mut *b, h, &mut gen, ops_per_thread, qd)
+                .run_ycsb(ctx, &mut b, h, &mut gen, ops_per_thread, qd)
                 .expect("kvell run");
             let _ = b.close(ctx, h);
             let mut s = sink.lock();
@@ -81,7 +81,7 @@ fn main() {
             let k1 = run_variant(
                 &system,
                 &store,
-                Arc::new(LibaioFactory::new(&system, 0, 0, 1)),
+                BackendProcess::libaio(&system, 0, 0, 1),
                 w,
                 n,
                 nt,
@@ -91,7 +91,7 @@ fn main() {
             let k64 = run_variant(
                 &system,
                 &store,
-                Arc::new(LibaioFactory::new(&system, 0, 0, 64)),
+                BackendProcess::libaio(&system, 0, 0, 64),
                 w,
                 n,
                 nt,
@@ -101,7 +101,7 @@ fn main() {
             let byp = run_variant(
                 &system,
                 &store,
-                make_factory(BackendKind::Bypassd, &system, 0, 0),
+                BackendProcess::new(BackendKind::Bypassd, &system, 0, 0),
                 w,
                 n,
                 nt,

@@ -1,7 +1,7 @@
 //! Figure 6: fio single-threaded random-access latency vs bandwidth for
 //! block sizes 4 KB–128 KB, reads and writes, across the five systems.
 
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{f2, ops, std_system, us};
 use bypassd_fio::{run_job, JobSpec, RwMode};
 use bypassd_sim::report::Table;
@@ -38,7 +38,7 @@ fn main() {
             let mut lat = std::collections::HashMap::new();
             for kind in systems {
                 let system = std_system();
-                let factory = make_factory(kind, &system, 0, 0);
+                let proc = BackendProcess::new(kind, &system, 0, 0);
                 let spec = JobSpec {
                     name: format!("{bs_kb}k"),
                     mode,
@@ -52,7 +52,7 @@ fn main() {
                     seed: 11,
                     start_at: Nanos::ZERO,
                 };
-                let r = run_job(&system, factory, spec);
+                let r = run_job(&system, proc, spec);
                 lat.insert(kind, r.mean_latency());
                 cells.push(format!("{}/{}", us(r.mean_latency()), f2(r.gbps())));
             }

@@ -5,7 +5,7 @@
 //! software. For sync, software is kernel time; for BypassD it is
 //! UserLib time (mostly the user↔DMA copy, as the paper observes).
 
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{ops, std_system, us};
 use bypassd_fio::{run_job, JobSpec, RwMode};
 use bypassd_sim::report::Table;
@@ -23,10 +23,10 @@ fn main() {
         for kind in [BackendKind::Sync, BackendKind::Bypassd] {
             let system = std_system();
             let device = system.device().timing().service(false, bs);
-            let factory = make_factory(kind, &system, 0, 0);
+            let proc = BackendProcess::new(kind, &system, 0, 0);
             let r = run_job(
                 &system,
-                factory,
+                proc,
                 JobSpec {
                     name: "bd".into(),
                     mode: RwMode::RandRead,

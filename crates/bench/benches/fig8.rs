@@ -5,7 +5,7 @@
 //! barely matters — the justification for not polluting the IOTLB.
 
 use bypassd::System;
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{f2, ops};
 use bypassd_fio::{run_job, JobSpec, RwMode};
 use bypassd_hw::iommu::IommuTiming;
@@ -26,10 +26,10 @@ fn timing_with_total(total_ns: u64) -> IommuTiming {
 }
 
 fn bw(system: &System, kind: BackendKind, bs: u64, n_ops: u64) -> f64 {
-    let factory = make_factory(kind, system, 0, 0);
+    let proc = BackendProcess::new(kind, system, 0, 0);
     run_job(
         system,
-        factory,
+        proc,
         JobSpec {
             name: "f8".into(),
             mode: RwMode::RandRead,

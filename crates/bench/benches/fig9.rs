@@ -3,7 +3,7 @@
 //! low until the device saturates (~1.5 M IOPS); kernel paths higher;
 //! io_uring collapses past 12 threads (SQPOLL needs a core per job).
 
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{f1, ops, std_system, us};
 use bypassd_fio::{run_job, JobSpec, RwMode};
 use bypassd_sim::report::Table;
@@ -32,7 +32,7 @@ fn main() {
             let system = std_system();
             let r = run_job(
                 &system,
-                make_factory(kind, &system, 0, 0),
+                BackendProcess::new(kind, &system, 0, 0),
                 JobSpec {
                     name: "f9".into(),
                     mode: RwMode::RandRead,

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use bypassd::{ChainReq, System, UserProcess};
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_bench::{hostinfo, run_one, std_system};
 use bypassd_kv::{BpfKv, BpfKvConfig};
 use bypassd_sim::report::Table;
@@ -41,17 +41,17 @@ fn key(i: u64) -> u64 {
 /// Mean QD1 lookup latency (integer ns — exact, not sampled).
 fn lookup_latency(system: &System, store: &Arc<BpfKv>, kind: BackendKind) -> u64 {
     system.reset_virtual_time();
-    let factory = make_factory(kind, system, 0, 0);
+    let proc = BackendProcess::new(kind, system, 0, 0);
     let store = Arc::clone(store);
     run_one(move |ctx| {
-        let mut b = factory.make_thread();
+        let mut b = proc.thread();
         let h = b.open(ctx, store.file(), false).expect("open");
         let prog = b.prog_load(ctx, &store.lookup_ops()).expect("load");
         let mut total = Nanos::ZERO;
         for i in 0..LOOKUPS {
             let t0 = ctx.now();
             store
-                .get_offload(ctx, &mut *b, h, &prog, key(i))
+                .get_offload(ctx, &mut b, h, &prog, key(i))
                 .expect("lookup");
             total += ctx.now() - t0;
         }
@@ -66,16 +66,16 @@ fn lookup_latency(system: &System, store: &Arc<BpfKv>, kind: BackendKind) -> u64
 /// hops can't overlap, so throughput is 1/latency.
 fn per_hop_kops(system: &System, store: &Arc<BpfKv>) -> f64 {
     system.reset_virtual_time();
-    let factory = make_factory(BackendKind::Bypassd, system, 0, 0);
+    let proc = BackendProcess::new(BackendKind::Bypassd, system, 0, 0);
     let store = Arc::clone(store);
     run_one(move |ctx| {
-        let mut b = factory.make_thread();
+        let mut b = proc.thread();
         let h = b.open(ctx, store.file(), false).expect("open");
         let prog = b.prog_load(ctx, &store.lookup_ops()).expect("load");
         let t0 = ctx.now();
         for i in 0..LOOKUPS {
             store
-                .get_offload(ctx, &mut *b, h, &prog, key(i))
+                .get_offload(ctx, &mut b, h, &prog, key(i))
                 .expect("lookup");
         }
         let r = kops(LOOKUPS, ctx.now() - t0);

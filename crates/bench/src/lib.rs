@@ -17,7 +17,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd::System;
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_kv::{BtreeStore, YcsbGen, YcsbWorkload};
 use bypassd_sim::stats::Throughput;
 use bypassd_sim::time::Nanos;
@@ -97,18 +97,18 @@ pub fn run_btree_ycsb(
     // fixed op stream (untimed) so every backend measures steady state.
     store.clear_cache();
     let warm_ops = (ops_per_thread * 4).max(1_500);
-    let factory = make_factory(kind, system, 0, 0);
+    let proc = BackendProcess::new(kind, system, 0, 0);
     {
         let store = Arc::clone(store);
-        let f2 = Arc::clone(&factory);
+        let proc = proc.clone();
         let sim = Simulation::new();
         sim.spawn("warm", move |ctx| {
-            let mut backend = f2.make_thread();
+            let mut backend = proc.thread();
             let h = backend.open(ctx, store.file(), true).expect("open store");
             let mut gen = YcsbGen::new(workload, n_keys, n_keys + n_keys / 4, 0xDEAD);
             for _ in 0..warm_ops {
                 let op = gen.next_op();
-                store.execute(ctx, &mut *backend, h, op).expect("warm op");
+                store.execute(ctx, &mut backend, h, op).expect("warm op");
             }
             let _ = backend.close(ctx, h);
         });
@@ -118,11 +118,11 @@ pub fn run_btree_ycsb(
     let sim = Simulation::new();
     let sink: Arc<Mutex<Vec<(Histogram, Nanos)>>> = Arc::new(Mutex::new(Vec::new()));
     for tid in 0..threads {
-        let factory = Arc::clone(&factory);
+        let proc = proc.clone();
         let store = Arc::clone(store);
         let sink = Arc::clone(&sink);
         sim.spawn(&format!("kv{tid}"), move |ctx| {
-            let mut backend = factory.make_thread();
+            let mut backend = proc.thread();
             let h = backend.open(ctx, store.file(), true).expect("open store");
             let mut gen = YcsbGen::new(
                 workload,
@@ -134,7 +134,7 @@ pub fn run_btree_ycsb(
             for _ in 0..ops_per_thread {
                 let op = gen.next_op();
                 let t0 = ctx.now();
-                store.execute(ctx, &mut *backend, h, op).expect("op failed");
+                store.execute(ctx, &mut backend, h, op).expect("op failed");
                 hist.record(ctx.now() - t0);
             }
             let end = ctx.now();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd::System;
-use bypassd_backends::BackendFactory;
+use bypassd_backends::BackendProcess;
 use bypassd_sim::rng::Rng;
 use bypassd_sim::stats::Throughput;
 use bypassd_sim::time::Nanos;
@@ -122,7 +122,7 @@ struct ThreadOutcome {
 
 /// Runs several jobs concurrently in one simulation. Files are created
 /// and populated (untimed) before the clock starts.
-pub fn run_jobs(system: &System, jobs: Vec<(Arc<dyn BackendFactory>, JobSpec)>) -> Vec<JobResult> {
+pub fn run_jobs(system: &System, jobs: Vec<(BackendProcess, JobSpec)>) -> Vec<JobResult> {
     // A fresh simulation starts at t=0: drop any previous run's device
     // backlog.
     system.reset_virtual_time();
@@ -145,17 +145,17 @@ pub fn run_jobs(system: &System, jobs: Vec<(Arc<dyn BackendFactory>, JobSpec)>) 
 
     let sim = Simulation::new();
     let mut collectors: Vec<(String, Arc<Mutex<Vec<ThreadOutcome>>>)> = Vec::new();
-    for (job_idx, (factory, spec)) in jobs.into_iter().enumerate() {
-        let label = format!("{}/{}", factory.kind().label(), spec.name);
+    for (job_idx, (proc, spec)) in jobs.into_iter().enumerate() {
+        let label = format!("{}/{}", proc.kind().label(), spec.name);
         let sink: Arc<Mutex<Vec<ThreadOutcome>>> = Arc::new(Mutex::new(Vec::new()));
         collectors.push((label, Arc::clone(&sink)));
         for tid in 0..spec.threads {
-            let factory = Arc::clone(&factory);
+            let proc = proc.clone();
             let spec = spec.clone();
             let sink = Arc::clone(&sink);
             let name = format!("j{job_idx}t{tid}");
             sim.spawn_at(spec.start_at, &name, move |ctx| {
-                let mut backend = factory.make_thread();
+                let mut backend = proc.thread();
                 let path = if spec.per_thread_files {
                     format!("{}-{tid}", spec.file)
                 } else {
@@ -236,8 +236,8 @@ pub fn run_jobs(system: &System, jobs: Vec<(Arc<dyn BackendFactory>, JobSpec)>) 
 }
 
 /// Convenience: one job, one backend.
-pub fn run_job(system: &System, factory: Arc<dyn BackendFactory>, spec: JobSpec) -> JobResult {
-    run_jobs(system, vec![(factory, spec)])
+pub fn run_job(system: &System, proc: BackendProcess, spec: JobSpec) -> JobResult {
+    run_jobs(system, vec![(proc, spec)])
         .into_iter()
         .next()
         .expect("job produced no result")
@@ -246,7 +246,7 @@ pub fn run_job(system: &System, factory: Arc<dyn BackendFactory>, spec: JobSpec)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bypassd_backends::{make_factory, BackendKind};
+    use bypassd_backends::{BackendKind, BackendProcess};
 
     fn sys() -> System {
         System::builder().capacity(2 << 30).build()
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn op_counts_and_bytes_add_up() {
         let s = sys();
-        let f = make_factory(BackendKind::Bypassd, &s, 0, 0);
+        let f = BackendProcess::new(BackendKind::Bypassd, &s, 0, 0);
         let r = run_job(&s, f, spec(RwMode::RandRead, 4096, 2, 50));
         assert_eq!(r.throughput.ops, 100);
         assert_eq!(r.throughput.bytes, 100 * 4096);
@@ -284,12 +284,12 @@ mod tests {
         let s = sys();
         let r_sync = run_job(
             &s,
-            make_factory(BackendKind::Sync, &s, 0, 0),
+            BackendProcess::new(BackendKind::Sync, &s, 0, 0),
             spec(RwMode::RandRead, 4096, 1, 200),
         );
         let r_byp = run_job(
             &s,
-            make_factory(BackendKind::Bypassd, &s, 0, 0),
+            BackendProcess::new(BackendKind::Bypassd, &s, 0, 0),
             spec(RwMode::RandRead, 4096, 1, 200),
         );
         assert!(r_byp.mean_latency() < r_sync.mean_latency());
@@ -300,7 +300,7 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let s = sys();
-            let f = make_factory(BackendKind::Bypassd, &s, 0, 0);
+            let f = BackendProcess::new(BackendKind::Bypassd, &s, 0, 0);
             let r = run_job(&s, f, spec(RwMode::RandRw(0.5), 4096, 2, 64));
             (r.throughput.ops, r.mean_latency(), r.elapsed)
         };
@@ -315,7 +315,7 @@ mod tests {
             let mut sp = spec(RwMode::RandWrite, 4096, 1, 150);
             sp.file = format!("/w{i}");
             sp.name = format!("w{i}");
-            jobs.push((make_factory(BackendKind::Bypassd, &s, 0, 0), sp));
+            jobs.push((BackendProcess::new(BackendKind::Bypassd, &s, 0, 0), sp));
         }
         let results = run_jobs(&s, jobs);
         let rates: Vec<f64> = results.iter().map(|r| r.kiops()).collect();
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn sequential_mode_walks_the_file() {
         let s = sys();
-        let f = make_factory(BackendKind::Sync, &s, 0, 0);
+        let f = BackendProcess::new(BackendKind::Sync, &s, 0, 0);
         let r = run_job(&s, f, spec(RwMode::Read, 131_072, 1, 64));
         assert_eq!(r.throughput.ops, 64);
         // 128KB sequential reads: bandwidth should be well above the 4KB
@@ -344,7 +344,7 @@ mod tests {
         let mut sp = spec(RwMode::RandWrite, 4096, 3, 20);
         sp.per_thread_files = true;
         sp.file = "/ptf".into();
-        let f = make_factory(BackendKind::Sync, &s, 0, 0);
+        let f = BackendProcess::new(BackendKind::Sync, &s, 0, 0);
         let r = run_job(&s, f, sp);
         assert_eq!(r.throughput.ops, 60);
         assert!(s.fs().lookup("/ptf-0").is_ok());

@@ -12,7 +12,7 @@
 //! produces 6 index levels; see DESIGN.md.
 
 use bypassd::System;
-use bypassd_backends::traits::{ChainDecider, Handle, OffloadProg, StorageBackend};
+use bypassd_backends::{Backend, ChainDecider, Handle, OffloadProg};
 use bypassd_os::{Errno, SysResult};
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::time::Nanos;
@@ -155,7 +155,7 @@ impl BpfKv {
     pub fn get(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         key: u64,
     ) -> SysResult<[u8; 64]> {
@@ -163,7 +163,7 @@ impl BpfKv {
     }
 
     /// The operation-IR point-lookup program for this store's geometry:
-    /// load it once with [`StorageBackend::prog_load`], then drive
+    /// load it once with [`Backend::prog_load`], then drive
     /// [`BpfKv::get_offload`]. The same ops run on the device engine
     /// (BypassD+offload), the kernel hook (XRP), and host interpretation.
     pub fn lookup_ops(&self) -> Vec<bypassd_offload::Op> {
@@ -185,7 +185,7 @@ impl BpfKv {
     pub fn get_offload(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         prog: &OffloadProg,
         key: u64,
@@ -198,7 +198,7 @@ impl BpfKv {
     fn lookup(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         key: u64,
         prog: Option<&OffloadProg>,

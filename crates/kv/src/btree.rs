@@ -18,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd::System;
-use bypassd_backends::traits::{ChainDecider, Handle, StorageBackend};
+use bypassd_backends::{Backend, ChainDecider, Handle};
 use bypassd_ext4::layout::Ino;
 use bypassd_os::pagecache::PageCache;
 use bypassd_os::{Errno, SysResult};
@@ -230,7 +230,7 @@ impl BtreeStore {
     fn descend(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         key: u64,
     ) -> SysResult<(u64, Vec<u8>)> {
@@ -284,7 +284,7 @@ impl BtreeStore {
     pub fn read(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         key: u64,
     ) -> SysResult<Option<[u8; 16]>> {
@@ -302,7 +302,7 @@ impl BtreeStore {
     pub fn update(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         key: u64,
         value: &[u8; 15],
@@ -326,7 +326,7 @@ impl BtreeStore {
     pub fn scan(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         key: u64,
         items: usize,
@@ -355,7 +355,7 @@ impl BtreeStore {
     pub fn execute(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         op: YcsbOp,
     ) -> SysResult<()> {

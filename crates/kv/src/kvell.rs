@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use bypassd::System;
-use bypassd_backends::traits::{Handle, StorageBackend};
+use bypassd_backends::{Backend, Handle};
 use bypassd_os::{Errno, SysResult};
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::stats::Throughput;
@@ -107,7 +107,7 @@ impl Kvell {
     pub fn run_ycsb(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         gen: &mut YcsbGen,
         ops: u64,
@@ -173,7 +173,7 @@ impl Kvell {
     pub fn get(
         &self,
         ctx: &mut ActorCtx,
-        backend: &mut dyn StorageBackend,
+        backend: &mut Backend,
         h: Handle,
         key: u64,
     ) -> SysResult<Vec<u8>> {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd::System;
-use bypassd_backends::{make_factory, BackendFactory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_kv::{
     BpfKv, BpfKvConfig, BtreeConfig, BtreeStore, Kvell, KvellConfig, YcsbGen, YcsbOp, YcsbWorkload,
 };
@@ -32,20 +32,20 @@ fn run<T: Send + 'static>(f: impl FnOnce(&mut bypassd_sim::ActorCtx) -> T + Send
 fn btree_read_returns_built_values() {
     let s = sys();
     let store = Arc::new(BtreeStore::build(&s, BtreeConfig::new("/bt", 10_000, 64 << 10)).unwrap());
-    let f = make_factory(BackendKind::Bypassd, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Bypassd, &s, 0, 0);
     run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, store.file(), true).unwrap();
         for key in [0u64, 1, 20, 21, 999, 9_999] {
             let v = store
-                .read(ctx, &mut *b, h, key)
+                .read(ctx, &mut b, h, key)
                 .unwrap()
                 .expect("missing key");
             assert_eq!(v[0], 1, "live flag");
             assert_eq!(u64::from_le_bytes(v[1..9].try_into().unwrap()), key);
         }
         // Preallocated-but-uninserted key reads as absent.
-        assert!(store.read(ctx, &mut *b, h, 11_000).unwrap().is_none());
+        assert!(store.read(ctx, &mut b, h, 11_000).unwrap().is_none());
     });
 }
 
@@ -53,17 +53,17 @@ fn btree_read_returns_built_values() {
 fn btree_update_then_read() {
     let s = sys();
     let store = Arc::new(BtreeStore::build(&s, BtreeConfig::new("/bt2", 5_000, 64 << 10)).unwrap());
-    let f = make_factory(BackendKind::Sync, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Sync, &s, 0, 0);
     run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, store.file(), true).unwrap();
-        store.update(ctx, &mut *b, h, 42, &[9u8; 15]).unwrap();
-        let v = store.read(ctx, &mut *b, h, 42).unwrap().unwrap();
+        store.update(ctx, &mut b, h, 42, &[9u8; 15]).unwrap();
+        let v = store.read(ctx, &mut b, h, 42).unwrap().unwrap();
         assert_eq!(&v[1..16], &[9u8; 15]);
         // Insert activates a preallocated key.
-        assert!(store.read(ctx, &mut *b, h, 5_500).unwrap().is_none());
-        store.update(ctx, &mut *b, h, 5_500, &[3u8; 15]).unwrap();
-        assert!(store.read(ctx, &mut *b, h, 5_500).unwrap().is_some());
+        assert!(store.read(ctx, &mut b, h, 5_500).unwrap().is_none());
+        store.update(ctx, &mut b, h, 5_500, &[3u8; 15]).unwrap();
+        assert!(store.read(ctx, &mut b, h, 5_500).unwrap().is_some());
     });
 }
 
@@ -79,15 +79,15 @@ fn btree_depth_matches_geometry() {
 fn btree_cache_turns_repeat_reads_cheap() {
     let s = sys();
     let store = Arc::new(BtreeStore::build(&s, BtreeConfig::new("/bt4", 50_000, 4 << 20)).unwrap());
-    let f = make_factory(BackendKind::Bypassd, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Bypassd, &s, 0, 0);
     let (cold, warm) = run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, store.file(), false).unwrap();
         let t0 = ctx.now();
-        store.read(ctx, &mut *b, h, 31_337).unwrap();
+        store.read(ctx, &mut b, h, 31_337).unwrap();
         let cold = ctx.now() - t0;
         let t1 = ctx.now();
-        store.read(ctx, &mut *b, h, 31_337).unwrap();
+        store.read(ctx, &mut b, h, 31_337).unwrap();
         (cold, ctx.now() - t1)
     });
     // Warm reads cost only engine CPU (~6.4µs at the WiredTiger-like
@@ -104,14 +104,14 @@ fn btree_scan_is_one_descent_plus_contiguous_read() {
     let s = sys();
     let store =
         Arc::new(BtreeStore::build(&s, BtreeConfig::new("/bt5", 50_000, 64 << 10)).unwrap());
-    let f = make_factory(BackendKind::Sync, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Sync, &s, 0, 0);
     run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, store.file(), false).unwrap();
-        let got = store.scan(ctx, &mut *b, h, 100, 80).unwrap();
+        let got = store.scan(ctx, &mut b, h, 100, 80).unwrap();
         assert_eq!(got, 80);
         // Scan near the end clamps.
-        let got = store.scan(ctx, &mut *b, h, 49_990, 80).unwrap();
+        let got = store.scan(ctx, &mut b, h, 49_990, 80).unwrap();
         assert!(got >= 10, "clamped scan too short: {got}");
     });
 }
@@ -124,15 +124,15 @@ fn btree_xrp_beats_sync_only_when_cache_small() {
         Arc::new(BtreeStore::build(&s, BtreeConfig::new("/bt6", 200_000, 16 << 10)).unwrap());
     let time_for = |kind: BackendKind, store: Arc<BtreeStore>, sys: &System| {
         sys.reset_virtual_time();
-        let f = make_factory(kind, sys, 0, 0);
+        let f = BackendProcess::new(kind, sys, 0, 0);
         run(move |ctx| {
-            let mut b = f.make_thread();
+            let mut b = f.thread();
             let h = b.open(ctx, store.file(), true).unwrap();
             let mut gen = YcsbGen::new(YcsbWorkload::C, 200_000, 200_000, 11);
             let t0 = ctx.now();
             for _ in 0..300 {
                 let op = gen.next_op();
-                store.execute(ctx, &mut *b, h, op).unwrap();
+                store.execute(ctx, &mut b, h, op).unwrap();
             }
             let dt = ctx.now() - t0;
             b.close(ctx, h).unwrap();
@@ -151,15 +151,15 @@ fn bpfkv_lookup_is_seven_ios_and_correct() {
     let s = sys();
     let store = Arc::new(BpfKv::build(&s, BpfKvConfig::new("/bpf", 10_000)).unwrap());
     assert_eq!(store.ios_per_lookup(), 7);
-    let f = make_factory(BackendKind::Bypassd, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Bypassd, &s, 0, 0);
     run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, store.file(), false).unwrap();
         for key in [0u64, 1, 777, 9_999] {
-            let v = store.get(ctx, &mut *b, h, key).unwrap();
+            let v = store.get(ctx, &mut b, h, key).unwrap();
             assert_eq!(v[0], key as u8, "value mismatch for {key}");
         }
-        assert!(store.get(ctx, &mut *b, h, 10_000).is_err());
+        assert!(store.get(ctx, &mut b, h, 10_000).is_err());
     });
 }
 
@@ -169,15 +169,15 @@ fn bpfkv_latency_ordering_fig15() {
     let store = Arc::new(BpfKv::build(&s, BpfKvConfig::new("/bpf2", 50_000)).unwrap());
     let time_for = |kind: BackendKind| {
         s.reset_virtual_time();
-        let f = make_factory(kind, &s, 0, 0);
+        let f = BackendProcess::new(kind, &s, 0, 0);
         let st = Arc::clone(&store);
         run(move |ctx| {
-            let mut b = f.make_thread();
+            let mut b = f.thread();
             let h = b.open(ctx, st.file(), false).unwrap();
-            st.get(ctx, &mut *b, h, 123).unwrap(); // warm
+            st.get(ctx, &mut b, h, 123).unwrap(); // warm
             let t0 = ctx.now();
             for k in [5u64, 4_000, 44_000, 17, 31_000] {
-                st.get(ctx, &mut *b, h, k).unwrap();
+                st.get(ctx, &mut b, h, k).unwrap();
             }
             let dt = (ctx.now() - t0) / 5;
             b.close(ctx, h).unwrap();
@@ -205,13 +205,13 @@ fn kvell_qd1_vs_qd64_throughput_latency_tradeoff() {
     let store = Arc::new(Kvell::build(&s, KvellConfig::new("/kv", 20_000)).unwrap());
     let run_with = |qd: usize| {
         s.reset_virtual_time();
-        let f = Arc::new(bypassd_backends::LibaioFactory::new(&s, 0, 0, qd));
+        let f = bypassd_backends::BackendProcess::libaio(&s, 0, 0, qd);
         let st = Arc::clone(&store);
         run(move |ctx| {
-            let mut b = f.make_thread();
+            let mut b = f.thread();
             let h = b.open(ctx, st.file(), true).unwrap();
             let mut gen = YcsbGen::new(YcsbWorkload::B, 20_000, 20_000, 3);
-            let r = st.run_ycsb(ctx, &mut *b, h, &mut gen, 400, qd).unwrap();
+            let r = st.run_ycsb(ctx, &mut b, h, &mut gen, 400, qd).unwrap();
             b.close(ctx, h).unwrap();
             r
         })
@@ -234,22 +234,22 @@ fn kvell_bypassd_sync_latency_far_below_qd64() {
     let s = sys();
     let store = Arc::new(Kvell::build(&s, KvellConfig::new("/kv2", 20_000)).unwrap());
     // BypassD with the synchronous interface (default submit/poll).
-    let f = make_factory(BackendKind::Bypassd, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Bypassd, &s, 0, 0);
     let st = Arc::clone(&store);
     let byp = run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, st.file(), true).unwrap();
         let mut gen = YcsbGen::new(YcsbWorkload::C, 20_000, 20_000, 5);
-        st.run_ycsb(ctx, &mut *b, h, &mut gen, 300, 1).unwrap()
+        st.run_ycsb(ctx, &mut b, h, &mut gen, 300, 1).unwrap()
     });
     s.reset_virtual_time();
-    let f64x = Arc::new(bypassd_backends::LibaioFactory::new(&s, 0, 0, 64));
+    let f64x = bypassd_backends::BackendProcess::libaio(&s, 0, 0, 64);
     let st = Arc::clone(&store);
     let kvell64 = run(move |ctx| {
-        let mut b = f64x.make_thread();
+        let mut b = f64x.thread();
         let h = b.open(ctx, st.file(), true).unwrap();
         let mut gen = YcsbGen::new(YcsbWorkload::C, 20_000, 20_000, 5);
-        st.run_ycsb(ctx, &mut *b, h, &mut gen, 300, 64).unwrap()
+        st.run_ycsb(ctx, &mut b, h, &mut gen, 300, 64).unwrap()
     });
     assert!(
         kvell64.latency.mean() > byp.latency.mean() * 10,
@@ -263,11 +263,11 @@ fn kvell_bypassd_sync_latency_far_below_qd64() {
 fn kvell_reads_live_slots() {
     let s = sys();
     let store = Arc::new(Kvell::build(&s, KvellConfig::new("/kv3", 1_000)).unwrap());
-    let f = make_factory(BackendKind::Sync, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Sync, &s, 0, 0);
     run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, store.file(), false).unwrap();
-        let v = store.get(ctx, &mut *b, h, 500).unwrap();
+        let v = store.get(ctx, &mut b, h, 500).unwrap();
         assert_eq!(u64::from_le_bytes(v[..8].try_into().unwrap()), 500);
         assert_eq!(v[8], 1);
     });
@@ -277,16 +277,16 @@ fn kvell_reads_live_slots() {
 fn ycsb_through_btree_all_workloads_complete() {
     let s = sys();
     let store = Arc::new(BtreeStore::build(&s, BtreeConfig::new("/bt7", 20_000, 1 << 20)).unwrap());
-    let f = make_factory(BackendKind::Bypassd, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Bypassd, &s, 0, 0);
     run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, store.file(), true).unwrap();
         for w in YcsbWorkload::all() {
             let mut gen = YcsbGen::new(w, 20_000, 25_000, 17);
             let t0 = ctx.now();
             for _ in 0..50 {
                 let op = gen.next_op();
-                store.execute(ctx, &mut *b, h, op).unwrap();
+                store.execute(ctx, &mut b, h, op).unwrap();
             }
             assert!(ctx.now() > t0, "{w} made no progress");
         }
@@ -297,14 +297,14 @@ fn ycsb_through_btree_all_workloads_complete() {
 fn ycsb_insert_activation_via_store() {
     let s = sys();
     let store = Arc::new(BtreeStore::build(&s, BtreeConfig::new("/bt8", 1_000, 1 << 20)).unwrap());
-    let f = make_factory(BackendKind::Sync, &s, 0, 0);
+    let f = BackendProcess::new(BackendKind::Sync, &s, 0, 0);
     run(move |ctx| {
-        let mut b = f.make_thread();
+        let mut b = f.thread();
         let h = b.open(ctx, store.file(), true).unwrap();
         store
-            .execute(ctx, &mut *b, h, YcsbOp::Insert(1_100))
+            .execute(ctx, &mut b, h, YcsbOp::Insert(1_100))
             .unwrap();
-        assert!(store.read(ctx, &mut *b, h, 1_100).unwrap().is_some());
+        assert!(store.read(ctx, &mut b, h, 1_100).unwrap().is_some());
     });
 }
 

@@ -2,9 +2,9 @@
 
 use crate::config::{AllowEntry, Config};
 
-/// Stable rule catalog: IDs never change once shipped (baselines and
-/// SARIF consumers key on them), and a retired ID is never reused (R6
-/// is retired). `(id, name, short description)`.
+/// Stable rule catalog: IDs never change once shipped (SARIF consumers
+/// key on them), and a retired ID is never reused (R6 is retired).
+/// `(id, name, short description)`.
 pub const RULES: [(&str, &str, &str); 5] = [
     (
         "R1",

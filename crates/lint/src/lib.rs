@@ -26,15 +26,12 @@
 //! carries a mandatory `reason`, so the allowlist doubles as the audit
 //! log of every place the rules are deliberately bent. Unused entries
 //! are reported (fatal under `--strict`) so the file cannot rot.
-//! `lint.baseline` + `--baseline` give CI a differential mode that
-//! fails only on findings new since the committed baseline; [`sarif`]
-//! renders the findings machine-readably for artifact upload.
+//! [`sarif`] renders the findings machine-readably for artifact upload.
 //!
 //! `syn` is unavailable offline, so the pass runs on a purpose-built
 //! lexer ([`lexer`]) plus a light structural model ([`model`]) — see
 //! DESIGN.md §11 and §16 for the trade-offs.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod diag;

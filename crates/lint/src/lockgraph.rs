@@ -197,14 +197,14 @@ impl LockGraph {
     pub fn extend_with_calls(&mut self, files: &[SourceFile], graph: &CallGraph) {
         // Transitive may-acquire per call-graph node, seeded from the
         // per-function scans.
-        let mut trans: Vec<BTreeMap<String, EdgeSite>> = graph
+        let mut trans: Vec<BTreeSet<String>> = graph
             .fns
             .iter()
             .map(|node| {
                 let key = (files[node.file].path.clone(), node.body.start);
                 self.fn_info
                     .get(&key)
-                    .map(|i| i.local.clone())
+                    .map(|i| i.local.keys().cloned().collect())
                     .unwrap_or_default()
             })
             .collect();
@@ -219,11 +219,8 @@ impl LockGraph {
                         if callee == caller {
                             continue;
                         }
-                        let merged: Vec<(String, EdgeSite)> = trans[callee]
-                            .iter()
-                            .filter(|(k, _)| !trans[caller].contains_key(*k))
-                            .map(|(k, s)| (k.clone(), s.clone()))
-                            .collect();
+                        let merged: Vec<String> =
+                            trans[callee].difference(&trans[caller]).cloned().collect();
                         if !merged.is_empty() {
                             trans[caller].extend(merged);
                             changed = true;
@@ -258,15 +255,7 @@ impl LockGraph {
                         if callee == caller {
                             continue;
                         }
-                        for (acquired, seed) in &trans[callee] {
-                            if std::env::var("LINT_DEBUG_EDGES").is_ok() {
-                                eprintln!(
-                                    "edge {}:{} {} --call {}--> {} ({}:{}) acquires {} (seeded at {}:{} in {})",
-                                    file.path, call.line, node.name, call.name,
-                                    graph.fns[callee].name, files[graph.fns[callee].file].path,
-                                    graph.fns[callee].line, acquired, seed.path, seed.line, seed.func,
-                                );
-                            }
+                        for acquired in &trans[callee] {
                             let site = EdgeSite {
                                 path: file.path.clone(),
                                 line: call.line,

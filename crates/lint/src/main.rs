@@ -3,8 +3,6 @@
 //! ```text
 //! cargo xtask lint                  # R1–R5 workspace invariant checks
 //! cargo xtask lint --strict         # also fail on unused allow entries
-//! cargo xtask lint --baseline       # fail only on findings not in lint.baseline
-//! cargo xtask lint --write-baseline # accept current findings as the baseline
 //! cargo xtask lint --sarif out.sarif --json out.json   # machine-readable exports
 //! cargo xtask lint --budget-ms 10000  # fail if the analyzer exceeds the budget
 //! cargo xtask loom                  # schedule-perturbation model tests (--cfg loom)
@@ -12,8 +10,7 @@
 //! cargo xtask verify                # lint --strict + loom + miri (miri skipped when unavailable)
 //! ```
 //!
-//! `lint` exits non-zero when any rule fires (in `--baseline` mode: any
-//! *new* finding); `miri` exits zero with a notice when the Miri
+//! `lint` exits non-zero when any rule fires; `miri` exits zero with a notice when the Miri
 //! component is not installed (CI installs it; the offline dev container
 //! cannot), or non-zero with `--strict`.
 
@@ -62,10 +59,6 @@ struct LintOpts {
     verbose: bool,
     /// Unused allow entries become fatal.
     strict: bool,
-    /// Differential mode: fail only on findings absent from `lint.baseline`.
-    baseline: bool,
-    /// Accept the current findings as the new `lint.baseline`.
-    write_baseline: bool,
     sarif: Option<PathBuf>,
     json: Option<PathBuf>,
     /// Fail when the analyzer takes longer than this.
@@ -83,8 +76,6 @@ impl LintOpts {
             match a.as_str() {
                 "-v" | "--verbose" => o.verbose = true,
                 "--strict" => o.strict = true,
-                "--baseline" => o.baseline = true,
-                "--write-baseline" => o.write_baseline = true,
                 "--sarif" => {
                     o.sarif = Some(PathBuf::from(
                         args_iter.next().ok_or("--sarif needs a path")?,
@@ -106,9 +97,6 @@ impl LintOpts {
                 }
                 other => return Err(format!("unknown lint flag `{other}`")),
             }
-        }
-        if o.baseline && o.write_baseline {
-            return Err("--baseline and --write-baseline are mutually exclusive".to_string());
         }
         Ok(o)
     }
@@ -160,8 +148,7 @@ fn lint(opts: &LintOpts) -> ExitCode {
         }
     }
 
-    // Machine-readable exports always reflect the full active set, even
-    // in baseline mode — the artifact is the complete picture.
+    // Machine-readable exports always reflect the full active set.
     if let Some(path) = &opts.sarif {
         if let Err(e) = std::fs::write(path, bypassd_lint::sarif::to_sarif(&report.active)) {
             eprintln!("xtask lint: writing {}: {e}", path.display());
@@ -176,53 +163,8 @@ fn lint(opts: &LintOpts) -> ExitCode {
         }
     }
 
-    let baseline_path = root.join("lint.baseline");
-    if opts.write_baseline {
-        let set = bypassd_lint::baseline::compute(&report.active);
-        let n = set.len();
-        if let Err(e) = std::fs::write(&baseline_path, bypassd_lint::baseline::render(&set)) {
-            eprintln!("xtask lint: writing lint.baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("xtask lint: wrote lint.baseline with {n} fingerprint(s)");
-    } else if opts.baseline {
-        let set = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => bypassd_lint::baseline::parse(&s),
-            Err(_) => {
-                eprintln!(
-                    "xtask lint: no lint.baseline found — treating every finding as new \
-                     (generate one with --write-baseline)"
-                );
-                Default::default()
-            }
-        };
-        let (new, stale) = bypassd_lint::baseline::diff(&report.active, &set);
-        if stale > 0 {
-            eprintln!(
-                "xtask lint: {stale} stale baseline entr{} no longer match — \
-                 regenerate with --write-baseline",
-                if stale == 1 { "y" } else { "ies" }
-            );
-        }
-        for d in &new {
-            eprintln!("{d}");
-        }
-        eprintln!(
-            "xtask lint: {} files scanned, {} findings ({} new vs baseline, {} allowlisted) in {}ms",
-            report.files_scanned,
-            report.active.len(),
-            new.len(),
-            report.suppressed.len(),
-            elapsed_ms
-        );
-        if !new.is_empty() {
-            failed = true;
-        }
-        return finish(failed, elapsed_ms, opts);
-    } else {
-        for d in &report.active {
-            eprintln!("{d}");
-        }
+    for d in &report.active {
+        eprintln!("{d}");
     }
 
     eprintln!(
@@ -232,13 +174,7 @@ fn lint(opts: &LintOpts) -> ExitCode {
         report.suppressed.len(),
         elapsed_ms
     );
-    if !opts.write_baseline && !report.ok() {
-        failed = true;
-    }
-    finish(failed, elapsed_ms, opts)
-}
-
-fn finish(mut failed: bool, elapsed_ms: u64, opts: &LintOpts) -> ExitCode {
+    failed |= !report.ok();
     if let Some(budget) = opts.budget_ms {
         if elapsed_ms > budget {
             eprintln!(

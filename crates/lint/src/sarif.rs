@@ -5,8 +5,8 @@
 //!
 //! Stability contract: rule IDs (`R1`..`R5`) and the field names
 //! emitted here are part of the tool's interface — CI artifact
-//! consumers and the baseline file key on them. Never renumber; R6 is
-//! retired and never reused.
+//! consumers key on them. Never renumber; R6 is retired and never
+//! reused.
 
 use crate::diag::{Diagnostic, RULES};
 

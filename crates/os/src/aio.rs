@@ -9,8 +9,6 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
-
 use bypassd_hw::types::SECTOR_SIZE;
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::time::Nanos;
@@ -48,16 +46,40 @@ pub enum AioData {
 pub struct AioEvent {
     /// The submitter's cookie.
     pub user_data: u64,
-    /// Bytes transferred.
-    pub len: usize,
-    /// Read data (empty for writes).
+    /// Bytes transferred, or `Io` when a command of the iocb failed on
+    /// the media or its completion was lost.
+    pub res: SysResult<usize>,
+    /// Read data (empty for writes and failed iocbs).
     pub data: Vec<u8>,
 }
 
+/// An iocb in flight: its device commands still to complete.
 struct Pending {
     user_data: u64,
     len: usize,
     dma: Option<DmaBuffer>,
+    left: usize,
+    failed: bool,
+}
+
+impl Pending {
+    /// The iocb's completion event: its bytes, or `Io` if it failed.
+    fn into_event(self) -> AioEvent {
+        let (res, data) = match (&self.dma, self.failed) {
+            (_, true) => (Err(Errno::Io), Vec::new()),
+            (Some(dma), false) => {
+                let mut d = vec![0u8; self.len];
+                dma.read(0, &mut d);
+                (Ok(self.len), d)
+            }
+            (None, false) => (Ok(self.len), Vec::new()),
+        };
+        AioEvent {
+            user_data: self.user_data,
+            res,
+            data,
+        }
+    }
 }
 
 /// Entries in an AIO context's device queue: the NVMe maximum (a 16-bit
@@ -66,11 +88,15 @@ struct Pending {
 /// what refuses an iocb the iocb count admits.
 const QUEUE_ENTRIES: usize = 1 << 16;
 
-/// An AIO context (one per `io_setup`).
+/// An AIO context (one per `io_setup`), owned by the thread that set
+/// it up.
 pub struct AioCtx {
     queue: QueueId,
     depth: usize,
-    pending: Mutex<HashMap<u16, Pending>>,
+    /// In-flight iocbs, by the command id of their last command.
+    pending: HashMap<u16, Pending>,
+    /// Every in-flight command id → the key of its iocb in `pending`.
+    cmds: HashMap<u16, u16>,
 }
 
 impl std::fmt::Debug for AioCtx {
@@ -90,7 +116,8 @@ impl Kernel {
         AioCtx {
             queue: self.device().create_queue(None, QUEUE_ENTRIES),
             depth: depth.max(1),
-            pending: Mutex::new(HashMap::new()),
+            pending: HashMap::new(),
+            cmds: HashMap::new(),
         }
     }
 
@@ -106,13 +133,13 @@ impl Kernel {
         &self,
         ctx: &mut ActorCtx,
         pid: Pid,
-        aio: &AioCtx,
+        aio: &mut AioCtx,
         ops: Vec<AioOp>,
     ) -> SysResult<usize> {
         ctx.delay(self.cost().user_to_kernel);
         let mut accepted = 0usize;
         for op in ops {
-            let res = if aio.pending.lock().len() >= aio.depth {
+            let res = if aio.pending.len() >= aio.depth {
                 Err(Errno::Again)
             } else {
                 self.submit_one(ctx, pid, aio, op)
@@ -130,7 +157,13 @@ impl Kernel {
         Ok(accepted)
     }
 
-    fn submit_one(&self, ctx: &mut ActorCtx, pid: Pid, aio: &AioCtx, op: AioOp) -> SysResult<()> {
+    fn submit_one(
+        &self,
+        ctx: &mut ActorCtx,
+        pid: Pid,
+        aio: &mut AioCtx,
+        op: AioOp,
+    ) -> SysResult<()> {
         let (len, write) = match &op.data {
             AioData::Read(l) => (*l as u64, false),
             AioData::Write(d) => (d.len() as u64, true),
@@ -156,9 +189,8 @@ impl Kernel {
         }
         ctx.delay(extra);
         // One device command per segment, rung as one all-or-nothing
-        // batch; completion of the *last* segment completes the iocb.
-        // (Files here are contiguous; treat multi-segment as consecutive
-        // commands whose DMA concatenates.)
+        // batch whose DMA concatenates; the iocb completes once every
+        // command has.
         let dma = DmaBuffer::alloc(self.mem(), len as usize);
         if write {
             if let AioData::Write(d) = &op.data {
@@ -183,13 +215,16 @@ impl Kernel {
         self.device()
             .submit_batch(aio.queue, cmds, ctx.now(), &mut cids)
             .map_err(|_| Errno::Again)?;
-        let cid = *cids.last().ok_or(Errno::Inval)?;
-        aio.pending.lock().insert(
-            cid,
+        let key = *cids.last().ok_or(Errno::Inval)?;
+        aio.cmds.extend(cids.iter().map(|&cid| (cid, key)));
+        aio.pending.insert(
+            key,
             Pending {
                 user_data: op.user_data,
                 len: len as usize,
                 dma: (!write).then_some(dma),
+                left: cids.len(),
+                failed: false,
             },
         );
         Ok(())
@@ -202,11 +237,14 @@ impl Kernel {
     }
 
     /// `io_getevents(2)`: waits until at least `min` completions are
-    /// available (or none are in flight) and returns up to `max`.
+    /// available (or none are in flight) and returns up to `max`. An
+    /// iocb whose command failed reports `Io`; so does one whose
+    /// completion the device never posts, once nothing else is in
+    /// flight on the queue (the driver's timeout abort).
     pub fn io_getevents(
         &self,
         ctx: &mut ActorCtx,
-        aio: &AioCtx,
+        aio: &mut AioCtx,
         min: usize,
         max: usize,
     ) -> Vec<AioEvent> {
@@ -217,28 +255,36 @@ impl Kernel {
             self.device()
                 .reap_ready_into(aio.queue, ctx.now(), max - events.len(), &mut comps);
             for c in comps.drain(..) {
-                if let Some(p) = aio.pending.lock().remove(&c.cid) {
-                    let data = match &p.dma {
-                        Some(dma) => {
-                            let mut d = vec![0u8; p.len];
-                            dma.read(0, &mut d);
-                            d
-                        }
-                        None => Vec::new(),
-                    };
-                    events.push(AioEvent {
-                        user_data: p.user_data,
-                        len: p.len,
-                        data,
-                    });
+                let Some(key) = aio.cmds.remove(&c.cid) else {
+                    continue;
+                };
+                let p = aio
+                    .pending
+                    .get_mut(&key)
+                    .expect("command of a pending iocb");
+                p.left -= 1;
+                p.failed |= !c.status.is_ok();
+                if p.left == 0 {
+                    events.push(aio.pending.remove(&key).expect("pending iocb").into_event());
                 }
             }
-            if events.len() >= min || aio.pending.lock().is_empty() || events.len() >= max {
+            if events.len() >= min || aio.pending.is_empty() || events.len() >= max {
                 break;
             }
             match self.device().next_ready_time(aio.queue) {
                 Some(t) => ctx.wait_until(t),
-                None => break,
+                None => {
+                    // Nothing left to post: the iocbs still pending lost
+                    // a completion.
+                    let mut lost: Vec<u16> = aio.pending.keys().copied().collect();
+                    lost.sort_unstable();
+                    for key in lost.into_iter().take(max - events.len()) {
+                        let p = aio.pending.remove(&key).expect("pending iocb");
+                        events.push(Pending { failed: true, ..p }.into_event());
+                    }
+                    aio.cmds.retain(|_, key| aio.pending.contains_key(key));
+                    break;
+                }
             }
         }
         ctx.delay(self.cost().kernel_to_user);
@@ -247,6 +293,6 @@ impl Kernel {
 
     /// Outstanding operations on a context.
     pub fn io_pending(&self, aio: &AioCtx) -> usize {
-        aio.pending.lock().len()
+        aio.pending.len()
     }
 }

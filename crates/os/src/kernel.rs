@@ -1194,20 +1194,6 @@ impl Kernel {
         Ok((of.ino, of.write, of.read))
     }
 
-    /// Functional-only read of resolved segments into `buf` (used by
-    /// paths that account timing separately).
-    pub(crate) fn fill_from_device(&self, segs: &[(Option<Lba>, u64)], buf: &mut [u8]) {
-        let mut pos = 0usize;
-        for (lba, len) in segs {
-            let chunk = &mut buf[pos..pos + *len as usize];
-            match lba {
-                Some(lba) => self.dev.read_raw(*lba, chunk),
-                None => chunk.fill(0),
-            }
-            pos += *len as usize;
-        }
-    }
-
     /// Page cache (hits, misses).
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.lock().stats()

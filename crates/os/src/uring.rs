@@ -15,7 +15,7 @@ use bypassd_hw::types::SECTOR_SIZE;
 use bypassd_sim::engine::ActorCtx;
 use bypassd_ssd::device::{BlockAddr, Command};
 use bypassd_ssd::dma::DmaBuffer;
-use bypassd_ssd::queue::QueueId;
+use bypassd_ssd::queue::{NvmeStatus, QueueId};
 
 use crate::kernel::{Errno, Kernel, SysResult};
 use crate::process::{Fd, Pid};
@@ -60,6 +60,9 @@ impl Kernel {
         self.uring_jobs.load(Ordering::Relaxed)
     }
 
+    /// One ring command: the SQE, poller pickup and reduced kernel
+    /// stack, then the device commands into (or from) a registered
+    /// buffer, which it returns once the CQE lands.
     #[allow(clippy::too_many_arguments)]
     fn uring_io(
         &self,
@@ -70,7 +73,7 @@ impl Kernel {
         offset: u64,
         len: u64,
         write_data: Option<&[u8]>,
-    ) -> SysResult<usize> {
+    ) -> SysResult<DmaBuffer> {
         if !offset.is_multiple_of(SECTOR_SIZE) || !len.is_multiple_of(SECTOR_SIZE) || len == 0 {
             return Err(Errno::Inval);
         }
@@ -113,8 +116,13 @@ impl Kernel {
                 chain: None,
             };
             let (st, ready) = self.device().execute(ring.queue, cmd, ctx.now());
-            if !st.is_ok() {
-                return Err(Errno::Inval);
+            match st {
+                s if s.is_ok() => {}
+                NvmeStatus::MediaError => {
+                    ctx.wait_until(ready);
+                    return Err(Errno::Io);
+                }
+                _ => return Err(Errno::Inval),
             }
             dma_off += *seglen as usize;
             latest = latest.max(ready);
@@ -123,13 +131,13 @@ impl Kernel {
         // CQE read from the ring. Fixed (registered) buffers: data is
         // already in the app's registered buffer — no copy-out.
         ctx.delay(cost.uring_ring_access);
-        Ok(len as usize)
+        Ok(dma)
     }
 
     /// Blocking QD1 read through the ring (fio's io_uring engine shape).
     ///
     /// # Errors
-    /// `BadF`, `Perm`, `Inval`.
+    /// `BadF`, `Perm`, `Inval`; `Io` on a media error.
     pub fn uring_read(
         &self,
         ctx: &mut ActorCtx,
@@ -139,18 +147,15 @@ impl Kernel {
         buf: &mut [u8],
         offset: u64,
     ) -> SysResult<usize> {
-        let n = self.uring_io(ctx, pid, ring, fd, offset, buf.len() as u64, None)?;
-        // Functional data: reuse the synchronous read path's resolution.
-        let (ino, _, _) = self.fd_snapshot(pid, fd)?;
-        let (segs, _) = self.fs().resolve(ino, offset, n as u64)?;
-        self.fill_from_device(&segs, &mut buf[..n]);
-        Ok(n)
+        let dma = self.uring_io(ctx, pid, ring, fd, offset, buf.len() as u64, None)?;
+        dma.read(0, buf);
+        Ok(buf.len())
     }
 
     /// Blocking QD1 write through the ring.
     ///
     /// # Errors
-    /// `BadF`, `Perm`, `Inval`.
+    /// `BadF`, `Perm`, `Inval`; `Io` on a media error.
     pub fn uring_write(
         &self,
         ctx: &mut ActorCtx,
@@ -160,6 +165,7 @@ impl Kernel {
         data: &[u8],
         offset: u64,
     ) -> SysResult<usize> {
-        self.uring_io(ctx, pid, ring, fd, offset, data.len() as u64, Some(data))
+        self.uring_io(ctx, pid, ring, fd, offset, data.len() as u64, Some(data))?;
+        Ok(data.len())
     }
 }

@@ -295,7 +295,7 @@ fn aio_qd4_overlaps_device_time() {
         let fd = k
             .sys_open(ctx, pid, "/aio", OpenFlags::rdonly_direct(), 0)
             .unwrap();
-        let aio = k.io_setup(ctx, 8);
+        let mut aio = k.io_setup(ctx, 8);
         let t0 = ctx.now();
         let ops = (0..4)
             .map(|i| AioOp {
@@ -305,11 +305,11 @@ fn aio_qd4_overlaps_device_time() {
                 data: AioData::Read(4096),
             })
             .collect();
-        assert_eq!(k.io_submit(ctx, pid, &aio, ops).unwrap(), 4);
-        let events = k.io_getevents(ctx, &aio, 4, 4);
+        assert_eq!(k.io_submit(ctx, pid, &mut aio, ops).unwrap(), 4);
+        let events = k.io_getevents(ctx, &mut aio, 4, 4);
         assert_eq!(events.len(), 4);
         for ev in &events {
-            assert_eq!(ev.len, 4096);
+            assert_eq!(ev.res, Ok(4096));
             assert!(ev.data.iter().all(|&b| b == 3));
         }
         *e.lock() = ctx.now() - t0;
@@ -355,26 +355,26 @@ fn aio_iocb_is_all_or_nothing_on_a_full_context() {
         };
         // A one-iocb context, made full by a pending read: the 2-extent
         // write is refused whole, so neither segment reaches the media.
-        let aio = k.io_setup(ctx, 1);
+        let mut aio = k.io_setup(ctx, 1);
         let read = AioOp {
             fd,
             offset: 0,
             user_data: 1,
             data: AioData::Read(4096),
         };
-        assert_eq!(k.io_submit(ctx, pid, &aio, vec![read]).unwrap(), 1);
-        let err = k.io_submit(ctx, pid, &aio, vec![write(2)]).unwrap_err();
+        assert_eq!(k.io_submit(ctx, pid, &mut aio, vec![read]).unwrap(), 1);
+        let err = k.io_submit(ctx, pid, &mut aio, vec![write(2)]).unwrap_err();
         assert_eq!(err, Errno::Again);
         assert_eq!(k.io_pending(&aio), 1);
         media([0x11, 0x33]);
         // Once the read is reaped, the context is sized in iocbs: the
         // same 2-extent iocb runs on it, both segments at once.
-        let events = k.io_getevents(ctx, &aio, 1, 1);
+        let events = k.io_getevents(ctx, &mut aio, 1, 1);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].user_data, 1);
         assert!(events[0].data.iter().all(|&b| b == 0x11));
-        assert_eq!(k.io_submit(ctx, pid, &aio, vec![write(2)]).unwrap(), 1);
-        let events = k.io_getevents(ctx, &aio, 1, 1);
+        assert_eq!(k.io_submit(ctx, pid, &mut aio, vec![write(2)]).unwrap(), 1);
+        let events = k.io_getevents(ctx, &mut aio, 1, 1);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].user_data, 2);
         assert_eq!(k.io_pending(&aio), 0);
@@ -391,12 +391,12 @@ fn aio_rejects_append() {
         let fd = k
             .sys_open(ctx, pid, "/aio2", OpenFlags::rdwr_direct(), 0)
             .unwrap();
-        let aio = k.io_setup(ctx, 4);
+        let mut aio = k.io_setup(ctx, 4);
         let err = k
             .io_submit(
                 ctx,
                 pid,
-                &aio,
+                &mut aio,
                 vec![AioOp {
                     fd,
                     offset: 4096,

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use bypassd::System;
-use bypassd_backends::{make_factory, BackendFactory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_kv::{
     BpfKv, BpfKvConfig, BtreeConfig, BtreeStore, Kvell, KvellConfig, YcsbGen, YcsbWorkload,
 };
@@ -39,15 +39,15 @@ fn main() {
         system.reset_virtual_time();
         store.clear_cache();
         let st = Arc::clone(&store);
-        let f = make_factory(kind, &system, 0, 0);
+        let f = BackendProcess::new(kind, &system, 0, 0);
         let per_op: Nanos = timed(move |ctx| {
-            let mut b = f.make_thread();
+            let mut b = f.thread();
             let h = b.open(ctx, st.file(), true).unwrap();
             let mut gen = YcsbGen::new(YcsbWorkload::C, 100_000, 100_000, 1);
             let t0 = ctx.now();
             for _ in 0..200 {
                 let op = gen.next_op();
-                st.execute(ctx, &mut *b, h, op).unwrap();
+                st.execute(ctx, &mut b, h, op).unwrap();
             }
             let dt = (ctx.now() - t0) / 200;
             b.close(ctx, h).unwrap();
@@ -67,15 +67,15 @@ fn main() {
     ] {
         system.reset_virtual_time();
         let st = Arc::clone(&store);
-        let f = make_factory(kind, &system, 0, 0);
+        let f = BackendProcess::new(kind, &system, 0, 0);
         let per_op: Nanos = timed(move |ctx| {
-            let mut b = f.make_thread();
+            let mut b = f.thread();
             let h = b.open(ctx, st.file(), false).unwrap();
             let mut gen = YcsbGen::new(YcsbWorkload::C, 50_000, 50_000, 2);
             let t0 = ctx.now();
             for _ in 0..100 {
                 if let bypassd_kv::YcsbOp::Read(k) = gen.next_op() {
-                    st.get(ctx, &mut *b, h, k).unwrap();
+                    st.get(ctx, &mut b, h, k).unwrap();
                 }
             }
             let dt = (ctx.now() - t0) / 100;
@@ -91,12 +91,12 @@ fn main() {
     for (label, qd) in [("KVell_1", 1usize), ("KVell_64", 64)] {
         system.reset_virtual_time();
         let st = Arc::clone(&store);
-        let f = Arc::new(bypassd_backends::LibaioFactory::new(&system, 0, 0, qd));
+        let f = bypassd_backends::BackendProcess::libaio(&system, 0, 0, qd);
         let (kops, lat) = timed(move |ctx| {
-            let mut b = f.make_thread();
+            let mut b = f.thread();
             let h = b.open(ctx, st.file(), true).unwrap();
             let mut gen = YcsbGen::new(YcsbWorkload::C, 50_000, 50_000, 3);
-            let r = st.run_ycsb(ctx, &mut *b, h, &mut gen, 200, qd).unwrap();
+            let r = st.run_ycsb(ctx, &mut b, h, &mut gen, 200, qd).unwrap();
             (r.throughput.kops_per_sec(r.elapsed), r.latency.mean())
         });
         println!("  {label:>8}: {kops:.0} kops/s at {lat}/request");
@@ -104,12 +104,12 @@ fn main() {
     {
         system.reset_virtual_time();
         let st = Arc::clone(&store);
-        let f = make_factory(BackendKind::Bypassd, &system, 0, 0);
+        let f = BackendProcess::new(BackendKind::Bypassd, &system, 0, 0);
         let (kops, lat) = timed(move |ctx| {
-            let mut b = f.make_thread();
+            let mut b = f.thread();
             let h = b.open(ctx, st.file(), true).unwrap();
             let mut gen = YcsbGen::new(YcsbWorkload::C, 50_000, 50_000, 3);
-            let r = st.run_ycsb(ctx, &mut *b, h, &mut gen, 200, 1).unwrap();
+            let r = st.run_ycsb(ctx, &mut b, h, &mut gen, 200, 1).unwrap();
             (r.throughput.kops_per_sec(r.elapsed), r.latency.mean())
         });
         println!(

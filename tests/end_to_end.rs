@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use bypassd::{System, UserProcess};
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_os::OpenFlags;
 use bypassd_sim::time::Nanos;
 use bypassd_sim::Simulation;
@@ -129,10 +129,10 @@ fn every_backend_reads_the_same_bytes() {
     for kind in BackendKind::all() {
         let sys2 = sys.clone();
         sys.reset_virtual_time();
-        let factory = make_factory(kind, &sys2, 0, 0);
+        let proc = BackendProcess::new(kind, &sys2, 0, 0);
         let sim = Simulation::new();
         sim.spawn("t", move |ctx| {
-            let mut b = factory.make_thread();
+            let mut b = proc.thread();
             let h = b.open(ctx, "/same", false).unwrap();
             let mut buf = vec![0u8; 16384];
             b.pread(ctx, h, &mut buf, 1 << 20).unwrap();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd::{System, TraceConfig, UserProcess};
-use bypassd_backends::{make_factory, BackendKind};
+use bypassd_backends::{BackendKind, BackendProcess};
 use bypassd_kv::{BpfKv, BpfKvConfig};
 use bypassd_sim::{Nanos, Simulation};
 
@@ -43,15 +43,15 @@ fn offload_lookup_is_one_submission_vs_seven() {
     let kv = store(&sys, "/bpfkv");
 
     for (kind, want_ops) in [(BackendKind::BypassdOffload, 1), (BackendKind::Bypassd, 7)] {
-        let factory = make_factory(kind, &sys, 0, 0);
+        let proc = BackendProcess::new(kind, &sys, 0, 0);
         let kv2 = Arc::clone(&kv);
         let value = run(&sys, move |ctx, sys| {
-            let mut b = factory.make_thread();
+            let mut b = proc.thread();
             let h = b.open(ctx, kv2.file(), false).unwrap();
             let prog = b.prog_load(ctx, &kv2.lookup_ops()).unwrap();
             sys.recorder().take_ops(); // drain open/load records
             sys.recorder().take_device();
-            let v = kv2.get_offload(ctx, &mut *b, h, &prog, 1234).unwrap();
+            let v = kv2.get_offload(ctx, &mut b, h, &prog, 1234).unwrap();
             let ops = sys.recorder().take_ops();
             let device = sys.recorder().take_device();
             assert_eq!(
@@ -91,13 +91,13 @@ fn offload_value_identical_across_engines() {
         BackendKind::Bypassd,
         BackendKind::IoUring,
     ] {
-        let factory = make_factory(kind, &sys, 0, 0);
+        let proc = BackendProcess::new(kind, &sys, 0, 0);
         let kv2 = Arc::clone(&kv);
         let values = run(&sys, move |ctx, _| {
-            let mut b = factory.make_thread();
+            let mut b = proc.thread();
             let h = b.open(ctx, kv2.file(), false).unwrap();
             let prog = b.prog_load(ctx, &kv2.lookup_ops()).unwrap();
-            keys.map(|k| kv2.get_offload(ctx, &mut *b, h, &prog, k).unwrap())
+            keys.map(|k| kv2.get_offload(ctx, &mut b, h, &prog, k).unwrap())
         });
         for (k, v) in keys.iter().zip(values.iter()) {
             assert!(
@@ -122,14 +122,14 @@ fn offload_virtual_time_is_deterministic() {
     let one_run = || {
         let sys = System::builder().build();
         let kv = store(&sys, "/bpfkv");
-        let factory = make_factory(BackendKind::BypassdOffload, &sys, 0, 0);
+        let proc = BackendProcess::new(BackendKind::BypassdOffload, &sys, 0, 0);
         run(&sys, move |ctx, _| {
-            let mut b = factory.make_thread();
+            let mut b = proc.thread();
             let h = b.open(ctx, kv.file(), false).unwrap();
             let prog = b.prog_load(ctx, &kv.lookup_ops()).unwrap();
             let mut sum = 0u64;
             for k in (0..4096u64).step_by(17) {
-                let v = kv.get_offload(ctx, &mut *b, h, &prog, k).unwrap();
+                let v = kv.get_offload(ctx, &mut b, h, &prog, k).unwrap();
                 sum = sum.wrapping_add(u64::from_le_bytes(v[..8].try_into().unwrap()));
             }
             (ctx.now(), sum)
@@ -346,10 +346,10 @@ fn cyclic_chains_stop_at_the_hop_budget_on_every_executor() {
         (BackendKind::Bypassd, true),
     ];
     for (kind, by_program) in cases {
-        let factory = make_factory(kind, &sys, 0, 0);
+        let proc = BackendProcess::new(kind, &sys, 0, 0);
         let ops = cycle.clone();
         let (result, calls, reads) = run(&sys, move |ctx, sys| {
-            let mut b = factory.make_thread();
+            let mut b = proc.thread();
             let h = b.open(ctx, "/cycle", false).unwrap();
             let prog = b.prog_load(ctx, &ops).unwrap();
             let mut calls = 0u64;
