@@ -20,6 +20,7 @@ use bypassd_qos::{QosArbiter, QosConfig, Tenant, TenantShare};
 use bypassd_sim::rng::{Fnv64, Rng, Zipfian};
 use bypassd_sim::time::Nanos;
 use bypassd_ssd::device::NvmeDevice;
+use bypassd_ssd::store::SectorStore;
 use bypassd_ssd::timing::MediaTiming;
 use bypassd_trace::Histogram;
 
@@ -269,6 +270,44 @@ fn bench_media_fingerprint(c: &mut Criterion) {
     });
 }
 
+/// The media store under `direct_read`'s data set: 64 MB of 4 KB
+/// blocks, each with its own content.
+const STAMP_BLOCKS: u64 = 16_384;
+
+/// Writes `STAMP_BLOCKS` distinct blocks into `store`.
+fn stamp(store: &mut SectorStore) {
+    let mut block: Vec<u8> = (0..BLOCK_SIZE).map(|i| i as u8).collect();
+    for b in 0..STAMP_BLOCKS {
+        block[..8].copy_from_slice(&b.to_le_bytes());
+        store.write(Lba::from_block(b), &block);
+    }
+}
+
+/// Host ns to stamp 64 MB into a fresh 8 GB store, with one store
+/// already dropped in the process (as every layerbench repetition,
+/// test and figure cell after the first finds it); and per uniform
+/// random 4 KB read from those 64 MB.
+fn bench_media_store(c: &mut Criterion) {
+    const SECTORS: u64 = (8 << 30) / 512;
+    stamp(&mut SectorStore::new(SECTORS));
+    c.bench_function("store_stamp_64mb", |b| {
+        b.iter(|| {
+            let mut store = SectorStore::new(SECTORS);
+            stamp(&mut store);
+            black_box(store.resident_blocks())
+        });
+    });
+    let mut store = SectorStore::new(SECTORS);
+    stamp(&mut store);
+    let (mut rng, mut buf) = (Rng::new(5), vec![0u8; BLOCK_SIZE as usize]);
+    c.bench_function("store_read_4k_random", |b| {
+        b.iter(|| {
+            store.read(Lba::from_block(rng.gen_range(STAMP_BLOCKS)), &mut buf);
+            black_box(buf[0])
+        });
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -282,6 +321,6 @@ criterion_group! {
     targets = bench_page_walk, bench_iommu_translate, bench_extent_resolve,
               bench_allocator, bench_histogram, bench_zipfian, bench_fnv,
               bench_journal_commit, bench_ext4_append, bench_qos_admit,
-              bench_media_fingerprint
+              bench_media_fingerprint, bench_media_store
 }
 criterion_main!(benches);

@@ -1153,16 +1153,9 @@ impl Ext4 {
             // Fill whole blocks; the tail past `size` is invisible.
             let aligned = size.div_ceil(BLOCK_SIZE).max(1) * BLOCK_SIZE;
             let (segs, _) = self.resolve(ino, 0, aligned)?;
-            let chunk = vec![fill; BLOCK_SIZE as usize];
             for (lba, len) in segs {
                 if let Some(lba) = lba {
-                    let mut written = 0;
-                    while written < len {
-                        let n = (len - written).min(BLOCK_SIZE);
-                        self.dev
-                            .write_raw(Lba(lba.0 + written / 512), &chunk[..n as usize]);
-                        written += n;
-                    }
+                    self.dev.fill_raw(lba, len / 512, fill);
                 }
             }
         }

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use bypassd_faults::plane::{FaultPlane, WriteKind, WriteVerdict};
 use bypassd_hw::iommu::{AccessKind, Iommu, PageTranslation};
-use bypassd_hw::types::{DevId, Lba, Pasid, Vba, SECTOR_SIZE};
+use bypassd_hw::types::{DevId, Lba, Pasid, Vba, SECTORS_PER_PAGE, SECTOR_SIZE};
 use bypassd_offload::{ChainSpec, HopStepper, Outcome, ProgHandle, Program, BLOCK, STEP_NS};
 use bypassd_qos::{QosArbiter, QosConfig, Tenant, TenantShare, TenantStats};
 use bypassd_sim::time::Nanos;
@@ -237,6 +237,36 @@ struct DevState {
     /// load per media write); crash campaigns install a shared plane via
     /// [`NvmeDevice::set_fault_plane`].
     faults: Arc<FaultPlane>,
+}
+
+impl DevState {
+    /// Passes a media write of `[lba, lba+sectors)` through the fault
+    /// plane and applies what survives: `apply` runs on the store over
+    /// the whole range, over each kept sector of a torn write, or not at
+    /// all for a dropped one.
+    fn media_write(
+        &mut self,
+        lba: Lba,
+        sectors: u64,
+        now: Option<Nanos>,
+        kind: WriteKind,
+        mut apply: impl FnMut(&mut SectorStore, Lba, u64),
+    ) {
+        if !self.faults.is_active() {
+            return apply(&mut self.store, lba, sectors);
+        }
+        match self.faults.on_write(lba, sectors as u32, now, kind) {
+            WriteVerdict::Persist => apply(&mut self.store, lba, sectors),
+            WriteVerdict::Drop => {}
+            WriteVerdict::Partial(mask) => {
+                for (s, keep) in mask.into_iter().enumerate() {
+                    if keep {
+                        apply(&mut self.store, lba.advance(s as u64), 1);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Per-command stage latencies, filled in by `process_inner` as the
@@ -656,34 +686,16 @@ impl NvmeDevice {
             Opcode::Write => {
                 let dma = cmd.dma.expect("write without DMA buffer");
                 let mut off = cmd.dma_offset;
-                for &(lba, sectors) in &state.io_bufs.extents {
-                    let n = (sectors as u64 * SECTOR_SIZE) as usize;
-                    let verdict = if state.faults.is_active() {
-                        state
-                            .faults
-                            .on_write(lba, sectors, Some(now), WriteKind::Timed)
-                    } else {
-                        WriteVerdict::Persist
-                    };
-                    let store = &mut state.store;
-                    let pos = lba.byte_offset();
-                    match verdict {
-                        WriteVerdict::Persist => dma.read_with(off, n, |done, src| {
-                            store.write_bytes_at(pos + done as u64, src);
-                        }),
-                        WriteVerdict::Drop => {}
-                        WriteVerdict::Partial(mask) => {
-                            let sector = SECTOR_SIZE as usize;
-                            for (s, &keep) in mask.iter().enumerate() {
-                                if keep {
-                                    dma.read_with(off + s * sector, sector, |done, src| {
-                                        store.write_bytes_at(pos + (s * sector + done) as u64, src);
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    off += n;
+                for i in 0..state.io_bufs.extents.len() {
+                    let (lba, sectors) = state.io_bufs.extents[i];
+                    let kind = WriteKind::Timed;
+                    state.media_write(lba, sectors.into(), Some(now), kind, |store, at, n| {
+                        let from = off + ((at.0 - lba.0) * SECTOR_SIZE) as usize;
+                        dma.read_with(from, (n * SECTOR_SIZE) as usize, |done, src| {
+                            store.write_bytes_at(at.byte_offset() + done as u64, src);
+                        });
+                    });
+                    off += (sectors as u64 * SECTOR_SIZE) as usize;
                 }
                 state.stats.writes += 1;
                 state.stats.written_bytes += total_bytes;
@@ -691,24 +703,8 @@ impl NvmeDevice {
             Opcode::WriteZeroes => {
                 for i in 0..state.io_bufs.extents.len() {
                     let (lba, sectors) = state.io_bufs.extents[i];
-                    if state.faults.is_active() {
-                        match state
-                            .faults
-                            .on_write(lba, sectors, Some(now), WriteKind::Timed)
-                        {
-                            WriteVerdict::Persist => state.store.write_zeroes(lba, sectors as u64),
-                            WriteVerdict::Drop => {}
-                            WriteVerdict::Partial(mask) => {
-                                for (s, &keep) in mask.iter().enumerate() {
-                                    if keep {
-                                        state.store.write_zeroes(lba.advance(s as u64), 1);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        state.store.write_zeroes(lba, sectors as u64);
-                    }
+                    let zero = SectorStore::write_zeroes;
+                    state.media_write(lba, sectors.into(), Some(now), WriteKind::Timed, zero);
                 }
                 state.stats.writes += 1;
                 state.stats.written_bytes += total_bytes;
@@ -755,10 +751,10 @@ impl NvmeDevice {
     }
 
     /// The stages in front of the media that every data access crosses,
-    /// plain commands and chain hops alike: media-error injection, QoS
-    /// admission (when `admit`), address resolution — the device-side
-    /// ATC first, then an IOMMU walk classified by level — and the range
-    /// check. On success `state.io_bufs.extents` holds the LBA extents
+    /// plain commands and chain hops alike: QoS admission (when
+    /// `admit`), address resolution — the device-side ATC first, then an
+    /// IOMMU walk classified by level — the range check, and media-error
+    /// injection. On success `state.io_bufs.extents` holds the LBA extents
     /// and `scratch` the admission delay, pressure and serialised
     /// translation cost; a failure returns the completion to post,
     /// charged for the stages it crossed.
@@ -789,14 +785,6 @@ impl NvmeDevice {
             ready_at,
             pressure,
         };
-
-        // Transient media-error injection: the access is charged its
-        // media service time but completes with MediaError and moves no
-        // data — a correctable-failure model for the retry paths.
-        if state.faults.is_active() && state.faults.take_io_error(is_write) {
-            scratch.service = service_est(state.timer.timing());
-            return Err(fail(NvmeStatus::MediaError, now + scratch.service, false));
-        }
 
         // QoS admission (§3.1 sharing): rate limits and fair-share
         // pacing delay the access's *effective arrival*; everything
@@ -889,6 +877,17 @@ impl NvmeDevice {
             let ready_at = now + scratch.translate;
             return Err(fail(NvmeStatus::LbaOutOfRange, ready_at, pressure));
         }
+
+        // Transient media-error injection, on an access that resolved
+        // (a revoked or unmapped VBA fails translation first and falls
+        // back): it is charged its media service time after the stages
+        // it crossed but completes with MediaError and moves no data — a
+        // correctable-failure model for the retry paths.
+        if state.faults.is_active() && state.faults.take_io_error(is_write) {
+            scratch.service = service_est(state.timer.timing());
+            let ready_at = now + scratch.translate + scratch.service;
+            return Err(fail(NvmeStatus::MediaError, ready_at, pressure));
+        }
         Ok(())
     }
 
@@ -896,8 +895,8 @@ impl NvmeDevice {
     /// the command's verified program, all inside this one completion.
     ///
     /// Every hop crosses [`NvmeDevice::media_front`] like a
-    /// host-submitted read — media-error injection, ATC/IOMMU
-    /// translation under the queue's PASID, range check — so a
+    /// host-submitted read — ATC/IOMMU translation under the queue's
+    /// PASID, range check, media-error injection — so a
     /// `Resubmit` into an unmapped or revoked page faults the whole chain
     /// and chains never relax the protection model. Only three things
     /// differ: QoS admits the chain once, at its first hop; every hop
@@ -1133,49 +1132,39 @@ impl NvmeDevice {
     /// through the fault plane: journal and superblock writes are crash
     /// candidates like any other.
     pub fn write_raw(&self, lba: Lba, data: &[u8]) {
+        let sectors = data.len() as u64 / SECTOR_SIZE;
+        self.state
+            .lock()
+            .media_write(lba, sectors, None, WriteKind::Raw, |store, at, n| {
+                let from = ((at.0 - lba.0) * SECTOR_SIZE) as usize;
+                store.write(at, &data[from..from + (n * SECTOR_SIZE) as usize]);
+            });
+    }
+
+    /// Writes `sectors` raw sectors of `byte`, bypassing queues and
+    /// timing: [`NvmeDevice::write_raw`] of a buffer holding only `byte`,
+    /// without the buffer. Whole blocks become fill blocks with no scan.
+    /// The fault plane sees one write per 8-sector piece from `lba`, as
+    /// a block-by-block `write_raw` shows it, so crash points number
+    /// the same.
+    pub fn fill_raw(&self, lba: Lba, sectors: u64, byte: u8) {
         let state = &mut *self.state.lock();
-        if state.faults.is_active() {
-            let sectors = (data.len() as u64 / SECTOR_SIZE) as u32;
-            match state.faults.on_write(lba, sectors, None, WriteKind::Raw) {
-                WriteVerdict::Persist => state.store.write(lba, data),
-                WriteVerdict::Drop => {}
-                WriteVerdict::Partial(mask) => {
-                    for (s, &keep) in mask.iter().enumerate() {
-                        if keep {
-                            let b = s * SECTOR_SIZE as usize;
-                            state
-                                .store
-                                .write(lba.advance(s as u64), &data[b..b + SECTOR_SIZE as usize]);
-                        }
-                    }
-                }
-            }
-        } else {
-            state.store.write(lba, data);
+        let fill = |store: &mut SectorStore, at, n| store.fill(at, n, byte);
+        for done in (0..sectors).step_by(SECTORS_PER_PAGE as usize) {
+            let n = (sectors - done).min(SECTORS_PER_PAGE);
+            state.media_write(lba.advance(done), n, None, WriteKind::Raw, fill);
         }
     }
 
     /// Zeroes raw sectors, bypassing queues and timing.
     pub fn zero_raw(&self, lba: Lba, sectors: u64) {
-        let state = &mut *self.state.lock();
-        if state.faults.is_active() {
-            match state
-                .faults
-                .on_write(lba, sectors as u32, None, WriteKind::Zeroes)
-            {
-                WriteVerdict::Persist => state.store.write_zeroes(lba, sectors),
-                WriteVerdict::Drop => {}
-                WriteVerdict::Partial(mask) => {
-                    for (s, &keep) in mask.iter().enumerate() {
-                        if keep {
-                            state.store.write_zeroes(lba.advance(s as u64), 1);
-                        }
-                    }
-                }
-            }
-        } else {
-            state.store.write_zeroes(lba, sectors);
-        }
+        self.state.lock().media_write(
+            lba,
+            sectors,
+            None,
+            WriteKind::Zeroes,
+            SectorStore::write_zeroes,
+        );
     }
 
     /// Materialised media blocks (memory accounting).
@@ -1380,6 +1369,44 @@ mod tests {
         assert!(matches!(st, NvmeStatus::TranslationFault(_)));
         assert_eq!(dev.stats().reads, 0);
         assert_eq!(dev.stats().translation_faults, 1);
+    }
+
+    #[test]
+    fn unmapped_vba_faults_before_media_error_injection() {
+        let (mem, dev, _asid, vba) = setup_with_mapping(1);
+        let q = dev.create_queue(Some(P), 32);
+        let dma = DmaBuffer::alloc(&mem, 4096);
+        dev.fault_plane().fail_reads((0..8).collect());
+        let unmapped = Command::read(BlockAddr::Vba(vba.offset(PAGE_SIZE)), 8, &dma);
+        let comp = dev.execute_full(q, unmapped, Nanos::ZERO);
+        assert!(matches!(comp.status, NvmeStatus::TranslationFault(_)));
+        assert_eq!(dev.fault_plane().stats().read_errors, 0);
+        // The plan is intact: the next resolved read takes its first error.
+        let mapped = Command::read(BlockAddr::Vba(vba), 8, &dma);
+        let comp = dev.execute_full(q, mapped, comp.ready_at);
+        assert_eq!(comp.status, NvmeStatus::MediaError);
+        assert_eq!(dev.fault_plane().stats().read_errors, 1);
+    }
+
+    #[test]
+    fn fill_raw_matches_block_by_block_write_raw_under_the_fault_plane() {
+        let (_, filled) = setup();
+        let (_, written) = setup();
+        for dev in [&filled, &written] {
+            dev.fault_plane().activate();
+            dev.fault_plane().start_recording();
+        }
+        let (lba, sectors) = (Lba(3), 21);
+        filled.fill_raw(lba, sectors, 0x42);
+        for done in (0..sectors).step_by(8) {
+            let n = (sectors - done).min(8);
+            written.write_raw(lba.advance(done), &vec![0x42; (n * SECTOR_SIZE) as usize]);
+        }
+        let schedule = filled.fault_plane().take_schedule();
+        assert_eq!(schedule.len(), 3, "one plane write per 8-sector piece");
+        assert_eq!(schedule, written.fault_plane().take_schedule());
+        assert_eq!(filled.media_fingerprint(), written.media_fingerprint());
+        assert_eq!(filled.resident_blocks(), written.resident_blocks());
     }
 
     #[test]

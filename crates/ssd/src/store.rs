@@ -1,49 +1,114 @@
 //! Sparse sector store: the device's persistent media.
 //!
-//! Data is stored in 4 KB chunks keyed by device block; blocks that were
-//! never written read back as zeroes without allocating memory, and a
-//! block that repeats one byte (a populated file, a fill pattern) is
-//! kept as that byte. Both are what let large simulated datasets stay
-//! affordable.
+//! A direct block index holds one `u32` code per 4 KB device block: a
+//! hole (never written, or zeroed whole; reads back as zeroes), a fill
+//! byte (the block repeats one byte, as a populated file does), or a
+//! data slot. The index has one leaf per 2 MB region, allocated on the
+//! region's first resident block, so a large device with a small
+//! dataset costs a few leaves, and a read is two array loads and one
+//! copy.
+//!
+//! Data slots are page-aligned 4 KB frames cut from large
+//! zero-allocated chunks. A dropped store hands its chunks to a
+//! process-wide spare list that the next store draws from first, so a
+//! fresh machine's set-up writes land in memory that is already mapped.
+//! A slot's bytes are stale until written, and every slot is fully
+//! copied or filled before a block code points at it: no byte of a
+//! dropped device is ever readable.
 
 use bypassd_hw::types::{Lba, PAGE_SIZE, SECTORS_PER_PAGE, SECTOR_SIZE};
 use bypassd_sim::rng::Fnv64;
-use bypassd_sim::FixedState;
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::ops::Range;
 
-/// One resident 4 KB block.
-enum Block {
-    /// Every byte equals this one.
+const PAGE: usize = PAGE_SIZE as usize;
+/// log2 of the blocks one index leaf maps (512 blocks: 2 MB of device).
+const LEAF_SHIFT: u32 = 9;
+const LEAF_BLOCKS: usize = 1 << LEAF_SHIFT;
+/// log2 of the frames in one chunk (512 frames: 2 MB). A slot number is
+/// its chunk's index shifted left by this, plus the frame.
+const FRAME_SHIFT: u32 = 9;
+const CHUNK_FRAMES: usize = 1 << FRAME_SHIFT;
+/// Spare chunks kept for later stores, in bytes; a dropped store's
+/// chunks beyond this go back to the allocator.
+const SPARE_LIMIT: usize = 256 << 20;
+
+/// Block codes: `HOLE`, `FILL + byte`, or `SLOT + slot number`.
+const HOLE: u32 = 0;
+const FILL: u32 = 1;
+const SLOT: u32 = FILL + 256;
+
+/// A decoded block code.
+enum Code {
+    Hole,
     Fill(u8),
-    /// Arbitrary content, `PAGE_SIZE` bytes.
-    Data(Box<[u8]>),
+    Slot(u32),
 }
 
-impl Block {
-    /// The block's bytes, materializing a fill block first.
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        if let Block::Fill(b) = *self {
-            *self = Block::Data(vec![b; PAGE_SIZE as usize].into_boxed_slice());
-        }
-        match self {
-            Block::Data(d) => d,
-            Block::Fill(_) => unreachable!("materialized above"),
-        }
+fn decode(code: u32) -> Code {
+    match code {
+        HOLE => Code::Hole,
+        c if c < SLOT => Code::Fill((c - FILL) as u8),
+        c => Code::Slot(c - SLOT),
     }
 }
 
-/// The device media: a sparse map of 4 KB blocks.
+/// `CHUNK_FRAMES` page-aligned 4 KB frames in one zero-allocated buffer.
+/// The buffer has a page to spare, so the frames start at whatever
+/// offset aligns them.
+struct Chunk {
+    buf: Box<[u8]>,
+    start: usize,
+}
+
+impl Chunk {
+    fn new() -> Self {
+        let buf = vec![0u8; CHUNK_FRAMES * PAGE + PAGE].into_boxed_slice();
+        // `align_offset` may decline to align; alignment only keeps a
+        // frame on one page, so the buffer's start then serves.
+        let start = Some(buf.as_ptr().align_offset(PAGE))
+            .filter(|&o| o < PAGE)
+            .unwrap_or(0);
+        Chunk { buf, start }
+    }
+
+    fn frame(&self, i: usize) -> &[u8] {
+        let at = self.start + i * PAGE;
+        &self.buf[at..at + PAGE]
+    }
+
+    fn frame_mut(&mut self, i: usize) -> &mut [u8] {
+        let at = self.start + i * PAGE;
+        &mut self.buf[at..at + PAGE]
+    }
+}
+
+/// Chunks of dropped stores, handed to the next store that needs one.
+/// A leaf lock: taken under the device state lock, and no other lock is
+/// taken while it is held.
+static SPARE_CHUNKS: Mutex<Vec<Chunk>> = Mutex::new(Vec::new());
+
+/// The device media: a direct index of 4 KB block codes over an arena
+/// of data frames.
 #[derive(Default)]
 pub struct SectorStore {
-    blocks: HashMap<u64, Block, FixedState>,
+    /// One leaf of block codes per 2 MB region, `None` until the
+    /// region's first resident block.
+    leaves: Vec<Option<Box<[u32; LEAF_BLOCKS]>>>,
+    arena: Arena,
+    /// Blocks whose code is not a hole.
+    resident: usize,
     capacity_sectors: u64,
 }
 
 impl SectorStore {
     /// Creates a store with the given capacity in 512 B sectors.
     pub fn new(capacity_sectors: u64) -> Self {
+        let blocks = capacity_sectors.div_ceil(SECTORS_PER_PAGE);
         SectorStore {
-            blocks: HashMap::default(),
+            leaves: vec![None; blocks.div_ceil(LEAF_BLOCKS as u64) as usize],
+            arena: Arena::default(),
+            resident: 0,
             capacity_sectors,
         }
     }
@@ -86,14 +151,13 @@ impl SectorStore {
     pub(crate) fn read_bytes_at(&self, mut pos: u64, buf: &mut [u8]) {
         let mut done = 0usize;
         while done < buf.len() {
-            let block = pos / PAGE_SIZE;
             let off = (pos % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
+            let n = (PAGE - off).min(buf.len() - done);
             let out = &mut buf[done..done + n];
-            match self.blocks.get(&block) {
-                Some(Block::Data(data)) => out.copy_from_slice(&data[off..off + n]),
-                Some(Block::Fill(b)) => out.fill(*b),
-                None => out.fill(0),
+            match decode(self.code(pos / PAGE_SIZE)) {
+                Code::Slot(s) => out.copy_from_slice(&self.arena.frame(s)[off..off + n]),
+                Code::Fill(b) => out.fill(b),
+                Code::Hole => out.fill(0),
             }
             done += n;
             pos += n as u64;
@@ -119,88 +183,209 @@ impl SectorStore {
 
     /// Writes `data` at device byte position `pos`, with no alignment
     /// requirement (the write-side twin of [`SectorStore::read_bytes_at`]).
+    /// A whole block that repeats one byte is kept as that byte; any
+    /// other whole block overwrites its slot in place.
     pub(crate) fn write_bytes_at(&mut self, mut pos: u64, data: &[u8]) {
         let mut done = 0usize;
         while done < data.len() {
             let block = pos / PAGE_SIZE;
             let off = (pos % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - off).min(data.len() - done);
+            let n = (PAGE - off).min(data.len() - done);
             let src = &data[done..done + n];
-            if n == PAGE_SIZE as usize {
-                match (uniform_fill(src), self.blocks.get_mut(&block)) {
-                    (Some(b), _) => drop(self.blocks.insert(block, Block::Fill(b))),
-                    // Overwrite in place: a fresh buffer per write would
-                    // scatter blocks over the writers' malloc arenas.
-                    (None, Some(Block::Data(d))) => d.copy_from_slice(src),
-                    (None, _) => drop(self.blocks.insert(block, Block::Data(src.into()))),
+            if n == PAGE {
+                match (uniform_fill(src), decode(self.code(block))) {
+                    (Some(b), _) => self.set(block, FILL + u32::from(b)),
+                    (None, Code::Slot(s)) => self.arena.frame_mut(s).copy_from_slice(src),
+                    (None, _) => {
+                        let s = self.arena.new_slot();
+                        self.arena.frame_mut(s).copy_from_slice(src);
+                        self.set(block, SLOT + s);
+                    }
                 }
             } else {
-                let chunk = self.blocks.entry(block).or_insert(Block::Fill(0));
-                chunk.bytes_mut()[off..off + n].copy_from_slice(src);
+                let s = self.materialize(block);
+                self.arena.frame_mut(s)[off..off + n].copy_from_slice(src);
             }
             done += n;
             pos += n as u64;
         }
     }
 
-    /// Writes zeroes over `[lba, lba+sectors)`, dropping whole blocks from
-    /// the map when possible (keeps the store sparse).
+    /// Writes `sectors` sectors of `byte` starting at `lba`: what
+    /// [`SectorStore::write`] of a buffer holding only `byte` does,
+    /// without the buffer or the scan that finds its fill byte.
+    pub fn fill(&mut self, lba: Lba, sectors: u64, byte: u8) {
+        assert!(self.in_range(lba, sectors), "fill out of device range");
+        for (block, bytes) in blocks(lba, sectors) {
+            if bytes.len() == PAGE {
+                self.set(block, FILL + u32::from(byte));
+            } else {
+                let s = self.materialize(block);
+                self.arena.frame_mut(s)[bytes].fill(byte);
+            }
+        }
+    }
+
+    /// Writes zeroes over `[lba, lba+sectors)`, turning whole blocks
+    /// into holes (keeps the store sparse).
     pub fn write_zeroes(&mut self, lba: Lba, sectors: u64) {
         assert!(self.in_range(lba, sectors), "zero out of device range");
-        let mut remaining = sectors;
-        let mut cur = lba;
-        while remaining > 0 {
-            let block = cur.block();
-            let off_sectors = cur.0 % SECTORS_PER_PAGE;
-            let n = (SECTORS_PER_PAGE - off_sectors).min(remaining);
-            if n == SECTORS_PER_PAGE {
-                self.blocks.remove(&block);
-            } else if let Some(chunk) = self.blocks.get_mut(&block) {
-                if !matches!(chunk, Block::Fill(0)) {
-                    let start = (off_sectors * SECTOR_SIZE) as usize;
-                    let len = (n * SECTOR_SIZE) as usize;
-                    chunk.bytes_mut()[start..start + len].fill(0);
-                }
+        for (block, bytes) in blocks(lba, sectors) {
+            if bytes.len() == PAGE {
+                self.set(block, HOLE);
+            } else if !matches!(decode(self.code(block)), Code::Hole | Code::Fill(0)) {
+                let s = self.materialize(block);
+                self.arena.frame_mut(s)[bytes].fill(0);
             }
-            cur = cur.advance(n);
-            remaining -= n;
         }
     }
 
     /// Number of resident (written, not zeroed) 4 KB blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.blocks.len()
+        self.resident
     }
 
     /// Deterministic FNV digest of the logical contents: blocks visited
     /// in index order, all-zero blocks skipped (so a sparse hole and an
     /// explicitly zeroed block hash identically).
     pub fn fingerprint(&self) -> u64 {
-        let mut keys: Vec<u64> = self.blocks.keys().copied().collect();
-        keys.sort_unstable();
         let mut h = Fnv64::new();
         let mut uniform = UniformBlocks::new();
-        for k in keys {
-            let block = &self.blocks[&k];
-            let fill = match block {
-                Block::Fill(b) => Some(*b),
-                Block::Data(data) => uniform_fill(data),
-            };
-            match (fill, block) {
-                (Some(0), _) => {}
-                (Some(byte), _) => {
-                    h.write_u64(k);
-                    h = Fnv64::resume(uniform.absorb(h.finish(), byte));
+        let mut absorb_fill = |h: &mut Fnv64, block: u64, byte: u8| {
+            if byte != 0 {
+                h.write_u64(block);
+                *h = Fnv64::resume(uniform.absorb(h.finish(), byte));
+            }
+        };
+        for (r, leaf) in self.leaves.iter().enumerate() {
+            let Some(leaf) = leaf else { continue };
+            for (i, &code) in leaf.iter().enumerate() {
+                let block = ((r << LEAF_SHIFT) + i) as u64;
+                match decode(code) {
+                    Code::Hole => {}
+                    Code::Fill(b) => absorb_fill(&mut h, block, b),
+                    Code::Slot(s) => {
+                        let data = self.arena.frame(s);
+                        match uniform_fill(data) {
+                            Some(b) => absorb_fill(&mut h, block, b),
+                            None => {
+                                h.write_u64(block);
+                                h.write(data);
+                            }
+                        }
+                    }
                 }
-                (None, Block::Data(data)) => {
-                    h.write_u64(k);
-                    h.write(data);
-                }
-                (None, Block::Fill(_)) => unreachable!("a fill block has its byte"),
             }
         }
         h.finish()
     }
+
+    /// The code of `block`, which the caller has range-checked.
+    fn code(&self, block: u64) -> u32 {
+        self.leaves[(block >> LEAF_SHIFT) as usize]
+            .as_ref()
+            .map_or(HOLE, |leaf| leaf[block as usize % LEAF_BLOCKS])
+    }
+
+    /// Points `block` at `code`, releasing the slot it leaves.
+    fn set(&mut self, block: u64, code: u32) {
+        let leaf = &mut self.leaves[(block >> LEAF_SHIFT) as usize];
+        if leaf.is_none() && code == HOLE {
+            return;
+        }
+        let leaf = leaf.get_or_insert_with(|| Box::new([HOLE; LEAF_BLOCKS]));
+        let old = std::mem::replace(&mut leaf[block as usize % LEAF_BLOCKS], code);
+        if old >= SLOT && old != code {
+            self.arena.free_slots.push(old - SLOT);
+        }
+        match (old == HOLE, code == HOLE) {
+            (true, false) => self.resident += 1,
+            (false, true) => self.resident -= 1,
+            _ => {}
+        }
+    }
+
+    /// `block`'s slot, first moving a hole or fill block into a new one
+    /// filled with its byte.
+    fn materialize(&mut self, block: u64) -> u32 {
+        let byte = match decode(self.code(block)) {
+            Code::Slot(s) => return s,
+            Code::Fill(b) => b,
+            Code::Hole => 0,
+        };
+        let s = self.arena.new_slot();
+        self.arena.frame_mut(s).fill(byte);
+        self.set(block, SLOT + s);
+        s
+    }
+}
+
+/// The store's data frames: chunks, each cut frame by frame, and the
+/// slots released back to it.
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Chunk>,
+    /// Slots released by overwrites and zeroing, reused first.
+    free_slots: Vec<u32>,
+    /// Frames of the last chunk handed out so far.
+    cut: usize,
+}
+
+impl Arena {
+    /// A slot no block points at, its bytes stale: a released one, else
+    /// the next frame of the last chunk, else a spare chunk's first
+    /// frame, else a new chunk's.
+    fn new_slot(&mut self) -> u32 {
+        if let Some(s) = self.free_slots.pop() {
+            return s;
+        }
+        if self.chunks.is_empty() || self.cut == CHUNK_FRAMES {
+            let spare = SPARE_CHUNKS.lock().pop();
+            self.chunks.push(spare.unwrap_or_else(Chunk::new));
+            self.cut = 0;
+        }
+        let s = (self.chunks.len() - 1) << FRAME_SHIFT | self.cut;
+        self.cut += 1;
+        u32::try_from(s)
+            .ok()
+            .filter(|&s| s <= u32::MAX - SLOT)
+            .expect("media store slots exhausted")
+    }
+
+    fn frame(&self, s: u32) -> &[u8] {
+        self.chunks[(s >> FRAME_SHIFT) as usize].frame(s as usize % CHUNK_FRAMES)
+    }
+
+    fn frame_mut(&mut self, s: u32) -> &mut [u8] {
+        self.chunks[(s >> FRAME_SHIFT) as usize].frame_mut(s as usize % CHUNK_FRAMES)
+    }
+}
+
+impl Drop for Arena {
+    fn drop(&mut self) {
+        if self.chunks.is_empty() {
+            return;
+        }
+        let mut spare = SPARE_CHUNKS.lock();
+        let room = (SPARE_LIMIT / (CHUNK_FRAMES * PAGE)).saturating_sub(spare.len());
+        let keep = self.chunks.len().min(room);
+        spare.extend(self.chunks.drain(..keep));
+    }
+}
+
+/// The blocks `[lba, lba+sectors)` touches, each with the byte range it
+/// covers inside the block.
+fn blocks(lba: Lba, sectors: u64) -> impl Iterator<Item = (u64, Range<usize>)> {
+    let (start, end) = (lba.0, lba.0 + sectors);
+    (start / SECTORS_PER_PAGE..end.div_ceil(SECTORS_PER_PAGE)).map(move |block| {
+        let first = block * SECTORS_PER_PAGE;
+        let lo = start.max(first) - first;
+        let hi = end.min(first + SECTORS_PER_PAGE) - first;
+        (
+            block,
+            (lo * SECTOR_SIZE) as usize..(hi * SECTOR_SIZE) as usize,
+        )
+    })
 }
 
 /// The byte a block repeats, if it is one byte throughout.
@@ -278,7 +463,7 @@ impl std::fmt::Debug for SectorStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SectorStore")
             .field("capacity_sectors", &self.capacity_sectors)
-            .field("resident_blocks", &self.blocks.len())
+            .field("resident_blocks", &self.resident)
             .finish()
     }
 }
@@ -289,8 +474,12 @@ mod tests {
 
     /// The byte-at-a-time digest the memoized one must match.
     fn naive_fingerprint(s: &SectorStore) -> u64 {
-        let mut keys: Vec<u64> = s.blocks.keys().copied().collect();
-        keys.sort_unstable();
+        let keys = s.leaves.iter().enumerate().flat_map(|(r, leaf)| {
+            let codes = leaf.as_deref().map_or(&[][..], |l| &l[..]);
+            (0..codes.len())
+                .filter(move |&i| codes[i] != HOLE)
+                .map(move |i| ((r << LEAF_SHIFT) + i) as u64)
+        });
         let mut h = Fnv64::new();
         for k in keys {
             let mut data = vec![0u8; PAGE_SIZE as usize];

@@ -212,6 +212,45 @@ fn persistent_media_errors_surface_as_eio() {
     sim.run();
 }
 
+/// A revoked mapping fails translation before a media-error plan is
+/// consulted, so a plain `pread` falls back to the kernel even under a
+/// persistent plan: the device serves nothing directly, and the
+/// kernel's own read takes the injected error and returns `EIO`. With
+/// one injected error, the fallback retries and returns the data.
+#[test]
+fn revoked_reads_fall_back_before_media_errors() {
+    for (errors, want) in [(64, Err(Errno::Io)), (1, Ok(4096))] {
+        let plane = Arc::new(FaultPlane::new());
+        let sys = System::builder()
+            .capacity(1 << 30)
+            .fault_plane(Arc::clone(&plane))
+            .build();
+        sys.fs().populate("/revoked", 16 * 4096, 0x42).unwrap();
+        let p = Arc::clone(&plane);
+        let sim = Simulation::new();
+        sim.spawn("app", move |ctx| {
+            let proc = UserProcess::start(&sys, 0, 0);
+            let mut t = proc.thread();
+            let fd = t.open(ctx, "/revoked", false).unwrap();
+            sys.kernel().revoke_path("/revoked").unwrap();
+            p.fail_reads((0..errors).collect());
+            let mut buf = vec![0u8; 4096];
+            assert_eq!(t.pread(ctx, fd, &mut buf, 0), want, "{errors} errors");
+            if want.is_ok() {
+                assert!(buf.iter().all(|&b| b == 0x42));
+            }
+            let (direct, fallback) = proc.op_counts();
+            assert_eq!(
+                direct, 0,
+                "{errors} errors: a revoked mapping served a read"
+            );
+            assert!(fallback > 0, "{errors} errors: the read never fell back");
+            assert!(p.stats().read_errors > 0, "{errors} errors: none fired");
+        });
+        sim.run();
+    }
+}
+
 /// One completion-loss scenario: the thread's queue, the submissions
 /// whose CQ entries are swallowed, the batched flights (reads each) and
 /// the sequential `pread`s that follow them.

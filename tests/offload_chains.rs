@@ -294,13 +294,15 @@ fn batched_chains_under_faults_match_sequential_chains() {
             "dropped completion" | "transient hop media errors" => {
                 assert_eq!((direct, fallback), (keys.len() as u64, 0), "{name}");
             }
-            // Media errors are injected ahead of translation, as for a
-            // plain read: a persistent plan fails the chain with EIO on
-            // the device before a revocation's translation fault could
-            // send it to the fallback.
-            "persistent media error" | "persistent hop media error" => {
+            // No revocation: the device engine's hops fail with media
+            // errors, the chain with EIO, and nothing falls back.
+            "persistent hop media error" => {
                 assert_eq!((direct, fallback), (0, 0), "{name}");
             }
+            // Media errors are injected after translation, so a revoked
+            // mapping fails translation first and chains fall back,
+            // persistent media error included: there the fallback's
+            // kernel reads fail with EIO.
             _ => {
                 assert_eq!(
                     direct, 0,
