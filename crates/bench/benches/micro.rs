@@ -308,6 +308,14 @@ fn bench_media_store(c: &mut Criterion) {
     });
 }
 
+/// Host time to build and drop a default `System` (tracing and QoS
+/// off): the set-up cost every test, figure cell and fleet machine pays.
+fn bench_system_build(c: &mut Criterion) {
+    c.bench_function("system_build_default", |b| {
+        b.iter(|| drop(black_box(bypassd::System::builder().build())));
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -321,6 +329,6 @@ criterion_group! {
     targets = bench_page_walk, bench_iommu_translate, bench_extent_resolve,
               bench_allocator, bench_histogram, bench_zipfian, bench_fnv,
               bench_journal_commit, bench_ext4_append, bench_qos_admit,
-              bench_media_fingerprint, bench_media_store
+              bench_media_fingerprint, bench_media_store, bench_system_build
 }
 criterion_main!(benches);

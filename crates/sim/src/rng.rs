@@ -170,7 +170,7 @@ impl Fnv64 {
     /// bytes and on `s mod 256`. XOR touches only the low 8 bits, and
     /// multiplication mod 2^8 sees only the low 8 bits, so the low byte
     /// evolves on its own and the high bits follow linearly.
-    pub fn prime_pow(n: u64) -> u64 {
+    pub const fn prime_pow(n: u64) -> u64 {
         Self::PRIME.wrapping_pow(n as u32)
     }
 

@@ -20,6 +20,7 @@ use bypassd_hw::types::{Lba, PAGE_SIZE, SECTORS_PER_PAGE, SECTOR_SIZE};
 use bypassd_sim::rng::Fnv64;
 use parking_lot::Mutex;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const PAGE: usize = PAGE_SIZE as usize;
 /// log2 of the blocks one index leaf maps (512 blocks: 2 MB of device).
@@ -250,11 +251,10 @@ impl SectorStore {
     /// explicitly zeroed block hash identically).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
-        let mut uniform = UniformBlocks::new();
-        let mut absorb_fill = |h: &mut Fnv64, block: u64, byte: u8| {
+        let absorb_fill = |h: &mut Fnv64, block: u64, byte: u8| {
             if byte != 0 {
                 h.write_u64(block);
-                *h = Fnv64::resume(uniform.absorb(h.finish(), byte));
+                *h = Fnv64::resume(absorb_uniform(h.finish(), byte));
             }
         };
         for (r, leaf) in self.leaves.iter().enumerate() {
@@ -410,54 +410,45 @@ fn uniform_fill(data: &[u8]) -> Option<u8> {
 /// block passes through, so the next low byte's constant is
 /// `c(l') = P·(c(l) − δ(l)·(P^n − 1))`, and one block pass fills a whole
 /// cycle of the table.
-struct UniformBlocks {
-    prime: u64,
-    pow: u64,
-    /// `c` by fill byte, then by the state's low byte.
-    memo: Vec<Option<Box<[Option<u64>; 256]>>>,
-}
-
-impl UniformBlocks {
-    fn new() -> Self {
-        UniformBlocks {
-            prime: Fnv64::prime_pow(1),
-            pow: Fnv64::prime_pow(PAGE_SIZE),
-            memo: vec![None; 256],
+fn absorb_uniform(state: u64, fill: u8) -> u64 {
+    const PRIME: u64 = Fnv64::prime_pow(1);
+    const POW: u64 = Fnv64::prime_pow(PAGE_SIZE);
+    let table = &UNIFORM_BLOCKS[usize::from(fill)];
+    let low = state & 0xFF;
+    // ordering: Relaxed — each entry is a pure function of its indices; a stale 0 only recomputes the same value.
+    let mut c = table[low as usize].load(Ordering::Relaxed);
+    if c == 0 {
+        let fill = u64::from(fill);
+        let delta = |l: u64| (l ^ fill).wrapping_sub(l);
+        let step = |l: u64| (l ^ fill).wrapping_mul(PRIME) & 0xFF;
+        let mut h = Fnv64::resume(low);
+        h.write(&[fill as u8; PAGE]);
+        let end = h.finish();
+        debug_assert_eq!(end & 0xFF, low, "a block returns to its low byte");
+        c = end.wrapping_sub(low.wrapping_mul(POW));
+        let (mut l, mut cl) = (low, c);
+        loop {
+            // ordering: Relaxed — racing writers store the same value.
+            table[l as usize].store(cl, Ordering::Relaxed);
+            cl = cl
+                .wrapping_sub(delta(l).wrapping_mul(POW.wrapping_sub(1)))
+                .wrapping_mul(PRIME);
+            l = step(l);
+            if l == low {
+                break;
+            }
         }
     }
-
-    /// The FNV state after absorbing a block of `fill` bytes from `state`.
-    fn absorb(&mut self, state: u64, fill: u8) -> u64 {
-        let (prime, pow) = (self.prime, self.pow);
-        let table = self.memo[usize::from(fill)].get_or_insert_with(|| Box::new([None; 256]));
-        let low = state & 0xFF;
-        let c = match table[low as usize] {
-            Some(c) => c,
-            None => {
-                let fill = u64::from(fill);
-                let delta = |l: u64| (l ^ fill).wrapping_sub(l);
-                let step = |l: u64| (l ^ fill).wrapping_mul(prime) & 0xFF;
-                let mut h = Fnv64::resume(low);
-                h.write(&[fill as u8; PAGE_SIZE as usize]);
-                let end = h.finish();
-                debug_assert_eq!(end & 0xFF, low, "a block returns to its low byte");
-                let first = end.wrapping_sub(low.wrapping_mul(pow));
-                let (mut l, mut c) = (low, first);
-                loop {
-                    table[l as usize] = Some(c);
-                    c = c
-                        .wrapping_sub(delta(l).wrapping_mul(pow.wrapping_sub(1)))
-                        .wrapping_mul(prime);
-                    l = step(l);
-                    if l == low {
-                        break first;
-                    }
-                }
-            }
-        };
-        state.wrapping_mul(pow).wrapping_add(c)
-    }
+    state.wrapping_mul(POW).wrapping_add(c)
 }
+
+/// [`absorb_uniform`]'s `c`, by fill byte and then by the state's low
+/// byte, shared by every store in the process since an entry depends on
+/// nothing else. 0 marks an entry not yet computed, so a true 0 is
+/// recomputed on every use. Untouched pages of this 512 KB table are
+/// never made resident.
+static UNIFORM_BLOCKS: [[AtomicU64; 256]; 256] =
+    [const { [const { AtomicU64::new(0) }; 256] }; 256];
 
 impl std::fmt::Debug for SectorStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -519,7 +510,6 @@ mod tests {
     #[test]
     fn uniform_block_table_matches_a_direct_block_hash() {
         use bypassd_sim::rng::fnv1a_64;
-        let mut u = UniformBlocks::new();
         let fills = [
             0x00, 0x01, 0x02, 0x0F, 0x10, 0x33, 0x42, 0x55, 0x5A, 0x7F, 0x80, 0x99, 0xA5, 0xC3,
             0xF0, 0xFE, 0xFF,
@@ -532,7 +522,7 @@ mod tests {
                 let mut h = Fnv64::resume(state);
                 h.write(&block);
                 assert_eq!(
-                    u.absorb(state, fill),
+                    absorb_uniform(state, fill),
                     h.finish(),
                     "fill {fill:#04x}, low {low:#04x}"
                 );

@@ -6,12 +6,18 @@
 //! per major bucket, 32 linear sub-buckets), giving ≤ ~3% relative
 //! error on percentiles across nanoseconds to minutes with O(1) record
 //! cost.
+//!
+//! A histogram starts with no buckets: one exists per QoS tenant, and
+//! most record only a narrow band of latencies. Its bucket `Vec` grows
+//! in whole majors (32 buckets) up to the highest bucket recorded, so at
+//! most once per major in its life, and every reader takes a missing
+//! bucket as zero. A tenant whose device latencies stay under 32 µs
+//! holds 11 majors (2.75 KB), not a dense 64-major table (16 KB).
 
 use bypassd_sim::time::Nanos;
 
 const SUB_BITS: u32 = 5; // 32 sub-buckets per power of two
 const SUB_COUNT: u64 = 1 << SUB_BITS;
-const MAJORS: usize = 64;
 
 /// A log-bucketed latency histogram.
 ///
@@ -27,6 +33,7 @@ const MAJORS: usize = 64;
 /// ```
 #[derive(Clone)]
 pub struct Histogram {
+    /// Counts up to the highest major recorded; the rest are zero.
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -41,10 +48,10 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram; it allocates nothing until it records.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; MAJORS * SUB_COUNT as usize],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -69,13 +76,36 @@ impl Histogram {
             return sub;
         }
         let shift = major as u32 - 1;
-        ((SUB_COUNT + sub + 1) << shift) - 1
+        // The top bucket's bound is 2^64 - 1: its shift wraps to zero.
+        ((SUB_COUNT + sub + 1) << shift).wrapping_sub(1)
+    }
+
+    /// Extends the buckets with zeroes through the major holding
+    /// bucket `index`.
+    fn grow_to(&mut self, index: usize) {
+        let len = (index / SUB_COUNT as usize + 1) * SUB_COUNT as usize;
+        if len > self.buckets.len() {
+            self.buckets.reserve_exact(len - self.buckets.len());
+            self.buckets.resize(len, 0);
+        }
+    }
+
+    /// [`Histogram::record`]'s first sample in a major above the top.
+    #[cold]
+    #[inline(never)]
+    fn grow_and_count(&mut self, index: usize) {
+        self.grow_to(index);
+        self.buckets[index] += 1;
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, value: Nanos) {
         let v = value.as_nanos();
-        self.buckets[Self::index(v)] += 1;
+        let i = Self::index(v);
+        match self.buckets.get_mut(i) {
+            Some(c) => *c += 1,
+            None => self.grow_and_count(i),
+        }
         self.count += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
@@ -142,6 +172,9 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if let Some(top) = other.buckets.len().checked_sub(1) {
+            self.grow_to(top);
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -229,6 +262,23 @@ mod tests {
     }
 
     #[test]
+    fn buckets_grow_by_whole_majors_to_the_highest_sample() {
+        let mut h = Histogram::new();
+        assert_eq!(h.buckets.capacity(), 0, "a new histogram allocates nothing");
+        h.record(Nanos(7));
+        assert_eq!(h.buckets.len(), 32);
+        // 20 µs lands in major 10 (16,384–32,767 ns): 11 majors.
+        h.record(Nanos::from_micros(20));
+        assert_eq!((h.buckets.len(), h.buckets.capacity()), (352, 352));
+        // A lower sample never grows it; the top bucket takes 60 majors.
+        h.record(Nanos(100));
+        assert_eq!(h.buckets.len(), 352);
+        h.record(Nanos(u64::MAX));
+        assert_eq!(h.buckets.len(), Histogram::index(u64::MAX) + 1);
+        assert_eq!(h.buckets.len(), 60 * 32);
+    }
+
+    #[test]
     #[should_panic(expected = "quantile out of range")]
     fn percentile_rejects_bad_quantile() {
         let h = Histogram::new();
@@ -251,6 +301,7 @@ mod tests {
             4_096,
             1 << 20,
             1 << 40,
+            u64::MAX,
         ] {
             let i = Histogram::index(v);
             assert!(i >= last, "index not monotone at {v}");

@@ -12,7 +12,9 @@
 //!    is a passive observer.
 //! 3. **Bounded memory.** Records land in fixed-capacity rings sharded
 //!    by queue/pid; when a ring fills, the oldest record is dropped
-//!    (flight-recorder semantics) and a drop counter ticks.
+//!    (flight-recorder semantics) and a drop counter ticks. The rings are
+//!    reserved when tracing turns on, so a recorder that never records
+//!    holds no ring memory.
 //!
 //! A sampling knob (`sample_every = n` keeps every n-th record per
 //! record kind) bounds overhead for long runs without biasing stage
@@ -106,15 +108,19 @@ struct Ring<T> {
 }
 
 impl<T> Ring<T> {
+    /// An empty ring holding no memory until [`Ring::reserve`].
     fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
         Ring {
-            // Preallocated so stamp sites never grow the ring on the hot
-            // path — a full ring recycles its slots forever.
-            buf: VecDeque::with_capacity(cap),
-            cap,
+            buf: VecDeque::new(),
+            cap: cap.max(1),
             dropped: 0,
         }
+    }
+
+    /// Allocates every slot up front so stamp sites never grow the ring
+    /// on the hot path — a full ring recycles its slots forever.
+    fn reserve(&mut self) {
+        self.buf.reserve_exact(self.cap - self.buf.len());
     }
 
     fn push(&mut self, value: T) {
@@ -150,11 +156,12 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Creates a recorder from `config`.
+    /// Creates a recorder from `config`; its rings are reserved only if
+    /// the config is enabled.
     pub fn new(config: TraceConfig) -> Arc<Recorder> {
         let shard_cap = (config.ring_capacity / SHARDS).max(1);
-        Arc::new(Recorder {
-            enabled: AtomicBool::new(config.enabled),
+        let rec = Arc::new(Recorder {
+            enabled: AtomicBool::new(false),
             sample_every: config.sample_every.max(1),
             dev_tick: AtomicU64::new(0),
             op_tick: AtomicU64::new(0),
@@ -164,7 +171,11 @@ impl Recorder {
             op_rings: (0..SHARDS)
                 .map(|_| Mutex::new(Ring::new(shard_cap)))
                 .collect(),
-        })
+        });
+        if config.enabled {
+            rec.set_enabled(true);
+        }
+        rec
     }
 
     /// A permanently-off recorder (the default-system configuration).
@@ -180,8 +191,18 @@ impl Recorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Flips the master switch at runtime.
+    /// Flips the master switch at runtime. Turning tracing on first
+    /// reserves every ring slot (once; the rings keep their memory when
+    /// tracing turns off again).
     pub fn set_enabled(&self, on: bool) {
+        if on {
+            for ring in &self.dev_rings {
+                ring.lock().reserve();
+            }
+            for ring in &self.op_rings {
+                ring.lock().reserve();
+            }
+        }
         // ordering: Relaxed — independent on/off flag; a stale read only delays observing a toggle, and all record data is published via the shard mutexes.
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -410,6 +431,63 @@ mod tests {
         rec.set_enabled(false);
         rec.record_op(|| op_rec(1, 10));
         assert_eq!(rec.take_ops().len(), 1);
+    }
+
+    /// Ring slots reserved across both kinds and every shard.
+    fn reserved(rec: &Recorder) -> usize {
+        let dev: usize = rec.dev_rings.iter().map(|r| r.lock().buf.capacity()).sum();
+        let ops: usize = rec.op_rings.iter().map(|r| r.lock().buf.capacity()).sum();
+        dev + ops
+    }
+
+    #[test]
+    fn disabled_recorder_reserves_no_ring_slots() {
+        let rec = Recorder::disabled();
+        rec.record_device(|| dev_rec(0, 0));
+        rec.record_op(|| op_rec(0, 0));
+        assert_eq!(reserved(&rec), 0);
+        rec.set_enabled(true);
+        let cap = TraceConfig::default().ring_capacity;
+        assert!(reserved(&rec) >= 2 * cap, "enabling reserves every slot");
+        let built_on = Recorder::new(TraceConfig::on());
+        assert_eq!(reserved(&rec), reserved(&built_on));
+        rec.set_enabled(false);
+        rec.set_enabled(true);
+        assert_eq!(
+            reserved(&rec),
+            reserved(&built_on),
+            "re-enabling reserves once"
+        );
+    }
+
+    #[test]
+    fn recorder_enabled_late_matches_one_built_enabled() {
+        for sample_every in [1, 3] {
+            let cfg = TraceConfig {
+                enabled: true,
+                sample_every,
+                // Two slots per shard, so the records below overflow.
+                ring_capacity: 2 * SHARDS,
+            };
+            let late = Recorder::new(TraceConfig {
+                enabled: false,
+                ..cfg
+            });
+            late.set_enabled(true);
+            let built = Recorder::new(cfg);
+            for rec in [&late, &built] {
+                for i in 0..200u64 {
+                    rec.record_device(|| dev_rec((i % 37) as u32, i * 7 % 1_000));
+                    rec.record_op(|| op_rec(i % 23, i * 11 % 1_000));
+                }
+            }
+            assert_eq!(late.counts(), built.counts());
+            assert!(built.counts().dropped > 0, "the rings overflowed");
+            // The record types carry no `PartialEq`; their `Debug` shows
+            // every field.
+            let dump = |rec: &Recorder| format!("{:?}{:?}", rec.take_device(), rec.take_ops());
+            assert_eq!(dump(&late), dump(&built));
+        }
     }
 
     #[test]

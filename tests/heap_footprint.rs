@@ -1,0 +1,117 @@
+//! Heap-footprint contract (DESIGN.md §10): observability that is not
+//! recording holds no memory.
+//!
+//! * A default `System` (tracing off) holds at most 4 MiB of heap: the
+//!   flight recorder reserves its rings only when tracing turns on.
+//! * With QoS on, binding a queue pair and completing one 4 KB read
+//!   holds at most 10 KiB per PASID, the process's one-page DMA buffer
+//!   included: a tenant's latency histogram grows with its samples
+//!   instead of starting at 16 KB.
+//!
+//! The binary installs a counting `#[global_allocator]` that tracks live
+//! heap bytes across all threads. This file is its own test target with
+//! a single `#[test]` so no parallel test can share the process.
+
+use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use bypassd::{QosConfig, System, UserProcess};
+use bypassd_sim::Simulation;
+use parking_lot::Mutex;
+
+/// Live heap bytes: allocated minus freed, by every thread.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: delegates every operation verbatim to the system allocator;
+// the counter update has no side effect on the allocation itself.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // ordering: Relaxed — a statistics counter; it publishes no memory.
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        unsafe { SysAlloc.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // ordering: Relaxed — a statistics counter; it publishes no memory.
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        unsafe { SysAlloc.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // ordering: Relaxed — a statistics counter; it publishes no memory.
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        unsafe { SysAlloc.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // ordering: Relaxed — a statistics counter; it publishes no memory.
+        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        // ordering: Relaxed — as above.
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        unsafe { SysAlloc.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn live() -> usize {
+    // ordering: Relaxed — read after the measured work on the same thread.
+    LIVE.load(Ordering::Relaxed)
+}
+
+#[test]
+fn idle_observability_holds_no_heap() {
+    const SYSTEM_BOUND: usize = 4 << 20;
+    const PASIDS: usize = 1_000;
+    const PER_PASID_BOUND: usize = 10 << 10;
+
+    let before = live();
+    let sys = System::builder().build();
+    let held = live() - before;
+    // `BYPASSD_TRACE=1` turns tracing on in every build; its rings are
+    // then reserved by design.
+    if !sys.recorder().on() {
+        assert!(
+            held <= SYSTEM_BOUND,
+            "a default System holds {held} B of heap (contract: at most {SYSTEM_BOUND} B)"
+        );
+    }
+    drop(sys);
+
+    let sys = System::builder().qos(QosConfig::enabled()).build();
+    sys.fs().populate("/f", 4 << 20, 0x42).unwrap();
+    let sim = Simulation::new();
+    let s2 = sys.clone();
+    let held = Arc::new(Mutex::new(0));
+    let h2 = Arc::clone(&held);
+    sim.spawn("tenants", move |ctx| {
+        let mut buf = [0u8; 4096];
+        let mut procs = Vec::with_capacity(PASIDS);
+        let mut bytes = 0;
+        for i in 0..PASIDS as u64 {
+            let proc = UserProcess::start(&s2, 1000, 1000);
+            // Queue-pair bind registers the PASID's tenant with the
+            // device; the read records its first latency sample.
+            let before = live();
+            let mut t = proc.thread_with(4, 4096);
+            bytes += live() - before;
+            let fd = t.open(ctx, "/f", false).unwrap();
+            let before = live();
+            assert_eq!(t.pread(ctx, fd, &mut buf, (i % 1024) * 4096).unwrap(), 4096);
+            bytes += live() - before;
+            procs.push((proc, t));
+        }
+        *h2.lock() = bytes;
+    });
+    sim.run();
+    let per_pasid = *held.lock() / PASIDS;
+    assert!(
+        per_pasid <= PER_PASID_BOUND,
+        "binding a queue pair and one read hold {per_pasid} B per PASID \
+         (contract: at most {PER_PASID_BOUND} B)"
+    );
+}
