@@ -15,12 +15,13 @@ use std::sync::Arc;
 
 use bypassd::System;
 use bypassd_hw::types::{Lba, SECTOR_SIZE};
+use bypassd_os::kernel::run_lba_io;
 use bypassd_os::{Errno, SysResult};
-use bypassd_sim::engine::ActorCtx;
+use bypassd_sim::engine::{block_on, ActorCtx};
 use bypassd_sim::Nanos;
-use bypassd_ssd::device::{BlockAddr, Command, NvmeDevice, Opcode};
+use bypassd_ssd::device::{Command, NvmeDevice};
 use bypassd_ssd::dma::DmaBuffer;
-use bypassd_ssd::queue::{NvmeStatus, QueueId};
+use bypassd_ssd::queue::QueueId;
 
 use crate::Handle;
 
@@ -31,7 +32,7 @@ struct SpdkFile {
 }
 
 impl SpdkFile {
-    fn segments(&self, offset: u64, len: u64) -> Option<Vec<(Lba, u64)>> {
+    fn segments(&self, offset: u64, len: u64) -> Option<Vec<(Option<Lba>, u64)>> {
         let mut out = Vec::new();
         let mut cur = offset;
         let end = offset + len;
@@ -42,7 +43,7 @@ impl SpdkFile {
                 .find(|(fo, _, el)| *fo <= cur && cur < fo + el)?;
             let within = cur - e.0;
             let n = (e.2 - within).min(end - cur);
-            out.push((Lba(e.1 .0 + within / SECTOR_SIZE), n));
+            out.push((Some(Lba(e.1 .0 + within / SECTOR_SIZE)), n));
             cur += n;
         }
         Some(out)
@@ -59,19 +60,6 @@ pub struct SpdkBackend {
     dma: DmaBuffer,
     files: HashMap<Handle, SpdkFile>,
     next_handle: Handle,
-}
-
-/// The outcome of a command that completed with `st` at `ready`: a
-/// media error surfaces as `Io` once the completion has landed.
-fn check(ctx: &mut ActorCtx, st: NvmeStatus, ready: Nanos) -> SysResult<()> {
-    match st {
-        s if s.is_ok() => Ok(()),
-        NvmeStatus::MediaError => {
-            ctx.wait_until(ready);
-            Err(Errno::Io)
-        }
-        _ => Err(Errno::Inval),
-    }
 }
 
 impl SpdkBackend {
@@ -106,13 +94,10 @@ impl SpdkBackend {
         sectors: u32,
         out: &mut [u8],
     ) -> SysResult<()> {
-        let (st, ready) = self.dev.execute(
-            self.qid,
-            Command::read(BlockAddr::Lba(lba), sectors, &self.dma),
-            ctx.now(),
-        );
-        check(ctx, st, ready)?;
-        ctx.wait_until(ready);
+        let segs = [(Some(lba), u64::from(sectors) * SECTOR_SIZE)];
+        block_on(run_lba_io(
+            ctx, &self.dev, self.qid, false, &segs, &self.dma, 0,
+        ))?;
         self.dma.read(0, out);
         Ok(())
     }
@@ -134,24 +119,10 @@ impl SpdkBackend {
         }
         let segs = f.segments(offset, len).ok_or(Errno::Inval)?;
         ctx.delay(self.overhead());
-        let mut latest = ctx.now();
-        let mut dma_off = 0usize;
-        for (lba, n) in segs {
-            let cmd = Command {
-                opcode: if write { Opcode::Write } else { Opcode::Read },
-                addr: BlockAddr::Lba(lba),
-                sectors: (n / SECTOR_SIZE) as u32,
-                dma: Some(&self.dma),
-                dma_offset: dma_off,
-                chain: None,
-            };
-            let (st, ready) = self.dev.execute(self.qid, cmd, ctx.now());
-            check(ctx, st, ready)?;
-            dma_off += n as usize;
-            latest = latest.max(ready);
-        }
-        ctx.wait_until(latest);
-        Ok(())
+        // No retry: SPDK's driver surfaces a media error as is.
+        block_on(run_lba_io(
+            ctx, &self.dev, self.qid, write, &segs, &self.dma, 0,
+        ))
     }
 
     /// "Opens" a file by snapshotting its extent layout into the

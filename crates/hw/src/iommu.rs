@@ -425,31 +425,9 @@ impl Iommu {
         access: AccessKind,
         requester: DevId,
     ) -> Result<Translation, (TranslateError, Nanos)> {
-        self.translate_collect(pasid, vba, len, access, requester, None)
-    }
-
-    /// As [`Iommu::translate`], additionally appending one
-    /// [`PageTranslation`] per page to `collect` when provided. Devices
-    /// with an ATS cache pass `Some` to populate their ATC from the same
-    /// walk; the plain path passes `None` and pays nothing extra.
-    ///
-    /// # Errors
-    /// See [`TranslateError`].
-    ///
-    /// # Panics
-    /// Panics if `vba`/`len` are not sector aligned or `len` is zero.
-    pub fn translate_collect(
-        &mut self,
-        pasid: Pasid,
-        vba: Vba,
-        len: u64,
-        access: AccessKind,
-        requester: DevId,
-        collect: Option<&mut Vec<PageTranslation>>,
-    ) -> Result<Translation, (TranslateError, Nanos)> {
         let mut extents = Vec::new();
         let info =
-            self.translate_extents_into(pasid, vba, len, access, requester, collect, &mut extents)?;
+            self.translate_extents_into(pasid, vba, len, access, requester, None, &mut extents)?;
         Ok(Translation {
             extents,
             cost: info.cost,
@@ -458,7 +436,7 @@ impl Iommu {
         })
     }
 
-    /// As [`Iommu::translate_collect`], but appends the coalesced extents
+    /// As [`Iommu::translate`], but appends the coalesced extents
     /// to a caller-provided buffer instead of allocating — the device's
     /// steady-state path. Extents coalesce only within this request,
     /// never with entries already in `extents`.

@@ -9,10 +9,9 @@
 
 use std::collections::HashMap;
 
-use bypassd_hw::types::SECTOR_SIZE;
 use bypassd_sim::engine::ActorCtx;
 use bypassd_sim::time::Nanos;
-use bypassd_ssd::device::{BlockAddr, Command, Opcode};
+use bypassd_ssd::device::{lba_commands, Opcode};
 use bypassd_ssd::dma::DmaBuffer;
 use bypassd_ssd::queue::QueueId;
 
@@ -168,49 +167,25 @@ impl Kernel {
             AioData::Read(l) => (*l as u64, false),
             AioData::Write(d) => (d.len() as u64, true),
         };
-        if !op.offset.is_multiple_of(SECTOR_SIZE) || len % SECTOR_SIZE != 0 || len == 0 {
-            return Err(Errno::Inval);
-        }
         // Kernel stack per iocb (VFS + block + driver), serial on the
         // submitting core; plus libaio bookkeeping.
         ctx.delay(self.cost().vfs(len) + self.cost().block_path() + self.cost().aio_overhead);
-
-        let of = self.fd_of(pid, op.fd)?;
-        if write && !of.1 {
-            return Err(Errno::Perm);
-        }
-        let size = self.fs().size_of(of.0)?;
-        if op.offset + len > size {
-            return Err(Errno::Inval); // aio path: no appends (KVell preallocates)
-        }
-        let (segs, extra) = self.fs().resolve(of.0, op.offset, len)?;
+        let (segs, extra) = self.direct_segments(pid, op.fd, op.offset, len, write)?;
         if segs.len() > QUEUE_ENTRIES {
             return Err(Errno::Inval); // more extents than a device queue holds
         }
         ctx.delay(extra);
         // One device command per segment, rung as one all-or-nothing
         // batch whose DMA concatenates; the iocb completes once every
-        // command has.
+        // command has. A hole is `Inval` (KVell preallocates).
         let dma = DmaBuffer::alloc(self.mem(), len as usize);
-        if write {
-            if let AioData::Write(d) = &op.data {
-                dma.write(0, d);
-            }
+        if let AioData::Write(d) = &op.data {
+            dma.write(0, d);
         }
         let opcode = if write { Opcode::Write } else { Opcode::Read };
-        let mut cmds = Vec::with_capacity(segs.len());
-        let mut dma_off = 0usize;
-        for (lba, seglen) in &segs {
-            cmds.push(Command {
-                opcode,
-                addr: BlockAddr::Lba(lba.ok_or(Errno::Inval)?),
-                sectors: (*seglen / SECTOR_SIZE) as u32,
-                dma: Some(&dma),
-                dma_offset: dma_off,
-                chain: None,
-            });
-            dma_off += *seglen as usize;
-        }
+        let cmds = lba_commands(opcode, &segs, &dma)
+            .map(|(_, _, cmd)| cmd.ok_or(Errno::Inval))
+            .collect::<SysResult<Vec<_>>>()?;
         let mut cids = Vec::with_capacity(cmds.len());
         self.device()
             .submit_batch(aio.queue, cmds, ctx.now(), &mut cids)
@@ -228,12 +203,6 @@ impl Kernel {
             },
         );
         Ok(())
-    }
-
-    fn fd_of(&self, pid: Pid, fd: Fd) -> SysResult<(bypassd_ext4::Ino, bool)> {
-        // (ino, writable)
-        let of = self.fd_snapshot(pid, fd)?;
-        Ok((of.0, of.1))
     }
 
     /// `io_getevents(2)`: waits until at least `min` completions are

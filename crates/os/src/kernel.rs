@@ -23,7 +23,7 @@ use bypassd_hw::types::{Lba, Pasid, Vba, SECTOR_SIZE};
 use bypassd_qos::{Tenant, TenantShare};
 use bypassd_sim::engine::{block_on, ActorCtx};
 use bypassd_sim::time::Nanos;
-use bypassd_ssd::device::{BlockAddr, Command, NvmeDevice};
+use bypassd_ssd::device::{lba_commands, Command, NvmeDevice, Opcode};
 use bypassd_ssd::dma::DmaBuffer;
 use bypassd_ssd::queue::{NvmeStatus, QueueId};
 use bypassd_trace::{IoPath, Metric, MetricSource, OpRecord, Recorder};
@@ -84,6 +84,10 @@ impl std::error::Error for Errno {}
 
 /// Result alias for syscalls.
 pub type SysResult<T> = Result<T, Errno>;
+
+/// A resolved file range as `Ext4::resolve` returns it: one `(lba, len)`
+/// per segment in bytes, with `lba` `None` over a hole.
+pub(crate) type Segments = Vec<(Option<Lba>, u64)>;
 
 /// `open()` flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +171,7 @@ pub struct Kernel {
     cost: CostModel,
     state: Mutex<KState>,
     cache: Mutex<PageCache>,
-    kq: QueueId,
+    pub(crate) kq: QueueId,
     /// Administrative QoS policy: per-uid shares applied to queue pairs
     /// at bind time. Uids absent here get the device's default share.
     qos_shares: Mutex<std::collections::HashMap<u32, TenantShare>>,
@@ -557,7 +561,7 @@ impl Kernel {
             let fit = pool.iter().rposition(|b| b.len() >= len);
             fit.map(|i| pool.swap_remove(i))
         };
-        pooled.unwrap_or_else(|| DmaBuffer::alloc(&self.mem, len))
+        pooled.unwrap_or_else(|| DmaBuffer::alloc(&self.mem, len.max(1)))
     }
 
     /// Returns a buffer from [`Kernel::take_dma`] to the pool.
@@ -570,120 +574,68 @@ impl Kernel {
         }
     }
 
-    /// Issues device reads for resolved segments, filling `buf`
-    /// (holes read as zeros). Waits for all completions.
-    pub(crate) fn device_read(
+    /// The validate-and-resolve prelude of the direct LBA paths
+    /// (io_uring, libaio, XRP): `offset` and `len` whole sectors and `len`
+    /// non-zero, the fd open for the access, and the range inside the
+    /// file (these paths do not append). Returns `fs.resolve`'s segments
+    /// and lookup time, uncharged: each path charges it in its own order.
+    ///
+    /// # Errors
+    /// `Inval`, `BadF`, `Perm`.
+    pub(crate) fn direct_segments(
         &self,
-        ctx: &mut ActorCtx,
-        segs: &[(Option<Lba>, u64)],
-        buf: &mut [u8],
-    ) -> SysResult<()> {
-        block_on(self.device_read_fut(ctx, segs, buf))
+        pid: Pid,
+        fd: Fd,
+        offset: u64,
+        len: u64,
+        write: bool,
+    ) -> SysResult<(Segments, Nanos)> {
+        if !offset.is_multiple_of(SECTOR_SIZE) || !len.is_multiple_of(SECTOR_SIZE) || len == 0 {
+            return Err(Errno::Inval);
+        }
+        let of = self.fd_info(pid, fd)?;
+        if !(if write { of.write } else { of.read }) {
+            return Err(Errno::Perm);
+        }
+        if offset + len > self.fs.size_of(of.ino)? {
+            return Err(Errno::Inval);
+        }
+        Ok(self.fs.resolve(of.ino, offset, len)?)
     }
 
-    /// The async body of [`Kernel::device_read`].
+    /// The block layer's read: [`run_lba_io`] of `segs` on queue `qid`
+    /// with one retry, through one pooled buffer, into `buf` (holes read
+    /// as zeros).
     pub(crate) async fn device_read_fut(
         &self,
         ctx: &mut ActorCtx,
+        qid: QueueId,
         segs: &[(Option<Lba>, u64)],
         buf: &mut [u8],
     ) -> SysResult<()> {
-        let mut pending: Vec<(Nanos, &mut [u8], DmaBuffer)> = Vec::new();
-        let mut rest = buf;
-        for (lba, len) in segs {
-            let (chunk, r) = rest.split_at_mut(*len as usize);
-            rest = r;
-            match lba {
-                Some(lba) => {
-                    if *len % SECTOR_SIZE != 0 {
-                        return Err(Errno::Inval);
-                    }
-                    let dma = self.take_dma(*len as usize);
-                    let (mut st, mut ready) = self.dev.execute(
-                        self.kq,
-                        Command::read(BlockAddr::Lba(*lba), (*len / SECTOR_SIZE) as u32, &dma),
-                        ctx.now(),
-                    );
-                    if matches!(st, NvmeStatus::MediaError) {
-                        // The kernel retries a transient media error once
-                        // before failing the request with EIO.
-                        ctx.sleep_until(ready).await;
-                        (st, ready) = self.dev.execute(
-                            self.kq,
-                            Command::read(BlockAddr::Lba(*lba), (*len / SECTOR_SIZE) as u32, &dma),
-                            ctx.now(),
-                        );
-                    }
-                    match st {
-                        s if s.is_ok() => pending.push((ready, chunk, dma)),
-                        NvmeStatus::MediaError => {
-                            ctx.sleep_until(ready).await;
-                            return Err(Errno::Io);
-                        }
-                        _ => return Err(Errno::Inval),
-                    }
-                }
-                None => chunk.fill(0),
-            }
+        let dma = self.take_dma(buf.len());
+        let res = run_lba_io(ctx, &self.dev, qid, false, segs, &dma, 1).await;
+        if res.is_ok() {
+            dma.read(0, buf);
         }
-        let latest = pending
-            .iter()
-            .map(|(t, _, _)| *t)
-            .fold(ctx.now(), Nanos::max);
-        ctx.sleep_until(latest).await;
-        for (_, chunk, dma) in pending {
-            dma.read(0, chunk);
-            self.give_dma(dma);
-        }
-        Ok(())
+        self.give_dma(dma);
+        res
     }
 
-    /// Issues device writes for resolved segments from `data`. Waits for
-    /// all completions.
+    /// The block layer's write of `data` over `segs`, as
+    /// [`Kernel::device_read_fut`] (a hole is `Inval`).
     pub(crate) async fn device_write_fut(
         &self,
         ctx: &mut ActorCtx,
+        qid: QueueId,
         segs: &[(Option<Lba>, u64)],
         data: &[u8],
     ) -> SysResult<()> {
-        let mut offset = 0usize;
-        let mut latest = ctx.now();
-        for (lba, len) in segs {
-            let chunk = &data[offset..offset + *len as usize];
-            offset += *len as usize;
-            let lba = lba.ok_or(Errno::Inval)?;
-            if *len % SECTOR_SIZE != 0 {
-                return Err(Errno::Inval);
-            }
-            let dma = self.take_dma(chunk.len());
-            dma.write(0, chunk);
-            let (mut st, mut ready) = self.dev.execute(
-                self.kq,
-                Command::write(BlockAddr::Lba(lba), (*len / SECTOR_SIZE) as u32, &dma),
-                ctx.now(),
-            );
-            if matches!(st, NvmeStatus::MediaError) {
-                // One kernel-side retry, then EIO (mirrors device_read).
-                ctx.sleep_until(ready).await;
-                (st, ready) = self.dev.execute(
-                    self.kq,
-                    Command::write(BlockAddr::Lba(lba), (*len / SECTOR_SIZE) as u32, &dma),
-                    ctx.now(),
-                );
-            }
-            match st {
-                s if s.is_ok() => {}
-                NvmeStatus::MediaError => {
-                    ctx.sleep_until(ready).await;
-                    return Err(Errno::Io);
-                }
-                _ => return Err(Errno::Inval),
-            }
-            self.give_dma(dma);
-            latest = latest.max(ready);
-        }
-        ctx.sleep_until(latest).await;
-        Ok(())
+        let dma = self.take_dma(data.len());
+        dma.write(0, data);
+        let res = run_lba_io(ctx, &self.dev, qid, true, segs, &dma, 1).await;
+        self.give_dma(dma);
+        res
     }
 
     async fn writeback_fut(
@@ -696,7 +648,7 @@ impl Kernel {
             let (segs, extra) = self.fs.resolve(ino, block * BLOCK_SIZE, BLOCK_SIZE)?;
             ctx.sleep(extra).await;
             if segs.iter().all(|(l, _)| l.is_some()) {
-                self.device_write_fut(ctx, &segs, &data).await?;
+                self.device_write_fut(ctx, self.kq, &segs, &data).await?;
             }
         }
         Ok(())
@@ -761,7 +713,7 @@ impl Kernel {
         if of.direct {
             ctx.sleep(self.cost.block_path()).await;
             if offset.is_multiple_of(SECTOR_SIZE) && len.is_multiple_of(SECTOR_SIZE) {
-                self.device_read_fut(ctx, &segs, &mut buf[..len as usize])
+                self.device_read_fut(ctx, self.kq, &segs, &mut buf[..len as usize])
                     .await?;
             } else {
                 // Unaligned direct I/O: bounce through an aligned span
@@ -772,7 +724,8 @@ impl Kernel {
                 let (asegs, extra2) = self.fs.resolve(of.ino, start, span_end - start)?;
                 ctx.sleep(extra2).await;
                 let mut bounce = vec![0u8; (span_end - start) as usize];
-                self.device_read_fut(ctx, &asegs, &mut bounce).await?;
+                self.device_read_fut(ctx, self.kq, &asegs, &mut bounce)
+                    .await?;
                 let off = (offset - start) as usize;
                 buf[..len as usize].copy_from_slice(&bounce[off..off + len as usize]);
             }
@@ -850,7 +803,7 @@ impl Kernel {
             if offset.is_multiple_of(SECTOR_SIZE) && len.is_multiple_of(SECTOR_SIZE) {
                 let (segs, extra) = self.fs.resolve(of.ino, offset, len)?;
                 ctx.sleep(extra + self.cost.block_path()).await;
-                self.device_write_fut(ctx, &segs, data).await?;
+                self.device_write_fut(ctx, self.kq, &segs, data).await?;
             } else {
                 // Unaligned direct write: read-modify-write the covering
                 // aligned span through a bounce buffer.
@@ -859,10 +812,11 @@ impl Kernel {
                 let (asegs, extra) = self.fs.resolve(of.ino, start, span_end - start)?;
                 ctx.sleep(extra + self.cost.block_path()).await;
                 let mut bounce = vec![0u8; (span_end - start) as usize];
-                self.device_read_fut(ctx, &asegs, &mut bounce).await?;
+                self.device_read_fut(ctx, self.kq, &asegs, &mut bounce)
+                    .await?;
                 let off = (offset - start) as usize;
                 bounce[off..off + data.len()].copy_from_slice(data);
-                self.device_write_fut(ctx, &asegs, &bounce).await?;
+                self.device_write_fut(ctx, self.kq, &asegs, &bounce).await?;
             }
             if end > size {
                 self.fs.set_size(of.ino, end)?;
@@ -906,7 +860,7 @@ impl Kernel {
                     ctx.sleep(extra).await;
                     let mut d = vec![0u8; BLOCK_SIZE as usize];
                     ctx.sleep(self.cost.block_path()).await;
-                    self.device_read_fut(ctx, &segs, &mut d).await?;
+                    self.device_read_fut(ctx, self.kq, &segs, &mut d).await?;
                     let evicted = self.cache.lock().insert(ino, block, d.clone(), false);
                     for (eino, eblock, edata, edirty) in evicted {
                         if edirty {
@@ -946,7 +900,7 @@ impl Kernel {
                     ctx.sleep(extra).await;
                     let mut d = vec![0u8; BLOCK_SIZE as usize];
                     ctx.sleep(self.cost.block_path()).await;
-                    self.device_read_fut(ctx, &segs, &mut d).await?;
+                    self.device_read_fut(ctx, self.kq, &segs, &mut d).await?;
                     d
                 }
             };
@@ -1009,13 +963,13 @@ impl Kernel {
         if pad_front > 0 {
             // Preserve the partial sector's existing bytes.
             let (segs, _) = self.fs.resolve(of.ino, aligned_off, SECTOR_SIZE)?;
-            self.device_read_fut(ctx, &segs, &mut padded[..SECTOR_SIZE as usize])
+            self.device_read_fut(ctx, self.kq, &segs, &mut padded[..SECTOR_SIZE as usize])
                 .await?;
         }
         padded[pad_front..pad_front + data.len()].copy_from_slice(data);
         let (segs, extra) = self.fs.resolve(of.ino, aligned_off, total)?;
         ctx.sleep(extra + self.cost.block_path()).await;
-        self.device_write_fut(ctx, &segs, &padded).await?;
+        self.device_write_fut(ctx, self.kq, &segs, &padded).await?;
         self.fs.set_size(of.ino, size + len)?;
         self.with_proc(pid, |p| {
             if let Some(f) = p.fd_mut(fd) {
@@ -1188,16 +1142,69 @@ impl Kernel {
         Ok(self.fs.stat(of.ino)?)
     }
 
-    /// Snapshot of an fd: (inode, writable, readable).
-    pub(crate) fn fd_snapshot(&self, pid: Pid, fd: Fd) -> SysResult<(Ino, bool, bool)> {
-        let of = self.fd_info(pid, fd)?;
-        Ok((of.ino, of.write, of.read))
-    }
-
     /// Page cache (hits, misses).
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.lock().stats()
     }
+}
+
+/// The one block-I/O routine of every LBA path (the block layer,
+/// io_uring, XRP and SPDK): one command per mapped segment of `segs` on
+/// queue `qid`, into or out of `dma` at the segments' running offsets,
+/// then a wait for the latest completion. A command failing with a media
+/// error is re-issued at its completion time, up to `retries` times; one
+/// that still fails is `Io` once its completion lands, any other failure
+/// `Inval`. A read zeroes a hole's bytes in `dma`; a write to a hole, or
+/// a segment of a partial sector, is `Inval`.
+///
+/// # Errors
+/// `Io`, `Inval`.
+pub async fn run_lba_io(
+    ctx: &mut ActorCtx,
+    dev: &NvmeDevice,
+    qid: QueueId,
+    write: bool,
+    segs: &[(Option<Lba>, u64)],
+    dma: &DmaBuffer,
+    retries: u32,
+) -> SysResult<()> {
+    let opcode = if write { Opcode::Write } else { Opcode::Read };
+    let mut cmds = lba_commands(opcode, segs, dma);
+    let mut latest = ctx.now();
+    for i in 0..segs.len() {
+        // No 128-byte `Command` lives across an await (every kernel I/O
+        // future would carry it): a retry rebuilds its segment's command.
+        let (mut st, mut ready) = match cmds.next() {
+            Some((at, len, None)) if !write => {
+                dma.fill_with(at, len as usize, |_, hole| hole.fill(0));
+                continue;
+            }
+            Some((_, len, Some(cmd))) if len.is_multiple_of(SECTOR_SIZE) => {
+                dev.execute(qid, cmd, ctx.now())
+            }
+            _ => return Err(Errno::Inval),
+        };
+        for _ in 0..retries {
+            if !matches!(st, NvmeStatus::MediaError) {
+                break;
+            }
+            ctx.sleep_until(ready).await;
+            let again = lba_commands(opcode, segs, dma)
+                .nth(i)
+                .and_then(|(_, _, cmd)| cmd);
+            (st, ready) = dev.execute(qid, again.expect("a mapped segment"), ctx.now());
+        }
+        match st {
+            s if s.is_ok() => latest = latest.max(ready),
+            NvmeStatus::MediaError => {
+                ctx.sleep_until(ready).await;
+                return Err(Errno::Io);
+            }
+            _ => return Err(Errno::Inval),
+        }
+    }
+    ctx.sleep_until(latest).await;
+    Ok(())
 }
 
 impl MetricSource for Kernel {

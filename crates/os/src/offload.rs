@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use bypassd_offload::{HopStepper, Op, Outcome, ProgHandle, Program, STEP_NS};
-use bypassd_sim::engine::ActorCtx;
+use bypassd_sim::engine::{block_on, ActorCtx};
 use bypassd_sim::time::Nanos;
 
 use crate::kernel::{Errno, Kernel, SysResult};
@@ -99,27 +99,21 @@ impl Kernel {
         mut hops: HopStepper<'_>,
     ) -> SysResult<Vec<u8>> {
         let cost = *self.cost();
-        if len == 0 || !len.is_multiple_of(512) {
-            return Err(Errno::Inval);
-        }
-        let (ino, _w, readable) = self.fd_snapshot(pid, fd)?;
-        if !readable {
-            return Err(Errno::Perm);
-        }
         // One full kernel entry for the first I/O; every later hop
         // starts at the driver's completion hook.
         ctx.delay(cost.user_to_kernel + cost.vfs(len) + cost.block_path());
-        let size = self.fs().size_of(ino)?;
         let mut cur = offset;
         let mut buf = vec![0u8; len as usize];
         loop {
-            if !cur.is_multiple_of(512) || cur + len > size {
-                ctx.delay(cost.kernel_to_user);
-                return Err(Errno::Inval);
-            }
-            let (segs, extra) = self.fs().resolve(ino, cur, len)?;
+            let (segs, extra) = match self.direct_segments(pid, fd, cur, len, false) {
+                Ok(hop) => hop,
+                Err(e) => {
+                    ctx.delay(cost.kernel_to_user);
+                    return Err(e);
+                }
+            };
             ctx.delay(extra);
-            self.device_read(ctx, &segs, &mut buf)?;
+            block_on(self.device_read_fut(ctx, self.kq, &segs, &mut buf))?;
             let run = hops.step(&buf);
             // Even a zero delay yields to equal-time actors: a closure
             // hop (0 steps) must not add a scheduling point.

@@ -11,13 +11,10 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use bypassd_hw::types::SECTOR_SIZE;
-use bypassd_sim::engine::ActorCtx;
-use bypassd_ssd::device::{BlockAddr, Command};
-use bypassd_ssd::dma::DmaBuffer;
-use bypassd_ssd::queue::{NvmeStatus, QueueId};
+use bypassd_sim::engine::{block_on, ActorCtx};
+use bypassd_ssd::queue::QueueId;
 
-use crate::kernel::{Errno, Kernel, SysResult};
+use crate::kernel::{Kernel, Segments, SysResult};
 use crate::process::{Fd, Pid};
 
 /// An io_uring instance with an SQPOLL kernel thread.
@@ -60,23 +57,18 @@ impl Kernel {
         self.uring_jobs.load(Ordering::Relaxed)
     }
 
-    /// One ring command: the SQE, poller pickup and reduced kernel
-    /// stack, then the device commands into (or from) a registered
-    /// buffer, which it returns once the CQE lands.
-    #[allow(clippy::too_many_arguments)]
-    fn uring_io(
+    /// A ring command's way in: the SQE, poller pickup and reduced
+    /// kernel stack, then the checked segments of `len` bytes at
+    /// `offset`, which the block layer runs on the ring's queue.
+    fn uring_enter(
         &self,
         ctx: &mut ActorCtx,
         pid: Pid,
-        ring: &Uring,
         fd: Fd,
         offset: u64,
         len: u64,
-        write_data: Option<&[u8]>,
-    ) -> SysResult<DmaBuffer> {
-        if !offset.is_multiple_of(SECTOR_SIZE) || !len.is_multiple_of(SECTOR_SIZE) || len == 0 {
-            return Err(Errno::Inval);
-        }
+        write: bool,
+    ) -> SysResult<Segments> {
         let cost = self.cost();
         // SQE write into the shared ring — no mode switch.
         ctx.delay(cost.uring_ring_access);
@@ -84,54 +76,9 @@ impl Kernel {
         ctx.delay(cost.uring_pickup_latency(self.uring_active_jobs()));
         // Reduced kernel stack on the poller core.
         ctx.delay(cost.uring_kernel(len));
-
-        let (ino, writable, _readable) = self.fd_snapshot(pid, fd)?;
-        if write_data.is_some() && !writable {
-            return Err(Errno::Perm);
-        }
-        let size = self.fs().size_of(ino)?;
-        if offset + len > size {
-            return Err(Errno::Inval);
-        }
-        let (segs, extra) = self.fs().resolve(ino, offset, len)?;
+        let (segs, extra) = self.direct_segments(pid, fd, offset, len, write)?;
         ctx.delay(extra);
-        let dma = DmaBuffer::alloc(self.mem(), len as usize);
-        if let Some(d) = write_data {
-            dma.write(0, d);
-        }
-        let mut dma_off = 0usize;
-        let mut latest = ctx.now();
-        for (lba, seglen) in &segs {
-            let lba = lba.ok_or(Errno::Inval)?;
-            let cmd = Command {
-                opcode: if write_data.is_some() {
-                    bypassd_ssd::device::Opcode::Write
-                } else {
-                    bypassd_ssd::device::Opcode::Read
-                },
-                addr: BlockAddr::Lba(lba),
-                sectors: (*seglen / SECTOR_SIZE) as u32,
-                dma: Some(&dma),
-                dma_offset: dma_off,
-                chain: None,
-            };
-            let (st, ready) = self.device().execute(ring.queue, cmd, ctx.now());
-            match st {
-                s if s.is_ok() => {}
-                NvmeStatus::MediaError => {
-                    ctx.wait_until(ready);
-                    return Err(Errno::Io);
-                }
-                _ => return Err(Errno::Inval),
-            }
-            dma_off += *seglen as usize;
-            latest = latest.max(ready);
-        }
-        ctx.wait_until(latest);
-        // CQE read from the ring. Fixed (registered) buffers: data is
-        // already in the app's registered buffer — no copy-out.
-        ctx.delay(cost.uring_ring_access);
-        Ok(dma)
+        Ok(segs)
     }
 
     /// Blocking QD1 read through the ring (fio's io_uring engine shape).
@@ -147,8 +94,11 @@ impl Kernel {
         buf: &mut [u8],
         offset: u64,
     ) -> SysResult<usize> {
-        let dma = self.uring_io(ctx, pid, ring, fd, offset, buf.len() as u64, None)?;
-        dma.read(0, buf);
+        let segs = self.uring_enter(ctx, pid, fd, offset, buf.len() as u64, false)?;
+        block_on(self.device_read_fut(ctx, ring.queue, &segs, buf))?;
+        // CQE read from the ring. Fixed (registered) buffers: data is
+        // already in the app's registered buffer — no copy-out.
+        ctx.delay(self.cost().uring_ring_access);
         Ok(buf.len())
     }
 
@@ -165,7 +115,9 @@ impl Kernel {
         data: &[u8],
         offset: u64,
     ) -> SysResult<usize> {
-        self.uring_io(ctx, pid, ring, fd, offset, data.len() as u64, Some(data))?;
+        let segs = self.uring_enter(ctx, pid, fd, offset, data.len() as u64, true)?;
+        block_on(self.device_write_fut(ctx, ring.queue, &segs, data))?;
+        ctx.delay(self.cost().uring_ring_access); // the CQE
         Ok(data.len())
     }
 }

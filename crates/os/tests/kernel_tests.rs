@@ -84,6 +84,8 @@ fn pwrite_then_pread_roundtrip() {
         let fd = k
             .sys_open(ctx, pid, "/f", OpenFlags::rdwr_direct(), 0)
             .unwrap();
+        // An empty write is the first block-layer call: no buffer to lend.
+        assert_eq!(k.sys_pwrite(ctx, pid, fd, &[], 0), Ok(0));
         let data = vec![0x5Au8; 4096];
         k.sys_pwrite(ctx, pid, fd, &data, 8192).unwrap();
         let mut buf = vec![0u8; 4096];
@@ -498,5 +500,93 @@ fn fallocate_and_ftruncate() {
         assert_eq!(k.sys_fstat(ctx, pid, fd).unwrap().size, 1 << 20);
         k.sys_ftruncate(ctx, pid, fd, 4096).unwrap();
         assert_eq!(k.sys_fstat(ctx, pid, fd).unwrap().size, 4096);
+    });
+}
+
+#[test]
+fn uring_and_aio_reads_need_a_readable_fd() {
+    let k = kernel();
+    k.fs().populate("/wo", 4096, 0x42).unwrap();
+    run_actor(&k, |ctx, k| {
+        let pid = k.spawn_process(0, 0);
+        let write_only = OpenFlags {
+            read: false,
+            ..OpenFlags::rdwr_direct()
+        };
+        let fd = k.sys_open(ctx, pid, "/wo", write_only, 0).unwrap();
+        let mut buf = vec![0u8; 4096];
+        assert_eq!(k.sys_pread(ctx, pid, fd, &mut buf, 0), Err(Errno::Perm));
+        let ring = k.uring_setup(ctx, 4);
+        assert_eq!(
+            k.uring_read(ctx, pid, &ring, fd, &mut buf, 0),
+            Err(Errno::Perm)
+        );
+        let mut aio = k.io_setup(ctx, 4);
+        let read = AioOp {
+            fd,
+            offset: 0,
+            user_data: 0,
+            data: AioData::Read(4096),
+        };
+        assert_eq!(
+            k.io_submit(ctx, pid, &mut aio, vec![read]),
+            Err(Errno::Perm)
+        );
+        assert!(buf.iter().all(|&b| b == 0), "a refused read moved bytes");
+    });
+}
+
+#[test]
+fn uring_reads_a_hole_as_zeros_like_pread() {
+    // Block 0 holds data, block 1 is a hole (truncate up).
+    let k = kernel();
+    k.fs().populate("/hole", 4096, 0x42).unwrap();
+    run_actor(&k, |ctx, k| {
+        let pid = k.spawn_process(0, 0);
+        let fd = k
+            .sys_open(ctx, pid, "/hole", OpenFlags::rdwr_direct(), 0)
+            .unwrap();
+        k.sys_ftruncate(ctx, pid, fd, 8192).unwrap();
+        let ring = k.uring_setup(ctx, 4);
+        let mut want = vec![0x42u8; 8192];
+        want[4096..].fill(0);
+        // The pooled buffer the block layer lends already holds data.
+        let mut sync = vec![0xEEu8; 8192];
+        assert_eq!(k.sys_pread(ctx, pid, fd, &mut sync, 0), Ok(8192));
+        assert!(sync == want, "pread over the hole");
+        let mut ring_buf = vec![0xEEu8; 8192];
+        assert_eq!(
+            k.uring_read(ctx, pid, &ring, fd, &mut ring_buf, 0),
+            Ok(8192)
+        );
+        assert!(ring_buf == want, "uring_read over the hole");
+        let mut tail = vec![0xEEu8; 4096];
+        assert_eq!(k.uring_read(ctx, pid, &ring, fd, &mut tail, 4096), Ok(4096));
+        assert!(tail.iter().all(|&b| b == 0), "uring_read of the hole alone");
+    });
+}
+
+#[test]
+fn uring_read_retries_a_media_error_once() {
+    let k = kernel();
+    k.fs().populate("/flaky", 4096, 0x5A).unwrap();
+    run_actor(&k, |ctx, k| {
+        let pid = k.spawn_process(0, 0);
+        let fd = k
+            .sys_open(ctx, pid, "/flaky", OpenFlags::rdonly_direct(), 0)
+            .unwrap();
+        let ring = k.uring_setup(ctx, 4);
+        let plane = k.device().fault_plane();
+        plane.fail_reads(vec![0]);
+        let mut buf = vec![0u8; 4096];
+        assert_eq!(k.uring_read(ctx, pid, &ring, fd, &mut buf, 0), Ok(4096));
+        assert!(buf.iter().all(|&b| b == 0x5A), "retried read's bytes");
+        assert_eq!(plane.stats().read_errors, 1, "the plan fired once");
+        // Two failures in a row exhaust the one retry.
+        plane.fail_reads(vec![0, 1]);
+        assert_eq!(
+            k.uring_read(ctx, pid, &ring, fd, &mut buf, 0),
+            Err(Errno::Io)
+        );
     });
 }

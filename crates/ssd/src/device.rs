@@ -145,6 +145,30 @@ impl<'a> Command<'a> {
     }
 }
 
+/// The LBA commands for resolved file segments, in order, with their
+/// data concatenated in `dma`: each segment yields its byte offset in
+/// `dma`, its length and its command at that `dma_offset`, or `None` for
+/// a hole (an unmapped segment), which the caller zeroes or refuses.
+pub fn lba_commands<'a>(
+    opcode: Opcode,
+    segs: &'a [(Option<Lba>, u64)],
+    dma: &'a DmaBuffer,
+) -> impl Iterator<Item = (usize, u64, Option<Command<'a>>)> + 'a {
+    segs.iter().scan(0usize, move |dma_offset, &(lba, len)| {
+        let at = *dma_offset;
+        *dma_offset += len as usize;
+        let cmd = lba.map(|lba| Command {
+            opcode,
+            addr: BlockAddr::Lba(lba),
+            sectors: (len / SECTOR_SIZE) as u32,
+            dma: Some(dma),
+            dma_offset: at,
+            chain: None,
+        });
+        Some((at, len, cmd))
+    })
+}
+
 /// Submission failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
