@@ -12,7 +12,6 @@
 use crate::mem::PhysMem;
 use crate::pte::Pte;
 use crate::types::{PhysAddr, VirtAddr, PAGE_SIZE};
-use std::collections::HashSet;
 
 /// Granularity at which a shared file-table fragment is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,7 +101,9 @@ pub fn walk_raw(mem: &PhysMem, root: u64, va: VirtAddr) -> Option<Walk> {
 pub struct AddressSpace {
     mem: PhysMem,
     root: u64,
-    owned_tables: HashSet<u64>,
+    /// Table frames this space allocated (a handful: one per upper
+    /// table on a mapped path).
+    owned_tables: Vec<u64>,
     next_region: u64,
 }
 
@@ -112,13 +113,11 @@ const REGION_BASE: u64 = 0x10_0000_0000;
 impl AddressSpace {
     /// Creates an empty address space (allocates the root table).
     pub fn new(mem: &PhysMem) -> Self {
-        let root = mem.alloc_frame();
-        let mut owned = HashSet::new();
-        owned.insert(root);
+        let root = mem.alloc_table_frame();
         AddressSpace {
             mem: mem.clone(),
             root,
-            owned_tables: owned,
+            owned_tables: vec![root],
             next_region: REGION_BASE,
         }
     }
@@ -146,6 +145,9 @@ impl AddressSpace {
 
     /// Descends to the table holding the entry for `va` at `level`,
     /// creating intermediate tables as needed. Returns the table frame.
+    /// New tables at level 2 and above are sparse table frames: a
+    /// process's upper tables hold a few entries each. Leaf tables are
+    /// data frames, as shared FTE fragments are.
     fn table_for(&mut self, va: VirtAddr, level: u8) -> u64 {
         let mut table = self.root;
         for l in ((level + 1)..=4).rev() {
@@ -154,8 +156,12 @@ impl AddressSpace {
             if entry.present() {
                 table = entry.frame();
             } else {
-                let frame = self.mem.alloc_frame();
-                self.owned_tables.insert(frame);
+                let frame = if l > 2 {
+                    self.mem.alloc_table_frame()
+                } else {
+                    self.mem.alloc_frame()
+                };
+                self.owned_tables.push(frame);
                 self.mem.write_u64(addr, Pte::table(frame).bits());
                 table = frame;
             }
@@ -241,7 +247,7 @@ impl AddressSpace {
     /// Releases every table frame this address space allocated itself
     /// (shared fragments attached from inode caches are *not* freed).
     pub fn destroy(mut self) {
-        for frame in self.owned_tables.drain() {
+        for frame in self.owned_tables.drain(..) {
             self.mem.free_frame(frame);
         }
     }

@@ -56,14 +56,17 @@ pub struct AioEvent {
 struct Pending {
     user_data: u64,
     len: usize,
+    /// A read's buffer, borrowed from the kernel's DMA pool until the
+    /// event copies its first `len` bytes out.
     dma: Option<DmaBuffer>,
     left: usize,
     failed: bool,
 }
 
 impl Pending {
-    /// The iocb's completion event: its bytes, or `Io` if it failed.
-    fn into_event(self) -> AioEvent {
+    /// The iocb's completion event: its bytes, or `Io` if it failed. A
+    /// read's buffer goes back to `kernel`'s DMA pool.
+    fn into_event(self, kernel: &Kernel) -> AioEvent {
         let (res, data) = match (&self.dma, self.failed) {
             (_, true) => (Err(Errno::Io), Vec::new()),
             (Some(dma), false) => {
@@ -73,6 +76,9 @@ impl Pending {
             }
             (None, false) => (Ok(self.len), Vec::new()),
         };
+        if let Some(dma) = self.dma {
+            kernel.give_dma(dma);
+        }
         AioEvent {
             user_data: self.user_data,
             res,
@@ -176,20 +182,33 @@ impl Kernel {
         }
         ctx.delay(extra);
         // One device command per segment, rung as one all-or-nothing
-        // batch whose DMA concatenates; the iocb completes once every
+        // batch whose DMA concatenates in the first `len` bytes of a
+        // pooled buffer (it may be longer); the iocb completes once every
         // command has. A hole is `Inval` (KVell preallocates).
-        let dma = DmaBuffer::alloc(self.mem(), len as usize);
+        let dma = self.take_dma(len as usize);
         if let AioData::Write(d) = &op.data {
             dma.write(0, d);
         }
         let opcode = if write { Opcode::Write } else { Opcode::Read };
-        let cmds = lba_commands(opcode, &segs, &dma)
+        let submitted = lba_commands(opcode, &segs, &dma)
             .map(|(_, _, cmd)| cmd.ok_or(Errno::Inval))
-            .collect::<SysResult<Vec<_>>>()?;
-        let mut cids = Vec::with_capacity(cmds.len());
-        self.device()
-            .submit_batch(aio.queue, cmds, ctx.now(), &mut cids)
-            .map_err(|_| Errno::Again)?;
+            .collect::<SysResult<Vec<_>>>()
+            .and_then(|cmds| {
+                let mut cids = Vec::with_capacity(cmds.len());
+                self.device()
+                    .submit_batch(aio.queue, cmds, ctx.now(), &mut cids)
+                    .map_err(|_| Errno::Again)?;
+                Ok(cids)
+            });
+        // A write's bytes left with the submission; a read's buffer
+        // waits for its event's copy.
+        let dma = if write || submitted.is_err() {
+            self.give_dma(dma);
+            None
+        } else {
+            Some(dma)
+        };
+        let cids = submitted?;
         let key = *cids.last().ok_or(Errno::Inval)?;
         aio.cmds.extend(cids.iter().map(|&cid| (cid, key)));
         aio.pending.insert(
@@ -197,7 +216,7 @@ impl Kernel {
             Pending {
                 user_data: op.user_data,
                 len: len as usize,
-                dma: (!write).then_some(dma),
+                dma,
                 left: cids.len(),
                 failed: false,
             },
@@ -234,7 +253,8 @@ impl Kernel {
                 p.left -= 1;
                 p.failed |= !c.status.is_ok();
                 if p.left == 0 {
-                    events.push(aio.pending.remove(&key).expect("pending iocb").into_event());
+                    let p = aio.pending.remove(&key).expect("pending iocb");
+                    events.push(p.into_event(self));
                 }
             }
             if events.len() >= min || aio.pending.is_empty() || events.len() >= max {
@@ -249,7 +269,7 @@ impl Kernel {
                     lost.sort_unstable();
                     for key in lost.into_iter().take(max - events.len()) {
                         let p = aio.pending.remove(&key).expect("pending iocb");
-                        events.push(Pending { failed: true, ..p }.into_event());
+                        events.push(Pending { failed: true, ..p }.into_event(self));
                     }
                     aio.cmds.retain(|_, key| aio.pending.contains_key(key));
                     break;

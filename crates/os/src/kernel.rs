@@ -182,9 +182,10 @@ pub struct Kernel {
     /// Flight recorder, wired once by the system builder. Syscall-layer
     /// reads/writes stamp an [`OpRecord`] with `path = Kernel`.
     recorder: OnceLock<Arc<Recorder>>,
-    /// Free pinned buffers for the block layer's device commands: each
-    /// segment in flight borrows one ([`Kernel::take_dma`]) and returns
-    /// it after its copy, so steady-state kernel I/O allocates no frames.
+    /// Free pinned buffers for the block layer's device commands and
+    /// libaio iocbs: each segment or iocb in flight borrows one
+    /// ([`Kernel::take_dma`]) and returns it after its copy, so
+    /// steady-state kernel I/O allocates no frames.
     dma_pool: Mutex<Vec<DmaBuffer>>,
 }
 
@@ -555,7 +556,7 @@ impl Kernel {
     // ---- data path helpers ----
 
     /// A pinned buffer of at least `len` bytes, from the pool if one fits.
-    fn take_dma(&self, len: usize) -> DmaBuffer {
+    pub(crate) fn take_dma(&self, len: usize) -> DmaBuffer {
         let pooled = {
             let mut pool = self.dma_pool.lock();
             let fit = pool.iter().rposition(|b| b.len() >= len);
@@ -565,7 +566,7 @@ impl Kernel {
     }
 
     /// Returns a buffer from [`Kernel::take_dma`] to the pool.
-    fn give_dma(&self, dma: DmaBuffer) {
+    pub(crate) fn give_dma(&self, dma: DmaBuffer) {
         if dma.len() <= DMA_POOL_MAX_LEN {
             let mut pool = self.dma_pool.lock();
             if pool.len() < DMA_POOL_MAX_BUFFERS {

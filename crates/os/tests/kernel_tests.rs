@@ -323,6 +323,42 @@ fn aio_qd4_overlaps_device_time() {
 }
 
 #[test]
+fn aio_read_iocbs_reuse_pooled_dma_buffers() {
+    let k = kernel();
+    k.fs().populate("/pool", 1 << 20, 0x5A).unwrap();
+    run_actor(&k, |ctx, k| {
+        let pid = k.spawn_process(0, 0);
+        let fd = k
+            .sys_open(ctx, pid, "/pool", OpenFlags::rdonly_direct(), 0)
+            .unwrap();
+        let mut aio = k.io_setup(ctx, 1);
+        let read = |i: u64| AioOp {
+            fd,
+            offset: (i % 256) * 4096,
+            user_data: i,
+            data: AioData::Read(4096),
+        };
+        let mut run = |i: u64| -> u64 {
+            assert_eq!(k.io_submit(ctx, pid, &mut aio, vec![read(i)]).unwrap(), 1);
+            // A read's buffer is in flight here: a fresh one per iocb
+            // would show as one more allocated frame.
+            let in_flight = k.mem().allocated_frames();
+            let events = k.io_getevents(ctx, &mut aio, 1, 1);
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].res, Ok(4096));
+            assert!(events[0].data.iter().all(|&b| b == 0x5A));
+            in_flight
+        };
+        run(0);
+        let frames = k.mem().allocated_frames();
+        for i in 1..=1_000 {
+            assert_eq!(run(i), frames, "iocb {i} allocated a frame");
+            assert_eq!(k.mem().allocated_frames(), frames);
+        }
+    });
+}
+
+#[test]
 fn aio_iocb_is_all_or_nothing_on_a_full_context() {
     // A 2-extent file: one populated block, another file's block after
     // it, then an appended block that must land in a second extent.

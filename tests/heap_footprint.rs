@@ -1,5 +1,5 @@
-//! Heap-footprint contract (DESIGN.md §10): observability that is not
-//! recording holds no memory.
+//! Heap-footprint contract (DESIGN.md §10, §12): observability that is
+//! not recording holds no memory, and a process costs what it maps.
 //!
 //! * A default `System` (tracing off) holds at most 4 MiB of heap: the
 //!   flight recorder reserves its rings only when tracing turns on.
@@ -7,6 +7,9 @@
 //!   holds at most 10 KiB per PASID, the process's one-page DMA buffer
 //!   included: a tenant's latency histogram grows with its samples
 //!   instead of starting at 16 KB.
+//! * `UserProcess::start` plus the first `open` of a 4 MB file hold at
+//!   most 3 KiB per process: the process's upper page tables are sparse
+//!   table frames, not 4 KB pages, and the file's FTE leaves are shared.
 //!
 //! The binary installs a counting `#[global_allocator]` that tracks live
 //! heap bytes across all threads. This file is its own test target with
@@ -68,6 +71,7 @@ fn idle_observability_holds_no_heap() {
     const SYSTEM_BOUND: usize = 4 << 20;
     const PASIDS: usize = 1_000;
     const PER_PASID_BOUND: usize = 10 << 10;
+    const PER_PROCESS_BOUND: usize = 3 << 10;
 
     let before = live();
     let sys = System::builder().build();
@@ -86,32 +90,45 @@ fn idle_observability_holds_no_heap() {
     sys.fs().populate("/f", 4 << 20, 0x42).unwrap();
     let sim = Simulation::new();
     let s2 = sys.clone();
-    let held = Arc::new(Mutex::new(0));
+    let held = Arc::new(Mutex::new((0, 0)));
     let h2 = Arc::clone(&held);
     sim.spawn("tenants", move |ctx| {
         let mut buf = [0u8; 4096];
         let mut procs = Vec::with_capacity(PASIDS);
-        let mut bytes = 0;
+        let (mut pasid_bytes, mut process_bytes) = (0, 0);
         for i in 0..PASIDS as u64 {
+            let before = live();
             let proc = UserProcess::start(&s2, 1000, 1000);
+            process_bytes += live() - before;
             // Queue-pair bind registers the PASID's tenant with the
             // device; the read records its first latency sample.
             let before = live();
             let mut t = proc.thread_with(4, 4096);
-            bytes += live() - before;
+            pasid_bytes += live() - before;
+            // The first open fmaps the file: its shared FTE leaves are
+            // attached through the process's own upper tables.
+            let before = live();
             let fd = t.open(ctx, "/f", false).unwrap();
+            process_bytes += live() - before;
             let before = live();
             assert_eq!(t.pread(ctx, fd, &mut buf, (i % 1024) * 4096).unwrap(), 4096);
-            bytes += live() - before;
+            pasid_bytes += live() - before;
             procs.push((proc, t));
         }
-        *h2.lock() = bytes;
+        *h2.lock() = (pasid_bytes, process_bytes);
     });
     sim.run();
-    let per_pasid = *held.lock() / PASIDS;
+    let (pasid_bytes, process_bytes) = *held.lock();
+    let per_pasid = pasid_bytes / PASIDS;
     assert!(
         per_pasid <= PER_PASID_BOUND,
         "binding a queue pair and one read hold {per_pasid} B per PASID \
          (contract: at most {PER_PASID_BOUND} B)"
+    );
+    let per_process = process_bytes / PASIDS;
+    assert!(
+        per_process <= PER_PROCESS_BOUND,
+        "starting a process and its first open hold {per_process} B per process \
+         (contract: at most {PER_PROCESS_BOUND} B)"
     );
 }
