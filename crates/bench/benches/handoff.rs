@@ -2,10 +2,9 @@
 //! looping `ctx.delay(Nanos(1))` in one `Simulation`, and for one actor
 //! that advances the clock in place.
 //!
-//! With N ≥ 2 every event hands the run token to another OS thread.
-//! The `spun` / `parked` columns split those handoffs into successors
-//! that were still polling the token and successors that had parked and
-//! needed a futex wake. Host numbers vary; the only assertion is the
+//! With N ≥ 2 every event switches from one actor's fiber to the
+//! conductor and on to the next actor's: two stack switches on the
+//! `run` caller's thread. Host numbers vary; the only assertion is the
 //! final virtual clock, which is exact.
 //!
 //! Run with `cargo bench -p bypassd-bench --bench handoff`.
@@ -39,11 +38,9 @@ fn row(actors: u64, per_actor: u64) {
     let s = sim.stats();
     let events = actors * per_actor;
     println!(
-        "{actors:>6} {events:>10} {:>10.1} {:>10} {:>10} {:>10}",
+        "{actors:>6} {events:>10} {:>10.1} {:>10}",
         wall / events as f64,
-        s.handoffs,
-        s.spun,
-        s.parked
+        s.handoffs
     );
 }
 
@@ -51,8 +48,8 @@ fn main() {
     let scale = bypassd_bench::ops(1, 5);
     println!("conductor handoff cost ({} cores)", hostinfo::cores());
     println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "actors", "events", "ns/event", "handoffs", "spun", "parked"
+        "{:>6} {:>10} {:>10} {:>10}",
+        "actors", "events", "ns/event", "handoffs"
     );
     row(1, INPLACE_EVENTS * scale);
     for actors in [2, 8, 64] {

@@ -10,46 +10,45 @@
 //!
 //! ## Thread actors and task actors
 //!
-//! An actor is one of two kinds, sharing one `(wake, seq, id)` run
-//! queue and one dispatch order:
+//! The caller of [`Simulation::run`] is the only conductor, and every
+//! actor runs on its OS thread. An actor is one of two kinds, sharing
+//! one `(wake, seq, id)` run queue and one dispatch order:
 //!
-//! * A **thread actor** ([`Simulation::spawn`]) is a real OS thread
-//!   running straight-line code. Resuming it is a targeted handoff: a
-//!   waiting actor polls a lock-free mirror of the run token, yielding
-//!   its CPU between loads, for a few ms (`SPIN_ROUNDS`), then parks on
-//!   its own condvar; the conductor wakes exactly that one, and only if
-//!   it parked. Waiters poll only while at most
-//!   8 × `available_parallelism()` thread actors are live.
-//! * A **task actor** ([`Simulation::spawn_task`]) is a `Send` future.
-//!   Whichever thread is conducting polls it inline: the caller of
-//!   [`Simulation::run`], or a thread actor that is handing off.
-//!   Resuming it costs one poll, not an OS wake.
+//! * A **thread actor** ([`Simulation::spawn`]) runs straight-line code
+//!   on a fiber, a stack of its own (2 MiB, with a guard page below
+//!   it). A wait suspends the fiber back to the conductor, and resuming
+//!   it is a stack switch, not a wake of another OS thread.
+//! * A **task actor** ([`Simulation::spawn_task`]) is a `Send` future
+//!   that the conductor polls. Resuming it costs one poll.
 //!
 //! Both kinds share the in-place fast path: a wait that no other actor
 //! could interleave with just advances the clock and keeps running.
 //!
 //! Blocking code and async code share one body per operation: an
 //! `async fn` that awaits [`ActorCtx::sleep`]. On a thread actor the
-//! sleep blocks inside `poll` and always completes, so a synchronous
-//! wrapper is just [`block_on`]. On a task actor the sleep parks the
-//! task in the run queue and returns `Pending` to the conductor.
+//! sleep suspends the fiber inside `poll` and always completes, so a
+//! synchronous wrapper is just [`block_on`]. On a task actor the sleep
+//! parks the task in the run queue and returns `Pending` to the
+//! conductor.
 //!
 //! Shared simulation state (the SSD model, the kernel, …) can be protected
 //! by ordinary mutexes — they are never contended because only one actor
 //! executes at any moment — as long as no guard is held across a wait.
+//! All actors share the conductor's OS thread, so an actor that waits
+//! holding a guard deadlocks the run as soon as another actor takes
+//! that lock, as it did when thread actors had threads of their own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::{pin, Pin};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::fiber::{self, Fiber, Resumed};
 use crate::time::Nanos;
 
 /// Identifies an actor within one [`Simulation`].
@@ -57,33 +56,26 @@ pub type ActorId = u64;
 
 type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
-/// Polls of the run-token mirror before a waiting thread actor parks
-/// (a few ms of `yield_now`).
-const SPIN_ROUNDS: u32 = 4_000;
-/// `Inner::token` while no actor holds the run token.
-const NOBODY: u64 = u64::MAX;
-/// `Inner::token` while the run has quiesced: pollers park.
-const QUIESCED: u64 = u64::MAX - 1;
+/// What the conductor resumes.
+enum Actor {
+    /// A thread actor's fiber.
+    Fiber(Fiber),
+    /// A task actor's future.
+    Task(TaskFuture),
+}
 
-/// How the conductor resumes one actor.
+/// One actor's entry in `SimState::actors`.
 enum Slot {
-    /// An OS-thread actor and its condvar; the flag is set while it is
-    /// parked there (not polling).
-    Thread(Arc<Condvar>, bool),
-    /// A task actor. `fut` is `None` while the task is being polled
-    /// (the conductor owns it outside the state lock).
-    Task {
-        fut: Option<TaskFuture>,
-        name: String,
-    },
-    /// A finished task whose future has been dropped.
+    /// A live actor. `actor` is `None` while the conductor runs it
+    /// (it owns the actor outside the state lock).
+    Live { actor: Option<Actor>, name: String },
+    /// A finished actor, already dropped.
     Done,
 }
 
 /// Engine self-counters, read with [`Simulation::stats`]. Every
-/// increment happens under the state lock the engine already holds.
-/// All but two are fixed by the scenario: `spun` and `parked` split
-/// `handoffs` by host timing, so they differ from run to run.
+/// increment happens under the state lock the engine already holds,
+/// and every count is fixed by the scenario.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Run-queue entries dispatched (each resumes one actor).
@@ -91,13 +83,8 @@ pub struct SimStats {
     /// Waits satisfied by advancing the clock in place, with no
     /// dispatch.
     pub inplace: u64,
-    /// Dispatches that woke a different OS thread.
+    /// Dispatches that switched to a thread actor's fiber.
     pub handoffs: u64,
-    /// Handoffs whose successor had not parked (still polling, or not
-    /// yet waiting): no futex wake.
-    pub spun: u64,
-    /// Handoffs whose successor had parked and needed a futex wake.
-    pub parked: u64,
     /// Polls of task-actor futures.
     pub task_polls: u64,
     /// Thread actors spawned.
@@ -111,34 +98,27 @@ struct SimState {
     now: Nanos,
     /// Min-heap of (wake time, sequence, actor) — the actor run queue.
     waiting: BinaryHeap<Reverse<(Nanos, u64, ActorId)>>,
-    /// The actor currently holding the run token, if any.
+    /// The actor the conductor is running, if any.
     current: Option<ActorId>,
     /// Number of spawned actors that have not finished.
     live: usize,
-    /// How many of them are thread actors.
-    live_threads: usize,
     /// Monotone tie-breaker for FIFO ordering of equal wake times.
     next_seq: u64,
     /// Why the run failed (an actor panicked), if it did.
     failure: Option<String>,
-    /// Per-actor resume handles, indexed by `ActorId`.
+    /// Per-actor slots, indexed by `ActorId`.
     actors: Vec<Slot>,
-    /// Set by a task's sleep when it parks itself in the run queue;
-    /// cleared by the conductor after every poll.
-    task_parked: bool,
-    /// True while `drive` sleeps on the control condvar. Quiescence
-    /// signals the condvar only then: a notify costs a futex syscall
-    /// even with no waiter, and a run the caller conducts to the end
-    /// itself has none.
-    driver_waiting: bool,
+    /// Set by a wait that parks its actor in the run queue; cleared by
+    /// the conductor after every turn.
+    parked: bool,
     stats: SimStats,
 }
 
 impl SimState {
     /// The shared half of every wait at `t`. Advances the clock in place
-    /// and returns `None` when the conductor would hand the token
-    /// straight back to `id`; otherwise enqueues `id` and returns its
-    /// wake time.
+    /// and returns `None` when the conductor would hand the turn
+    /// straight back to `id`; otherwise parks `id` in the run queue and
+    /// returns its wake time.
     ///
     /// The in-place comparison must be inclusive: an actor already
     /// waiting at exactly that time has an earlier FIFO sequence number
@@ -153,6 +133,7 @@ impl SimState {
             return None;
         }
         self.enqueue(eff, id);
+        self.parked = true;
         Some(eff)
     }
 
@@ -163,44 +144,14 @@ impl SimState {
         self.waiting.push(Reverse((t.max(self.now), seq, id)));
     }
 
-    /// Settles a task turn handed out by [`Inner::next_turn`]: releases
-    /// the run token and re-parks the task, or retires it.
-    fn end_turn(&mut self, token: &AtomicU64, turn: PolledTurn) {
-        self.set_current(token, None);
-        let parked = std::mem::take(&mut self.task_parked);
-        let PolledTurn { id, name, outcome } = turn;
-        let failure = match outcome {
-            TaskOutcome::Pending(fut) if parked => {
-                self.actors[id as usize] = Slot::Task {
-                    fut: Some(fut),
-                    name,
-                };
-                return;
-            }
-            TaskOutcome::Pending(_) => Some(format!(
-                "simulation task '{name}' suspended on a future that is not a \
-                 simulation sleep"
-            )),
-            TaskOutcome::Finished => None,
-            TaskOutcome::Panicked(f) => Some(f),
-        };
-        self.actors[id as usize] = Slot::Done;
-        self.live -= 1;
-        if let Some(f) = failure {
-            self.failure.get_or_insert(f);
-        }
-    }
-
-    /// Hands the run token to `id` (or to nobody), mirroring it in
-    /// `token` for polling waiters.
-    fn set_current(&mut self, token: &AtomicU64, id: Option<ActorId>) {
-        self.current = id;
-        // ordering: a hint; waiters re-read `current` under the lock.
-        token.store(id.unwrap_or(NOBODY), Ordering::Relaxed);
-    }
-
-    /// Registers a new actor that will run at `start`; returns its id.
-    fn admit(&mut self, start: Nanos, name: &str, slot: Slot) -> ActorId {
+    /// Registers a new actor that will run at `start`, built by `actor`
+    /// from its id; returns the id.
+    fn admit(
+        &mut self,
+        start: Nanos,
+        name: &str,
+        actor: impl FnOnce(ActorId) -> Option<Actor>,
+    ) -> ActorId {
         if start < self.now {
             panic!(
                 "spawn_at schedules actor '{name}' in the past: start {start} < now {} \
@@ -210,212 +161,155 @@ impl SimState {
             );
         }
         let id = self.actors.len() as ActorId;
-        self.actors.push(slot);
+        self.actors.push(Slot::Live {
+            actor: actor(id),
+            name: name.to_string(),
+        });
         self.live += 1;
         id
+    }
+
+    /// One dispatch: pops the earliest waiting actor, advances time,
+    /// and hands the actor out for the conductor to run with the lock
+    /// released and then settle with [`SimState::end_turn`]. `None`
+    /// once nothing is left to run.
+    fn next_turn(&mut self) -> Option<Turn> {
+        loop {
+            debug_assert!(self.current.is_none());
+            let Some(&Reverse((t, _, id))) = self.waiting.peek() else {
+                if self.live > 0 {
+                    panic!(
+                        "simulation deadlock: {} live actor(s) but none runnable \
+                         (an actor blocked outside the simulation primitives?)",
+                        self.live
+                    );
+                }
+                return None;
+            };
+            self.waiting.pop();
+            let Slot::Live { actor, .. } = &mut self.actors[id as usize] else {
+                // A task that parked and then panicked out of a
+                // `block_on` left this entry behind; it no longer runs.
+                continue;
+            };
+            let actor = actor.take().expect("actor dispatched while running");
+            self.now = self.now.max(t);
+            self.current = Some(id);
+            self.stats.events += 1;
+            match actor {
+                Actor::Fiber(_) => self.stats.handoffs += 1,
+                Actor::Task(_) => self.stats.task_polls += 1,
+            }
+            return Some(Turn { id, actor });
+        }
+    }
+
+    /// Settles a turn handed out by [`SimState::next_turn`]: puts a
+    /// parked actor back in its slot, or retires it.
+    fn end_turn(&mut self, id: ActorId, outcome: Outcome) {
+        self.current = None;
+        let parked = std::mem::take(&mut self.parked);
+        let Slot::Live { actor, name } = &mut self.actors[id as usize] else {
+            unreachable!("actor {id} ran from a retired slot");
+        };
+        let failure = match outcome {
+            Outcome::Suspended(a) if parked => {
+                *actor = Some(a);
+                return;
+            }
+            Outcome::Suspended(_) => Some(format!(
+                "simulation task '{name}' suspended on a future that is not a \
+                 simulation sleep"
+            )),
+            Outcome::Finished => None,
+            Outcome::Panicked(msg) => Some(format!("simulation actor '{name}' panicked: {msg}")),
+        };
+        self.actors[id as usize] = Slot::Done;
+        self.live -= 1;
+        if let Some(f) = failure {
+            self.failure.get_or_insert(f);
+        }
     }
 }
 
 struct Inner {
     state: Mutex<SimState>,
-    /// Control condvar: signalled when the simulation quiesces while
-    /// `run` is waiting on it (`SimState::driver_waiting`).
-    cond: Condvar,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Lock-free mirror of `SimState::current`: the actor id, [`NOBODY`]
-    /// or [`QUIESCED`]. Waiting thread actors poll it.
-    token: AtomicU64,
-    /// Waiters poll only while live thread actors are at most this.
-    spin_cap: usize,
+    /// Thread actors run on baton fibers (OS threads) even where stack
+    /// fibers exist.
+    #[cfg(test)]
+    baton: bool,
 }
 
-/// A task actor taken out of its slot, to be polled with the state
-/// lock released.
-struct TaskTurn {
+/// An actor taken out of its slot, to run with the state lock
+/// released.
+struct Turn {
     id: ActorId,
-    fut: TaskFuture,
-    name: String,
+    actor: Actor,
 }
 
-/// A task actor after one poll, to be settled under the state lock by
-/// [`SimState::end_turn`].
-struct PolledTurn {
-    id: ActorId,
-    name: String,
-    outcome: TaskOutcome,
-}
-
-/// How one poll of a task actor ended.
-enum TaskOutcome {
-    /// The task returned `Pending`; its future is handed back.
-    Pending(TaskFuture),
-    /// The task finished (its future is already dropped).
+/// How one turn of an actor ended.
+enum Outcome {
+    /// The actor waits; it is handed back.
+    Suspended(Actor),
+    /// The actor finished (and is already dropped).
     Finished,
-    /// The task panicked, with this failure message.
+    /// The actor panicked, with this message.
     Panicked(String),
 }
 
-impl TaskTurn {
-    /// Polls the task once. Must be called without the state lock: the
-    /// task locks it in every sleep. A finished future is dropped here
-    /// too, still outside the lock: it owns actor state (user threads,
-    /// DMA buffers) whose drops may lock.
-    fn poll_once(mut self) -> PolledTurn {
-        let polled = catch_unwind(AssertUnwindSafe(|| {
-            self.fut
-                .as_mut()
-                .poll(&mut Context::from_waker(Waker::noop()))
-        }));
-        let outcome = match polled {
-            Ok(Poll::Pending) => TaskOutcome::Pending(self.fut),
-            Ok(Poll::Ready(())) => {
-                drop(self.fut);
-                TaskOutcome::Finished
+impl Turn {
+    /// Runs the actor until it waits or finishes. Must be called without
+    /// the state lock: the actor locks it in every wait. A finished
+    /// actor is dropped here too, still outside the lock: it owns actor
+    /// state (user threads, DMA buffers) whose drops may lock.
+    fn run(self) -> Outcome {
+        match self.actor {
+            Actor::Fiber(mut fiber) => match fiber.resume() {
+                Resumed::Suspended => Outcome::Suspended(Actor::Fiber(fiber)),
+                Resumed::Finished(Ok(())) => Outcome::Finished,
+                Resumed::Finished(Err(payload)) => {
+                    Outcome::Panicked(panic_message(payload.as_ref()).to_string())
+                }
+            },
+            Actor::Task(mut fut) => {
+                let polled = catch_unwind(AssertUnwindSafe(|| {
+                    fut.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+                }));
+                match polled {
+                    Ok(Poll::Pending) => Outcome::Suspended(Actor::Task(fut)),
+                    Ok(Poll::Ready(())) => Outcome::Finished,
+                    Err(payload) => Outcome::Panicked(panic_message(payload.as_ref()).to_string()),
+                }
             }
-            Err(payload) => {
-                drop(self.fut);
-                TaskOutcome::Panicked(format!(
-                    "simulation actor '{}' panicked: {}",
-                    self.name,
-                    panic_message(payload.as_ref())
-                ))
-            }
-        };
-        PolledTurn {
-            id: self.id,
-            name: self.name,
-            outcome,
         }
     }
 }
 
 impl Inner {
-    /// One dispatch, run under the state lock by whichever thread holds
-    /// the free run token (`current == None`): pops the earliest waiting
-    /// actor, advances time, and resumes it.
-    ///
-    /// * A thread actor is woken (unless it is `me`, which keeps the
-    ///   token); returns `None`.
-    /// * Nothing left to run: signals the control condvar; returns
-    ///   `None`.
-    /// * A task actor is returned, for the caller to poll with the lock
-    ///   released and then settle with [`SimState::end_turn`].
-    ///
-    /// Every conducting thread runs the same loop:
-    ///
-    /// ```text
-    /// while let Some(turn) = inner.next_turn(&mut state, me) {
-    ///     drop(state);
-    ///     let polled = turn.poll_once();
-    ///     state = inner.state.lock();
-    ///     state.end_turn(&inner.token, polled);
-    /// }
-    /// ```
-    ///
-    /// The loop is spelled out at each call site, not wrapped in a
-    /// helper taking the guard, so no guard is ever passed into a
-    /// function that locks the state again.
-    fn next_turn(&self, state: &mut SimState, me: Option<ActorId>) -> Option<TaskTurn> {
-        loop {
-            debug_assert!(state.current.is_none());
-            let Some(&Reverse((t, _, id))) = state.waiting.peek() else {
-                if state.live > 0 {
-                    panic!(
-                        "simulation deadlock: {} live actor(s) but none runnable \
-                         (an actor blocked outside the simulation primitives?)",
-                        state.live
-                    );
-                }
-                // All done: pollers park, and `run` wakes.
-                // ordering: a hint, as in `set_current`.
-                self.token.store(QUIESCED, Ordering::Relaxed);
-                if state.driver_waiting {
-                    self.cond.notify_all();
-                }
-                return None;
-            };
-            state.waiting.pop();
-            if matches!(state.actors[id as usize], Slot::Done) {
-                // A task that parked and then panicked out of a
-                // `block_on` left this entry behind; it no longer runs.
-                continue;
-            }
-            state.now = state.now.max(t);
-            state.set_current(&self.token, Some(id));
-            state.stats.events += 1;
-            match &mut state.actors[id as usize] {
-                Slot::Thread(parker, parked) => {
-                    if me != Some(id) {
-                        state.stats.handoffs += 1;
-                        if std::mem::take(parked) {
-                            parker.notify_one();
-                            state.stats.parked += 1;
-                        } else {
-                            state.stats.spun += 1;
-                        }
-                    }
-                    return None;
-                }
-                Slot::Task { fut, name } => {
-                    let turn = TaskTurn {
-                        id,
-                        fut: fut.take().expect("task actor resumed while being polled"),
-                        name: std::mem::take(name),
-                    };
-                    state.stats.task_polls += 1;
-                    return Some(turn);
-                }
-                Slot::Done => unreachable!("skipped above"),
-            }
-        }
-    }
-
-    /// Conducts until the run quiesces, sleeping on the control condvar
-    /// while a thread actor holds the token.
+    /// Conducts until the run quiesces: runs each popped actor's turn
+    /// with the state lock released, then settles it.
     fn drive(&self) {
         let mut state = self.state.lock();
-        loop {
-            if state.current.is_none() {
-                while let Some(turn) = self.next_turn(&mut state, None) {
-                    drop(state);
-                    let polled = turn.poll_once();
-                    state = self.state.lock();
-                    state.end_turn(&self.token, polled);
-                }
-                if state.current.is_none() {
-                    return;
-                }
-            }
-            state.driver_waiting = true;
-            self.cond.wait(&mut state);
-            state.driver_waiting = false;
+        assert!(
+            state.current.is_none(),
+            "Simulation::run called while the simulation is running"
+        );
+        while let Some(turn) = state.next_turn() {
+            drop(state);
+            let id = turn.id;
+            let outcome = turn.run();
+            state = self.state.lock();
+            state.end_turn(id, outcome);
         }
     }
 
-    /// Block the calling thread actor until it holds the run token;
-    /// returns the virtual time at which it resumes (so the actor can
-    /// cache it). With `spin`, first polls the token mirror without the
-    /// state lock, yielding the CPU between loads, then parks.
-    fn wait_for_token(&self, id: ActorId, spin: bool) -> Nanos {
-        let rounds = if spin { SPIN_ROUNDS } else { 0 };
-        for _ in 0..rounds {
-            // ordering: a hint; `current` is re-read under the lock.
-            let t = self.token.load(Ordering::Relaxed);
-            if t == id || t == QUIESCED {
-                break;
-            }
-            std::thread::yield_now();
+    /// A fiber that runs `body`.
+    fn fiber(&self, body: fiber::Body) -> Fiber {
+        #[cfg(test)]
+        if self.baton {
+            return Fiber::baton(body);
         }
-        let mut state = self.state.lock();
-        while state.current != Some(id) {
-            let Slot::Thread(parker, parked) = &mut state.actors[id as usize] else {
-                unreachable!("actor {id} is not a thread actor");
-            };
-            *parked = true;
-            let parker = Arc::clone(parker);
-            parker.wait(&mut state);
-        }
-        state.now
+        Fiber::new(body)
     }
 
     /// Panics with the recorded failure, if any actor failed.
@@ -423,13 +317,6 @@ impl Inner {
         let failure = self.state.lock().failure.clone();
         if let Some(f) = failure {
             panic!("{f}");
-        }
-    }
-
-    fn join_threads(&self) {
-        let handles: Vec<_> = std::mem::take(&mut *self.threads.lock());
-        for h in handles {
-            let _ = h.join();
         }
     }
 }
@@ -440,41 +327,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         None => payload
             .downcast_ref::<String>()
             .map_or("<non-string payload>", String::as_str),
-    }
-}
-
-/// Passes the run token on when a thread actor finishes, even if it
-/// panicked.
-struct FinishGuard {
-    inner: Arc<Inner>,
-    id: ActorId,
-    name: String,
-}
-
-impl Drop for FinishGuard {
-    fn drop(&mut self) {
-        let mut state = self.inner.state.lock();
-        debug_assert_eq!(state.current, Some(self.id));
-        state.set_current(&self.inner.token, None);
-        state.live -= 1;
-        state.live_threads -= 1;
-        if std::thread::panicking() {
-            let f = format!("simulation actor '{}' panicked", self.name);
-            state.failure.get_or_insert(f);
-            // Polling tasks while unwinding would turn a task panic into
-            // an abort; the `run` caller conducts instead.
-            if state.driver_waiting {
-                self.inner.cond.notify_all();
-            }
-        } else {
-            // Conduct on this thread until another actor holds the token.
-            while let Some(turn) = self.inner.next_turn(&mut state, None) {
-                drop(state);
-                let polled = turn.poll_once();
-                state = self.inner.state.lock();
-                state.end_turn(&self.inner.token, polled);
-            }
-        }
     }
 }
 
@@ -518,11 +370,6 @@ impl Clone for Simulation {
 impl Simulation {
     /// Creates an empty simulation at virtual time zero.
     pub fn new() -> Self {
-        // Read once per process: `available_parallelism` reads cgroup
-        // files, far too slow for the handoff path.
-        static SPIN_CAP: OnceLock<usize> = OnceLock::new();
-        let spin_cap = *SPIN_CAP
-            .get_or_init(|| 8 * std::thread::available_parallelism().map_or(1, |n| n.get()));
         Simulation {
             inner: Arc::new(Inner {
                 state: Mutex::new(SimState {
@@ -530,30 +377,26 @@ impl Simulation {
                     waiting: BinaryHeap::new(),
                     current: None,
                     live: 0,
-                    live_threads: 0,
                     next_seq: 0,
                     failure: None,
                     actors: Vec::new(),
-                    task_parked: false,
-                    driver_waiting: false,
+                    parked: false,
                     stats: SimStats::default(),
                 }),
-                cond: Condvar::new(),
-                threads: Mutex::new(Vec::new()),
-                token: AtomicU64::new(NOBODY),
-                spin_cap,
+                #[cfg(test)]
+                baton: false,
             }),
         }
     }
 
-    /// A simulation whose waiters poll while at most `spin_cap` thread
-    /// actors are live (0: always park).
+    /// A simulation whose thread actors run on baton fibers (one OS
+    /// thread each), whatever the target.
     #[cfg(test)]
-    pub(crate) fn with_spin_cap(spin_cap: usize) -> Self {
+    pub(crate) fn with_baton_fibers() -> Self {
         let mut sim = Self::new();
         Arc::get_mut(&mut sim.inner)
             .expect("fresh simulation")
-            .spin_cap = spin_cap;
+            .baton = true;
         sim
     }
 
@@ -570,7 +413,8 @@ impl Simulation {
     }
 
     /// Spawns a thread actor that becomes runnable at virtual time
-    /// `start`.
+    /// `start`. Its fiber is made now and first runs when the
+    /// conductor dispatches it.
     ///
     /// May be called before [`Simulation::run`] or from inside another
     /// actor (see [`ActorCtx::spawn_at`]).
@@ -583,36 +427,26 @@ impl Simulation {
     where
         F: FnOnce(&mut ActorCtx) + Send + 'static,
     {
-        let id = {
-            let mut state = self.inner.state.lock();
-            let id = state.admit(start, name, Slot::Thread(Arc::new(Condvar::new()), false));
-            state.enqueue(start, id);
-            state.live_threads += 1;
-            state.stats.thread_spawns += 1;
-            id
-        };
-        let name = name.to_string();
-        let thread_inner = Arc::clone(&self.inner);
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                let now = thread_inner.wait_for_token(id, false);
+        // Weak: a fiber that never starts must not keep the simulation
+        // (which owns the fiber) alive.
+        let inner = Arc::downgrade(&self.inner);
+        let ctx_name = name.to_string();
+        let mut state = self.inner.state.lock();
+        let id = state.admit(start, name, |id| {
+            let body = Box::new(move || {
                 let mut ctx = ActorCtx {
-                    inner: Arc::clone(&thread_inner),
+                    inner: inner.upgrade().expect("a running simulation is alive"),
                     id,
-                    name: name.clone(),
-                    now,
+                    name: ctx_name,
+                    now: start,
                     task: false,
                 };
-                let _guard = FinishGuard {
-                    inner: thread_inner,
-                    id,
-                    name,
-                };
                 f(&mut ctx);
-            })
-            .expect("failed to spawn simulation actor thread");
-        self.inner.threads.lock().push(handle);
+            });
+            Some(Actor::Fiber(self.inner.fiber(body)))
+        });
+        state.enqueue(start, id);
+        state.stats.thread_spawns += 1;
         id
     }
 
@@ -643,11 +477,7 @@ impl Simulation {
         F: FnOnce(ActorCtx) -> Fut,
         Fut: Future<Output = ()> + Send + 'static,
     {
-        let placeholder = Slot::Task {
-            fut: None,
-            name: name.to_string(),
-        };
-        let id = self.inner.state.lock().admit(start, name, placeholder);
+        let id = self.inner.state.lock().admit(start, name, |_| None);
         let fut: TaskFuture = Box::pin(f(ActorCtx {
             inner: Arc::clone(&self.inner),
             id,
@@ -656,23 +486,23 @@ impl Simulation {
             task: true,
         }));
         let mut state = self.inner.state.lock();
-        if let Slot::Task { fut: slot, .. } = &mut state.actors[id as usize] {
-            *slot = Some(fut);
+        if let Slot::Live { actor, .. } = &mut state.actors[id as usize] {
+            *actor = Some(Actor::Task(fut));
         }
         state.enqueue(start, id);
         state.stats.task_spawns += 1;
         id
     }
 
-    /// Runs the simulation until every actor has finished.
+    /// Runs the simulation until every actor has finished, resuming
+    /// each on the calling OS thread.
     ///
     /// # Panics
-    /// Panics if any actor panicked, or on deadlock (an actor blocked
-    /// outside the simulation primitives).
+    /// Panics if any actor panicked, on deadlock (an actor blocked
+    /// outside the simulation primitives), or if the simulation is
+    /// already running.
     pub fn run(&self) {
         self.inner.drive();
-        // Join threads so panics/resources are fully settled.
-        self.inner.join_threads();
         self.inner.check_failure();
     }
 
@@ -729,10 +559,10 @@ pub struct ActorCtx {
     inner: Arc<Inner>,
     id: ActorId,
     name: String,
-    /// Cache of the conductor's clock. Valid whenever this actor holds the
-    /// run token: virtual time only advances in the conductor (while no
-    /// actor runs) or in this actor's own in-place fast path, so no
-    /// other thread can move the clock while we execute.
+    /// Cache of the conductor's clock. Valid whenever this actor runs:
+    /// virtual time only advances in the conductor (while no actor
+    /// runs) or in this actor's own in-place fast path, so nothing else
+    /// can move the clock while we execute.
     now: Nanos,
     /// Task actor (polled by the conductor) rather than thread actor.
     task: bool,
@@ -766,11 +596,12 @@ impl ActorCtx {
 
     /// Blocks this thread actor until virtual time `t` (no-op if `t`
     /// has passed, but still yields to equal-time actors queued
-    /// earlier).
+    /// earlier). A wait that must yield suspends the actor's fiber
+    /// until the conductor pops its entry.
     ///
     /// # Panics
-    /// Panics on a task actor: blocking would stall the thread that
-    /// conducts every other actor. Tasks await [`ActorCtx::sleep_until`].
+    /// Panics on a task actor: a task has no fiber to suspend, and must
+    /// not block the conductor. Tasks await [`ActorCtx::sleep_until`].
     pub fn wait_until(&mut self, t: Nanos) {
         assert!(
             !self.task,
@@ -778,26 +609,20 @@ impl ActorCtx {
              await `ctx.sleep(..)` / `ctx.sleep_until(..)` instead",
             self.name
         );
-        let spin = {
+        let wake = {
             let mut state = self.inner.state.lock();
-            if state.advance_or_park(self.id, t).is_none() {
-                self.now = state.now;
-                return;
+            match state.advance_or_park(self.id, t) {
+                Some(wake) => wake,
+                None => {
+                    self.now = state.now;
+                    return;
+                }
             }
-            state.set_current(&self.inner.token, None);
-            while let Some(turn) = self.inner.next_turn(&mut state, Some(self.id)) {
-                drop(state);
-                let polled = turn.poll_once();
-                state = self.inner.state.lock();
-                state.end_turn(&self.inner.token, polled);
-            }
-            if state.current == Some(self.id) {
-                self.now = state.now;
-                return;
-            }
-            state.live_threads <= self.inner.spin_cap
         };
-        self.now = self.inner.wait_for_token(self.id, spin);
+        Fiber::suspend();
+        // The conductor resumed us by popping our entry, so the clock
+        // reads `wake` (nothing moves it past a queued entry).
+        self.now = wake;
     }
 
     /// Yields to any other actor scheduled at the current time.
@@ -814,9 +639,9 @@ impl ActorCtx {
     }
 
     /// Waits until virtual time `t`: the awaitable form of
-    /// [`ActorCtx::wait_until`]. On a thread actor the wait blocks
-    /// inside `poll`; on a task actor it parks the task in the run
-    /// queue until the conductor resumes it.
+    /// [`ActorCtx::wait_until`]. On a thread actor the wait suspends
+    /// the fiber inside `poll`; on a task actor it parks the task in
+    /// the run queue until the conductor resumes it.
     pub fn sleep_until(&mut self, t: Nanos) -> Sleep<'_> {
         Sleep {
             ctx: self,
@@ -901,7 +726,6 @@ impl Future for Sleep<'_> {
                 Poll::Ready(())
             }
             Some(wake) => {
-                state.task_parked = true;
                 this.wake = Some(wake);
                 Poll::Pending
             }

@@ -6,11 +6,13 @@
 //! * [`time::Nanos`] — the virtual time unit (nanoseconds).
 //! * [`engine::Simulation`] — a conductor that runs simulated actors
 //!   exactly one at a time, always the one with the earliest virtual
-//!   timestamp. An actor is a real OS thread running straight-line code
-//!   or a task (a `Send` future polled inline by the conducting
-//!   thread); either way runs remain bit-for-bit reproducible.
-//!   [`engine::Simulation::stats`] counts dispatches, in-place
-//!   advances, OS-thread handoffs and task polls.
+//!   timestamp. Every actor runs on the OS thread that calls
+//!   [`engine::Simulation::run`]: a thread actor is straight-line code
+//!   on a fiber (a stack of its own that the conductor switches to), a
+//!   task actor a `Send` future the conductor polls. Either way runs
+//!   remain bit-for-bit reproducible. [`engine::Simulation::stats`]
+//!   counts dispatches, in-place advances, fiber switches and task
+//!   polls.
 //! * [`hash`] — [`FixedState`], the fixed-key hasher of the hot lookup
 //!   maps (cheap, and identical in every run).
 //! * [`rng`] — seedable PRNG plus the YCSB zipfian/latest distributions.
@@ -33,6 +35,7 @@
 //! ```
 
 pub mod engine;
+mod fiber;
 #[cfg(test)]
 mod handoff_tests;
 pub mod hash;

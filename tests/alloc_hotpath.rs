@@ -7,10 +7,10 @@
 //! they read.
 //!
 //! The binary installs a counting `#[global_allocator]` with a
-//! *thread-local* allocation counter, so only allocations made by the
-//! actor thread running the read loop are charged — the conductor
-//! thread's bookkeeping is irrelevant to the contract. This file is its
-//! own test target with a single `#[test]` so no parallel test can share
+//! *thread-local* allocation counter. The reader actor runs on a fiber
+//! on the `run` caller's thread, so the count covers the actor and the
+//! conductor, and nothing else in the process. This file is its own
+//! test target with a single `#[test]` so no parallel test can share
 //! the process.
 
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
