@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use bypassd_hw::types::{Vba, SECTOR_SIZE};
+use bypassd_hw::types::{Vba, PAGE_SIZE, SECTOR_SIZE};
 use bypassd_offload::{ChainSpec, ProgHandle, BLOCK, NUM_REGS};
 use bypassd_os::process::{Fd, Pid};
 use bypassd_os::{Errno, OpenFlags, SysResult};
@@ -235,10 +235,12 @@ impl UserProcess {
     }
 
     /// [`thread`](Self::thread) with explicit queue depth and DMA buffer
-    /// size. Fleet runs stand up thousands of processes per machine, so
-    /// they use shallow queues and small buffers to keep the aggregate
-    /// pinned-memory footprint bounded; the defaults above match the
-    /// paper's single-process configuration.
+    /// size; the defaults above match the paper's single-process
+    /// configuration. The buffer's frames are pinned for the thread's
+    /// life, but each op gives their host pages back once it is done
+    /// with its bytes, so an idle thread holds no DMA memory whatever
+    /// `dma_len` is. `dma_len` bounds one device command's bytes (and
+    /// with `queue_depth`, a flight slot's).
     pub fn thread_with(self: &Arc<Self>, queue_depth: usize, dma_len: usize) -> UserThread {
         let queue_depth = queue_depth.max(1);
         let qid = self.system.kernel().bind_user_queue(self.pid, queue_depth);
@@ -452,6 +454,14 @@ impl BatchScratch {
             cids: Vec::with_capacity(depth),
             comps: Vec::with_capacity(depth),
         }
+    }
+
+    /// The flight slot submitted as command `cid`.
+    fn slot_of(&self, cid: u16) -> usize {
+        self.cids
+            .iter()
+            .position(|&c| c == cid)
+            .expect("reaped a cid this flight never submitted")
     }
 }
 
@@ -748,6 +758,10 @@ impl UserThread {
     /// fault it picks up the re-fmapped VBA and retries the op, up to
     /// [`MAX_ATTEMPTS`]; after revocation or the last attempt it
     /// serves the op on its fallback path.
+    ///
+    /// The op gives back the DMA pages it used once it is done with
+    /// them: a read's in its consuming copy-out, a write's after its
+    /// last completion, and on any error or fallback before leaving.
     async fn direct_fut(
         &mut self,
         ctx: &mut ActorCtx,
@@ -786,11 +800,15 @@ impl UserThread {
                 }
                 match self
                     .direct_io_fut(ctx, fd, entry, kind, vba, pos, span, scratch)
-                    .await?
+                    .await
                 {
-                    DirectIo::Done => {}
-                    DirectIo::Revoked => break 'attempt,
-                    DirectIo::Fault => {
+                    Ok(DirectIo::Done) => {}
+                    Ok(DirectIo::Revoked) => break 'attempt,
+                    Err(e) => {
+                        self.release_dma(start, end);
+                        return Err(e);
+                    }
+                    Ok(DirectIo::Fault) => {
                         attempts += 1;
                         if attempts >= MAX_ATTEMPTS {
                             // Persistent fault (e.g. a hole): the
@@ -817,12 +835,15 @@ impl UserThread {
                     let copy = self.cost().user_copy(span.min(len));
                     ctx.sleep(copy).await;
                     scratch.user_copy += copy;
-                    self.dma.read(
+                    self.dma.consume(
                         (lo - pos) as usize,
                         &mut buf[(lo - offset) as usize..(hi - offset) as usize],
                     );
                 }
                 pos += span;
+            }
+            if let DirectOp::Write { .. } = op {
+                self.release_dma(start, end);
             }
             // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
             self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
@@ -839,7 +860,15 @@ impl UserThread {
             }
             return Ok(len as usize);
         }
+        self.release_dma(start, end);
         Box::pin(self.fallback_fut(ctx, fd, op, scratch)).await
+    }
+
+    /// Gives back the DMA pages of a [`direct_fut`](Self::direct_fut) op
+    /// over the sectors `[start, end)`: its chunks all start at offset 0.
+    fn release_dma(&self, start: u64, end: u64) {
+        let used = (end - start).min(self.dma.len() as u64);
+        self.dma.release(0, used as usize);
     }
 
     /// Serves `op` after fallback or revocation: kernel `pread`/`pwrite`
@@ -1149,31 +1178,31 @@ impl UserThread {
             .system
             .device()
             .reap_ready_into(self.qid, ctx.now(), n, &mut self.batch.comps);
-        // Copy out, charging one coalesced user-copy delay for the flight.
+        // Copy out every successful slot before any re-issue: a re-issued
+        // op runs on the sequential path, whose DMA chunk at offset 0
+        // overlaps slot 0 and whose pages it gives back. Copy-outs do
+        // not advance the clock, so this order moves no virtual time.
+        // Slots of whole pages are consumed (copied out, pages given
+        // back); slots that share a page are read and given back together.
+        let whole_pages = slot.is_multiple_of(PAGE_SIZE as usize);
         let mut copy_total = Nanos::ZERO;
         let mut ok_bytes = 0usize;
         let mut ok_ops = 0u64;
-        let mut retry_bytes = 0usize;
         for k in 0..self.batch.comps.len() {
             let comp = self.batch.comps[k];
             self.note_pressure(comp.pressure);
-            let i = self
-                .batch
-                .cids
-                .iter()
-                .position(|&c| c == comp.cid)
-                .expect("reaped a cid this flight never submitted");
             if !comp.status.is_ok() {
-                // Translation fault (revocation or growth race) or a
-                // failed chain: the sequential op re-fmaps and retries,
-                // or surfaces the program's failure.
-                retry_bytes += self.reissue_fut(ctx, fd, &mut reqs, i).await?;
                 continue;
             }
+            let i = self.batch.slot_of(comp.cid);
             let (_, _, bytes, buf) = reqs.slot(i);
             let copy = self.cost().user_copy(bytes as u64);
             copy_total += copy;
-            self.dma.read(i * slot, &mut buf[..bytes]);
+            if whole_pages {
+                self.dma.consume(i * slot, &mut buf[..bytes]);
+            } else {
+                self.dma.read(i * slot, &mut buf[..bytes]);
+            }
             // The flight's one userlib charge goes to its first successful
             // record, so stage totals still sum to the virtual time
             // consumed when a faulted slot is reaped first.
@@ -1187,7 +1216,23 @@ impl UserThread {
             ok_bytes += bytes;
             ok_ops += 1;
         }
-        if self.batch.comps.len() < n {
+        let lost = self.batch.comps.len() < n;
+        if !whole_pages || lost {
+            // A lost slot's command still filled its DMA bytes.
+            self.dma.release(0, n * slot);
+        }
+        let mut retry_bytes = 0usize;
+        for k in 0..self.batch.comps.len() {
+            let comp = self.batch.comps[k];
+            if !comp.status.is_ok() {
+                // Translation fault (revocation or growth race) or a
+                // failed chain: the sequential op re-fmaps and retries,
+                // or surfaces the program's failure.
+                let i = self.batch.slot_of(comp.cid);
+                retry_bytes += self.reissue_fut(ctx, fd, &mut reqs, i).await?;
+            }
+        }
+        if lost {
             // Lost CQ entries (injected completion drop): re-issue the
             // un-reaped slots on the sequential path, as a host timeout
             // would.
@@ -1668,7 +1713,8 @@ impl UserThread {
         scratch.user_copy += copy;
         // The simulated device consumes the payload and posts the
         // completion inside the call, so the thread DMA buffer is free
-        // again at once and only the wait for `ready_at` is skipped.
+        // again at once (its pages go back right after the call) and only
+        // the wait for `ready_at` is skipped.
         self.dma.write(0, data);
         let cmd = IoKind::Write.command(vba, offset, len, &self.dma);
         let comp = self
@@ -1676,6 +1722,7 @@ impl UserThread {
             .system
             .device()
             .execute_full(self.qid, cmd, ctx.now());
+        self.dma.release(0, len as usize);
         self.note_pressure(comp.pressure);
         let ready = comp.ready_at;
         scratch.device_span += ready.saturating_sub(ctx.now());

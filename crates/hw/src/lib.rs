@@ -8,7 +8,8 @@
 //! * [`mem`] — simulated physical memory with a frame allocator; page
 //!   tables live in these frames, so "shared file table fragments" are
 //!   literally shared frames. Upper-level tables use sparse table frames
-//!   that hold only their non-zero entries.
+//!   that hold only their non-zero entries, and a data frame holds a host
+//!   page only from its first write until it is released.
 //! * [`pte`] — bit-packed page table entries, including the paper's **file
 //!   table entry** format (Fig. 3): `FT` marker bit, device ID, and an LBA
 //!   payload in place of the page frame number.

@@ -5,10 +5,14 @@
 //! spaces pointing at the same fragment frame see the same entries.
 //!
 //! A frame is one of two kinds, and both read the same bytes. A data
-//! frame ([`PhysMem::alloc_frame`]) holds all 4 KB. A table frame
-//! ([`PhysMem::alloc_table_frame`]), meant for the upper page-table
-//! levels, stores only its non-zero 8-byte entries, sorted by index; it
-//! turns into a data frame when it would hold more than
+//! frame ([`PhysMem::alloc_frame`]) holds a 4 KB host page only from its
+//! first write until it is released ([`PhysMem::release`]) or freed;
+//! before that it reads as zeros. A released page goes on a spare list
+//! of at most [`SPARE_PAGES`] pages that the next write takes from first,
+//! so a pinned DMA buffer costs host memory only while an I/O uses it.
+//! A table frame ([`PhysMem::alloc_table_frame`]), meant for the upper
+//! page-table levels, stores only its non-zero 8-byte entries, sorted by
+//! index; it turns into a data frame when it would hold more than
 //! [`TABLE_SPARSE_MAX`] of them or when it takes a byte-level write. A
 //! process's private upper tables hold one or two entries each, so they
 //! cost tens of bytes of host memory instead of 4 KB.
@@ -21,19 +25,29 @@ use std::sync::Arc;
 /// data frame.
 pub const TABLE_SPARSE_MAX: usize = 32;
 
+/// Most released pages a [`PhysMem`] keeps for its next writes; a page
+/// released past this bound goes back to the host allocator.
+pub const SPARE_PAGES: usize = 256;
+
 const PAGE: usize = PAGE_SIZE as usize;
+
+/// What an unbacked frame reads as.
+static ZEROS: [u8; PAGE] = [0; PAGE];
+
+/// The byte a debug build fills a recycled page with before lending it
+/// to a whole-frame write, so a writer that leaves lent bytes unwritten
+/// reads this instead of plausible stale data.
+const POISON: u8 = 0x6B;
 
 /// One 4 KB physical frame.
 enum Frame {
+    /// A data frame with no host page: all zeros.
+    Unbacked,
     /// All 4 KB of bytes.
     Dense(Box<[u8]>),
     /// A table frame's non-zero little-endian `u64` entries as
     /// `(index, value)`, sorted by index; every other byte is zero.
     Sparse(Vec<(u16, u64)>),
-}
-
-fn zeroed_page() -> Box<[u8]> {
-    vec![0u8; PAGE].into_boxed_slice()
 }
 
 /// Copies the bytes of the sparse frame `entries` starting at byte `off`
@@ -53,22 +67,10 @@ fn sparse_bytes(entries: &[(u16, u64)], off: usize, out: &mut [u8]) {
 }
 
 impl Frame {
-    /// The frame's bytes, turning a sparse frame dense first.
-    fn dense_mut(&mut self) -> &mut [u8] {
-        if let Frame::Sparse(entries) = self {
-            let mut bytes = zeroed_page();
-            sparse_bytes(entries, 0, &mut bytes);
-            *self = Frame::Dense(bytes);
-        }
-        match self {
-            Frame::Dense(bytes) => bytes,
-            Frame::Sparse(_) => unreachable!("made dense above"),
-        }
-    }
-
     /// The little-endian `u64` at byte `off`.
     fn load_word(&self, off: usize) -> u64 {
         match self {
+            Frame::Unbacked => 0,
             Frame::Dense(bytes) => {
                 u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
             }
@@ -86,33 +88,47 @@ impl Frame {
         }
     }
 
-    /// Stores the little-endian `u64` `value` at byte `off`. A sparse
-    /// frame takes an aligned store as an entry, dropping one set to
-    /// zero; an unaligned store, or one more entry than
-    /// [`TABLE_SPARSE_MAX`], turns it dense.
-    fn store_word(&mut self, off: usize, value: u64) {
-        if let (Frame::Sparse(entries), true) = (&mut *self, off.is_multiple_of(8)) {
-            let index = (off / 8) as u16;
-            match entries.binary_search_by_key(&index, |&(i, _)| i) {
-                Ok(pos) if value == 0 => {
-                    entries.remove(pos);
-                    return;
-                }
-                Ok(pos) => {
-                    entries[pos].1 = value;
-                    return;
-                }
-                Err(_) if value == 0 => return,
-                Err(pos) if entries.len() < TABLE_SPARSE_MAX => {
-                    // Exact growth: a table holds a handful of entries.
-                    entries.reserve_exact(1);
-                    entries.insert(pos, (index, value));
-                    return;
-                }
-                Err(_) => {}
+    /// Stores the little-endian `u64` `value` at byte `off` as an entry
+    /// of a sparse frame, dropping one set to zero. Returns false, storing
+    /// nothing, if the frame is not sparse, or if the store is unaligned
+    /// or one entry more than [`TABLE_SPARSE_MAX`]: the caller then
+    /// stores the bytes into the frame made dense.
+    fn store_entry(&mut self, off: usize, value: u64) -> bool {
+        let (Frame::Sparse(entries), true) = (self, off.is_multiple_of(8)) else {
+            return false;
+        };
+        let index = (off / 8) as u16;
+        match entries.binary_search_by_key(&index, |&(i, _)| i) {
+            Ok(pos) if value == 0 => {
+                entries.remove(pos);
             }
+            Ok(pos) => entries[pos].1 = value,
+            Err(_) if value == 0 => {}
+            Err(pos) if entries.len() < TABLE_SPARSE_MAX => {
+                // Exact growth: a table holds a handful of entries.
+                entries.reserve_exact(1);
+                entries.insert(pos, (index, value));
+            }
+            Err(_) => return false,
         }
-        self.dense_mut()[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        true
+    }
+}
+
+/// A host page for a frame's first write, from `spare` if it has one. A
+/// write covering the whole frame (`whole`) gets the page as it is,
+/// poisoned in debug builds; any other write gets it zeroed.
+fn take_page(spare: &mut Vec<Box<[u8]>>, whole: bool) -> Box<[u8]> {
+    match spare.pop() {
+        Some(mut page) => {
+            if !whole {
+                page.fill(0);
+            } else if cfg!(debug_assertions) {
+                page.fill(POISON);
+            }
+            page
+        }
+        None => vec![0u8; PAGE].into_boxed_slice(),
     }
 }
 
@@ -120,6 +136,8 @@ impl Frame {
 struct MemInner {
     frames: Vec<Option<Frame>>,
     free: Vec<u64>,
+    /// Pages of released and freed data frames, at most [`SPARE_PAGES`].
+    spare: Vec<Box<[u8]>>,
     allocated: u64,
 }
 
@@ -136,6 +154,35 @@ impl MemInner {
         }
     }
 
+    /// Keeps a retired frame's page, if it has one, for the next write.
+    fn retire(&mut self, frame: Frame) {
+        if let Frame::Dense(page) = frame {
+            if self.spare.len() < SPARE_PAGES {
+                self.spare.push(page);
+            }
+        }
+    }
+
+    /// The allocated frame numbered `frame`.
+    fn slot(&mut self, frame: u64) -> &mut Frame {
+        self.frames
+            .get_mut(frame as usize)
+            .and_then(Option::as_mut)
+            .unwrap_or_else(|| panic!("access to unallocated frame {frame}"))
+    }
+
+    /// Makes `frame` read as zeros: a data frame's page goes to the
+    /// spare list, a table frame drops its entries.
+    fn unback(&mut self, frame: u64) {
+        match self.slot(frame) {
+            Frame::Sparse(entries) => entries.clear(),
+            slot => {
+                let old = std::mem::replace(slot, Frame::Unbacked);
+                self.retire(old);
+            }
+        }
+    }
+
     /// The frame holding the `len` bytes at `addr`, which must lie in one
     /// allocated frame, and `addr`'s offset in it.
     fn frame(&self, addr: PhysAddr, len: usize) -> (&Frame, usize) {
@@ -147,14 +194,29 @@ impl MemInner {
         (frame, off)
     }
 
-    /// Mutable [`MemInner::frame`].
-    fn frame_mut(&mut self, addr: PhysAddr, len: usize) -> (&mut Frame, usize) {
+    /// The `len` bytes at `addr` (within one allocated frame) to write,
+    /// giving the frame a page first: an unbacked frame takes one as
+    /// [`take_page`] does, and a sparse frame turns dense.
+    fn bytes_mut(&mut self, addr: PhysAddr, len: usize) -> &mut [u8] {
         let off = addr.frame_offset() as usize;
         assert!(off + len <= PAGE, "write crosses frame boundary");
-        let frame = self.frames[addr.frame() as usize]
+        let MemInner { frames, spare, .. } = self;
+        let frame = frames[addr.frame() as usize]
             .as_mut()
             .unwrap_or_else(|| panic!("write to unallocated frame {}", addr.frame()));
-        (frame, off)
+        match frame {
+            Frame::Dense(_) => {}
+            Frame::Unbacked => *frame = Frame::Dense(take_page(spare, len == PAGE)),
+            Frame::Sparse(entries) => {
+                let mut page = take_page(spare, false);
+                sparse_bytes(entries, 0, &mut page);
+                *frame = Frame::Dense(page);
+            }
+        }
+        match frame {
+            Frame::Dense(bytes) => &mut bytes[off..off + len],
+            _ => unreachable!("backed above"),
+        }
     }
 }
 
@@ -184,9 +246,10 @@ impl PhysMem {
         Self::default()
     }
 
-    /// Allocates a zeroed data frame and returns its frame number.
+    /// Allocates a zeroed data frame and returns its frame number. It
+    /// holds no host page until its first write.
     pub fn alloc_frame(&self) -> u64 {
-        self.inner.lock().place(Frame::Dense(zeroed_page()))
+        self.inner.lock().place(Frame::Unbacked)
     }
 
     /// Allocates a zeroed table frame and returns its frame number. It
@@ -207,7 +270,7 @@ impl PhysMem {
         self.inner.lock().place(Frame::Sparse(Vec::new()))
     }
 
-    /// Frees a frame.
+    /// Frees a frame; its page, if it has one, goes to the spare list.
     ///
     /// # Panics
     /// Panics if the frame is not currently allocated.
@@ -217,15 +280,52 @@ impl PhysMem {
             .frames
             .get_mut(frame as usize)
             .unwrap_or_else(|| panic!("free of unknown frame {frame}"));
-        assert!(slot.is_some(), "double free of frame {frame}");
-        *slot = None;
+        let old = slot
+            .take()
+            .unwrap_or_else(|| panic!("double free of frame {frame}"));
+        inner.retire(old);
         inner.free.push(frame);
         inner.allocated -= 1;
+    }
+
+    /// Releases `frames`, all under one memory-lock acquisition: each
+    /// stays allocated under its number and reads as zeros, a data frame
+    /// handing its page to the spare list and a table frame dropping its
+    /// entries. The next write backs a data frame again.
+    ///
+    /// ```rust
+    /// use bypassd_hw::mem::PhysMem;
+    /// use bypassd_hw::types::PhysAddr;
+    /// let mem = PhysMem::new();
+    /// let f = mem.alloc_frame();
+    /// mem.write(PhysAddr::from_frame(f, 0), &[9; 16]);
+    /// assert!(mem.holds_page(f));
+    /// mem.release(&[f]);
+    /// assert!(!mem.holds_page(f));
+    /// assert_eq!(mem.read_u64(PhysAddr::from_frame(f, 0)), 0);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if a frame is unallocated.
+    pub fn release(&self, frames: &[u64]) {
+        let mut inner = self.inner.lock();
+        for &f in frames {
+            inner.unback(f);
+        }
     }
 
     /// Number of currently allocated frames.
     pub fn allocated_frames(&self) -> u64 {
         self.inner.lock().allocated
+    }
+
+    /// Whether the frame holds a 4 KB host page: a data frame from its
+    /// first write until it is released, and a table frame once dense.
+    ///
+    /// # Panics
+    /// Panics if the frame is unallocated.
+    pub fn holds_page(&self, frame: u64) -> bool {
+        matches!(self.inner.lock().slot(frame), Frame::Dense(_))
     }
 
     /// The number of entries a table frame stores while it is sparse;
@@ -234,9 +334,9 @@ impl PhysMem {
     /// # Panics
     /// Panics if the frame is unallocated.
     pub fn sparse_entries(&self, frame: u64) -> Option<usize> {
-        match self.inner.lock().frame(PhysAddr::from_frame(frame, 0), 0) {
-            (Frame::Sparse(entries), _) => Some(entries.len()),
-            (Frame::Dense(_), _) => None,
+        match self.inner.lock().slot(frame) {
+            Frame::Sparse(entries) => Some(entries.len()),
+            Frame::Dense(_) | Frame::Unbacked => None,
         }
     }
 
@@ -268,29 +368,59 @@ impl PhysMem {
     /// Panics if the frame is unallocated or the range crosses the frame
     /// boundary.
     pub fn read_with<R>(&self, addr: PhysAddr, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        let inner = self.inner.lock();
-        match inner.frame(addr, len) {
+        self.lend_bytes(addr, len, false, f)
+    }
+
+    /// [`read_with`](Self::read_with), then [`release`](Self::release) of
+    /// the frame, under one memory-lock acquisition: the consuming
+    /// copy-out of a DMA buffer that is done with the frame's bytes.
+    ///
+    /// # Panics
+    /// Panics if the frame is unallocated or the range crosses the frame
+    /// boundary.
+    pub fn consume_with<R>(&self, addr: PhysAddr, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.lend_bytes(addr, len, true, f)
+    }
+
+    fn lend_bytes<R>(
+        &self,
+        addr: PhysAddr,
+        len: usize,
+        release: bool,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        let mut inner = self.inner.lock();
+        let r = match inner.frame(addr, len) {
+            (Frame::Unbacked, off) => f(&ZEROS[off..off + len]),
             (Frame::Dense(bytes), off) => f(&bytes[off..off + len]),
             (Frame::Sparse(entries), off) => {
                 let mut copy = [0u8; PAGE];
                 sparse_bytes(entries, off, &mut copy[..len]);
                 f(&copy[..len])
             }
+        };
+        if release {
+            inner.unback(addr.frame());
         }
+        r
     }
 
     /// Lends `f` the `len` bytes at `addr` (within one frame) to fill,
     /// under the memory lock: a device can read its media straight into
-    /// a DMA frame with no staging copy. A sparse table frame becomes
-    /// dense first. `f` must not touch this memory itself.
+    /// a DMA frame with no staging copy. `f` must not touch this memory
+    /// itself.
+    ///
+    /// Lending rule: `f` must write every byte it is lent. A frame with
+    /// no page takes one first; for a write of the whole frame that page
+    /// is a recycled one whose old bytes are lent as they are (poisoned
+    /// in debug builds), while a partial write's page is zeroed. A sparse
+    /// table frame becomes dense, keeping its bytes.
     ///
     /// # Panics
     /// Panics if the frame is unallocated or the range crosses the frame
     /// boundary.
     pub fn write_with<R>(&self, addr: PhysAddr, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let mut inner = self.inner.lock();
-        let (frame, off) = inner.frame_mut(addr, len);
-        f(&mut frame.dense_mut()[off..off + len])
+        f(self.inner.lock().bytes_mut(addr, len))
     }
 
     /// Reads one little-endian u64 (for page table entries).
@@ -323,19 +453,12 @@ impl PhysMem {
     /// boundary.
     pub fn write_u64(&self, addr: PhysAddr, value: u64) {
         let mut inner = self.inner.lock();
-        let (frame, off) = inner.frame_mut(addr, 8);
-        frame.store_word(off, value);
-    }
-
-    /// Zeroes a whole frame; a table frame stays sparse, with no entries.
-    ///
-    /// # Panics
-    /// Panics if the frame is unallocated.
-    pub fn zero_frame(&self, frame: u64) {
-        let mut inner = self.inner.lock();
-        match inner.frame_mut(PhysAddr::from_frame(frame, 0), PAGE) {
-            (Frame::Dense(bytes), _) => bytes.fill(0),
-            (Frame::Sparse(entries), _) => entries.clear(),
+        let off = addr.frame_offset() as usize;
+        assert!(off + 8 <= PAGE, "write crosses frame boundary");
+        if !inner.slot(addr.frame()).store_entry(off, value) {
+            inner
+                .bytes_mut(addr, 8)
+                .copy_from_slice(&value.to_le_bytes());
         }
     }
 }
@@ -346,6 +469,7 @@ impl std::fmt::Debug for PhysMem {
         f.debug_struct("PhysMem")
             .field("allocated", &inner.allocated)
             .field("capacity", &inner.frames.len())
+            .field("spare", &inner.spare.len())
             .finish()
     }
 }
@@ -520,7 +644,7 @@ mod tests {
         let mem = PhysMem::new();
         let t = mem.alloc_table_frame();
         mem.write_u64(PhysAddr::from_frame(t, 8), 3);
-        mem.zero_frame(t);
+        mem.release(&[t]);
         assert_eq!(mem.sparse_entries(t), Some(0));
         mem.write_u64(PhysAddr::from_frame(t, 8), 3);
         mem.free_frame(t);
@@ -531,13 +655,66 @@ mod tests {
     }
 
     #[test]
-    fn zero_frame_clears() {
+    fn a_data_frame_holds_a_page_from_its_first_write_until_released() {
         let mem = PhysMem::new();
         let f = mem.alloc_frame();
+        assert!(!mem.holds_page(f));
         mem.write(PhysAddr::from_frame(f, 100), &[1; 100]);
-        mem.zero_frame(f);
+        assert!(mem.holds_page(f));
+        mem.release(&[f]);
+        assert!(!mem.holds_page(f));
         let mut buf = [1u8; 100];
         mem.read(PhysAddr::from_frame(f, 100), &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
+        assert_eq!(mem.inner.lock().spare.len(), 1);
+    }
+
+    #[test]
+    fn a_partial_write_after_release_reads_zeros_around_it() {
+        let mem = PhysMem::new();
+        let f = mem.alloc_frame();
+        mem.write(PhysAddr::from_frame(f, 0), &[0xEE; PAGE]);
+        let page = mem.consume_with(PhysAddr::from_frame(f, 0), PAGE, <[u8]>::to_vec);
+        assert!(page.iter().all(|&b| b == 0xEE));
+        assert!(!mem.holds_page(f), "a consuming read releases the frame");
+        mem.write(PhysAddr::from_frame(f, 10), &[7; 4]);
+        let mut buf = [0xFFu8; PAGE];
+        mem.read(PhysAddr::from_frame(f, 0), &mut buf);
+        assert!(buf[..10].iter().chain(&buf[14..]).all(|&b| b == 0));
+        assert_eq!(buf[10..14], [7; 4]);
+    }
+
+    #[test]
+    fn a_whole_frame_write_is_lent_a_recycled_page_unzeroed() {
+        let mem = PhysMem::new();
+        let f = mem.alloc_frame();
+        mem.write(PhysAddr::from_frame(f, 0), &[0xEE; PAGE]);
+        mem.release(&[f]);
+        let stale = mem.write_with(PhysAddr::from_frame(f, 0), PAGE, |dst| {
+            let seen = dst[0];
+            dst.fill(3);
+            seen
+        });
+        let want = if cfg!(debug_assertions) { POISON } else { 0xEE };
+        assert_eq!(stale, want);
+        assert_eq!(
+            mem.read_u64(PhysAddr::from_frame(f, 8)),
+            0x0303_0303_0303_0303
+        );
+    }
+
+    #[test]
+    fn the_spare_list_is_bounded() {
+        let mem = PhysMem::new();
+        let frames: Vec<u64> = (0..SPARE_PAGES + 8).map(|_| mem.alloc_frame()).collect();
+        for &f in &frames {
+            mem.write(PhysAddr::from_frame(f, 0), &[1]);
+        }
+        mem.release(&frames);
+        assert_eq!(mem.inner.lock().spare.len(), SPARE_PAGES);
+        for &f in &frames[..4] {
+            mem.write(PhysAddr::from_frame(f, 0), &[1]);
+        }
+        assert_eq!(mem.inner.lock().spare.len(), SPARE_PAGES - 4);
     }
 }

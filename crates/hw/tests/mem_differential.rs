@@ -1,12 +1,17 @@
-//! Differential test for `PhysMem`'s table frames: seeded random
-//! sequences of data- and table-frame allocations and frees, aligned and
-//! unaligned `write_u64`/`read_u64`, writes of zero, tables filled past
-//! the sparse threshold, `read_with`/`write_with`/`zero_frame`, and
-//! `walk_raw` over linked tables must read exactly the bytes of a flat
-//! model that keeps every frame as 4 KB, kept here as the reference. The
-//! model also predicts which table frames are still sparse and how many
-//! entries each stores, so a promotion that loses an entry and a zero
-//! write that leaves a stale entry both fail it.
+//! Differential test for `PhysMem`'s table frames and page-less data
+//! frames: seeded random sequences of data- and table-frame allocations
+//! and frees, aligned and unaligned `write_u64`/`read_u64`, writes of
+//! zero, tables filled past the sparse threshold, partial and
+//! whole-frame `write_with`, `read_with`, releases of several frames at
+//! once, consuming `consume_with` reads, and `walk_raw` over linked tables
+//! must read exactly the bytes of a flat model that keeps every frame as
+//! 4 KB, kept here as the reference. The model also predicts which table
+//! frames are still sparse and how many entries each stores, and which
+//! frames hold a host page, so a promotion that loses an entry, a zero
+//! write that leaves a stale entry, a partial write after a release that
+//! leaves stale bytes around it, and a release that keeps its page all
+//! fail it. Frame numbers are the model's keys: a released frame stays
+//! allocated under its number and is never handed out again.
 //!
 //! CI runs this file in release mode with a raised `PROPTEST_CASES`.
 
@@ -30,6 +35,9 @@ struct ModelFrame {
     bytes: Box<[u8]>,
     /// The frame should still store only its entries.
     sparse: bool,
+    /// The frame should hold a 4 KB host page: a data frame from its
+    /// first write until released, a table frame once dense.
+    backed: bool,
 }
 
 impl ModelFrame {
@@ -58,6 +66,7 @@ impl Pair {
         let frame = ModelFrame {
             bytes: vec![0u8; PAGE].into_boxed_slice(),
             sparse: table,
+            backed: false,
         };
         assert!(
             self.model.insert(f, frame).is_none(),
@@ -79,6 +88,7 @@ impl Pair {
         if !off.is_multiple_of(8) || (grows && m.entries() == TABLE_SPARSE_MAX) {
             m.sparse = false;
         }
+        m.backed |= !m.sparse;
         m.bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
     }
 
@@ -88,12 +98,22 @@ impl Pair {
             .write_with(addr, data.len(), |dst| dst.copy_from_slice(data));
         let m = self.model.get_mut(&f).unwrap();
         m.sparse = false;
+        m.backed = true;
         m.bytes[off..off + data.len()].copy_from_slice(data);
     }
 
-    fn zero(&mut self, f: u64) {
-        self.mem.zero_frame(f);
-        self.model.get_mut(&f).unwrap().bytes.fill(0);
+    /// The model of releasing `f`: it reads zeros and holds no page.
+    fn model_release(&mut self, f: u64) {
+        let m = self.model.get_mut(&f).unwrap();
+        m.bytes.fill(0);
+        m.backed = false;
+    }
+
+    fn release(&mut self, frames: &[u64]) {
+        self.mem.release(frames);
+        for &f in frames {
+            self.model_release(f);
+        }
     }
 
     /// Every byte, word and the sparse state of frame `f` agree.
@@ -115,6 +135,13 @@ impl Pair {
                     m.word(8 * i)
                 ));
             }
+        }
+        if self.mem.holds_page(f) != m.backed {
+            return Err(format!(
+                "frame {f}: holds a page {}, model {}",
+                self.mem.holds_page(f),
+                m.backed
+            ));
         }
         let want = m.sparse.then(|| m.entries());
         match self.mem.sparse_entries(f) {
@@ -194,12 +221,12 @@ proptest! {
         for step in 0..64 {
             let at = format!("seed {seed:#x}, step {step}");
             let live: Vec<u64> = p.model.keys().copied().collect();
-            let op = if live.len() < 4 { 0 } else { rng.gen_range(13) };
+            let op = if live.len() < 4 { 0 } else { rng.gen_range(15) };
             let touched = match op {
                 // Alloc either kind.
                 0 | 1 if live.len() < MAX_LIVE => p.alloc(rng.gen_range(3) != 0),
                 // Free a frame and take its slot back as the other kind:
-                // it must read zero.
+                // it must read zero and hold no page.
                 0..=2 => {
                     let f = pick(&mut rng, &live);
                     let table = !p.model[&f].sparse;
@@ -248,10 +275,12 @@ proptest! {
                     p.write_bytes(f, off, &data);
                     f
                 }
+                // Release one to three frames in one call (a frame twice
+                // included): each reads zeros after.
                 10 => {
-                    let f = pick(&mut rng, &live);
-                    p.zero(f);
-                    f
+                    let frames: Vec<u64> = (0..1 + rng.gen_range(3)).map(|_| pick(&mut rng, &live)).collect();
+                    p.release(&frames);
+                    frames[0]
                 }
                 // Link a path of tables and walk it.
                 11 => {
@@ -271,6 +300,23 @@ proptest! {
                     }
                     paths.push((path[0], va));
                     path[0]
+                }
+                // A whole-frame write: lent a recycled page, it must read
+                // back exactly.
+                12 => {
+                    let f = pick(&mut rng, &live);
+                    let data: Vec<u8> = (0..PAGE).map(|_| rng.next_u64() as u8).collect();
+                    p.write_bytes(f, 0, &data);
+                    f
+                }
+                // A consuming read: the bytes as they were, then released.
+                13 => {
+                    let f = pick(&mut rng, &live);
+                    let (off, len) = range(&mut rng);
+                    let got = p.mem.consume_with(PhysAddr::from_frame(f, off as u64), len, <[u8]>::to_vec);
+                    prop_assert!(got == p.model[&f].bytes[off..off + len], "{at}: consume_with");
+                    p.model_release(f);
+                    f
                 }
                 // Unaligned reads and lent reads.
                 _ => {

@@ -565,9 +565,11 @@ impl Kernel {
         pooled.unwrap_or_else(|| DmaBuffer::alloc(&self.mem, len.max(1)))
     }
 
-    /// Returns a buffer from [`Kernel::take_dma`] to the pool.
+    /// Returns a buffer from [`Kernel::take_dma`] to the pool, without
+    /// the host pages behind its frames: a pooled buffer holds none.
     pub(crate) fn give_dma(&self, dma: DmaBuffer) {
         if dma.len() <= DMA_POOL_MAX_LEN {
+            dma.release(0, dma.len());
             let mut pool = self.dma_pool.lock();
             if pool.len() < DMA_POOL_MAX_BUFFERS {
                 pool.push(dma);

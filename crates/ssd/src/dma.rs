@@ -4,6 +4,13 @@
 //! between user buffers and these DMA buffers (§4.2 — BypassD deliberately
 //! does not do zero-copy I/O). The buffer is a run of physical frames in
 //! simulated memory, so the device and the host genuinely exchange bytes.
+//!
+//! The frames, and so the PRP list ([`DmaBuffer::frames`]), are fixed for
+//! the buffer's life, as pinning makes them. The host pages behind them
+//! are not: a frame takes a page at its first write, and a user that is
+//! done with an I/O's bytes gives the pages back with
+//! [`DmaBuffer::consume`] (a consuming copy-out) or [`DmaBuffer::release`].
+//! An idle buffer then holds no host memory, however large it is.
 
 use bypassd_hw::mem::PhysMem;
 use bypassd_hw::types::{PhysAddr, PAGE_SIZE};
@@ -93,10 +100,41 @@ impl DmaBuffer {
         });
     }
 
+    /// [`read`](Self::read), then [`release`](Self::release) of every
+    /// frame the range touches, each frame copied and released under one
+    /// memory-lock acquisition: the copy-out of a caller that is done
+    /// with those frames' bytes.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the buffer.
+    pub fn consume(&self, offset: usize, out: &mut [u8]) {
+        self.for_each_chunk(offset, out.len(), |pa, done, n| {
+            self.mem
+                .consume_with(pa, n, |src| out[done..done + n].copy_from_slice(src));
+        });
+    }
+
+    /// Gives back the host pages of every frame `[offset, offset+len)`
+    /// touches, under one memory-lock acquisition. The frames stay
+    /// pinned to this buffer and read as zeros until the next write.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the buffer.
+    pub fn release(&self, offset: usize, len: usize) {
+        assert!(offset + len <= self.len, "DMA access out of bounds");
+        if len > 0 {
+            let page = PAGE_SIZE as usize;
+            self.mem
+                .release(&self.frames[offset / page..(offset + len).div_ceil(page)]);
+        }
+    }
+
     /// Lends `f` the buffer's bytes `[offset, offset+len)` to fill, one
     /// frame-contiguous chunk at a time, as `f(done, chunk)` where `done`
     /// is the chunk's position within the range. This is the device's
-    /// single-copy path: media bytes land in the frame directly.
+    /// single-copy path: media bytes land in the frame directly. `f` must
+    /// write every byte of each chunk (the lending rule of
+    /// [`PhysMem::write_with`]).
     ///
     /// # Panics
     /// Panics if the range exceeds the buffer.
@@ -168,6 +206,27 @@ mod tests {
             sums.push((done, src.iter().map(|&b| b as usize).sum::<usize>()));
         });
         assert_eq!(sums, vec![(0, 96), (96, 104 * 97)]);
+    }
+
+    #[test]
+    fn consume_and_release_drop_pages_but_keep_frames() {
+        let mem = PhysMem::new();
+        let buf = DmaBuffer::alloc(&mem, 3 * PAGE_SIZE as usize);
+        let frames = buf.frames().to_vec();
+        assert!(frames.iter().all(|&f| !mem.holds_page(f)));
+        buf.write(4000, &[9; 200]);
+        let held: Vec<bool> = frames.iter().map(|&f| mem.holds_page(f)).collect();
+        assert_eq!(held, [true, true, false]);
+        let mut out = [0u8; 50];
+        buf.consume(4000, &mut out);
+        assert_eq!(out, [9; 50]);
+        let held: Vec<bool> = frames.iter().map(|&f| mem.holds_page(f)).collect();
+        assert_eq!(held, [false, true, false]);
+        buf.release(PAGE_SIZE as usize, 1);
+        assert!(frames.iter().all(|&f| !mem.holds_page(f)));
+        assert_eq!(buf.frames(), &frames[..]);
+        buf.read(4000, &mut out);
+        assert_eq!(out, [0; 50], "released frames read as zeros");
     }
 
     #[test]
